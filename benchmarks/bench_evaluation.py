@@ -14,15 +14,16 @@ naive per-individual path it replaced, on **two** honestly labeled workloads:
   repeated analysis.  Survivors recur across generations, so the
   individual-level fit cache dominates and the speedup is large.
 
-Each workload is measured under both fit backends (``direct`` =
-per-individual ``fit_linear``, ``gram`` = pooled gather-and-solve), and the
-report includes fits/sec per backend.  Further sections isolate individual
-levers on the offspring stream: ``column_backend`` (compiled tapes vs the
-tree interpreter on the cache-miss path, see :mod:`repro.core.compile`;
-reports the *end-to-end* speedup and the *warm-miss* speedup -- a warmed
-kernel cache with cleared column/fit caches -- as separate, self-consistent
-ratios of their own reported wall-clocks), ``residual_backend`` (the
-generation-batched prediction/residual pass vs per-individual scoring) and
+Each workload is measured through the batch evaluator (gram-pool
+gather-and-solve fits) against the naive path, and the report includes
+fits/sec.  Further sections compare one layer at a time against its
+reference implementation from ``tests/oracles.py`` on the offspring stream:
+``column_backend`` (compiled tapes vs the tree interpreter on the
+cache-miss path, see :mod:`repro.core.compile`; reports the *end-to-end*
+speedup and the *warm-miss* speedup -- a warmed kernel cache with cleared
+column/fit caches -- as separate, self-consistent ratios of their own
+reported wall-clocks), ``residual_backend`` (the generation-batched
+prediction/residual pass vs per-individual scoring) and
 ``persistent_cache`` (a cold start vs one warm-started from a
 :class:`~repro.core.cache_store.ColumnCacheStore` file).  The
 ``population_1000`` section runs the engine at population 1000 (the
@@ -30,7 +31,7 @@ ROADMAP's scaling item): per-phase wall-clocks (generation, evaluation,
 selection), evaluations/sec, every cache hit rate, the size-adaptive
 budgets actually resolved, and a scalar-vs-batched residual equivalence
 check at that scale.  The ``selection_variation`` section puts the
-structure-sharing genome backend head to head against its deepcopy
+structure-sharing variation operators head to head against the deepcopy
 reference (per-operator child cost, node clones per offspring,
 population-1000 phase seconds for both) and contributes the
 ``genome_shared_vs_deepcopy`` bit-identity verdict.  The ``serving``
@@ -65,20 +66,20 @@ from repro.core.evaluation import (
     evaluate_individual_inplace,
 )
 from repro.core.nsga2 import rank_population
+from repro.core.operators import VariationOperators
 from repro.core.settings import CaffeineSettings
 
 from conftest import write_output
+from oracles import DeepcopyVariationOperators, reference_layers
 
-#: Regression gates.  The gram backend must deliver the PR-2 tentpole's
-#: promised >= 2x on the fresh-offspring stream; the direct backend keeps
-#: PR 1's column-cache-only gate; the re-evaluation path is fit-cache
-#: dominated; compiled columns and a warm persistent cache must never lose
-#: to their baselines.  ``BENCH_RELAX_SPEEDUP_GATES=1`` (set by CI's shared
+#: Regression gates.  The batch evaluator must deliver the PR-2 tentpole's
+#: promised >= 2x on the fresh-offspring stream; the re-evaluation path is
+#: fit-cache dominated; compiled columns and a warm persistent cache must
+#: never lose to their baselines.  ``BENCH_RELAX_SPEEDUP_GATES=1`` (set by CI's shared
 #: noisy runners) disables only the wall-clock ratio gates; the bit-for-bit
 #: equivalence checks always hold.
 _GATES_RELAXED = os.environ.get("BENCH_RELAX_SPEEDUP_GATES") == "1"
 MIN_REEVALUATION_SPEEDUP = 0.0 if _GATES_RELAXED else 2.5
-MIN_OFFSPRING_SPEEDUP_DIRECT = 0.0 if _GATES_RELAXED else 1.0
 MIN_OFFSPRING_SPEEDUP_GRAM = 0.0 if _GATES_RELAXED else 2.0
 #: The compiled-column effect is real but small (~1.1x end to end, the
 #: column share of an offspring evaluation); gate at 0.9 so run-to-run
@@ -86,12 +87,12 @@ MIN_OFFSPRING_SPEEDUP_GRAM = 0.0 if _GATES_RELAXED else 2.0
 #: outright) still fails.
 MIN_COMPILED_COLUMN_SPEEDUP = 0.0 if _GATES_RELAXED else 0.9
 MIN_WARM_CACHE_SPEEDUP = 0.0 if _GATES_RELAXED else 1.0
-#: The batched residual pass saves per-individual NumPy call overhead; a
-#: backend that loses outright to scalar scoring would be a bug.
+#: The batched residual pass saves per-individual NumPy call overhead;
+#: losing outright to scalar scoring would be a bug.
 MIN_RESIDUAL_SPEEDUP = 0.0 if _GATES_RELAXED else 0.9
 #: Acceptance gate for the population-1000 scaling work: canonical factor
 #: ordering plus the size-adaptive kernel budget must lift the compiled
-#: backend's kernel hit rate above the ~25% the ROADMAP flagged.
+#: columns' kernel hit rate above the ~25% the ROADMAP flagged.
 #: Deterministic (fixed seed), so never relaxed.
 MIN_POPULATION_1000_KERNEL_HIT_RATE = 0.25
 #: The structure-sharing genome must never lose to the deepcopy reference
@@ -150,7 +151,14 @@ def _run_naive(engine, batches):
     return time.perf_counter() - start, clones
 
 
-def _run_cached(engine, batches, cache=None, **overrides):
+def _evaluator(engine, layers=(), cache=None):
+    """A fresh evaluator, with ``layers`` swapped for their references."""
+    with reference_layers(*layers):
+        return PopulationEvaluator(engine.train.X, engine.train.y,
+                                   WORKLOAD_SETTINGS, cache=cache)
+
+
+def _run_cached(engine, batches, cache=None, layers=()):
     """Batch evaluation through a fresh evaluator (cold unless given a cache).
 
     Every round starts from the same cache state, so hit rates and work
@@ -158,9 +166,7 @@ def _run_cached(engine, batches, cache=None, **overrides):
     wall-clock varies.
     """
     clones = [[ind.clone() for ind in batch] for batch in batches]
-    evaluator = PopulationEvaluator(engine.train.X, engine.train.y,
-                                    WORKLOAD_SETTINGS.copy(**overrides),
-                                    cache=cache)
+    evaluator = _evaluator(engine, layers, cache)
     start = time.perf_counter()
     for batch in clones:
         evaluator.evaluate_population(batch)
@@ -187,61 +193,49 @@ def _paired_speedup(baseline_rounds, candidate_rounds) -> float:
 
 
 def _measure(engine, batches):
-    """Time naive vs. both cached fit backends; check bit-for-bit equality."""
+    """Time the naive path vs the batch evaluator; check bit-for-bit
+    equality."""
     n_evaluations = sum(len(batch) for batch in batches)
-    seconds_by_path = {"naive": [], "direct": [], "gram": []}
+    seconds_by_path = {"naive": [], "gram": []}
     first_results = {}
-    evaluators = {}
     for _round in range(TIMING_ROUNDS):
         seconds, naive = _run_naive(engine, batches)
         seconds_by_path["naive"].append(seconds)
         first_results.setdefault("naive", naive)
-        for fit_backend in ("direct", "gram"):
-            seconds, cached, evaluator = _run_cached(engine, batches,
-                                                     fit_backend=fit_backend)
-            seconds_by_path[fit_backend].append(seconds)
-            first_results.setdefault(fit_backend, cached)
-            evaluators.setdefault(fit_backend, evaluator)
+        seconds, cached, evaluator = _run_cached(engine, batches)
+        seconds_by_path["gram"].append(seconds)
+        first_results.setdefault("gram", cached)
 
     best_naive = min(seconds_by_path["naive"])
-    backends = {}
-    equivalence = {}
-    for fit_backend in ("direct", "gram"):
-        equivalence[fit_backend] = _batches_equal(first_results["naive"],
-                                                  first_results[fit_backend])
-        seconds = min(seconds_by_path[fit_backend])
-        evaluator = evaluators[fit_backend]
-        entry = {
+    equal = _batches_equal(first_results["naive"], first_results["gram"])
+    seconds = min(seconds_by_path["gram"])
+    pool = evaluator.gram_pool
+    report = {
+        "n_evaluations": n_evaluations,
+        "naive_seconds": round(best_naive, 4),
+        "naive_evaluations_per_second": round(n_evaluations / best_naive, 1),
+        "backends": {"gram": {
             "seconds": round(seconds, 4),
             "evaluations_per_second": round(n_evaluations / seconds, 1),
             "fits_per_second": round(evaluator.n_fits_computed / seconds, 1),
             "n_fits_computed": evaluator.n_fits_computed,
             "speedup": round(_paired_speedup(seconds_by_path["naive"],
-                                             seconds_by_path[fit_backend]), 2),
+                                             seconds_by_path["gram"]), 2),
             "column_cache_hit_rate": round(evaluator.column_hit_rate, 4),
             "fit_cache_hit_rate": round(evaluator.fit_hit_rate, 4),
             "column_cache_entries": len(evaluator.cache),
-        }
-        if evaluator.gram_pool is not None:
-            entry["gram_pair_hit_rate"] = round(
-                evaluator.gram_pool.pair_hit_rate, 4)
-            entry["gram_pairs_computed"] = evaluator.gram_pool.n_pairs_computed
-            entry["gram_pool_entries"] = len(evaluator.gram_pool)
-        backends[fit_backend] = entry
-
-    report = {
-        "n_evaluations": n_evaluations,
-        "naive_seconds": round(best_naive, 4),
-        "naive_evaluations_per_second": round(n_evaluations / best_naive, 1),
-        "backends": backends,
+            "gram_pair_hit_rate": round(pool.pair_hit_rate, 4),
+            "gram_pairs_computed": pool.n_pairs_computed,
+            "gram_pool_entries": len(pool),
+        }},
     }
-    return report, equivalence
+    return report, equal
 
 
 def _measure_column_backend(engine, batches):
     """Compiled tapes vs the tree interpreter on the offspring miss path.
 
-    Both evaluators run the shipped gram fit backend from a cold column
+    Both evaluators run the production gram fits from a cold column
     cache, so the only difference is how cache *misses* evaluate their
     trees.  Two speedups are reported, each the ratio of its *own* reported
     wall-clocks (the committed PR-3 baseline mixed a load-paired ratio with
@@ -259,14 +253,15 @@ def _measure_column_backend(engine, batches):
     compilers = {}
     # Extra rounds here: the compared effect is the smallest in the module,
     # so the best ratio needs more samples to stabilize.
+    paths = {"interp": ("columns",), "compiled": ()}
     for _round in range(max(TIMING_ROUNDS, 5)):
-        for column_backend in ("interp", "compiled"):
-            seconds, cached, evaluator = _run_cached(
-                engine, batches, column_backend=column_backend)
+        for column_backend, layers in paths.items():
+            seconds, cached, evaluator = _run_cached(engine, batches,
+                                                     layers=layers)
             seconds_by_path[column_backend].append(seconds)
             first_results.setdefault(column_backend, cached)
-            if evaluator._compiler is not None:
-                compilers.setdefault(column_backend, evaluator._compiler)
+            compilers.setdefault(column_backend, getattr(
+                evaluator.column_backend, "compiler", None))
 
     # Warm-miss pass: one persistent evaluator per backend, warmed over the
     # whole stream once; every timed round then clears the column/fit/
@@ -274,10 +269,8 @@ def _measure_column_backend(engine, batches):
     # backends keep their warm gram pool, so the comparison stays paired)
     # and replays the stream as pure miss traffic.
     warm_seconds = {"interp": [], "compiled": []}
-    for column_backend in ("interp", "compiled"):
-        evaluator = PopulationEvaluator(
-            engine.train.X, engine.train.y,
-            WORKLOAD_SETTINGS.copy(column_backend=column_backend))
+    for column_backend, layers in paths.items():
+        evaluator = _evaluator(engine, layers)
         warmup = [[ind.clone() for ind in batch] for batch in batches]
         for batch in warmup:
             evaluator.evaluate_population(batch)
@@ -316,7 +309,8 @@ def _measure_column_backend(engine, batches):
 def _measure_residual_backend(engine, batches):
     """Generation-batched vs per-individual prediction/residual pass.
 
-    Both evaluators run gram fits over compiled columns from a cold cache;
+    Both evaluators run gram fits over compiled columns from a cold cache
+    (scalar scoring is the reference from ``tests/oracles.py``);
     the only difference is whether each same-width group's post-fit scoring
     runs as one stacked pass or one individual at a time.  The speedup is
     the ratio of the two reported wall-clocks (self-consistent by
@@ -326,9 +320,10 @@ def _measure_residual_backend(engine, batches):
     first_results = {}
     backends = {}
     for _round in range(max(TIMING_ROUNDS, 5)):
-        for residual_backend in ("scalar", "batched"):
-            seconds, cached, evaluator = _run_cached(
-                engine, batches, residual_backend=residual_backend)
+        for residual_backend, layers in (("scalar", ("residuals",)),
+                                         ("batched", ())):
+            seconds, cached, evaluator = _run_cached(engine, batches,
+                                                     layers=layers)
             seconds_by_path[residual_backend].append(seconds)
             first_results.setdefault(residual_backend, cached)
             backends.setdefault(residual_backend, evaluator.residual_backend)
@@ -362,6 +357,9 @@ POPULATION_1000_SETTINGS = CaffeineSettings(
 def _run_population_1000(train, genome_backend):
     """One fixed-seed population-1000 engine loop with per-phase timers.
 
+    ``genome_backend`` is ``"shared"`` (the production operators) or
+    ``"deepcopy"`` (the reference operators from ``tests/oracles.py``).
+
     Mirrors :meth:`CaffeineEngine.step` exactly (array-native ranking,
     batched tournament draws, ``select_and_rerank`` survivor selection) so
     the phase timers measure the code the engine actually runs; the loop is
@@ -378,8 +376,10 @@ def _run_population_1000(train, genome_backend):
     from repro.core.nsga2 import (rank_population_arrays, select_and_rerank,
                                   tournament_winner)
 
-    settings = POPULATION_1000_SETTINGS.copy(genome_backend=genome_backend)
-    engine = CaffeineEngine(train, settings=settings)
+    settings = POPULATION_1000_SETTINGS
+    with reference_layers(*(("genome",) if genome_backend == "deepcopy"
+                            else ())):
+        engine = CaffeineEngine(train, settings=settings)
     phase = {"generation": 0.0, "evaluation": 0.0, "selection": 0.0}
     captured_offspring = None
     n = settings.population_size
@@ -395,8 +395,7 @@ def _run_population_1000(train, genome_backend):
     engine.population = population
 
     start = time.perf_counter()
-    ranked = rank_population_arrays(engine.population,
-                                    backend=settings.pareto_backend)
+    ranked = rank_population_arrays(engine.population)
     selection_seconds = time.perf_counter() - start
     for _generation in range(settings.n_generations):
         start = time.perf_counter()
@@ -416,8 +415,7 @@ def _run_population_1000(train, genome_backend):
         phase["evaluation"] += time.perf_counter() - start
         start = time.perf_counter()
         engine.population, ranked = select_and_rerank(
-            engine.population + offspring, n,
-            backend=settings.pareto_backend)
+            engine.population + offspring, n)
         phase["selection"] += selection_seconds \
             + (time.perf_counter() - start)
         selection_seconds = 0.0
@@ -441,19 +439,20 @@ def _measure_population_1000(train):
     """
     settings = POPULATION_1000_SETTINGS
     phase, engine, captured_offspring, final_snapshot = \
-        _run_population_1000(train, settings.genome_backend)
+        _run_population_1000(train, "shared")
 
     evaluator = engine.evaluator
-    compiler = evaluator._compiler
+    compiler = evaluator.column_backend.compiler
     n_evaluations = evaluator.n_evaluated
 
     # Residual equivalence at this scale: the first real offspring batch,
-    # re-evaluated through fresh scalar and batched evaluators.
+    # re-evaluated through fresh scalar-reference and batched evaluators.
     results = {}
-    for residual_backend in ("scalar", "batched"):
-        fresh = PopulationEvaluator(
-            engine.train.X, engine.train.y,
-            settings.copy(residual_backend=residual_backend))
+    for residual_backend, layers in (("scalar", ("residuals",)),
+                                     ("batched", ())):
+        with reference_layers(*layers):
+            fresh = PopulationEvaluator(engine.train.X, engine.train.y,
+                                        settings)
         clones = [ind.clone() for ind in captured_offspring]
         fresh.evaluate_population(clones)
         results[residual_backend] = clones
@@ -463,7 +462,6 @@ def _measure_population_1000(train):
         "workload": "figure3-PM engine loop at population 1000",
         "population_size": settings.population_size,
         "n_generations": settings.n_generations,
-        "genome_backend": settings.genome_backend,
         "n_evaluations": n_evaluations,
         "evaluations_per_second": round(
             n_evaluations / phase["evaluation"], 1),
@@ -518,18 +516,18 @@ def _count_node_clones(run_once, n_calls):
 
 def _measure_selection_variation(train, shared_population_1000_report,
                                  shared_final_snapshot):
-    """The structure-sharing genome vs the deepcopy reference, head to head.
+    """Structure-sharing variation vs the deepcopy reference, head to head.
 
     Three views of the same tentpole:
 
     * ``per_operator_child_microseconds`` -- each variation operator timed
-      in isolation on identical fixed-seed parents under both genome
-      backends (path-copying shares untouched subtrees; the reference
+      in isolation on identical fixed-seed parents under both operator
+      sets (path-copying shares untouched subtrees; the reference
       deep-clones a parent per child);
     * ``clones_per_offspring`` -- expression-node ``clone()`` calls per
-      ``vary`` call under each backend (the structural measure the timing
-      follows);
-    * population-1000 phase seconds for the deepcopy backend next to the
+      ``vary`` call under each operator set (the structural measure the
+      timing follows);
+    * population-1000 phase seconds for the deepcopy reference next to the
       shared run's (copied from the ``population_1000`` section so the pair
       is read side by side), plus the combined selection+variation
       per-generation seconds the PR's acceptance gate tracks.
@@ -538,15 +536,16 @@ def _measure_selection_variation(train, shared_population_1000_report,
     the deepcopy population-1000 run must reach a bit-identical final
     population (errors, complexities, structural keys), and a fixed-seed
     Figure-3 workload must yield bit-identical Pareto fronts through
-    ``run_caffeine`` under both backends.
+    ``run_caffeine`` under both operator sets.
     """
     import numpy as np
 
     from repro.core.engine import run_caffeine
     from repro.core.generator import ExpressionGenerator
     from repro.core.individual import Individual
-    from repro.core.operators import VariationOperators
 
+    operator_sets = {"shared": VariationOperators,
+                     "deepcopy": DeepcopyVariationOperators}
     unary = ("parameter_mutation", "vc_mutation", "subtree_mutation",
              "basis_delete", "basis_add")
     binary = ("vc_crossover", "subtree_crossover", "basis_crossover",
@@ -554,12 +553,12 @@ def _measure_selection_variation(train, shared_population_1000_report,
     per_operator = {name: {} for name in unary + binary}
     clones_per_offspring = {}
 
-    for genome_backend in ("shared", "deepcopy"):
-        settings = WORKLOAD_SETTINGS.copy(genome_backend=genome_backend)
+    for genome_backend, operator_set in operator_sets.items():
+        settings = WORKLOAD_SETTINGS
         generator = ExpressionGenerator(train.X.shape[1], settings,
                                         rng=np.random.default_rng(7))
-        operators = VariationOperators(generator, settings,
-                                       rng=np.random.default_rng(8))
+        operators = operator_set(generator, settings,
+                                 rng=np.random.default_rng(8))
         parent_a = Individual(bases=generator.random_basis_functions(6))
         parent_b = Individual(bases=generator.random_basis_functions(6))
 
@@ -595,9 +594,9 @@ def _measure_selection_variation(train, shared_population_1000_report,
 
     figure3_settings = WORKLOAD_SETTINGS.copy(n_generations=5)
     fronts = {}
-    for genome_backend in ("shared", "deepcopy"):
-        result = run_caffeine(train, settings=figure3_settings.copy(
-            genome_backend=genome_backend))
+    for genome_backend, layers in (("shared", ()), ("deepcopy", ("genome",))):
+        with reference_layers(*layers):
+            result = run_caffeine(train, settings=figure3_settings)
         fronts[genome_backend] = [
             (repr(model.train_error), repr(model.complexity),
              model.expression()) for model in result.tradeoff]
@@ -854,14 +853,16 @@ def _measure_concurrent_store(tmp_path):
 
 
 def _measure_sort(population):
-    """NSGA-II ranking time on one realistic population, per backend."""
+    """NSGA-II ranking time on one realistic population: production kernels
+    ("numpy") vs the pure-Python reference ("python")."""
     report = {"population_size": len(population)}
-    for backend in ("python", "numpy"):
+    for backend, layers in (("python", ("pareto",)), ("numpy", ())):
         repeats = 5
-        start = time.perf_counter()
-        for _ in range(repeats):
-            rank_population(population, backend=backend)
-        seconds = (time.perf_counter() - start) / repeats
+        with reference_layers(*layers):
+            start = time.perf_counter()
+            for _ in range(repeats):
+                rank_population(population)
+            seconds = (time.perf_counter() - start) / repeats
         report[f"{backend}_seconds"] = round(seconds, 6)
     report["speedup"] = round(report["python_seconds"]
                               / max(report["numpy_seconds"], 1e-12), 2)
@@ -894,10 +895,8 @@ def test_population_evaluation_throughput(benchmark, bench_datasets,
         str(tmp_path))
 
     equivalence = {
-        "offspring_naive_vs_direct": offspring_equal["direct"],
-        "offspring_naive_vs_gram": offspring_equal["gram"],
-        "reevaluation_naive_vs_direct": reevaluation_equal["direct"],
-        "reevaluation_naive_vs_gram": reevaluation_equal["gram"],
+        "offspring_naive_vs_gram": offspring_equal,
+        "reevaluation_naive_vs_gram": reevaluation_equal,
         "interp_vs_compiled": column_equal,
         "residual_scalar_vs_batched": residual_equal,
         "population_1000_scalar_vs_batched": population_1000_equal,
@@ -933,7 +932,6 @@ def test_population_evaluation_throughput(benchmark, bench_datasets,
         f"fast paths are not bit-for-bit identical: {equivalence}"
 
     gram_offspring = offspring_report["backends"]["gram"]
-    direct_offspring = offspring_report["backends"]["direct"]
     gram_reevaluation = reevaluation_report["backends"]["gram"]
     assert gram_reevaluation["speedup"] >= MIN_REEVALUATION_SPEEDUP, \
         (f"re-evaluation speedup regressed: "
@@ -941,11 +939,8 @@ def test_population_evaluation_throughput(benchmark, bench_datasets,
     assert gram_offspring["speedup"] >= MIN_OFFSPRING_SPEEDUP_GRAM, \
         (f"gram offspring-stream speedup regressed: "
          f"{gram_offspring['speedup']}x < {MIN_OFFSPRING_SPEEDUP_GRAM}x")
-    assert direct_offspring["speedup"] >= MIN_OFFSPRING_SPEEDUP_DIRECT, \
-        (f"direct offspring-stream speedup regressed: "
-         f"{direct_offspring['speedup']}x < {MIN_OFFSPRING_SPEEDUP_DIRECT}x")
     assert column_report["end_to_end_speedup"] >= MIN_COMPILED_COLUMN_SPEEDUP, \
-        (f"compiled column backend lost to the interpreter: "
+        (f"compiled columns lost to the interpreter: "
          f"{column_report['end_to_end_speedup']}x < "
          f"{MIN_COMPILED_COLUMN_SPEEDUP}x")
     assert residual_report["offspring_stream_speedup"] >= \

@@ -1,18 +1,18 @@
 """Pareto-kernel benchmark: vectorized vs. pure-Python NSGA-II ranking.
 
 ``fast_nondominated_sort`` was the engine's hottest remaining pure-Python
-path (O(N^2) ``dominates`` calls per generation); the vectorized backend in
-:mod:`repro.core.pareto` builds the domination matrix with NumPy
-broadcasting instead.  This benchmark measures full NSGA-II ranking (sort +
+path (O(N^2) ``dominates`` calls per generation); the vectorized kernels in
+:mod:`repro.core.pareto` replace it.  The pure-Python reference they are
+checked against lives in ``tests/oracles.py``.  This benchmark measures full NSGA-II ranking (sort +
 per-front crowding, i.e. ``rank_population``) at population scales 100, 500
 and 2000 on objective vectors shaped like the engine's (a 2-D
 error/complexity cloud including duplicate points and ``inf`` markers for
 infeasible individuals).
 
-Both backends are verified to produce identical fronts and crowding values
-before any number is reported.  Emits
-``benchmarks/output/bench_pareto.json`` (schema in ``benchmarks/README.md``)
-recording sorts/sec per backend and scale.
+Both are verified to produce identical fronts and crowding values before
+any number is reported.  Emits ``benchmarks/output/bench_pareto.json``
+(schema in ``benchmarks/README.md``) recording sorts/sec per implementation
+and scale.
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ import numpy as np
 from repro.core.nsga2 import rank_population
 from repro.core.pareto import crowding_distances, fast_nondominated_sort
 
+import oracles
 from conftest import write_output
 
 #: Population scales at which sort throughput is recorded.
 POPULATION_SIZES = (100, 500, 2000)
 
-#: The vectorized backend must never lose to pure Python at engine scales.
+#: The vectorized kernels must never lose to pure Python at engine scales.
 #: ``BENCH_RELAX_SPEEDUP_GATES=1`` (CI's shared noisy runners) disables the
 #: wall-clock gate; the identical-results checks always hold.
 MIN_SPEEDUP = 0.0 if os.environ.get("BENCH_RELAX_SPEEDUP_GATES") == "1" \
@@ -79,21 +80,22 @@ def test_pareto_sort_throughput(benchmark):
         # Identical results before any timing is believed; the outcome is
         # recorded in the report (for the CI trajectory gate) and asserted
         # after the JSON is written.
-        python_fronts = fast_nondominated_sort(vectors, backend="python")
-        numpy_fronts = fast_nondominated_sort(vectors, backend="numpy")
+        python_fronts = oracles.fast_nondominated_sort(vectors)
+        numpy_fronts = fast_nondominated_sort(vectors)
         identical = numpy_fronts == python_fronts
         for front in python_fronts:
             front_vectors = [vectors[i] for i in front]
             identical = identical and \
-                crowding_distances(front_vectors, backend="numpy") == \
-                crowding_distances(front_vectors, backend="python")
+                crowding_distances(front_vectors) == \
+                oracles.crowding_distances(front_vectors)
         identical_per_scale.append(identical)
 
         repeats = max(1, 2000 // n)
-        python_seconds = _time_callable(
-            lambda: rank_population(population, backend="python"), repeats)
+        with oracles.reference_layers("pareto"):
+            python_seconds = _time_callable(
+                lambda: rank_population(population), repeats)
         numpy_seconds = _time_callable(
-            lambda: rank_population(population, backend="numpy"), repeats)
+            lambda: rank_population(population), repeats)
         entry = {
             "population_size": n,
             "n_fronts": len(python_fronts),
@@ -121,6 +123,6 @@ def test_pareto_sort_throughput(benchmark):
                for v in _engine_like_vectors(POPULATION_SIZES[-1], rng)]
 
     def rank_largest():
-        rank_population(largest, backend="numpy")
+        rank_population(largest)
 
     benchmark(rank_largest)

@@ -15,6 +15,7 @@ of every result in minutes on a laptop.  Pass the full budgets through
 from __future__ import annotations
 
 import pathlib
+import sys
 
 import pytest
 
@@ -23,6 +24,11 @@ from repro.experiments.setup import generate_ota_datasets, run_caffeine_for_targ
 
 #: Output directory for the rendered tables/figures.
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
+
+# The reference implementations every production layer is checked against
+# live with the tests (tests/oracles.py).  Appended, not prepended, so this
+# directory's own conftest stays the one ``from conftest import`` finds.
+sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 
 #: Evolutionary budget used by the benchmark harness.
 BENCH_SETTINGS = CaffeineSettings(

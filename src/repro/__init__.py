@@ -6,7 +6,7 @@ Functions and Genetic Programming* (DATE 2005), as a complete Python library:
 
 * :mod:`repro.core` -- the CAFFEINE algorithm: canonical-form grammar,
   grammar-respecting genetic operators, NSGA-II error/complexity search,
-  PRESS-based simplification, pluggable backend registries;
+  PRESS-based simplification;
 * :mod:`repro.circuits` -- the data-generation substrate: square-law MOSFETs,
   MNA-based DC/AC analysis, and the symmetrical CMOS OTA whose six
   performances the paper models;
@@ -86,12 +86,13 @@ the checkpoint/resume semantics and failure knobs.
 
 The legacy one-call entry point :func:`run_caffeine` remains supported as
 a bit-for-bit shim over the Session path; see the migration table in
-``benchmarks/README.md``.  New column/fit/pareto/evaluation backends
-register by name (:func:`repro.core.register_backend`) and every
-``CaffeineSettings.*_backend`` field accepts registered names.
+``benchmarks/README.md``.  Every layer (column evaluation, linear fits,
+residual scoring, Pareto ranking, variation) has exactly one production
+implementation; the reference implementations it must match bit for bit
+live in the test suite.
 
 The invariants behind these guarantees (bit-identical reductions,
-spawn-safe registration, crash-safe stores, seeded randomness) are
+spawn-safe worker entry points, crash-safe stores, seeded randomness) are
 checked mechanically by :mod:`repro.analysis`, the project's AST-based
 linter: ``python -m repro lint src/`` walks the tree, ``--list-rules``
 and ``--explain <rule-id>`` document each rule's rationale and PR
@@ -102,8 +103,6 @@ unwaived-finding-free ``src/``; see the "Project invariants" section of
 """
 
 from repro.core import (
-    BACKEND_KINDS,
-    BackendRegistry,
     CaffeineEngine,
     CaffeineResult,
     CaffeineSettings,
@@ -126,13 +125,7 @@ from repro.core import (
     SessionCallback,
     SessionResult,
     TreeCompiler,
-    available_backends,
-    backend_names,
-    backend_registry,
     dataset_fingerprint,
-    get_backend,
-    register_backend,
-    unregister_backend,
     SymbolicModel,
     TradeoffSet,
     default_function_set,
@@ -156,15 +149,6 @@ __all__ = [
     "ProgressPrinter",
     "InjectedFault",
     "SymbolicRegressor",
-    # backend registries
-    "BACKEND_KINDS",
-    "BackendRegistry",
-    "available_backends",
-    "backend_names",
-    "backend_registry",
-    "get_backend",
-    "register_backend",
-    "unregister_backend",
     # engine layer (run_caffeine is the legacy shim)
     "run_caffeine",
     "CaffeineEngine",

@@ -2,9 +2,9 @@
 
 Eight PRs of reproduction hardening established invariants (canonical
 bit-identity recipes, errstate discipline, seeded-Generator determinism,
-spawn-picklable backends, versioned-envelope persistence, valid fault
-specs) that this package makes mechanical: one AST walk per file, rules
-in a named registry mirroring :mod:`repro.core.registry`, inline waivers
+spawn-picklable worker entry points, versioned-envelope persistence, valid
+fault specs, one production path per layer) that this package makes
+mechanical: one AST walk per file, rules in a named registry, inline waivers
 with mandatory reasons, and a CLI (``python -m repro lint``) that CI
 gates on.  See ``python -m repro lint --list-rules`` / ``--explain RULE``
 and the "Project invariants" section of ``benchmarks/README.md``.

@@ -1,9 +1,8 @@
 """The lint engine: one AST walk per file, rules dispatched per node.
 
-The engine is deliberately shaped like the backend machinery it polices:
-rules live in a named registry (:mod:`repro.analysis.rules`, mirroring
-:mod:`repro.core.registry`), each declaring the AST node types it wants to
-see, the module scope it applies to and an ``--explain``-able rationale.
+Rules live in a named registry (:mod:`repro.analysis.rules`), each
+declaring the AST node types it wants to see, the module scope it applies
+to and an ``--explain``-able rationale.
 :class:`LintEngine` parses every file once, builds a parent map and a
 little per-file context (:class:`FileContext`), then dispatches each node
 to the rules registered for its type -- so adding a rule never adds a

@@ -2,8 +2,7 @@
 
 Eight PRs of reproduction hardening established invariants that used to
 live only in docstrings and regression tests.  Each rule here makes one of
-them mechanical.  The registry mirrors the backend-registry idiom of
-:mod:`repro.core.registry`: rules are registered by id, introspectable
+them mechanical.  Rules are registered by id, introspectable
 (``python -m repro lint --list-rules``), and third-party checks can be
 added with :func:`register_rule` without touching the engine.
 
@@ -66,7 +65,7 @@ class Rule:
 
 
 # ----------------------------------------------------------------------
-# the registry (mirrors repro.core.registry.BackendRegistry)
+# the registry
 # ----------------------------------------------------------------------
 _RULES: Dict[str, Rule] = {}
 
@@ -341,43 +340,33 @@ class SpawnSafetyRule(Rule):
     id = "spawn-safety"
     summary = ("lambdas / nested functions / bound methods where a "
                "spawn-picklable module-level callable is required")
-    hint = ("define the factory/initializer as a module-level named "
+    hint = ("define the worker target/initializer as a module-level named "
             "function (pickled by reference, importable by spawn-started "
-            "workers); see the spawn caveat in repro/core/registry.py")
+            "workers)")
     explain = """\
-Backend factories, executor initializers and everything shipped into a
-process pool must survive pickling *by reference*: spawn-started workers
+Process targets, executor initializers and everything shipped into a
+worker process must survive pickling *by reference*: spawn-started workers
 (macOS/Windows defaults) import modules fresh and can only resolve
-module-level names (PR 4, the per-process caveat in repro/core/registry.py;
-PR 2 made the default function set module-level named functions for the
-same reason).  A lambda, a function defined inside another function, or a
-bound method (`self.make_backend`) either fails to pickle outright or
-silently resolves to different code in the child.  Session / the process-
-executor factory fail fast at run time (`is_builtin_backend`); this rule
-moves the failure to lint time."""
+module-level names (Session's per-problem workers start
+`repro.core.session._worker_main` this way, and the default function set
+is built from module-level named functions for the same reason).  A lambda, a
+function defined inside another function, or a bound method
+(`self.work`) either fails to pickle outright or silently resolves to
+different code in the child.  This rule moves that failure to lint time."""
     scope = None
     node_types = (ast.Call,)
-
-    _POOL_CTORS = frozenset({
-        "ProcessPoolExecutor", "concurrent.futures.ProcessPoolExecutor"})
 
     def visit(self, node, ctx):
         name = dotted_name(node.func) or ""
         candidates: List[Tuple[str, Optional[ast.expr]]] = []
-        if name == "register_backend" or name.endswith(".register_backend"):
-            factory = (node.args[2] if len(node.args) >= 3
-                       else _call_keyword(node, "factory"))
-            candidates.append(("backend factory", factory))
-        elif (isinstance(node.func, ast.Attribute)
-              and node.func.attr == "register"
-              and len(node.args) >= 2
-              and _constant_str(node.args[0]) is not None):
-            candidates.append(("backend factory", node.args[1]))
-        elif name in self._POOL_CTORS or name.endswith(
+        if name == "ProcessPoolExecutor" or name.endswith(
                 ".ProcessPoolExecutor"):
             candidates.append(
                 ("process-pool initializer", _call_keyword(node,
                                                            "initializer")))
+        elif name == "Process" or name.endswith(".Process"):
+            candidates.append(("process target",
+                               _call_keyword(node, "target")))
         for role, value in candidates:
             problem = self._unpicklable(value, ctx)
             if problem is not None:
@@ -611,106 +600,55 @@ are insertion-ordered and fine; membership tests on sets are fine; only
 
 
 # ----------------------------------------------------------------------
-# rule 8: registry hygiene
+# rule 8: one production path per layer
 # ----------------------------------------------------------------------
-class RegistryHygieneRule(Rule):
-    id = "registry-hygiene"
-    summary = ("backend factories whose signatures do not match the "
-               "documented factory contract for their kind")
-    hint = ("match the per-kind factory contract documented in "
-            "repro/core/registry.py: column=(X, settings), "
-            "fit=(evaluator), pareto=(), evaluation=(workers, X, "
-            "column_backend), residual=(y, normalization)")
+class OnePathRule(Rule):
+    id = "one-path"
+    summary = ("string switches on a settings or backend attribute that "
+               "pick between implementations of one layer")
+    hint = ("keep one production implementation per layer and move the "
+            "alternative into tests/oracles.py as the reference the "
+            "production path is tested against")
     explain = """\
-The backend registry (PR 4) documents one factory contract per kind --
-what arguments the dispatch sites call the factory with.  A factory whose
-signature cannot accept those arguments registers fine and then dies with
-a TypeError deep inside the engine on first dispatch (or, for a
-third-party backend, inside a worker process where the traceback is
-hardest to read).  PR 8's "write your own backend" walkthrough in
-benchmarks/README.md made the contract the public extension point; this
-rule checks the arity of statically resolvable factories at registration
-call sites against it, and flags unknown kind names outright."""
-    scope = None
-    node_types = (ast.Call,)
-
-    _CONTRACT: Dict[str, Tuple[int, str]] = {
-        "column": (2, "factory(X, settings)"),
-        "fit": (1, "factory(evaluator)"),
-        "pareto": (0, "factory()"),
-        "evaluation": (3, "factory(workers, X, column_backend)"),
-        "residual": (2, "factory(y, normalization)"),
-    }
+Each layer of the engine (column evaluation, linear fits, residual scoring,
+Pareto ranking, variation) has exactly one production implementation; the
+plainer reference each must match bit for bit lives in tests/oracles.py,
+where the equivalence tests and benchmarks use it.  The knobs that once
+selected between implementations (`CaffeineSettings.*_backend` strings
+resolved through a backend registry) shipped test oracles as user-facing
+settings, and were removed.  This rule flags the pattern they dispatched
+with -- a `settings.<field>` attribute, or any `*_backend` attribute,
+compared against a string literal -- so a new implementation switch cannot
+slip back into the library unnoticed."""
+    scope = ("repro",)
+    node_types = (ast.Compare,)
 
     def visit(self, node, ctx):
-        kind: Optional[str] = None
-        factory: Optional[ast.expr] = None
-        name = dotted_name(node.func) or ""
-        if name == "register_backend" or name.endswith(".register_backend"):
-            if node.args:
-                kind = _constant_str(node.args[0])
-            factory = (node.args[2] if len(node.args) >= 3
-                       else _call_keyword(node, "factory"))
-        elif (isinstance(node.func, ast.Attribute)
-              and node.func.attr == "register" and len(node.args) >= 2):
-            kind = self._registry_kind(node.func.value)
-            factory = node.args[1]
-        if kind is None:
-            return
-        if kind not in self._CONTRACT:
-            yield self.finding(
-                node, ctx,
-                f"unknown backend kind {kind!r} (kinds: "
-                f"{', '.join(sorted(self._CONTRACT))})",
-                hint="backend kinds are fixed by repro.core.registry."
-                     "BACKEND_KINDS; check for a typo")
-            return
-        expected, signature = self._CONTRACT[kind]
-        arity = self._factory_arity(factory, ctx)
-        if arity is None:
-            return
-        minimum, maximum = arity
-        if not (minimum <= expected <= maximum):
-            yield self.finding(
-                node, ctx,
-                f"{kind} backend factory takes "
-                f"{self._describe(minimum, maximum)} positional "
-                f"argument(s) but the dispatch site calls {signature}")
+        operands = [node.left, *node.comparators]
+        for switch in operands:
+            if self._is_switch(switch) and any(
+                    self._is_string(other) for other in operands
+                    if other is not switch):
+                yield self.finding(
+                    node, ctx,
+                    f"{ast.unparse(switch)} is compared against a string "
+                    f"literal, which selects between implementations")
+                return
 
     @staticmethod
-    def _describe(minimum: int, maximum: float) -> str:
-        if maximum == float("inf"):
-            return f"at least {minimum}"
-        if minimum == maximum:
-            return str(minimum)
-        return f"{minimum}-{int(maximum)}"
+    def _is_switch(node: ast.expr) -> bool:
+        if not isinstance(node, ast.Attribute):
+            return False
+        owner = dotted_name(node.value) or ""
+        return (node.attr.endswith("_backend") or owner == "settings"
+                or owner.endswith(".settings"))
 
     @staticmethod
-    def _registry_kind(value: ast.expr) -> Optional[str]:
-        # _REGISTRIES["kind"].register(...) or backend_registry("kind")...
-        if isinstance(value, ast.Subscript):
-            return _constant_str(getattr(value, "slice", None))
-        if isinstance(value, ast.Call) and value.args:
-            name = dotted_name(value.func) or ""
-            if name.endswith("backend_registry"):
-                return _constant_str(value.args[0])
-        return None
-
-    def _factory_arity(self, factory: Optional[ast.expr], ctx: FileContext
-                       ) -> Optional[Tuple[int, float]]:
-        """(min, max) positional arity of a statically resolvable factory."""
-        definition: Optional[ast.AST] = None
-        if isinstance(factory, ast.Lambda):
-            definition = factory
-        elif isinstance(factory, ast.Name):
-            definition = ctx.module_functions.get(factory.id)
-        if definition is None or not hasattr(definition, "args"):
-            return None
-        args = definition.args
-        positional = len(args.posonlyargs) + len(args.args)
-        minimum = positional - len(args.defaults)
-        maximum = float("inf") if args.vararg is not None else positional
-        return minimum, maximum
+    def _is_string(node: ast.expr) -> bool:
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return bool(node.elts) and all(
+                _constant_str(element) is not None for element in node.elts)
+        return _constant_str(node) is not None
 
 
 # ----------------------------------------------------------------------
@@ -762,6 +700,6 @@ a file that does not parse cannot carry trustworthy waiver comments."""
 # ----------------------------------------------------------------------
 for _rule in (BitIdentityRule(), ErrstateRule(), DeterminismRule(),
               SpawnSafetyRule(), CrashSafetyRule(), FaultSpecRule(),
-              UnorderedIterRule(), RegistryHygieneRule(),
+              UnorderedIterRule(), OnePathRule(),
               WaiverSyntaxRule(), WaiverUnusedRule(), ParseErrorRule()):
     register_rule(_rule)

@@ -15,9 +15,6 @@ The public surface of the core package:
   shim over a one-problem session);
 * :class:`~repro.core.settings.CaffeineSettings` -- all tunables (paper
   settings available via ``CaffeineSettings.paper_settings()``);
-* :mod:`repro.core.registry` -- named registries behind every
-  ``*_backend`` settings field, so new column/fit/pareto/evaluation
-  backends plug in without touching the engine;
 * :class:`~repro.core.model.SymbolicModel` / :class:`~repro.core.model.TradeoffSet`
   -- the resulting error-vs-complexity trade-off of interpretable models;
 * :mod:`repro.core.artifact` -- deployment: freeze a finished trade-off as
@@ -99,18 +96,8 @@ from repro.core.individual import (
     evaluate_basis_matrix,
 )
 from repro.core.model import SymbolicModel, TradeoffSet
-from repro.core.operators import VariationOperators, collect_slots
+from repro.core.operators import VariationOperators
 from repro.core.problem import Problem
-from repro.core.registry import (
-    BACKEND_KINDS,
-    BackendRegistry,
-    available_backends,
-    backend_names,
-    backend_registry,
-    get_backend,
-    register_backend,
-    unregister_backend,
-)
 from repro.core.session import (
     LegacyProgressCallback,
     ProblemFailure,
@@ -138,14 +125,6 @@ __all__ = [
     "ProgressPrinter",
     "LegacyProgressCallback",
     "InjectedFault",
-    "BACKEND_KINDS",
-    "BackendRegistry",
-    "available_backends",
-    "backend_names",
-    "backend_registry",
-    "get_backend",
-    "register_backend",
-    "unregister_backend",
     "FileLock",
     "SymbolicModel",
     "TradeoffSet",
@@ -171,7 +150,6 @@ __all__ = [
     "structural_key",
     "ExpressionGenerator",
     "VariationOperators",
-    "collect_slots",
     "simplify_individual",
     "simplify_population",
     "model_complexity",

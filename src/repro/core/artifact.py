@@ -313,8 +313,7 @@ class FrozenFront:
         X = self._check_features(X)
         return _predict_models(self.models, X, transformed=transformed)
 
-    def rescore(self, X: np.ndarray, y: np.ndarray,
-                backend: str = "batched") -> List[float]:
+    def rescore(self, X: np.ndarray, y: np.ndarray) -> List[float]:
         """Per-model relative RMS errors on fresh data.
 
         Identical (bit-for-bit) to calling
@@ -325,7 +324,7 @@ class FrozenFront:
         from repro.core.report import rescore_models
 
         X = self._check_features(X)
-        return rescore_models(list(self.models), X, y, backend=backend)
+        return rescore_models(list(self.models), X, y)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"FrozenFront({self.target_name!r}: {self.n_models} models, "

@@ -60,15 +60,14 @@ parameter-perturbed skeleton reuse.  Operator implementations are assumed
 not to mutate their input arrays (true of every NumPy-style operation,
 including the whole default function set).
 
-Selected via ``CaffeineSettings.column_backend = "compiled"`` and routed
-through the miss path of :class:`repro.core.evaluation.PopulationEvaluator`,
-so the engine, the experiment drivers and ``simplify_population`` all
-benefit without further wiring.
+Routed through the miss path of
+:class:`repro.core.evaluation.PopulationEvaluator`, so the engine, the
+experiment drivers and ``simplify_population`` all use it without further
+wiring.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -245,8 +244,8 @@ def canonicalize_fresh_product_term(term: ProductTerm) -> None:
     fresh spine node in deepest-first creation order is exactly the subset
     of :func:`canonicalize_factors`'s post-order work that can actually
     reorder anything -- sorting an untouched, already-sorted factor list is
-    a stable no-op -- so the shared path stays bit-identical to the
-    deepcopy path's full-tree pass.
+    a stable no-op -- so path-copied children stay bit-identical to
+    clone-and-edit children canonicalized by the full-tree pass.
     """
     if len(term.ops) > 1:
         try:
@@ -510,9 +509,7 @@ class TreeCompiler:
     keyed by parameter-free skeleton, so parameter-perturbed offspring reuse
     their parent's tape.  Compilation is lazy: a skeleton's first sighting
     is interpreted and only a recurring skeleton is compiled (one-shot trees
-    pay the skeleton walk, never a tape build).  All methods are safe to
-    call from multiple threads (the evaluator's thread backend compiles and
-    evaluates columns concurrently).
+    pay the skeleton walk, never a tape build).
     """
 
     def __init__(self, X: np.ndarray, max_kernels: int = 4096) -> None:
@@ -533,7 +530,6 @@ class TreeCompiler:
         self._kernels: "OrderedDict[Tuple, CompiledKernel]" = OrderedDict()
         #: skeletons seen exactly once (interpreted, not yet compiled)
         self._seen_once: "OrderedDict[Tuple, bool]" = OrderedDict()
-        self._lock = threading.Lock()
 
     @property
     def kernel_hit_rate(self) -> float:
@@ -606,30 +602,24 @@ class TreeCompiler:
         self.n_kernel_requests += 1
         if self.max_kernels == 0:
             return self.compile(basis)(params)
-        with self._lock:
-            kernel = self._kernels.get(skeleton)
-            if kernel is not None:
-                self._kernels.move_to_end(skeleton)
-                self.n_kernel_hits += 1
-            else:
-                first_sighting = skeleton not in self._seen_once
-                if first_sighting:
-                    self._seen_once[skeleton] = True
-                    while len(self._seen_once) > 4 * self.max_kernels:
-                        self._seen_once.popitem(last=False)
+        kernel = self._kernels.get(skeleton)
         if kernel is not None:
+            self._kernels.move_to_end(skeleton)
+            self.n_kernel_hits += 1
             return kernel(params)
-        if first_sighting:
+        if skeleton not in self._seen_once:
+            self._seen_once[skeleton] = True
+            while len(self._seen_once) > 4 * self.max_kernels:
+                self._seen_once.popitem(last=False)
             # JIT warmup: one-shot skeletons are interpreted; only recurring
             # ones are worth a tape.
             self.n_interpreted += 1
             return evaluate_basis_column(basis, self.X)
         kernel = self.compile(basis)
-        with self._lock:
-            self._kernels[skeleton] = kernel
-            self._seen_once.pop(skeleton, None)
-            while len(self._kernels) > self.max_kernels:
-                self._kernels.popitem(last=False)
+        self._kernels[skeleton] = kernel
+        self._seen_once.pop(skeleton, None)
+        while len(self._kernels) > self.max_kernels:
+            self._kernels.popitem(last=False)
         return kernel(params)
 
 

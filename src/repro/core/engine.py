@@ -13,10 +13,8 @@ remains as the legacy one-call shim over a one-problem session.
 All fitness evaluation is routed through one
 :class:`~repro.core.evaluation.PopulationEvaluator` bound to the training
 data: identical basis functions (which crossover and cloning produce
-constantly) are evaluated once per run via an LRU column cache, and uncached
-columns can be computed on a thread/process pool
-(``CaffeineSettings.evaluation_backend``).  Cached/uncached and
-serial/parallel evaluation are bit-for-bit identical, so these settings never
+constantly) are evaluated once per run via an LRU column cache.  Cached and
+uncached evaluation are bit-for-bit identical, so the cache budgets never
 change the evolved models -- only the wall-clock time.
 """
 
@@ -143,7 +141,6 @@ class CaffeineEngine:
         self.evaluator = PopulationEvaluator(self.train.X, self.train.y,
                                              self.settings,
                                              cache=column_cache)
-        self._pareto_backend = self.settings.pareto_backend
         self.history: List[GenerationStats] = []
         self.population: List[Individual] = []
         # Rank/crowding arrays of the *current* population, produced by the
@@ -207,8 +204,7 @@ class CaffeineEngine:
         self.evaluator.evaluate_population(offspring)
         combined = self.population + offspring
         self.population, self._ranked = select_and_rerank(
-            combined, self.settings.population_size,
-            backend=self._pareto_backend)
+            combined, self.settings.population_size)
         stats = self._collect_stats(generation)
         self.history.append(stats)
         return stats
@@ -217,8 +213,7 @@ class CaffeineEngine:
         """Rank/crowding arrays for the current population (cached)."""
         ranked = self._ranked
         if ranked is None or ranked.individuals is not self.population:
-            ranked = rank_population_arrays(self.population,
-                                            backend=self._pareto_backend)
+            ranked = rank_population_arrays(self.population)
             self._ranked = ranked
         return ranked
 
@@ -238,8 +233,7 @@ class CaffeineEngine:
         feasible = [ind for ind in self.population if ind.is_feasible]
         if not feasible:
             return []
-        return nondominated_filter(feasible, key=lambda ind: ind.objectives,
-                                   backend=self._pareto_backend)
+        return nondominated_filter(feasible, key=lambda ind: ind.objectives)
 
     def _collect_stats(self, generation: int) -> GenerationStats:
         feasible = [ind for ind in self.population if ind.is_feasible]
@@ -381,11 +375,6 @@ class CaffeineEngine:
         stored final result is returned outright; an incompatible snapshot
         (different settings/data) warns and starts cold.  Without
         ``checkpoint`` both knobs are inert.
-
-        The evaluator's worker pool (if a parallel backend is configured) is
-        released when the run finishes; manual ``initialize_population`` /
-        ``step`` drivers should call ``engine.evaluator.shutdown()``
-        themselves when done.
         """
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be at least 1")
@@ -400,7 +389,6 @@ class CaffeineEngine:
                 if state.get("kind") == "result" and \
                         state.get("fingerprint") == \
                         self.checkpoint_fingerprint():
-                    self.evaluator.shutdown()
                     return state["result"]
                 try:
                     start_generation = self.restore_run_state(state)
@@ -411,39 +399,35 @@ class CaffeineEngine:
                         RuntimeWarning, stacklevel=2)
                     start_generation = 0
         boundary: Optional[dict] = None
+        if start_generation == 0:
+            self.initialize_population()
         try:
-            if start_generation == 0:
-                self.initialize_population()
-            try:
-                for generation in range(start_generation,
-                                        self.settings.n_generations):
-                    stats = self.step(generation)
-                    if progress is not None:
-                        progress(generation, stats)
-                    if store is not None:
-                        boundary = self.capture_run_state(generation + 1)
-                        if (generation + 1) % checkpoint_every == 0 \
-                                and generation + 1 < self.settings.n_generations:
-                            store.save_state(slot, boundary)
-            except KeyboardInterrupt:
-                # Persist the last *completed* generation boundary so the
-                # interrupted run can continue exactly where it stopped
-                # (a mid-step interrupt must never pair an advanced RNG
-                # with a stale population -- boundary snapshots cannot).
-                if store is not None and boundary is not None:
-                    store.save_state(slot, boundary)
-                raise
+            for generation in range(start_generation,
+                                    self.settings.n_generations):
+                stats = self.step(generation)
+                if progress is not None:
+                    progress(generation, stats)
+                if store is not None:
+                    boundary = self.capture_run_state(generation + 1)
+                    if (generation + 1) % checkpoint_every == 0 \
+                            and generation + 1 < self.settings.n_generations:
+                        store.save_state(slot, boundary)
+        except KeyboardInterrupt:
+            # Persist the last *completed* generation boundary so the
+            # interrupted run can continue exactly where it stopped (a
+            # mid-step interrupt must never pair an advanced RNG with a
+            # stale population -- boundary snapshots cannot).
+            if store is not None and boundary is not None:
+                store.save_state(slot, boundary)
+            raise
 
-            front = self.final_front()
-            if self.settings.simplify_after_generation:
-                front = simplify_population(front, self.train.X, self.train.y,
-                                            self.settings,
-                                            evaluator=self.evaluator)
-                front = [ind for ind in front if ind.is_feasible]
-                front = nondominated_filter(front, key=lambda ind: ind.objectives,
-                                            backend=self._pareto_backend)
-        finally:
-            self.evaluator.shutdown()
+        front = self.final_front()
+        if self.settings.simplify_after_generation:
+            front = simplify_population(front, self.train.X, self.train.y,
+                                        self.settings,
+                                        evaluator=self.evaluator)
+            front = [ind for ind in front if ind.is_feasible]
+            front = nondominated_filter(front, key=lambda ind: ind.objectives)
 
         models = self._freeze_models(front)
         tradeoff = TradeoffSet(models).train_tradeoff()
@@ -484,8 +468,7 @@ class CaffeineEngine:
         if self.test is not None and feasible:
             test_errors = batch_test_errors(
                 feasible, self.test.X, self.test.y,
-                self.evaluator.normalization,
-                backend=self.settings.residual_backend)
+                self.evaluator.normalization)
         models = []
         for index, individual in enumerate(feasible):
             models.append(SymbolicModel.from_individual(

@@ -12,9 +12,8 @@ the *same* dataset.  This module removes that redundancy:
   structural key to its evaluated column on one dataset;
 * :class:`PopulationEvaluator` -- evaluates whole populations: it collects
   the unique uncached basis functions across all individuals, computes their
-  columns once (serially or on a thread/process pool, selected by
-  ``CaffeineSettings.evaluation_backend``), then assembles each individual's
-  basis matrix from cached columns and runs the linear fits; a second,
+  columns once, then assembles each individual's basis matrix from cached
+  columns and runs the linear fits; a second,
   individual-level LRU (keyed by the ordered tuple of basis keys) short-cuts
   the fit itself for structurally identical individuals;
 * :class:`GramPool` -- a cross-generation pool of normal-equation scalars
@@ -34,10 +33,10 @@ encodes the exact floating-point recipe), and a gram-pool fit returns the
 exact :class:`~repro.regression.least_squares.LinearFit` a direct
 :func:`~repro.regression.least_squares.fit_linear` would (both build their
 normal equations from the canonical
-:func:`~repro.regression.least_squares.pair_dots` recipe) -- so cached,
-uncached, serial, parallel, gram-pooled and direct evaluation are all
-bit-for-bit identical: a fixed seed produces the same trade-off set
-regardless of these settings.
+:func:`~repro.regression.least_squares.pair_dots` recipe) -- so cached and
+uncached evaluation, and the evaluator and :func:`evaluate_individual_inplace`,
+are bit-for-bit identical: a fixed seed produces the same trade-off set
+regardless of the cache budgets.
 
 Column-cache keys carry a :func:`dataset_fingerprint` prefix, so one
 :class:`BasisColumnCache` can safely be shared by evaluators bound to
@@ -51,8 +50,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import pickle
-import warnings
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -61,13 +58,8 @@ import numpy as np
 from repro.core import faults
 from repro.core.compile import TreeCompiler, cached_skeleton_and_params
 from repro.core.complexity import basis_function_complexity, model_complexity
-from repro.core.expression import ProductTerm, cached_structural_key
-from repro.core.individual import (
-    Individual,
-    evaluate_basis_column,
-    evaluate_basis_matrix,
-)
-from repro.core.registry import get_backend
+from repro.core.expression import ProductTerm
+from repro.core.individual import Individual, evaluate_basis_matrix
 from repro.core.settings import CaffeineSettings
 from repro.data.metrics import (
     error_normalization,
@@ -88,11 +80,7 @@ __all__ = [
     "BasisColumnCache",
     "GramPool",
     "PopulationEvaluator",
-    "InterpColumnBackend",
     "CompiledColumnBackend",
-    "DirectFitBackend",
-    "GramFitBackend",
-    "ScalarResidualBackend",
     "BatchedResidualBackend",
     "dataset_fingerprint",
     "evaluate_individual_inplace",
@@ -454,61 +442,21 @@ def evaluate_individual_inplace(individual: Individual, X: np.ndarray,
     individual.error = relative_rmse(y, predictions, individual.normalization)
 
 
-class InterpColumnBackend:
-    """Reference column backend: node-by-node tree interpretation.
-
-    This is the ``"interp"`` entry of the ``"column"`` backend registry;
-    basis keys are plain structural keys and every evaluation walks the
-    tree through :func:`~repro.core.individual.evaluate_basis_column`.
-    """
-
-    name = "interp"
-    #: no :class:`~repro.core.compile.TreeCompiler` behind this backend
-    compiler: Optional[TreeCompiler] = None
-
-    def __init__(self, X: np.ndarray,
-                 settings: Optional[CaffeineSettings] = None) -> None:
-        self.X = X
-
-    def basis_key(self, basis: ProductTerm) -> Tuple:
-        """The exact evaluation-recipe identity used as the cache key.
-
-        Served from the node's memoized key when the variation layer has
-        already computed it (shared-genome trees are never mutated in place
-        after canonicalization, so the memo cannot go stale; see
-        :func:`repro.core.expression.cached_structural_key`).
-        """
-        return cached_structural_key(basis)
-
-    def evaluate(self, basis: ProductTerm, key: Tuple) -> np.ndarray:
-        """Compute one column; ``key`` is the caller's precomputed key."""
-        return evaluate_basis_column(basis, self.X)
-
-    def column(self, basis: ProductTerm) -> np.ndarray:
-        """Key + evaluate in one call (the worker-process entry point)."""
-        return evaluate_basis_column(basis, self.X)
-
-
 class CompiledColumnBackend:
-    """Fused-tape column backend (``"compiled"``, the default).
+    """How a basis column is computed on a cache miss: fused NumPy tapes.
 
     Basis keys are ``(skeleton, params)`` pairs -- the same one-walk-per-tree
     exact evaluation-recipe identity as a structural key, but directly
     reusable as the compiler's kernel-cache key, so cache misses never
-    re-walk the tree.  Bit-for-bit identical to the interpreter (see
-    :mod:`repro.core.compile`).
+    re-walk the tree.  Bit-for-bit identical to the node-by-node
+    interpreter (see :mod:`repro.core.compile`; the test suite holds the
+    interpreter as the reference).
     """
 
-    name = "compiled"
-
-    def __init__(self, X: np.ndarray,
-                 settings: Optional[CaffeineSettings] = None) -> None:
-        # The kernel budget adapts to population_size (worker processes,
-        # which get settings=None, keep the class default).
+    def __init__(self, X: np.ndarray, settings: CaffeineSettings) -> None:
+        # The kernel budget adapts to population_size.
         self.compiler = TreeCompiler(
-            X, max_kernels=(settings.resolved_kernel_cache_size()
-                            if settings is not None
-                            else CaffeineSettings.kernel_cache_size))
+            X, max_kernels=settings.resolved_kernel_cache_size())
 
     def basis_key(self, basis: ProductTerm) -> Tuple:
         # Memoized on the root node: offspring share untouched basis trees
@@ -516,46 +464,13 @@ class CompiledColumnBackend:
         return cached_skeleton_and_params(basis)
 
     def evaluate(self, basis: ProductTerm, key: Tuple) -> np.ndarray:
+        """Compute one column; ``key`` is the caller's precomputed key."""
         skeleton, params = key
         return self.compiler.column_from_key(skeleton, params, basis)
 
-    def column(self, basis: ProductTerm) -> np.ndarray:
-        return self.compiler.column(basis)
-
-
-class ScalarResidualBackend:
-    """Reference residual backend: one prediction/residual pass per fit.
-
-    This is the ``"scalar"`` entry of the ``"residual"`` backend registry.
-    A residual backend's contract: ``error(fit, basis_matrix)`` returns the
-    individual's ``relative_rmse`` against the bound target, and
-    ``errors(fits, basis_matrices)`` scores a *same-width* group (every fit
-    has the same number of terms).  Both built-ins compute predictions by
-    the canonical left-to-right accumulation
-    (:func:`~repro.regression.least_squares.predict_linear`), so scalar and
-    batched scoring are bit-for-bit identical by construction.
-    """
-
-    name = "scalar"
-
-    def __init__(self, y: np.ndarray, normalization: float) -> None:
-        self.y = np.ascontiguousarray(np.asarray(y, dtype=float).ravel())
-        self.normalization = float(normalization)
-
-    def error(self, fit: LinearFit, basis_matrix: np.ndarray) -> float:
-        """One individual's relative RMS error (the paper's qwc/qtc shape)."""
-        return relative_rmse(self.y, fit.predict(basis_matrix),
-                             self.normalization)
-
-    def errors(self, fits: Sequence[LinearFit],
-               basis_matrices: Sequence[np.ndarray]) -> List[float]:
-        """A same-width group, scored one individual at a time."""
-        return [self.error(fit, basis_matrix)
-                for fit, basis_matrix in zip(fits, basis_matrices, strict=True)]
-
 
 class BatchedResidualBackend:
-    """Generation-batched residual backend (``"batched"``, the default).
+    """The prediction/residual step after the linear fits, batched.
 
     Whole same-width groups are scored in one stacked pass: predictions via
     :func:`~repro.regression.least_squares.predict_linear_batch` (the
@@ -564,12 +479,11 @@ class BatchedResidualBackend:
     reduction via :func:`~repro.data.metrics.relative_rmse_rows` (a
     contiguous-last-axis pairwise summation whose per-row results are
     independent of the stack, the ``pair_dots`` argument transplanted to
-    the prediction side).  ``error``/``errors`` here are bit-for-bit
-    :class:`ScalarResidualBackend`'s, enforced by hypothesis property tests
-    and fixed-seed engine equality.
+    the prediction side).  ``errors`` is bit-for-bit one
+    ``relative_rmse(y, fit.predict(basis_matrix))`` per individual,
+    enforced by hypothesis property tests and fixed-seed engine equality
+    against that per-individual reference.
     """
-
-    name = "batched"
 
     def __init__(self, y: np.ndarray, normalization: float) -> None:
         self.y = np.ascontiguousarray(np.asarray(y, dtype=float).ravel())
@@ -602,40 +516,15 @@ class BatchedResidualBackend:
                 relative_rmse_rows(self.y, predictions, self.normalization)]
 
 
-#: per-process column backend, installed once per worker by
-#: :func:`_init_worker` so tasks ship only the basis trees, not X
-_WORKER_BACKEND = None
-
-#: sentinel cached by :meth:`PopulationEvaluator._get_executor` when an
-#: evaluation-backend factory declines pooling (returns None), so the
-#: factory is called once, not once per batch
-_EXECUTOR_DECLINED = object()
-
-
-def _init_worker(X: np.ndarray, column_backend: str = "interp") -> None:
-    global _WORKER_BACKEND
-    # Workers rebuild the configured column backend by registry name; column
-    # factories must therefore accept ``settings=None`` (both built-ins do).
-    _WORKER_BACKEND = get_backend("column", column_backend)(X, None)
-
-
-def _column_task(basis: ProductTerm) -> np.ndarray:
-    """Picklable worker: evaluate one basis function on the installed matrix."""
-    return _WORKER_BACKEND.column(basis)
-
-
 class PopulationEvaluator:
     """Evaluates populations of individuals against one fixed dataset.
 
     One evaluator is bound to one ``(X, y)`` pair (the engine holds one for
     its training data), so cache keys need no dataset component and the error
     normalization (the training-data range, the paper's qwc denominator) is
-    computed once.
-
-    The parallel backends only parallelize the *uncached column*
-    computations; cache bookkeeping, matrix assembly and the linear fits stay
-    on the calling thread in deterministic population order, which is how
-    results remain independent of scheduling.
+    computed once.  Everything runs on the calling thread in deterministic
+    population order; parallelism lives one level up, in
+    ``Session(jobs=n)`` across problems.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray,
@@ -654,18 +543,9 @@ class PopulationEvaluator:
         self.cache = cache if cache is not None \
             else BasisColumnCache(self.settings.resolved_basis_cache_size())
         self.normalization = error_normalization(self.y)
-        self._backend = self.settings.evaluation_backend
-        #: miss-path column computation, resolved through the ``"column"``
-        #: backend registry: a fused-tape compiler (``"compiled"``, the
-        #: default) or the node-by-node interpreter (``"interp"``) -- or any
-        #: backend registered by name.  The backend object also owns the
-        #: basis-key recipe, so its keys and its evaluations always agree.
-        self._column_backend = get_backend(
-            "column", self.settings.column_backend)(self.X, self.settings)
-        self._basis_key = self._column_backend.basis_key
-        #: the backend's TreeCompiler when it has one (introspection only)
-        self._compiler: Optional[TreeCompiler] = getattr(
-            self._column_backend, "compiler", None)
+        #: miss-path column computation; it also owns the basis-key recipe,
+        #: so its keys and its evaluations always agree
+        self.column_backend = CompiledColumnBackend(self.X, self.settings)
         #: column-cache key prefix: evaluators on byte-identical X *and* an
         #: implementation-identical function set share cached columns
         #: through a common cache; different data or differently-bound
@@ -674,20 +554,18 @@ class PopulationEvaluator:
         self.dataset_key = (dataset_fingerprint(self.X),
                             function_set_fingerprint(
                                 self.settings.function_set))
-        #: how the post-fit prediction/residual step runs, resolved through
-        #: the ``"residual"`` registry: one stacked pass per basis width and
-        #: generation (``"batched"``, the default) or per individual
-        #: (``"scalar"``) -- bit-for-bit identical either way.
-        self._residual_backend = get_backend(
-            "residual", self.settings.residual_backend)(
-                self.y, self.normalization)
-        #: how fits are produced, resolved through the ``"fit"`` registry:
-        #: gram-pool gather-and-solve (``"gram"``, the default; a zero pool
-        #: size degrades to direct) or per-individual ``fit_linear``
-        #: (``"direct"``) -- every registered backend must set the same
-        #: fields on the individual (see :class:`DirectFitBackend`).
-        self._fit_backend = get_backend(
-            "fit", self.settings.fit_backend)(self)
+        #: the post-fit prediction/residual step: one stacked pass per
+        #: basis width and generation
+        self.residual_backend = BatchedResidualBackend(self.y,
+                                                       self.normalization)
+        #: the cross-generation normal-equation scalar pool every fit
+        #: gathers from; the default budget adapts to population_size so
+        #: large-population runs do not evict a generation's pairs before
+        #: the next can reuse them
+        self.gram_pool = GramPool(self.y,
+                                  self.settings.resolved_gram_pool_size())
+        self._y_sum = float(self.y.sum())
+        self._y_finite = bool(np.isfinite(self.y).all())
         #: total number of individual evaluations performed (for benchmarks)
         self.n_evaluated = 0
         #: column-level accounting: how many basis-column lookups were made
@@ -702,9 +580,8 @@ class PopulationEvaluator:
         #: keys prefilled by the current batch; their first assembly lookup is
         #: accounted as a computation, not a cache hit (see _column_for)
         self._fresh_keys: set = set()
-        #: batch-local precomputed gram fits keyed by basis-key tuple (or
-        #: individual id when the fit cache is off); filled by
-        #: :meth:`GramFitBackend.prepare_batch`
+        #: batch-local precomputed gram fits keyed by :meth:`_batch_key`;
+        #: filled by :meth:`_prepare_fits`
         self._batch_fit_results: Dict = {}
         #: batch-local overlay of prefilled columns, consulted before the LRU
         #: so that a cache smaller than one batch (or a disabled cache) never
@@ -714,22 +591,11 @@ class PopulationEvaluator:
         #: over bases and fully determined by the key + settings, so the sum
         #: over cached terms is bit-identical to model_complexity)
         self._complexity_cache: Dict[Tuple, float] = {}
-        self._executor = None
 
     # ------------------------------------------------------------------
     @property
     def stats(self) -> CacheStats:
         return self.cache.stats
-
-    @property
-    def gram_pool(self) -> Optional["GramPool"]:
-        """The fit backend's scalar pool (None when fits are direct)."""
-        return getattr(self._fit_backend, "pool", None)
-
-    @property
-    def residual_backend(self):
-        """The configured residual backend (introspection/benchmarks)."""
-        return self._residual_backend
 
     @property
     def column_hit_rate(self) -> float:
@@ -747,18 +613,22 @@ class PopulationEvaluator:
         # repro-lint: allow[errstate] -- scalar int hit-rate statistic, no column arrays
         return 1.0 - self.n_fits_computed / self.n_fit_requests
 
+    def basis_key(self, basis: ProductTerm) -> Tuple:
+        """The exact evaluation-recipe identity used as the cache key."""
+        return self.column_backend.basis_key(basis)
+
     def basis_column(self, basis: ProductTerm) -> np.ndarray:
         """The (cached) evaluated column of one basis function."""
-        return self._column_for(self._basis_key(basis), basis)
+        return self._column_for(self.basis_key(basis), basis)
 
     def basis_matrix(self, bases: Sequence[ProductTerm]) -> np.ndarray:
         """Assemble an ``(n_samples, n_bases)`` matrix from cached columns."""
-        return self._matrix_from_keys([self._basis_key(b) for b in bases], bases)
+        return self._matrix_from_keys([self.basis_key(b) for b in bases], bases)
 
     # ------------------------------------------------------------------
     def evaluate_individual(self, individual: Individual) -> Individual:
         """Evaluate one individual through the caches (in place)."""
-        basis_keys = [self._basis_key(b) for b in individual.bases]
+        basis_keys = [self.basis_key(b) for b in individual.bases]
         return self._evaluate_with_keys(individual, basis_keys)
 
     def evaluate_population(self, individuals: Sequence[Individual]
@@ -767,23 +637,25 @@ class PopulationEvaluator:
 
         Individuals whose exact basis sequence was fitted before are served
         from the fit cache.  For the rest, the unique uncached basis columns
-        are computed once -- in parallel when a thread/process backend is
-        configured -- then each matrix is assembled from the cache and fitted
-        in population order (deterministic regardless of backend).
+        are computed once, every missing normal-equation scalar is computed
+        in one vectorized pass, and each same-width group is solved and
+        scored in stacked calls; the per-individual loop then distributes
+        the results in population order.
 
-        Structural keys are computed exactly once per basis per call and
-        threaded through every stage; hashing the trees is otherwise the
-        single largest cost of a fully cached evaluation.
+        Basis keys are computed exactly once per basis per call and threaded
+        through every stage; hashing the trees is otherwise the single
+        largest cost of a fully cached evaluation.
 
         With ``basis_cache_size=0`` nothing persists across calls, but the
-        unique columns of *this* batch are still computed once (and through
-        the configured parallel backend) via a batch-local overlay.
+        unique columns of *this* batch are still computed once via a
+        batch-local overlay.
         """
         # Recovery-test hook: a batch whose fit machinery blows up
-        # (singular solve, backend bug, OOM) must surface as a structured
+        # (singular solve, numerical bug, OOM) must surface as a structured
         # per-problem failure upstream, never abort a whole sweep.
         faults.raise_point("fit.exception", n=len(individuals))
-        keyed = [(individual, [self._basis_key(b) for b in individual.bases])
+        basis_key = self.column_backend.basis_key
+        keyed = [(individual, [basis_key(b) for b in individual.bases])
                  for individual in individuals]
         if self.cache.max_entries > 0:
             pending = [(individual, keys) for individual, keys in keyed
@@ -793,13 +665,7 @@ class PopulationEvaluator:
         try:
             self._prefill_columns(pending)
             if pending:
-                # The fit backend batch-precomputes whatever the coming
-                # evaluations need (the gram backend: every missing
-                # normal-equation scalar in one vectorized pass, then one
-                # stacked LAPACK call per basis width; the direct backend:
-                # nothing).  The per-individual loop below only distributes
-                # precomputed results.
-                self._fit_backend.prepare_batch(pending)
+                self._prepare_fits(pending)
             for individual, keys in keyed:
                 self._evaluate_with_keys(individual, keys)
         finally:
@@ -826,19 +692,10 @@ class PopulationEvaluator:
             return column
         column = self.cache.get((self.dataset_key, key))
         if column is None:
-            column = self._evaluate_column(basis, key)
+            column = self.column_backend.evaluate(basis, key)
             self.n_columns_computed += 1
             self.cache.put((self.dataset_key, key), column)
         return column
-
-    def _evaluate_column(self, basis: ProductTerm, key: Tuple) -> np.ndarray:
-        """Compute one basis column through the configured column backend.
-
-        ``key`` is the caller's already-computed basis key; under the
-        compiled backend it *is* the ``(skeleton, params)`` pair, handed to
-        the compiler so a miss never re-walks the tree.
-        """
-        return self._column_backend.evaluate(basis, key)
 
     def _matrix_from_keys(self, keys: List[Tuple],
                           bases: Sequence[ProductTerm]) -> np.ndarray:
@@ -865,6 +722,11 @@ class PopulationEvaluator:
             total.append(term)
         return float(sum(total))
 
+    def _batch_key(self, individual: Individual, keys: List[Tuple]):
+        # Duplicates share one fit exactly as the fit cache would arrange;
+        # without a fit cache every individual is its own entry.
+        return tuple(keys) if self.cache.max_entries > 0 else id(individual)
+
     def _evaluate_with_keys(self, individual: Individual,
                             basis_keys: List[Tuple]) -> Individual:
         # Column order determines which coefficient belongs to which basis,
@@ -887,7 +749,7 @@ class PopulationEvaluator:
                 individual.normalization = self.normalization
                 return individual
         self.n_fits_computed += 1
-        self._fit_backend.evaluate(individual, basis_keys)
+        self._fit(individual, basis_keys)
         if fit_key is not None:
             self._fit_cache[fit_key] = (individual.fit, individual.error,
                                         individual.complexity)
@@ -910,255 +772,96 @@ class PopulationEvaluator:
                 if key not in missing and key not in self._batch_columns \
                         and (self.dataset_key, key) not in self.cache:
                     missing[key] = basis
-        if not missing:
-            return
-        keys = list(missing.keys())
-        bases = list(missing.values())
-        columns = self._compute_columns(keys, bases)
         # No counter bumps here: the assembly pass accounts each of these
         # keys as a computation on its first lookup (via _fresh_keys), so a
         # basis occurrence is counted exactly once per evaluation.
-        self._fresh_keys.update(keys)
-        for key, column in zip(keys, columns, strict=True):
+        for key, basis in missing.items():
+            column = self.column_backend.evaluate(basis, key)
+            self._fresh_keys.add(key)
             self._batch_columns[key] = column
             self.cache.put((self.dataset_key, key), column)
 
-    def _compute_columns(self, keys: List[Tuple],
-                         bases: List[ProductTerm]) -> List[np.ndarray]:
-        if self._backend == "serial" or len(bases) < 2:
-            return [self._evaluate_column(basis, key)
-                    for key, basis in zip(keys, bases, strict=True)]
-        if self._get_executor() is None:
-            # A registered backend may decline pooling (factory returned
-            # None): run on the calling thread, exactly like "serial".
-            return [self._evaluate_column(basis, key)
-                    for key, basis in zip(keys, bases, strict=True)]
-        if self._backend == "process":
-            # map() preserves input order, so results line up with `bases`
-            # regardless of completion order.  Pickling failures (custom
-            # function sets built from lambdas cannot cross a process
-            # boundary; the default set pickles fine) degrade permanently to
-            # the thread backend; a genuine worker-side error of the same
-            # exception type is disambiguated by probing picklability
-            # directly and re-raised unmasked.
-            try:
-                return list(self._get_executor().map(_column_task, bases))
-            except (pickle.PicklingError, TypeError, AttributeError):
-                try:
-                    for basis in bases:
-                        pickle.dumps(basis)
-                    trees_picklable = True
-                except Exception:
-                    trees_picklable = False
-                if trees_picklable:
-                    raise
-                warnings.warn(
-                    "evaluation_backend='process' requires picklable "
-                    "expression trees (custom operators built from lambdas "
-                    "are not); falling back to the thread backend",
-                    RuntimeWarning, stacklevel=4)
-                self._shutdown_executor()
-                self._backend = "thread"
-        # Threads share self.X directly -- nothing is serialized (and the
-        # compiler, when configured, is thread-safe by design).
-        return list(self._get_executor().map(
-            lambda pair: self._evaluate_column(pair[1], pair[0]),
-            zip(keys, bases, strict=True)))
-
-    def _get_executor(self):
-        """The evaluator's long-lived worker pool (created lazily once).
-
-        Pool startup costs milliseconds; an engine calls _compute_columns
-        every generation, so the pool is reused across batches and torn down
-        only by :meth:`shutdown` (or interpreter exit).
-        """
-        if self._executor is None:
-            workers = self.settings.evaluation_workers
-            if workers == 0:
-                import os
-                workers = os.cpu_count() or 1
-            workers = max(1, workers)
-            # Resolved through the ``"evaluation"`` registry; the column
-            # backend *name* rides along so process-pool workers can rebuild
-            # their per-process state (see _init_worker).  A factory that
-            # declines pooling (returns None) is remembered via a sentinel
-            # so it is not re-invoked every batch.
-            resolved = get_backend("evaluation", self._backend)(
-                workers, self.X, self.settings.column_backend)
-            self._executor = (resolved if resolved is not None
-                              else _EXECUTOR_DECLINED)
-        if self._executor is _EXECUTOR_DECLINED:
-            return None
-        return self._executor
-
-    def _shutdown_executor(self) -> None:
-        if self._executor is not None:
-            if self._executor is not _EXECUTOR_DECLINED:
-                self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-
-    def shutdown(self) -> None:
-        """Release the worker pool (idempotent; pools also die with the
-        interpreter, so calling this is optional for short-lived scripts).
-        The evaluator remains usable afterwards -- a pool is recreated
-        lazily on the next parallel batch."""
-        self._shutdown_executor()
-
-    def __enter__(self) -> "PopulationEvaluator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-
-class DirectFitBackend:
-    """Reference fit backend: one full ``fit_linear`` per individual.
-
-    This is the ``"direct"`` entry of the ``"fit"`` backend registry.  A fit
-    backend's contract: ``prepare_batch(pending)`` may batch-precompute
-    anything the coming evaluations need, and ``evaluate(individual,
-    basis_keys)`` must set ``fit``, ``error``, ``complexity`` and
-    ``normalization`` on the individual in place -- bit-for-bit what
-    :func:`evaluate_individual_inplace` would set, unless the backend is
-    documented as approximate.
-    """
-
-    name = "direct"
-
-    def __init__(self, evaluator: PopulationEvaluator) -> None:
-        self.evaluator = evaluator
-
-    def prepare_batch(self, pending: Sequence[Tuple[Individual, List[Tuple]]]
-                      ) -> None:
-        """Direct fits need no batch precomputation."""
-
-    def evaluate(self, individual: Individual,
-                 basis_keys: List[Tuple]) -> None:
-        ev = self.evaluator
-        evaluate_individual_inplace(
-            individual, ev.X, ev.y, ev.settings,
-            basis_matrix=ev._matrix_from_keys(basis_keys, individual.bases),
-            normalization=ev.normalization,
-            complexity=ev._complexity_from_keys(basis_keys, individual.bases),
-        )
-
-
-class GramFitBackend:
-    """Gram-pool fit backend (``"gram"``, the default).
-
-    Fits gather canonical normal-equation scalars from a cross-generation
-    :class:`GramPool` instead of re-reducing ``n_samples``-long columns, and
-    whole batches solve in stacked LAPACK calls.  Bit-for-bit identical to
-    :class:`DirectFitBackend` (the scalars come from the same
-    :func:`~repro.regression.least_squares.pair_dots` recipe no matter when
-    or in which batch they were first computed).
-    """
-
-    name = "gram"
-
-    def __init__(self, evaluator: PopulationEvaluator) -> None:
-        self.evaluator = evaluator
-        #: the cross-generation scalar pool (``evaluator.gram_pool``); the
-        #: default budget adapts to population_size so large-population runs
-        #: do not evict a generation's pairs before the next can reuse them
-        self.pool = GramPool(evaluator.y,
-                             evaluator.settings.resolved_gram_pool_size())
-        self._y_sum = float(evaluator.y.sum())
-        self._y_finite = bool(np.isfinite(evaluator.y).all())
-
     # ------------------------------------------------------------------
-    def evaluate(self, individual: Individual,
-                 basis_keys: List[Tuple]) -> None:
-        ev = self.evaluator
-        batch_key = tuple(basis_keys) if ev.cache.max_entries > 0 \
-            else id(individual)
-        precomputed = ev._batch_fit_results.get(batch_key)
+    # linear fits: gram-pool gather-and-solve
+    #
+    # Fits gather canonical normal-equation scalars from the cross-generation
+    # GramPool instead of re-reducing n_samples-long columns, and whole
+    # batches solve in stacked LAPACK calls.  Every value is bit-for-bit
+    # what evaluate_individual_inplace's full fit_linear produces (the
+    # scalars come from the same pair_dots recipe no matter when or in
+    # which batch they were first computed); the test suite holds that
+    # per-individual path as the reference.
+    # ------------------------------------------------------------------
+    def _fit(self, individual: Individual, basis_keys: List[Tuple]) -> None:
+        """Set ``fit``/``error``/``complexity``/``normalization`` in place."""
+        individual.complexity = self._complexity_from_keys(
+            basis_keys, individual.bases)
+        individual.normalization = self.normalization
+        precomputed = self._batch_fit_results.get(
+            self._batch_key(individual, basis_keys))
         if precomputed is not None:
             # Sharing one frozen LinearFit across structurally identical
             # individuals mirrors what the fit cache already does.
-            fit, error = precomputed
-            individual.complexity = ev._complexity_from_keys(
-                basis_keys, individual.bases)
-            individual.normalization = ev.normalization
-            individual.fit = fit
-            individual.error = error
+            individual.fit, individual.error = precomputed
             return
-        self._evaluate_with_gram(individual, basis_keys)
+        self._fit_with_gram(individual, basis_keys)
 
-    def _evaluate_with_gram(self, individual: Individual,
-                            basis_keys: List[Tuple]) -> Individual:
-        """Gram-pool fit: gather normal equations, small solve, score.
-
-        Mirrors :func:`evaluate_individual_inplace` step for step -- same
-        complexity, normalization, feasibility decision, fit and error, each
-        produced by a bit-for-bit equivalent recipe -- but the only
-        ``n_samples``-long work left is assembling the basis matrix for the
-        final prediction/residual pass.
-        """
-        ev = self.evaluator
-        bases = individual.bases
-        individual.complexity = ev._complexity_from_keys(basis_keys, bases)
-        individual.normalization = ev.normalization
-        columns = [ev._column_for(key, basis)
-                   for key, basis in zip(basis_keys, bases, strict=True)]
-        gram, colsums, ydots, finite = self.pool.statistics_for(
+    def _fit_with_gram(self, individual: Individual,
+                       basis_keys: List[Tuple]) -> None:
+        """One gram-pool fit outside a prepared batch (standalone calls and
+        the intercept-only individual): gather, small solve, score."""
+        columns = [self._column_for(key, basis)
+                   for key, basis in zip(basis_keys, individual.bases,
+                                         strict=True)]
+        gram, colsums, ydots, finite = self.gram_pool.statistics_for(
             list(zip(basis_keys, columns, strict=True)))
+        individual.fit = None
+        individual.error = float("inf")
         if not (finite and self._y_finite):
             # Exactly fit_linear's non-finite rejection, decided from the
             # pool's per-column finite flags instead of a full-matrix scan.
-            individual.fit = None
-            individual.error = float("inf")
-            return individual
+            return
         if columns:
             basis_matrix = np.column_stack(columns)
         else:
-            basis_matrix = np.zeros((ev.X.shape[0], 0))
+            basis_matrix = np.zeros((self.X.shape[0], 0))
         fit = fit_linear_from_gram(gram, colsums, ydots, self._y_sum,
-                                   basis_matrix, ev.y)
-        if fit is None:
-            individual.fit = None
-            individual.error = float("inf")
-            return individual
-        individual.fit = fit
-        individual.error = ev._residual_backend.error(fit, basis_matrix)
-        return individual
+                                   basis_matrix, self.y)
+        if fit is not None:
+            individual.fit = fit
+            individual.error = self.residual_backend.error(fit, basis_matrix)
 
-    # ------------------------------------------------------------------
-    def prepare_batch(self, pending: Sequence[Tuple[Individual, List[Tuple]]]
+    def _prepare_fits(self, pending: Sequence[Tuple[Individual, List[Tuple]]]
                       ) -> None:
         """Solve the batch's unique fresh fits in stacked LAPACK calls.
 
-        Pending individuals are deduplicated by basis-key tuple (duplicates
-        share one fit, exactly as the fit cache would have arranged) and
-        their ``(key, column)`` sequences are built once -- shared by the
-        pool's batched :meth:`GramPool.prepare` and the per-group gathers
-        below.  Each same-basis-count group's normal equations are then
-        solved by one
-        :func:`~repro.regression.least_squares.fit_linear_from_gram_batch`
-        call.  Results land in the evaluator's ``_batch_fit_results`` for
-        the per-individual loop to distribute -- every value bit-for-bit
-        what the scalar path would have produced.
+        Pending individuals are deduplicated by :meth:`_batch_key` and their
+        ``(key, column)`` sequences are built once -- shared by the pool's
+        batched :meth:`GramPool.prepare` and the per-group gathers below.
+        Each same-basis-count group's normal equations are then solved by
+        one :func:`~repro.regression.least_squares.fit_linear_from_gram_batch`
+        call and scored in one stacked residual pass.  Results land in
+        ``_batch_fit_results`` for the per-individual loop to distribute.
         """
-        ev = self.evaluator
         groups: Dict[int, List[Tuple]] = {}
         queued = set()
         prepared_columns = []
         for individual, keys in pending:
-            batch_key = tuple(keys) if ev.cache.max_entries > 0 \
-                else id(individual)
+            batch_key = self._batch_key(individual, keys)
             if batch_key in queued or not keys:
                 # Duplicates share the first occurrence's fit; empty
-                # individuals take the (cheap) scalar intercept-only path.
+                # individuals take the (cheap) standalone intercept-only path.
                 continue
             queued.add(batch_key)
-            keyed_columns = [(key, ev._column_for(key, basis))
-                             for key, basis in zip(keys, individual.bases, strict=True)]
+            keyed_columns = [(key, self._column_for(key, basis))
+                             for key, basis in zip(keys, individual.bases,
+                                                   strict=True)]
             prepared_columns.append(keyed_columns)
             groups.setdefault(len(keys), []).append(
                 (batch_key, keyed_columns))
         if not groups:
             return
-        self.pool.prepare(prepared_columns)
+        self.gram_pool.prepare(prepared_columns)
         for n_bases, items in groups.items():
             n_items = len(items)
             grams = np.empty((n_items, n_bases, n_bases))
@@ -1167,7 +870,7 @@ class GramFitBackend:
             basis_matrices = []
             finite_rows = np.empty(n_items, dtype=bool)
             for position, (_batch_key, keyed_columns) in enumerate(items):
-                finite_rows[position] = self.pool.gather_into(
+                finite_rows[position] = self.gram_pool.gather_into(
                     keyed_columns, grams[position], colsums[position],
                     ydots[position])
                 basis_matrices.append(np.column_stack(
@@ -1181,7 +884,7 @@ class GramFitBackend:
                 # they are infeasible by fit_linear's rules anyway.
                 solvable = np.flatnonzero(finite_rows)
                 for position in np.flatnonzero(~finite_rows):
-                    ev._batch_fit_results[items[position][0]] = \
+                    self._batch_fit_results[items[position][0]] = \
                         (None, float("inf"))
                 if solvable.size == 0:
                     continue
@@ -1191,19 +894,14 @@ class GramFitBackend:
             solvable_matrices = [basis_matrices[i] for i in solvable]
             fits = fit_linear_from_gram_batch(grams, colsums, ydots,
                                               self._y_sum, solvable_matrices,
-                                              ev.y)
-            # The group's prediction/residual step runs through the
-            # configured residual backend: "batched" scores the whole
-            # same-width group in one stacked pass, "scalar" one fit at a
-            # time -- identical bits either way (the canonical recipes are
-            # batch-shape independent).
+                                              self.y)
             scored_positions = []
             scored_fits: List[LinearFit] = []
             scored_matrices = []
             for position, fit, basis_matrix in zip(solvable, fits,
                                                    solvable_matrices, strict=True):
                 if fit is None:
-                    ev._batch_fit_results[items[position][0]] = \
+                    self._batch_fit_results[items[position][0]] = \
                         (None, float("inf"))
                     continue
                 scored_positions.append(position)
@@ -1211,7 +909,7 @@ class GramFitBackend:
                 scored_matrices.append(basis_matrix)
             if not scored_fits:
                 continue
-            errors = ev._residual_backend.errors(scored_fits, scored_matrices)
+            errors = self.residual_backend.errors(scored_fits, scored_matrices)
             for position, fit, error in zip(scored_positions, scored_fits,
                                             errors, strict=True):
-                ev._batch_fit_results[items[position][0]] = (fit, error)
+                self._batch_fit_results[items[position][0]] = (fit, error)

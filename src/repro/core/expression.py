@@ -23,19 +23,17 @@ those outer weights are *not* part of the trees.
 Architecture note -- structure sharing.  The node classes are plain mutable
 dataclasses, but the engine treats every tree that has entered a population
 as *effectively immutable*: variation operators never edit a live tree in
-place.  Under the default ``genome_backend="shared"`` setting
-(:mod:`repro.core.settings`) a child individual is built by *path copying*:
+place.  A child individual is built by *path copying*:
 only the spine from an edited slot up to its basis root is rebuilt
 (``O(depth)`` fresh nodes) and every untouched subtree is shared by
 reference with the parent (see :mod:`repro.core.operators`).  Because
 shared subtrees are final, derived data can be memoized directly on the
 nodes -- :func:`cached_structural_key`, :func:`cached_depth` and the
 compiled backend's cached skeletons flow from parent to child for free,
-which keeps the evaluation caches warm across generations.  The
-``genome_backend="deepcopy"`` setting keeps the original reference path
-(clone the whole parent, edit the clone in place); the two backends are
-fixed-seed bit-identical, and the reference path exists for exactly that
-equivalence test.  The freshness contract that makes on-node memoization
+which keeps the evaluation caches warm across generations.  The test
+suite keeps the original clone-the-parent-and-edit-in-place operators as
+the fixed-seed bit-identical reference.  The freshness contract that makes
+on-node memoization
 safe: in-place edits only ever happen on freshly built, memo-free nodes
 *before* :func:`repro.core.compile.canonicalize_factors` finalizes them,
 never on a node that a population tree already references.

@@ -69,8 +69,8 @@ class Operator:
 
 # Operator implementations are module-level named functions (not lambdas) so
 # that Operator records -- and therefore whole expression trees -- pickle by
-# reference.  This is what lets ``evaluation_backend="process"`` ship basis
-# trees to worker processes instead of silently degrading to threads.
+# reference.  This is what lets results holding basis trees travel back from
+# ``Session(jobs>1)`` worker processes and into checkpoints.
 
 def _sqrt(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x)

@@ -104,7 +104,7 @@ class Individual:
         Returns a fresh individual with reset evaluation results and a
         *fresh bases list*, but the trees themselves are shared by
         reference -- callers must treat them as immutable (the
-        ``genome_backend="shared"`` contract; see
+        structure-sharing contract; see
         :mod:`repro.core.expression`).  Pass ``bases`` to substitute a
         ready-made list (already fresh, trees shared or new).
         """

@@ -21,8 +21,8 @@ from repro.core.individual import (
     evaluate_basis_column,
     evaluate_basis_matrix,
 )
+from repro.core.evaluation import BatchedResidualBackend
 from repro.core.pareto import nondominated_filter
-from repro.core.registry import get_backend
 from repro.data.metrics import q_tc
 from repro.regression.least_squares import LinearFit
 
@@ -30,8 +30,7 @@ __all__ = ["SymbolicModel", "TradeoffSet", "batch_test_errors"]
 
 
 def batch_test_errors(individuals: Sequence, X: np.ndarray,
-                      y: np.ndarray, normalization: float,
-                      backend: str = "batched") -> List[float]:
+                      y: np.ndarray, normalization: float) -> List[float]:
     """Per-individual ``qtc`` on ``(X, y)``, scored generation-style.
 
     ``individuals`` may be :class:`Individual` or :class:`SymbolicModel`
@@ -40,9 +39,10 @@ def batch_test_errors(individuals: Sequence, X: np.ndarray,
     This is the test-error analogue of the evaluator's residual engine:
     unique basis columns are evaluated once across all individuals (front
     models share basis functions heavily), matrices are assembled from the
-    shared columns, and same-width groups are scored through the configured
-    ``"residual"`` backend -- one stacked prediction/residual pass per width
-    under ``"batched"``.  Every returned value is bit-for-bit what the
+    shared columns, and same-width groups are scored in one stacked
+    prediction/residual pass per width
+    (:class:`~repro.core.evaluation.BatchedResidualBackend`).  Every
+    returned value is bit-for-bit what the
     scalar path (``q_tc(y, individual.predict(X), normalization)``) returns:
     columns come from the same :func:`evaluate_basis_column`, predictions
     from the same canonical accumulation, and the row-stacked residual
@@ -54,7 +54,7 @@ def batch_test_errors(individuals: Sequence, X: np.ndarray,
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    residual = get_backend("residual", backend)(y, normalization)
+    residual = BatchedResidualBackend(y, normalization)
     columns: dict = {}
     matrices: List[np.ndarray] = []
     for individual in individuals:

@@ -29,7 +29,7 @@ public API, pinned by tests) and are thin views over the same kernels.
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence, Tuple, TypeVar
+from typing import List, Protocol, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -89,39 +89,29 @@ class RankedPopulation:
         return len(self.individuals)
 
 
-def _rank_arrays(vectors: List[Tuple[float, ...]],
-                 backend: Optional[str]) -> Tuple[np.ndarray, np.ndarray]:
+def _rank_arrays(vectors: List[Tuple[float, ...]]
+                 ) -> Tuple[np.ndarray, np.ndarray]:
     """(ranks, crowding) vectors from one nondominated sort."""
     n = len(vectors)
     ranks = np.empty(n, dtype=np.intp)
     crowding = np.empty(n, dtype=float)
-    for rank, front in enumerate(fast_nondominated_sort(vectors,
-                                                        backend=backend)):
-        front_crowding = crowding_distances([vectors[i] for i in front],
-                                            backend=backend)
+    for rank, front in enumerate(fast_nondominated_sort(vectors)):
+        front_crowding = crowding_distances([vectors[i] for i in front])
         ranks[front] = rank
         crowding[front] = front_crowding
     return ranks, crowding
 
 
-def rank_population_arrays(population: Sequence[T],
-                           backend: Optional[str] = None) -> RankedPopulation:
+def rank_population_arrays(population: Sequence[T]) -> RankedPopulation:
     """Array-native :func:`rank_population` (one sort, no wrapper objects)."""
     vectors = [tuple(ind.objectives) for ind in population]
-    ranks, crowding = _rank_arrays(vectors, backend)
+    ranks, crowding = _rank_arrays(vectors)
     return RankedPopulation(population, ranks, crowding)
 
 
-def rank_population(population: Sequence[T],
-                    backend: Optional[str] = None) -> List[RankedIndividual]:
-    """Assign nondomination rank and crowding distance to every individual.
-
-    ``backend`` selects the Pareto-kernel implementation (see
-    :mod:`repro.core.pareto`); the engine threads
-    ``CaffeineSettings.pareto_backend`` through here.  Results are identical
-    either way.
-    """
-    ranked = rank_population_arrays(population, backend=backend)
+def rank_population(population: Sequence[T]) -> List[RankedIndividual]:
+    """Assign nondomination rank and crowding distance to every individual."""
+    ranked = rank_population_arrays(population)
     return [RankedIndividual(individual, int(rank), float(crowding))
             for individual, rank, crowding
             in zip(population, ranked.ranks, ranked.crowding, strict=True)]
@@ -140,8 +130,8 @@ def _truncation_order(crowding: Sequence[float]) -> Sequence[int]:
     return np.argsort(-np.asarray(crowding, dtype=float), kind="stable")
 
 
-def environmental_selection(population: Sequence[T], target_size: int,
-                            backend: Optional[str] = None) -> List[T]:
+def environmental_selection(population: Sequence[T],
+                            target_size: int) -> List[T]:
     """NSGA-II survivor selection: fill by fronts, truncate by crowding.
 
     Within the one partially included front, survivors are the
@@ -154,7 +144,7 @@ def environmental_selection(population: Sequence[T], target_size: int,
     if target_size < 1:
         raise ValueError("target_size must be >= 1")
     vectors = [tuple(ind.objectives) for ind in population]
-    fronts = fast_nondominated_sort(vectors, backend=backend)
+    fronts = fast_nondominated_sort(vectors)
     survivors: List[T] = []
     for front in fronts:
         if len(survivors) + len(front) <= target_size:
@@ -164,7 +154,7 @@ def environmental_selection(population: Sequence[T], target_size: int,
             continue
         # Partial front: keep the most spread-out individuals.
         front_vectors = [vectors[i] for i in front]
-        crowding = crowding_distances(front_vectors, backend=backend)
+        crowding = crowding_distances(front_vectors)
         order = _truncation_order(crowding)
         remaining = target_size - len(survivors)
         survivors.extend(population[front[k]] for k in order[:remaining])
@@ -172,8 +162,7 @@ def environmental_selection(population: Sequence[T], target_size: int,
     return survivors
 
 
-def select_and_rerank(population: Sequence[T], target_size: int,
-                      backend: Optional[str] = None
+def select_and_rerank(population: Sequence[T], target_size: int
                       ) -> Tuple[List[T], RankedPopulation]:
     """Environmental selection plus the survivors' rank/crowding arrays.
 
@@ -187,14 +176,13 @@ def select_and_rerank(population: Sequence[T], target_size: int,
     if target_size < 1:
         raise ValueError("target_size must be >= 1")
     vectors = [tuple(ind.objectives) for ind in population]
-    fronts = fast_nondominated_sort(vectors, backend=backend)
+    fronts = fast_nondominated_sort(vectors)
     survivors: List[T] = []
     ranks: List[int] = []
     crowding_parts: List[float] = []
     for rank, front in enumerate(fronts):
         if len(survivors) + len(front) <= target_size:
-            front_crowding = crowding_distances([vectors[i] for i in front],
-                                                backend=backend)
+            front_crowding = crowding_distances([vectors[i] for i in front])
             survivors.extend(population[i] for i in front)
             ranks.extend([rank] * len(front))
             crowding_parts.extend(front_crowding)
@@ -202,7 +190,7 @@ def select_and_rerank(population: Sequence[T], target_size: int,
                 break
             continue
         front_vectors = [vectors[i] for i in front]
-        front_crowding = crowding_distances(front_vectors, backend=backend)
+        front_crowding = crowding_distances(front_vectors)
         order = _truncation_order(front_crowding)
         remaining = target_size - len(survivors)
         kept = [front[k] for k in order[:remaining]]
@@ -212,8 +200,7 @@ def select_and_rerank(population: Sequence[T], target_size: int,
         # crowding must be recomputed on the kept subset (in survivor
         # order); every fully included front keeps its combined-population
         # crowding unchanged.
-        crowding_parts.extend(crowding_distances([vectors[i] for i in kept],
-                                                 backend=backend))
+        crowding_parts.extend(crowding_distances([vectors[i] for i in kept]))
         break
     ranked = RankedPopulation(survivors,
                               np.asarray(ranks, dtype=np.intp),

@@ -17,30 +17,24 @@ of trees must follow the derivation rules":
 
 All operators return *new* individuals; parents are never modified.
 
-Two genome backends implement that contract
-(``CaffeineSettings.genome_backend``):
-
-* ``"shared"`` (default) -- **path copying**.  A child starts as a fresh
-  individual whose bases *list* is fresh but whose trees are shared by
-  reference with the parents.  An edit at some slot rebuilds only the spine
-  of shallow node copies from that slot up to the basis root (``O(depth)``
-  fresh nodes for an ``O(n)``-node parent) and shares every untouched
-  subtree; donor material from the second parent is likewise shared, never
-  cloned.  Shared subtrees keep their memoized structural keys/skeletons
-  (:mod:`repro.core.expression`), which is what keeps the evaluation caches
-  warm.  Only the fresh spine nodes need re-canonicalization
-  (:func:`repro.core.compile.canonicalize_fresh_product_term`).
-* ``"deepcopy"`` -- the original reference path: clone the whole parent,
-  edit the clone in place, canonicalize the whole child.  Kept for the
-  fixed-seed equivalence gate (``genome_shared_vs_deepcopy``); both
-  backends consume identical RNG draw sequences and produce bit-identical
-  children.
+Children are built by **path copying**.  A child starts as a fresh
+individual whose bases *list* is fresh but whose trees are shared by
+reference with the parents.  An edit at some slot rebuilds only the spine of
+shallow node copies from that slot up to the basis root (``O(depth)`` fresh
+nodes for an ``O(n)``-node parent) and shares every untouched subtree; donor
+material from the second parent is likewise shared, never cloned.  Shared
+subtrees keep their memoized structural keys/skeletons
+(:mod:`repro.core.expression`), which is what keeps the evaluation caches
+warm.  Only the fresh spine nodes need re-canonicalization
+(:func:`repro.core.compile.canonicalize_fresh_product_term`).  The test
+suite keeps the original clone-the-parent-and-edit-in-place operators as
+the reference: both consume identical RNG draw sequences and produce
+bit-identical children.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -48,92 +42,24 @@ from repro.core.expression import (
     BinaryOpTerm,
     ConditionalOpTerm,
     ExpressionNode,
-    OpTerm,
     ProductTerm,
     UnaryOpTerm,
     WeightedSum,
     WeightedTerm,
     cached_depth,
-    iter_nodes,
     iter_variable_combos,
-    iter_weights,
 )
-from repro.core.compile import canonicalize_factors, canonicalize_fresh_product_term
+from repro.core.compile import canonicalize_fresh_product_term
 from repro.core.generator import ExpressionGenerator
 from repro.core.individual import Individual
 from repro.core.settings import CaffeineSettings
 from repro.core.weights import Weight, cauchy_mutated_value
 
-__all__ = ["Slot", "collect_slots", "VariationOperators"]
-
-
-@dataclasses.dataclass
-class Slot:
-    """A replaceable position in an individual's trees.
-
-    ``kind`` is the grammar symbol of the node occupying the slot
-    (``"REPVC"`` for product terms, ``"REPOP"`` for operator terms,
-    ``"REPADD"`` for weighted sums); ``get``/``set`` read and replace it.
-    """
-
-    kind: str
-    get: Callable[[], ExpressionNode]
-    set: Callable[[ExpressionNode], None]
-
-
-def _list_slot(kind: str, container: list, index: int) -> Slot:
-    return Slot(kind=kind,
-                get=lambda: container[index],
-                set=lambda node: container.__setitem__(index, node))
-
-
-def _attr_slot(kind: str, owner: object, attribute: str) -> Slot:
-    return Slot(kind=kind,
-                get=lambda: getattr(owner, attribute),
-                set=lambda node: setattr(owner, attribute, node))
-
-
-def collect_slots(individual: Individual, include_bases: bool = True) -> List[Slot]:
-    """Every grammar-legal replacement point in an individual.
-
-    Top-level basis functions are ``REPVC`` slots; positions inside trees are
-    collected by walking every node and recording where product terms,
-    operator terms and weighted sums live.  These slots mutate the trees in
-    place -- they are the ``"deepcopy"`` genome backend's editing primitive
-    (and a public API for tests/tools); the ``"shared"`` backend uses the
-    path-addressed sites below, in exactly this order.
-    """
-    slots: List[Slot] = []
-    if include_bases:
-        for index in range(len(individual.bases)):
-            slots.append(_list_slot("REPVC", individual.bases, index))
-
-    for basis in individual.bases:
-        for node in iter_nodes(basis):
-            if isinstance(node, ProductTerm):
-                for op_index in range(len(node.ops)):
-                    slots.append(_list_slot("REPOP", node.ops, op_index))
-            elif isinstance(node, WeightedSum):
-                for term in node.terms:
-                    slots.append(_attr_slot("REPVC", term, "term"))
-            elif isinstance(node, UnaryOpTerm):
-                slots.append(_attr_slot("REPADD", node, "argument"))
-            elif isinstance(node, BinaryOpTerm):
-                if isinstance(node.left, WeightedSum):
-                    slots.append(_attr_slot("REPADD", node, "left"))
-                if isinstance(node.right, WeightedSum):
-                    slots.append(_attr_slot("REPADD", node, "right"))
-            elif isinstance(node, ConditionalOpTerm):
-                slots.append(_attr_slot("REPADD", node, "test"))
-                slots.append(_attr_slot("REPADD", node, "if_true"))
-                slots.append(_attr_slot("REPADD", node, "if_false"))
-                if isinstance(node.threshold, WeightedSum):
-                    slots.append(_attr_slot("REPADD", node, "threshold"))
-    return slots
+__all__ = ["VariationOperators"]
 
 
 # ----------------------------------------------------------------------
-# path-addressed sites (the "shared" genome backend's editing primitive)
+# path-addressed sites (the operators' editing primitive)
 # ----------------------------------------------------------------------
 # A site is (kind, basis_index, path, occupant): ``path`` is a tuple of
 # edges from the basis root to the occupant, each edge a tuple whose first
@@ -145,8 +71,8 @@ def collect_slots(individual: Individual, include_bases: bool = True) -> List[Sl
 
 def _walk_slot_sites(node: ExpressionNode, basis_index: int,
                      path: Tuple[Tuple, ...], out: List[Tuple]) -> None:
-    # Pre-order, mirroring collect_slots: record this node's slots, then
-    # recurse into children in children() order.
+    # Pre-order: record this node's slots, then recurse into children in
+    # children() order.
     if isinstance(node, ProductTerm):
         for i, op in enumerate(node.ops):
             out.append(("REPOP", basis_index, path + (("ops", i),), op))
@@ -196,10 +122,13 @@ def _walk_slot_sites(node: ExpressionNode, basis_index: int,
 
 def _slot_sites(individual: Individual,
                 include_bases: bool = True) -> List[Tuple]:
-    """Path-addressed equivalent of :func:`collect_slots`, read-only.
+    """Every grammar-legal replacement point in an individual, read-only.
 
-    Returns sites in exactly :func:`collect_slots` order, so index draws
-    against either representation pick the same grammatical position.
+    Top-level basis functions are ``REPVC`` sites; positions inside trees
+    are recorded where product terms (``REPVC``), operator terms
+    (``REPOP``) and weighted sums (``REPADD``) live, as
+    ``(kind, basis_index, path, occupant)``.  The order is the pre-order
+    walk the operators' index draws are defined against.
     """
     sites: List[Tuple] = []
     if include_bases:
@@ -413,7 +342,6 @@ class VariationOperators:
         weights = np.array([weight for _, weight in self._operators],
                            dtype=float)
         self._operator_probabilities = weights / weights.sum()
-        self._shared = settings.genome_backend == "shared"
 
     # ------------------------------------------------------------------
     # top-level entry point
@@ -429,20 +357,12 @@ class VariationOperators:
         child = self._dispatch(operator_name, parent_a, parent_b)
         if child is None:
             child = self.parameter_mutation(parent_a)
-        child = self._enforce_limits(child)
-        # Offspring leave variation canonical: crossover and mutation can
-        # reorder or recombine commutative product factors, and sorting them
-        # back into canonical order (on the freshly built, not-yet-evaluated
-        # trees) is what lets order-variants share cached columns and
-        # compiled kernels.  Parents are never touched.  The shared backend
-        # already canonicalized its fresh spine nodes inside each operator
-        # (everything else is shared and canonical by the population
-        # invariant), so only the deepcopy reference path pays the
-        # full-tree pass.
-        if not self._shared:
-            for basis in child.bases:
-                canonicalize_factors(basis)
-        return child
+        # Offspring leave variation canonical: each operator already sorted
+        # the commutative factors of its fresh spine nodes (everything else
+        # is shared and canonical by the population invariant), which is
+        # what lets order-variants share cached columns and compiled
+        # kernels.
+        return self._enforce_limits(child)
 
     def operator_names(self) -> Tuple[str, ...]:
         return tuple(self._operator_names)
@@ -470,8 +390,6 @@ class VariationOperators:
         raise KeyError(f"unknown operator {name!r}")
 
     # ------------------------------------------------------------------
-    # shared-backend helper
-    # ------------------------------------------------------------------
     def _rebuild_child(self, parent: Individual, basis_index: int,
                        path: Tuple[Tuple, ...], new_node) -> Individual:
         """One-edit path-copied child: share everything but the spine."""
@@ -488,33 +406,17 @@ class VariationOperators:
     def parameter_mutation(self, parent: Individual) -> Individual:
         """Cauchy-mutate one (or a few) random weights of the parent.
 
-        The child shares (or deep-copies, per the genome backend) the
-        parent's trees; the parent is never modified.
+        The child shares the parent's untouched trees; the parent is never
+        modified.
         """
-        if self._shared:
-            return self._parameter_mutation_shared(parent)
-        child = parent.clone()
-        weights = []
-        for basis in child.bases:
-            weights.extend(iter_weights(basis))
-        if not weights:
-            return self.basis_add(parent) or child
-        n_mutations = 1 + int(self.rng.integers(0, 2))
-        for _ in range(n_mutations):
-            weight = weights[int(self.rng.integers(len(weights)))]
-            mutated = weight.mutated(self.rng, self.settings.weight_mutation_scale)
-            weight.stored = mutated.stored
-        return child
-
-    def _parameter_mutation_shared(self, parent: Individual) -> Individual:
         sites = _weight_sites(parent)
         if not sites:
             return self.basis_add(parent) or parent.shared_clone()
         n_mutations = 1 + int(self.rng.integers(0, 2))
         scale = self.settings.weight_mutation_scale
-        # Draws must interleave exactly as the in-place path's do (index,
-        # cauchy, index, cauchy, ...), and a repeated index must compose:
-        # the second mutation perturbs the first one's result.
+        # Draws interleave (index, cauchy, index, cauchy, ...), and a
+        # repeated index composes: the second mutation perturbs the first
+        # one's result -- exactly as mutating the weights in place would.
         pending = {}
         for _ in range(n_mutations):
             index = int(self.rng.integers(len(sites)))
@@ -538,57 +440,30 @@ class VariationOperators:
 
     def vc_mutation(self, parent: Individual) -> Optional[Individual]:
         """Add or subtract 1 to a random exponent of a random variable combo."""
-        if self._shared:
-            sites = _vc_sites(parent)
-            if not sites:
-                return None
-            basis_index, path, owner = sites[int(self.rng.integers(len(sites)))]
-            new_vc = owner.vc.mutated(self.rng, self.settings.max_vc_exponent,
-                                      self.settings.allow_negative_exponents)
-            replacement = ProductTerm(vc=new_vc, ops=list(owner.ops))
-            return self._rebuild_child(parent, basis_index, path, replacement)
-        child = parent.clone()
-        owners = []
-        for basis in child.bases:
-            owners.extend(iter_variable_combos(basis))
-        if not owners:
+        sites = _vc_sites(parent)
+        if not sites:
             return None
-        owner, vc = owners[int(self.rng.integers(len(owners)))]
-        owner.vc = vc.mutated(self.rng, self.settings.max_vc_exponent,
-                              self.settings.allow_negative_exponents)
-        return child
+        basis_index, path, owner = sites[int(self.rng.integers(len(sites)))]
+        new_vc = owner.vc.mutated(self.rng, self.settings.max_vc_exponent,
+                                  self.settings.allow_negative_exponents)
+        replacement = ProductTerm(vc=new_vc, ops=list(owner.ops))
+        return self._rebuild_child(parent, basis_index, path, replacement)
 
     def vc_crossover(self, parent_a: Individual,
                      parent_b: Individual) -> Optional[Individual]:
         """One-point crossover between a VC of each parent (child from parent A)."""
-        if self._shared:
-            sites_a = _vc_sites(parent_a)
-            vcs_b = []
-            for basis in parent_b.bases:
-                vcs_b.extend(vc for _, vc in iter_variable_combos(basis))
-            if not sites_a or not vcs_b:
-                return None
-            basis_index, path, owner = \
-                sites_a[int(self.rng.integers(len(sites_a)))]
-            vc_b = vcs_b[int(self.rng.integers(len(vcs_b)))]
-            new_vc, _ = owner.vc.crossover(vc_b, self.rng)
-            replacement = ProductTerm(vc=new_vc, ops=list(owner.ops))
-            return self._rebuild_child(parent_a, basis_index, path,
-                                       replacement)
-        child = parent_a.clone()
-        owners_a = []
-        for basis in child.bases:
-            owners_a.extend(iter_variable_combos(basis))
-        owners_b = []
+        sites_a = _vc_sites(parent_a)
+        vcs_b = []
         for basis in parent_b.bases:
-            owners_b.extend(iter_variable_combos(basis))
-        if not owners_a or not owners_b:
+            vcs_b.extend(vc for _, vc in iter_variable_combos(basis))
+        if not sites_a or not vcs_b:
             return None
-        owner_a, vc_a = owners_a[int(self.rng.integers(len(owners_a)))]
-        _, vc_b = owners_b[int(self.rng.integers(len(owners_b)))]
-        new_vc, _ = vc_a.crossover(vc_b, self.rng)
-        owner_a.vc = new_vc
-        return child
+        basis_index, path, owner = \
+            sites_a[int(self.rng.integers(len(sites_a)))]
+        vc_b = vcs_b[int(self.rng.integers(len(vcs_b)))]
+        new_vc, _ = owner.vc.crossover(vc_b, self.rng)
+        replacement = ProductTerm(vc=new_vc, ops=list(owner.ops))
+        return self._rebuild_child(parent_a, basis_index, path, replacement)
 
     # ------------------------------------------------------------------
     # tree level
@@ -596,67 +471,36 @@ class VariationOperators:
     def subtree_mutation(self, parent: Individual) -> Optional[Individual]:
         """Replace a random subtree with a freshly generated one of the same symbol."""
         depth_budget = max(2, self.settings.max_tree_depth - 2)
-        if self._shared:
-            sites = _slot_sites(parent)
-            if not sites:
-                return None
-            kind, basis_index, path, _ = \
-                sites[int(self.rng.integers(len(sites)))]
-            if kind == "REPVC":
-                replacement = self.generator.random_product_term(depth_budget)
-            elif kind == "REPOP":
-                replacement = self.generator.random_op_term(depth_budget)
-            else:  # REPADD
-                replacement = self.generator.random_weighted_sum(depth_budget)
-            return self._rebuild_child(parent, basis_index, path, replacement)
-        child = parent.clone()
-        slots = collect_slots(child)
-        if not slots:
+        sites = _slot_sites(parent)
+        if not sites:
             return None
-        slot = slots[int(self.rng.integers(len(slots)))]
-        if slot.kind == "REPVC":
-            slot.set(self.generator.random_product_term(depth_budget))
-        elif slot.kind == "REPOP":
-            slot.set(self.generator.random_op_term(depth_budget))
+        kind, basis_index, path, _ = sites[int(self.rng.integers(len(sites)))]
+        if kind == "REPVC":
+            replacement = self.generator.random_product_term(depth_budget)
+        elif kind == "REPOP":
+            replacement = self.generator.random_op_term(depth_budget)
         else:  # REPADD
-            slot.set(self.generator.random_weighted_sum(depth_budget))
-        return child
+            replacement = self.generator.random_weighted_sum(depth_budget)
+        return self._rebuild_child(parent, basis_index, path, replacement)
 
     def subtree_crossover(self, parent_a: Individual,
                           parent_b: Individual) -> Optional[Individual]:
         """Swap subtrees between parents; only same-symbol roots are exchanged.
 
-        The donor parent is enumerated read-only in both genome backends;
-        the shared path grafts the donor subtree by reference, the deepcopy
-        path clones exactly the transplanted subtree (never the whole
-        donor).
+        The donor subtree is grafted by reference (never cloned).
         """
         donor_sites = _slot_sites(parent_b)
-        if self._shared:
-            child_sites = _slot_sites(parent_a)
-            if not child_sites or not donor_sites:
-                return None
-            order = self.rng.permutation(len(child_sites))
-            for slot_index in order:
-                kind, basis_index, path, _ = child_sites[int(slot_index)]
-                compatible = [d for d in donor_sites if d[0] == kind]
-                if compatible:
-                    donor = compatible[int(self.rng.integers(len(compatible)))]
-                    return self._rebuild_child(parent_a, basis_index, path,
-                                               donor[3])
+        child_sites = _slot_sites(parent_a)
+        if not child_sites or not donor_sites:
             return None
-        child = parent_a.clone()
-        child_slots = collect_slots(child)
-        if not child_slots or not donor_sites:
-            return None
-        order = self.rng.permutation(len(child_slots))
+        order = self.rng.permutation(len(child_sites))
         for slot_index in order:
-            slot = child_slots[int(slot_index)]
-            compatible = [d for d in donor_sites if d[0] == slot.kind]
+            kind, basis_index, path, _ = child_sites[int(slot_index)]
+            compatible = [d for d in donor_sites if d[0] == kind]
             if compatible:
                 donor = compatible[int(self.rng.integers(len(compatible)))]
-                slot.set(donor[3].clone())
-                return child
+                return self._rebuild_child(parent_a, basis_index, path,
+                                           donor[3])
         return None
 
     # ------------------------------------------------------------------
@@ -671,10 +515,7 @@ class VariationOperators:
         for parent in (parent_a, parent_b):
             n_take = 1 + int(self.rng.integers(len(parent.bases)))
             indices = self.rng.choice(len(parent.bases), size=n_take, replace=False)
-            if self._shared:
-                chosen.extend(parent.bases[i] for i in np.sort(indices))
-            else:
-                chosen.extend(parent.bases[i].clone() for i in np.sort(indices))
+            chosen.extend(parent.bases[i] for i in np.sort(indices))
         max_bases = self.settings.max_basis_functions
         if len(chosen) > max_bases:
             keep = self.rng.choice(len(chosen), size=max_bases, replace=False)
@@ -690,50 +531,32 @@ class VariationOperators:
         """
         if parent.n_bases < 1:
             return None
-        if self._shared:
-            index = int(self.rng.integers(parent.n_bases))
-            bases = list(parent.bases)
-            del bases[index]
-            return parent.shared_clone(bases)
-        child = parent.clone()
-        index = int(self.rng.integers(len(child.bases)))
-        del child.bases[index]
-        return child
+        index = int(self.rng.integers(parent.n_bases))
+        bases = list(parent.bases)
+        del bases[index]
+        return parent.shared_clone(bases)
 
     def basis_add(self, parent: Individual) -> Optional[Individual]:
         """Add a randomly generated tree as a new basis function."""
         if parent.n_bases >= self.settings.max_basis_functions:
             return None
-        if self._shared:
-            bases = list(parent.bases)
-            bases.append(self.generator.random_product_term())
-            return parent.shared_clone(bases)
-        child = parent.clone()
-        child.bases.append(self.generator.random_product_term())
-        return child
+        bases = list(parent.bases)
+        bases.append(self.generator.random_product_term())
+        return parent.shared_clone(bases)
 
     def basis_copy(self, parent_a: Individual,
                    parent_b: Individual) -> Optional[Individual]:
         """Copy a subtree of parent B to become a new basis function of parent A."""
         if parent_a.n_bases >= self.settings.max_basis_functions:
             return None
-        if self._shared:
-            donor_sites = [site for site in _slot_sites(parent_b)
-                           if site[0] == "REPVC"]
-            if not donor_sites:
-                return None
-            donor = donor_sites[int(self.rng.integers(len(donor_sites)))]
-            bases = list(parent_a.bases)
-            bases.append(donor[3])
-            return parent_a.shared_clone(bases)
-        donor_slots = [slot for slot in collect_slots(parent_b)
-                       if slot.kind == "REPVC"]
-        if not donor_slots:
+        donor_sites = [site for site in _slot_sites(parent_b)
+                       if site[0] == "REPVC"]
+        if not donor_sites:
             return None
-        child = parent_a.clone()
-        slot = donor_slots[int(self.rng.integers(len(donor_slots)))]
-        child.bases.append(slot.get().clone())
-        return child
+        donor = donor_sites[int(self.rng.integers(len(donor_sites)))]
+        bases = list(parent_a.bases)
+        bases.append(donor[3])
+        return parent_a.shared_clone(bases)
 
     # ------------------------------------------------------------------
     def _enforce_limits(self, child: Individual) -> Individual:
@@ -744,7 +567,6 @@ class VariationOperators:
             child.bases = [child.bases[i] for i in np.sort(keep)]
         max_depth = self.settings.max_tree_depth
         for index, basis in enumerate(child.bases):
-            depth = cached_depth(basis) if self._shared else basis.depth
-            if depth > max_depth:
+            if cached_depth(basis) > max_depth:
                 child.bases[index] = self.generator.random_product_term()
         return child

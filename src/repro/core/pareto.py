@@ -5,68 +5,30 @@ that filter models down to the trade-off of training error vs. complexity and
 later of *testing* error vs. complexity (the rightmost column of the paper's
 Figure 3).
 
-Two interchangeable backends implement every kernel:
-
-* ``"numpy"`` (the default) -- broadcasting implementations that build the
-  pairwise domination matrix in vectorized chunks; this is what lets the
-  engine scale ``population_size`` without the ranking step going
-  quadratic-in-pure-Python (Deb's sort is O(N^2 M) either way, but the
-  constant drops by two orders of magnitude);
-* ``"python"`` -- the original pure-Python reference, kept as the oracle for
-  the property-based equivalence tests.
-
-Both backends return *identical* results: fronts are canonicalized to
-ascending index order (a front is a set; ascending order is the
-deterministic choice), crowding distances are computed with the same
-floating-point operations in the same order, and ``inf`` objectives (the
-engine's marker for infeasible individuals) follow IEEE comparison semantics
-in both.  NaN objectives are not supported -- the engine never produces them
-(errors are finite or exactly ``inf``), and the two backends' sorts would
-disagree on NaN placement.
-
-The module-level default backend is ``"numpy"``; pass ``backend=`` to pin a
-specific one (the engine threads ``CaffeineSettings.pareto_backend``
-through).
+The kernels are vectorized: broadcasting implementations build the
+pairwise domination matrix in chunks, and the two-objective (error,
+complexity) case -- the engine's -- runs O(n log n) sweeps.  This is what
+lets the engine scale ``population_size`` without the ranking step going
+quadratic-in-pure-Python.  Results are canonical: fronts are ascending
+index lists (a front is a set; ascending order is the deterministic
+choice), and ``inf`` objectives (the engine's marker for infeasible
+individuals) follow IEEE comparison semantics.  NaN objectives are not
+supported -- the engine never produces them (errors are finite or exactly
+``inf``).  The test suite checks every kernel against a pure-Python
+reference of Deb's definitions.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from repro.core.registry import backend_names, get_backend
-
-__all__ = ["PARETO_BACKENDS", "dominates", "nondominated_indices",
-           "nondominated_filter", "fast_nondominated_sort",
-           "crowding_distances",
-           "NUMPY_PARETO_BACKEND", "PYTHON_PARETO_BACKEND"]
+__all__ = ["dominates", "nondominated_indices", "nondominated_filter",
+           "fast_nondominated_sort", "crowding_distances"]
 
 T = TypeVar("T")
 Objectives = Tuple[float, ...]
-
-#: The built-in values of the ``backend`` argument.  The authoritative set
-#: is the ``"pareto"`` registry in :mod:`repro.core.registry` -- registered
-#: third-party kernels are accepted everywhere this module takes a name.
-PARETO_BACKENDS = ("numpy", "python")
-
-_DEFAULT_BACKEND = "numpy"
-
-
-def _resolve_backend(backend: Optional[str]):
-    """The backend *object* for a name (default: numpy kernels).
-
-    Names resolve through the ``"pareto"`` backend registry, so kernels
-    registered by callers dispatch exactly like the built-ins.
-    """
-    name = _DEFAULT_BACKEND if backend is None else backend
-    try:
-        factory = get_backend("pareto", name)
-    except KeyError:
-        raise ValueError(
-            f"backend must be one of {backend_names('pareto')}, "
-            f"got {name!r}") from None
-    return factory()
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -107,23 +69,9 @@ def _domination_matrix(vectors: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # nondominated indices / filter
 # ----------------------------------------------------------------------
-def _nondominated_indices_python(
-        objective_vectors: Sequence[Sequence[float]]) -> List[int]:
-    n = len(objective_vectors)
-    result = []
-    for i in range(n):
-        dominated = False
-        for j in range(n):
-            if i != j and dominates(objective_vectors[j], objective_vectors[i]):
-                dominated = True
-                break
-        if not dominated:
-            result.append(i)
-    return result
-
-
-def _nondominated_indices_numpy(
-        objective_vectors: Sequence[Sequence[float]]) -> List[int]:
+def nondominated_indices(objective_vectors: Sequence[Sequence[float]]
+                         ) -> List[int]:
+    """Indices of the nondominated vectors (the Pareto front), ascending."""
     if len(objective_vectors) == 0:
         return []
     vectors = _objective_array(objective_vectors)
@@ -163,60 +111,17 @@ def _nondominated_indices_two_objective(vectors: np.ndarray) -> List[int]:
     return keep
 
 
-def nondominated_indices(objective_vectors: Sequence[Sequence[float]],
-                         backend: Optional[str] = None) -> List[int]:
-    """Indices of the nondominated vectors (the Pareto front), ascending."""
-    return _resolve_backend(backend).nondominated_indices(objective_vectors)
-
-
 def nondominated_filter(items: Sequence[T],
-                        key: Callable[[T], Sequence[float]],
-                        backend: Optional[str] = None) -> List[T]:
+                        key: Callable[[T], Sequence[float]]) -> List[T]:
     """Return the items whose ``key(item)`` objective vectors are nondominated."""
     vectors = [tuple(key(item)) for item in items]
-    keep = set(nondominated_indices(vectors, backend=backend))
+    keep = set(nondominated_indices(vectors))
     return [item for index, item in enumerate(items) if index in keep]
 
 
 # ----------------------------------------------------------------------
 # fast nondominated sort
 # ----------------------------------------------------------------------
-def _fast_nondominated_sort_python(
-        objective_vectors: Sequence[Sequence[float]]) -> List[List[int]]:
-    n = len(objective_vectors)
-    dominated_by: List[List[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    fronts: List[List[int]] = [[]]
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(objective_vectors[i], objective_vectors[j]):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif dominates(objective_vectors[j], objective_vectors[i]):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
-        if domination_count[i] == 0:
-            fronts[0].append(i)
-
-    current = 0
-    while fronts[current]:
-        next_front: List[int] = []
-        for i in fronts[current]:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    next_front.append(j)
-        # Canonical ascending order (fronts are sets; the discovery order of
-        # the peeling loop is an implementation accident the vectorized
-        # backend should not have to replicate).
-        next_front.sort()
-        current += 1
-        fronts.append(next_front)
-    fronts.pop()  # last front is always empty
-    return fronts
-
-
 def _fast_nondominated_sort_two_objective(
         vectors: np.ndarray) -> List[List[int]]:
     """O(n log n) full front assignment for the two-objective case.
@@ -228,7 +133,7 @@ def _fast_nondominated_sort_two_objective(
     vs. strictly-better distinction); because every front-``f+1`` member is
     dominated by a front-``f`` member, the predicate is monotone in the
     front index and the point's front is found by binary search.  Matches
-    the peeling implementation exactly: same membership, and fronts are
+    Deb's peeling definition exactly: same membership, and fronts are
     emitted as ascending index lists.
     """
     o1 = vectors[:, 0]
@@ -263,8 +168,13 @@ def _fast_nondominated_sort_two_objective(
     return fronts
 
 
-def _fast_nondominated_sort_numpy(
-        objective_vectors: Sequence[Sequence[float]]) -> List[List[int]]:
+def fast_nondominated_sort(objective_vectors: Sequence[Sequence[float]]
+                           ) -> List[List[int]]:
+    """Deb's fast nondominated sort: list of fronts (ascending index lists).
+
+    Front 0 is the Pareto front; each subsequent front is nondominated once
+    all previous fronts are removed.
+    """
     if len(objective_vectors) == 0:
         return []
     vectors = _objective_array(objective_vectors)
@@ -285,44 +195,12 @@ def _fast_nondominated_sort_numpy(
     return fronts
 
 
-def fast_nondominated_sort(objective_vectors: Sequence[Sequence[float]],
-                           backend: Optional[str] = None) -> List[List[int]]:
-    """Deb's fast nondominated sort: list of fronts (ascending index lists).
-
-    Front 0 is the Pareto front; each subsequent front is nondominated once
-    all previous fronts are removed.
-    """
-    return _resolve_backend(backend).fast_nondominated_sort(objective_vectors)
-
-
 # ----------------------------------------------------------------------
 # crowding distances
 # ----------------------------------------------------------------------
-def _crowding_distances_python(
-        objective_vectors: Sequence[Sequence[float]]) -> List[float]:
-    n = len(objective_vectors)
-    if n == 0:
-        return []
-    n_objectives = len(objective_vectors[0])
-    distances = [0.0] * n
-    for m in range(n_objectives):
-        order = sorted(range(n), key=lambda i, m=m: objective_vectors[i][m])
-        lowest = objective_vectors[order[0]][m]
-        highest = objective_vectors[order[-1]][m]
-        distances[order[0]] = float("inf")
-        distances[order[-1]] = float("inf")
-        span = highest - lowest
-        if span <= 0 or not (span < float("inf")):
-            continue
-        for position in range(1, n - 1):
-            previous_value = objective_vectors[order[position - 1]][m]
-            next_value = objective_vectors[order[position + 1]][m]
-            distances[order[position]] += (next_value - previous_value) / span
-    return distances
-
-
-def _crowding_distances_numpy(
-        objective_vectors: Sequence[Sequence[float]]) -> List[float]:
+def crowding_distances(objective_vectors: Sequence[Sequence[float]]
+                       ) -> List[float]:
+    """Crowding distance of each vector within its (single) front."""
     if len(objective_vectors) == 0:
         return []
     vectors = _objective_array(objective_vectors)
@@ -340,49 +218,9 @@ def _crowding_distances_numpy(
         if span <= 0 or not (span < float("inf")):
             continue
         if n > 2:
-            # Same per-element arithmetic as the reference: the gap between
-            # each point's sorted neighbours, normalized by the span, summed
-            # objective by objective in the same order.
+            # Deb's per-element arithmetic: the gap between each point's
+            # sorted neighbours, normalized by the span, summed objective by
+            # objective in order.
             distances[order[1:-1]] += \
                 (column_sorted[2:] - column_sorted[:-2]) / span
     return [float(d) for d in distances]
-
-
-def crowding_distances(objective_vectors: Sequence[Sequence[float]],
-                       backend: Optional[str] = None) -> List[float]:
-    """Crowding distance of each vector within its (single) front."""
-    return _resolve_backend(backend).crowding_distances(objective_vectors)
-
-
-# ----------------------------------------------------------------------
-# backend objects (the ``"pareto"`` registry's factory targets)
-# ----------------------------------------------------------------------
-class _ParetoKernels:
-    """One coherent set of the three Pareto kernels.
-
-    Instances are what the ``"pareto"`` backend registry's factories
-    return; third-party backends implement the same three methods (with
-    the canonical ascending-front ordering documented in this module) and
-    register a factory under their own name.
-    """
-
-    def __init__(self, name: str, nondominated_indices: Callable,
-                 fast_nondominated_sort: Callable,
-                 crowding_distances: Callable) -> None:
-        self.name = name
-        self.nondominated_indices = nondominated_indices
-        self.fast_nondominated_sort = fast_nondominated_sort
-        self.crowding_distances = crowding_distances
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"_ParetoKernels({self.name!r})"
-
-
-#: Vectorized kernels (the default backend).
-NUMPY_PARETO_BACKEND = _ParetoKernels(
-    "numpy", _nondominated_indices_numpy, _fast_nondominated_sort_numpy,
-    _crowding_distances_numpy)
-#: Pure-Python reference kernels (the property tests' oracle).
-PYTHON_PARETO_BACKEND = _ParetoKernels(
-    "python", _nondominated_indices_python, _fast_nondominated_sort_python,
-    _crowding_distances_python)

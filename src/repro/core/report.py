@@ -82,7 +82,7 @@ def target_summary_row(model: SymbolicModel,
 
 
 def rescore_models(models: Sequence[SymbolicModel], X: np.ndarray,
-                   y: np.ndarray, backend: str = "batched") -> List[float]:
+                   y: np.ndarray) -> List[float]:
     """Relative RMS errors of frozen models on a fresh dataset, batch-scored.
 
     Each model is scored against ``(X, y)`` normalized by its own stored
@@ -100,14 +100,14 @@ def rescore_models(models: Sequence[SymbolicModel], X: np.ndarray,
                                     []).append(index)
     for normalization, indices in by_normalization.items():
         scored = batch_test_errors([models[i] for i in indices], X, y,
-                                   normalization, backend=backend)
+                                   normalization)
         for i, value in zip(indices, scored, strict=True):
             errors[i] = value
     return errors
 
 
 def rescore_table(tradeoff: TradeoffSet, X: np.ndarray, y: np.ndarray,
-                  title: str = "", backend: str = "batched") -> str:
+                  title: str = "") -> str:
     """Scenario table: every trade-off model re-scored on a new dataset.
 
     Answers "how do the models I already have do on this fresh data?"
@@ -116,7 +116,7 @@ def rescore_table(tradeoff: TradeoffSet, X: np.ndarray, y: np.ndarray,
     and testing errors.
     """
     models = list(tradeoff)
-    fresh = rescore_models(models, X, y, backend=backend)
+    fresh = rescore_models(models, X, y)
     lines = []
     if title:
         lines.append(title)

@@ -617,7 +617,6 @@ class Session:
         import multiprocessing
         from multiprocessing.connection import wait as connection_wait
 
-        self._check_backends_survive_workers()
         ctx = multiprocessing.get_context()
         total = len(self.problems)
         max_workers = min(self.jobs, total)
@@ -644,8 +643,6 @@ class Session:
                       self.column_cache_path, self.checkpoint_path,
                       self.checkpoint_every,
                       resume or item.attempt > 0, item.attempt),
-                # not daemonic: workers may themselves use the "process"
-                # evaluation backend
                 daemon=False)
             process.start()
             send_conn.close()  # orchestrator keeps only the read end
@@ -819,37 +816,6 @@ class Session:
         return results, ordered_failures, interrupted
 
     # ------------------------------------------------------------------
-    def _check_backends_survive_workers(self) -> None:
-        """Fail fast when runtime-registered backends cannot reach workers.
-
-        Backend registries are per-process: ``fork``-started workers (the
-        Linux default) inherit the parent's runtime registrations, but
-        ``spawn``-started ones import the registry fresh and only know the
-        built-ins -- a custom backend name would die inside the pool with
-        an opaque KeyError.  Raise a diagnosable error here instead.
-        """
-        from repro.core.registry import is_builtin_backend, \
-            worker_start_method
-
-        method = worker_start_method()
-        if method == "fork":
-            return
-        for problem in self.problems:
-            settings = problem.effective_settings(self.settings)
-            for kind, name in (("column", settings.column_backend),
-                               ("fit", settings.fit_backend),
-                               ("pareto", settings.pareto_backend),
-                               ("evaluation", settings.evaluation_backend)):
-                if not is_builtin_backend(kind, name):
-                    raise ValueError(
-                        f"problem {problem.name!r} uses the runtime-"
-                        f"registered {kind} backend {name!r}, but jobs="
-                        f"{self.jobs} worker processes start via "
-                        f"{method!r} and only know the built-in backends; "
-                        f"run serially (jobs=1), switch to the 'fork' "
-                        f"start method, or register the backend at import "
-                        f"time of a module the workers import")
-
     def _generation_progress(self, problem: Problem):
         callbacks = self.callbacks
         if not callbacks:

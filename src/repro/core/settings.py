@@ -11,12 +11,11 @@ Two constructors are provided: :meth:`CaffeineSettings.paper_settings` with
 the full budgets of the paper (hours of runtime) and the default constructor
 with reduced budgets suitable for laptops and for the benchmark harness.
 
-Beyond the paper's tunables, the ``evaluation_*`` / ``basis_cache_size``
-fields configure the population-evaluation subsystem
-(:mod:`repro.core.evaluation`): how many evaluated basis columns the LRU
-cache retains and whether uncached columns are computed serially or on a
-thread/process pool.  These knobs trade memory and cores for wall-clock time
-only -- every backend and cache size produces bit-for-bit identical models.
+Beyond the paper's tunables, the cache-budget fields (``basis_cache_size``,
+``gram_pool_size``, ``kernel_cache_size``) size the population-evaluation
+subsystem (:mod:`repro.core.evaluation`).  They trade memory for wall-clock
+time only -- every budget produces bit-for-bit identical models.  Each
+layer has one implementation; its reference oracle lives in the tests.
 """
 
 from __future__ import annotations
@@ -26,20 +25,17 @@ import hashlib
 from typing import Optional
 
 from repro.core.functions import FunctionSet, default_function_set
-from repro.core.registry import backend_names
 
 __all__ = ["CaffeineSettings"]
 
-#: Fields that can never change a run's evolved models -- backends, cache
-#: budgets and worker counts are all bit-for-bit identical by contract
-#: (enforced by the test suite and the CI equivalence gates), and fault
-#: injection only decides *whether* a run completes, not what it computes.
-#: :meth:`CaffeineSettings.fingerprint` excludes them, so a checkpoint
-#: taken under one backend/cache configuration resumes under another.
+#: Fields that can never change a run's evolved models -- cache budgets are
+#: bit-for-bit identical by contract (enforced by the test suite and the CI
+#: equivalence gates), and fault injection only decides *whether* a run
+#: completes, not what it computes.  :meth:`CaffeineSettings.fingerprint`
+#: excludes them, so a checkpoint taken under one cache configuration
+#: resumes under another.
 _RESULT_NEUTRAL_FIELDS = frozenset({
-    "evaluation_backend", "evaluation_workers", "column_backend",
-    "basis_cache_size", "fit_backend", "gram_pool_size", "pareto_backend",
-    "residual_backend", "genome_backend", "kernel_cache_size",
+    "basis_cache_size", "gram_pool_size", "kernel_cache_size",
     "adaptive_cache_budgets", "fault_injection",
 })
 
@@ -104,30 +100,13 @@ class CaffeineSettings:
     sag_min_relative_improvement: float = 1e-4
 
     # -- evaluation subsystem --------------------------------------------------------
-    #: backend of :class:`~repro.core.evaluation.PopulationEvaluator` used to
-    #: compute uncached basis columns: ``"serial"`` (default), ``"thread"``
-    #: (a :class:`~concurrent.futures.ThreadPoolExecutor`; NumPy releases the
-    #: GIL in the heavy kernels) or ``"process"`` (the default function set
-    #: is picklable, so trees genuinely cross the process boundary; custom
-    #: operators built from lambdas fall back to threads with a warning).
-    #: All backends produce bit-for-bit identical results; only wall-clock
-    #: time differs.
-    evaluation_backend: str = "serial"
-    #: worker count for the parallel evaluation backends (0 = os.cpu_count())
-    evaluation_workers: int = 0
-    #: how basis columns are computed on a cache miss: ``"compiled"``
-    #: (default) lowers each tree once to a fused postorder NumPy tape
-    #: (:class:`~repro.core.compile.TreeCompiler`); ``"interp"`` walks the
-    #: tree node by node.  Both are bit-for-bit identical (enforced by
-    #: property tests); compiled is faster on the fresh-offspring stream.
-    column_backend: str = "compiled"
     #: maximum number of entries retained by *each* of the two LRU evaluation
     #: caches: the basis-column cache (one entry = one evaluated basis
     #: function on one dataset) and the individual-level fit cache (one entry
     #: = one fitted basis sequence).  0 disables both caches entirely -- i.e.
     #: it turns off fit-result reuse as well, not just column memory.  Even
     #: then, one batch evaluation still computes its duplicate columns only
-    #: once (batch-local sharing) and still uses the parallel backend.
+    #: once (batch-local sharing).
     #: Leaving the class default in place makes the budget *size-adaptive*:
     #: it grows with ``population_size`` via
     #: :meth:`resolved_basis_cache_size`, so ``population_size >= 1000``
@@ -135,48 +114,15 @@ class CaffeineSettings:
     #: value (including 0) is honored exactly; to pin a hard cap that
     #: happens to equal the default, set ``adaptive_cache_budgets=False``.
     basis_cache_size: int = 20000
-    #: how the linear weights are fitted: ``"gram"`` (default) batches the
-    #: generation's normal-equation scalars through the
-    #: :class:`~repro.core.evaluation.GramPool` so each fit is a small
-    #: gather-and-solve; ``"direct"`` runs a full
-    #: :func:`~repro.regression.least_squares.fit_linear` per individual.
-    #: Both produce bit-for-bit identical fits, errors and trade-offs.
-    fit_backend: str = "gram"
     #: maximum number of pairwise column dot products retained by the gram
-    #: pool (each entry is one float; column-level stats are bounded by the
-    #: same number).  0 disables the pool, which implies direct fits.  Like
+    #: pool that every linear fit gathers its normal equations from (each
+    #: entry is one float; column-level stats are bounded by the same
+    #: number).  0 retains nothing: every fit recomputes its dots.  Like
     #: ``basis_cache_size``, the class default is a size-adaptive floor
     #: (see :meth:`resolved_gram_pool_size`); explicit values are honored.
     gram_pool_size: int = 200000
-    #: Pareto/NSGA-II kernels: ``"numpy"`` (default) uses the vectorized
-    #: broadcasting implementations in :mod:`repro.core.pareto`; ``"python"``
-    #: the pure-Python reference.  Identical results (fronts are
-    #: canonicalized to ascending index order in both), different speed.
-    pareto_backend: str = "numpy"
-    #: how the prediction/residual step after each linear fit is computed:
-    #: ``"batched"`` (default) runs one stacked left-to-right accumulation
-    #: plus one row-stacked pairwise residual reduction per basis width and
-    #: generation (:func:`repro.regression.least_squares.predict_linear_batch`
-    #: + :func:`repro.data.metrics.relative_rmse_rows`); ``"scalar"`` scores
-    #: each individual on its own.  Both are bit-for-bit identical (the
-    #: canonical recipes are batch-shape independent by construction,
-    #: enforced by property tests), so this knob only trades Python/NumPy
-    #: call overhead for memory.
-    residual_backend: str = "batched"
-    #: how variation operators build children from parents: ``"shared"``
-    #: (default) path-copies -- a child rebuilds only the spine from each
-    #: edited slot to its basis root and shares every untouched subtree
-    #: with its parents, so cached structural keys/skeletons/columns flow
-    #: through for free; ``"deepcopy"`` is the original reference path
-    #: (clone the whole parent, edit the clone in place), kept for
-    #: equivalence testing.  Both are fixed-seed bit-identical (gated by
-    #: the ``genome_shared_vs_deepcopy`` equivalence key in CI).  Unlike
-    #: the ``*_backend`` knobs above this is a closed two-way switch, not
-    #: a registry: the set of genome representations is a property of the
-    #: operator layer, not a pluggable computation strategy.
-    genome_backend: str = "shared"
-    #: maximum number of compiled tapes the ``"compiled"`` column backend
-    #: retains, keyed by weight-free tree skeleton.  The class default is a
+    #: maximum number of compiled column tapes retained, keyed by
+    #: weight-free tree skeleton.  The class default is a
     #: size-adaptive floor (:meth:`resolved_kernel_cache_size`) so large
     #: populations do not thrash the kernel LRU; explicit values are
     #: honored, and 0 compiles fresh on every miss.
@@ -237,24 +183,10 @@ class CaffeineSettings:
             raise ValueError("complexity constants must be non-negative")
         if self.sag_min_relative_improvement < 0:
             raise ValueError("sag_min_relative_improvement must be non-negative")
-        # Backend names validate against the live registries
-        # (repro.core.registry), so backends registered by callers are
-        # accepted everywhere a built-in name is.
-        self._validate_backend("evaluation", self.evaluation_backend)
-        if self.evaluation_workers < 0:
-            raise ValueError("evaluation_workers must be non-negative")
-        self._validate_backend("column", self.column_backend)
         if self.basis_cache_size < 0:
             raise ValueError("basis_cache_size must be non-negative")
-        self._validate_backend("fit", self.fit_backend)
         if self.gram_pool_size < 0:
             raise ValueError("gram_pool_size must be non-negative")
-        self._validate_backend("pareto", self.pareto_backend)
-        self._validate_backend("residual", self.residual_backend)
-        if self.genome_backend not in ("shared", "deepcopy"):
-            raise ValueError(
-                "genome_backend must be 'shared' or 'deepcopy', "
-                f"got {self.genome_backend!r}")
         if self.kernel_cache_size < 0:
             raise ValueError("kernel_cache_size must be non-negative")
         if self.fault_injection is not None:
@@ -265,13 +197,6 @@ class CaffeineSettings:
             except ValueError as error:
                 raise ValueError(
                     f"fault_injection does not parse: {error}") from None
-
-    @staticmethod
-    def _validate_backend(kind: str, name: str) -> None:
-        registered = backend_names(kind)
-        if name not in registered:
-            raise ValueError(
-                f"{kind}_backend must be one of {registered}, got {name!r}")
 
     # ------------------------------------------------------------------
     # size-adaptive cache budgets
@@ -331,12 +256,12 @@ class CaffeineSettings:
 
         Two settings objects with equal fingerprints are guaranteed to
         evolve bit-identical models from the same data and seed; fields
-        that only trade wall-clock for memory/cores (backends, cache
-        budgets, workers -- see ``_RESULT_NEUTRAL_FIELDS``) are excluded.
+        that only trade wall-clock for memory (cache budgets -- see
+        ``_RESULT_NEUTRAL_FIELDS``) are excluded.
         :class:`~repro.core.cache_store.RunCheckpointStore` snapshots carry
         this digest so a checkpoint refuses to resume under settings that
         would silently diverge from the interrupted run, while still
-        resuming freely under a different backend or cache configuration.
+        resuming freely under a different cache configuration.
         """
         parts = []
         for field in sorted(f.name for f in dataclasses.fields(self)):

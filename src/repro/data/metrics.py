@@ -142,7 +142,7 @@ def relative_rmse_rows(y_true: np.ndarray, predictions_rows: np.ndarray,
     :func:`repro.regression.least_squares.pair_dots` rests on, enforced
     here by the property tests in ``tests/test_core_residual.py``.  This is
     the reduction step of the generation-batched residual engine
-    (``CaffeineSettings.residual_backend = "batched"``).
+    (:class:`repro.core.evaluation.BatchedResidualBackend`).
     """
     y_true = _as_1d(y_true, "y_true")
     rows = np.ascontiguousarray(np.asarray(predictions_rows, dtype=float))

@@ -36,7 +36,7 @@ cross-term reduction at all.  :func:`predict_linear_batch` runs the same
 left-to-right accumulation over an ``(m, n, k)`` stack of same-width basis
 matrices -- each output row is bit-for-bit the row :func:`predict_linear`
 would produce alone, which is what lets the generation-batched residual
-engine (``CaffeineSettings.residual_backend = "batched"``) replace
+engine (:class:`repro.core.evaluation.BatchedResidualBackend`) replace
 per-individual prediction/residual passes with one stacked pass per basis
 width.  The residual reduction then goes through
 :func:`repro.data.metrics.relative_rmse_rows`, a contiguous-last-axis

@@ -60,7 +60,7 @@ class TestRuleRegistry:
     def test_ids_and_metadata_present(self):
         expected = {"bit-identity", "errstate", "determinism",
                     "spawn-safety", "crash-safety", "fault-spec",
-                    "unordered-iter", "registry-hygiene"}
+                    "unordered-iter", "one-path"}
         assert expected <= set(rule_ids())
         for rule_id in sorted(expected):
             rule = get_rule(rule_id)
@@ -253,17 +253,18 @@ class TestDeterminismRule:
 # ----------------------------------------------------------------------
 class TestSpawnSafetyRule:
     def test_lambda_factory_triggers(self, tmp_path):
-        source = ("from repro.core.registry import register_backend\n"
-                  "register_backend('pareto', 'mine', lambda: None)\n")
+        source = ("import multiprocessing\n"
+                  "multiprocessing.Process(target=lambda: None).start()\n")
         findings = lint_source(tmp_path, "src/repro/ext.py", source)
         assert "spawn-safety" in rules_hit(findings)
 
     def test_nested_function_factory_triggers(self, tmp_path):
-        source = ("from repro.core.registry import register_backend\n"
+        source = ("import multiprocessing\n"
                   "def install():\n"
                   "    def factory():\n"
                   "        return None\n"
-                  "    register_backend('pareto', 'mine', factory)\n")
+                  "    ctx = multiprocessing.get_context()\n"
+                  "    ctx.Process(target=factory).start()\n")
         findings = lint_source(tmp_path, "src/repro/ext.py", source)
         assert "spawn-safety" in rules_hit(findings)
 
@@ -277,18 +278,18 @@ class TestSpawnSafetyRule:
         assert "spawn-safety" in rules_hit(findings)
 
     def test_module_level_factory_is_clean(self, tmp_path):
-        source = ("from repro.core.registry import register_backend\n"
+        source = ("import multiprocessing\n"
                   "def factory():\n"
                   "    return None\n"
-                  "register_backend('pareto', 'mine', factory)\n")
+                  "multiprocessing.Process(target=factory).start()\n")
         findings = lint_source(tmp_path, "src/repro/ext.py", source)
         assert "spawn-safety" not in rules_hit(findings)
 
     def test_imported_module_function_is_clean(self, tmp_path):
-        source = ("import repro.ext_impl\n"
-                  "from repro.core.registry import register_backend\n"
-                  "register_backend('pareto', 'mine', "
-                  "repro.ext_impl.factory)\n")
+        source = ("import multiprocessing\n"
+                  "import repro.ext_impl\n"
+                  "multiprocessing.Process("
+                  "target=repro.ext_impl.factory).start()\n")
         findings = lint_source(tmp_path, "src/repro/ext.py", source)
         assert "spawn-safety" not in rules_hit(findings)
 
@@ -414,43 +415,36 @@ class TestUnorderedIterRule:
 
 
 # ----------------------------------------------------------------------
-# rule 8: registry-hygiene
+# rule 8: one-path
 # ----------------------------------------------------------------------
-class TestRegistryHygieneRule:
-    def test_wrong_arity_triggers(self, tmp_path):
-        source = ("from repro.core.registry import register_backend\n"
-                  "def factory(a, b):\n"
-                  "    return None\n"
-                  "register_backend('fit', 'mine', factory)\n")
+class TestOnePathRule:
+    def test_settings_string_switch_triggers(self, tmp_path):
+        source = ("def pick(settings):\n"
+                  "    if settings.fit_method == 'direct':\n"
+                  "        return 1\n"
+                  "    return 2\n")
         findings = lint_source(tmp_path, "src/repro/ext.py", source)
-        assert "registry-hygiene" in rules_hit(findings)
+        assert "one-path" in rules_hit(findings)
 
-    def test_unknown_kind_triggers(self, tmp_path):
-        source = ("from repro.core.registry import register_backend\n"
-                  "def factory():\n"
-                  "    return None\n"
-                  "register_backend('fits', 'mine', factory)\n")
+    def test_backend_attribute_membership_triggers(self, tmp_path):
+        source = ("class Evaluator:\n"
+                  "    def run(self):\n"
+                  "        return self._column_backend in ('interp', 'jit')\n")
         findings = lint_source(tmp_path, "src/repro/ext.py", source)
-        assert "registry-hygiene" in rules_hit(findings)
+        assert "one-path" in rules_hit(findings)
 
-    def test_correct_contract_is_clean(self, tmp_path):
-        source = ("from repro.core.registry import register_backend\n"
-                  "def fit_factory(evaluator):\n"
-                  "    return None\n"
-                  "def column_factory(X, settings):\n"
-                  "    return None\n"
-                  "register_backend('fit', 'mine', fit_factory)\n"
-                  "register_backend('column', 'mine', column_factory)\n")
+    def test_numeric_settings_comparison_is_clean(self, tmp_path):
+        source = ("def big(settings, by):\n"
+                  "    return settings.population_size >= 1000 \\\n"
+                  "        and by == 'test'\n")
         findings = lint_source(tmp_path, "src/repro/ext.py", source)
-        assert "registry-hygiene" not in rules_hit(findings)
+        assert "one-path" not in rules_hit(findings)
 
-    def test_defaults_and_varargs_satisfy_contract(self, tmp_path):
-        source = ("from repro.core.registry import register_backend\n"
-                  "def factory(evaluator, extra=None):\n"
-                  "    return None\n"
-                  "register_backend('fit', 'mine', factory)\n")
-        findings = lint_source(tmp_path, "src/repro/ext.py", source)
-        assert "registry-hygiene" not in rules_hit(findings)
+    def test_out_of_scope_module_is_clean(self, tmp_path):
+        source = ("def pick(settings):\n"
+                  "    return settings.fit_method == 'direct'\n")
+        findings = lint_source(tmp_path, "benchmarks/bench_x.py", source)
+        assert "one-path" not in rules_hit(findings)
 
 
 # ----------------------------------------------------------------------
@@ -638,7 +632,7 @@ class TestCli:
         assert lint_main(["--list-rules"], stream=stream) == 0
         for rule_id in ("bit-identity", "errstate", "determinism",
                         "spawn-safety", "crash-safety", "fault-spec",
-                        "unordered-iter", "registry-hygiene"):
+                        "unordered-iter", "one-path"):
             assert rule_id in stream.getvalue()
 
     def test_missing_path_exits_two(self, tmp_path):

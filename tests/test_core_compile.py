@@ -1,6 +1,6 @@
 """Compiled tree evaluation == interpreter, bit for bit.
 
-The compiled column backend (:mod:`repro.core.compile`) promises that every
+The compiled column evaluator (:mod:`repro.core.compile`) promises that every
 evaluation path -- fresh tape, skeleton-cache reuse with different
 parameters, per-node fallback, interpreter warmup -- produces the *exact*
 bytes the interpreter produces, magnitude clip and NaN semantics included.
@@ -38,6 +38,8 @@ from repro.core.operators import VariationOperators
 from repro.core.settings import CaffeineSettings
 from repro.core.variable_combo import VariableCombo
 from repro.core.weights import Weight
+
+from oracles import reference_layers
 
 FAST = hyp_settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -139,7 +141,7 @@ def test_skeleton_walk_matches_lowering_order(seed):
 @given(seed=st.integers(min_value=0, max_value=10_000),
        n_individuals=st.integers(min_value=1, max_value=6))
 def test_evaluator_backends_bitwise_identical(seed, n_individuals):
-    """PopulationEvaluator: column_backend compiled == interp, bit for bit."""
+    """PopulationEvaluator: compiled columns == the interpreter reference."""
     settings = CaffeineSettings(population_size=10, n_generations=1,
                                 random_seed=seed, max_basis_functions=6)
     rng = np.random.default_rng(seed)
@@ -149,9 +151,9 @@ def test_evaluator_backends_bitwise_identical(seed, n_individuals):
     population = [Individual(bases=generator.random_basis_functions())
                   for _ in range(n_individuals)]
     reference = [ind.clone() for ind in population]
-    compiled = PopulationEvaluator(X, y,
-                                   settings.copy(column_backend="compiled"))
-    interp = PopulationEvaluator(X, y, settings.copy(column_backend="interp"))
+    compiled = PopulationEvaluator(X, y, settings)
+    with reference_layers("columns"):
+        interp = PopulationEvaluator(X, y, settings)
     compiled.evaluate_population(population)
     interp.evaluate_population(reference)
     # Second pass: parameter mutants hit the compiled skeleton cache.
@@ -470,7 +472,7 @@ class TestCanonicalFactorOrder:
 
 
 def test_engine_fixed_seed_identical_across_column_backends():
-    """A full run (engine + simplify) is backend-independent, model for model."""
+    """A full run (engine + simplify) matches the interpreter reference."""
     from repro.core.engine import run_caffeine
     from repro.data.dataset import Dataset
 
@@ -480,8 +482,9 @@ def test_engine_fixed_seed_identical_across_column_backends():
     train = Dataset(X=X, y=y, variable_names=("a", "b", "c"), target_name="t")
     base = CaffeineSettings.fast_settings(random_seed=11)
     results = {}
-    for backend in ("interp", "compiled"):
-        result = run_caffeine(train, settings=base.copy(column_backend=backend))
+    for backend, layers in (("interp", ("columns",)), ("compiled", ())):
+        with reference_layers(*layers):
+            result = run_caffeine(train, settings=base)
         results[backend] = [(m.train_error, m.complexity)
                             for m in result.tradeoff]
     assert results["compiled"] == results["interp"]

@@ -19,6 +19,8 @@ from repro.core.settings import CaffeineSettings
 from repro.core.variable_combo import VariableCombo
 from repro.core.weights import Weight
 
+from oracles import DirectFitEvaluator, reference_layers
+
 
 @pytest.fixture()
 def generator(fast_settings):
@@ -187,89 +189,6 @@ class TestEvaluatorEquivalence:
         for a, b in zip(population, reference):
             self._assert_same_evaluation(a, b)
 
-    def test_thread_backend_matches_serial(self, generator, rational_train,
-                                           fast_settings):
-        population = _random_population(generator, 10)
-        reference = [ind.clone() for ind in population]
-        threaded = PopulationEvaluator(
-            rational_train.X, rational_train.y,
-            fast_settings.copy(evaluation_backend="thread",
-                               evaluation_workers=2))
-        serial = PopulationEvaluator(rational_train.X, rational_train.y,
-                                     fast_settings)
-        threaded.evaluate_population(population)
-        serial.evaluate_population(reference)
-        for a, b in zip(population, reference):
-            self._assert_same_evaluation(a, b)
-
-    def test_process_backend_falls_back_on_lambdas(self, generator,
-                                                   rational_train, fast_settings):
-        population = _random_population(generator, 4)
-        # The default operators are module-level functions now, so build an
-        # artificial lambda-backed operator: it cannot be pickled across a
-        # process boundary, which must trigger the thread fallback.
-        from repro.core.functions import Operator
-
-        lambda_op = Operator("lambda_abs", 1, lambda x: abs(x),
-                             "lambda_abs({0})", "LABS")
-        with_op = ProductTerm(ops=[UnaryOpTerm(
-            op=lambda_op,
-            argument=WeightedSum(offset=Weight(stored=1.0)))])
-        population.append(Individual(bases=[with_op]))
-        evaluator = PopulationEvaluator(
-            rational_train.X, rational_train.y,
-            fast_settings.copy(evaluation_backend="process",
-                               evaluation_workers=2))
-        # Lambdas cannot cross a process boundary; the evaluator must
-        # degrade to threads, warn once, and still produce correct results.
-        with pytest.warns(RuntimeWarning):
-            evaluator.evaluate_population(population)
-        reference = [ind.clone() for ind in population]
-        for individual in reference:
-            individual.evaluate(rational_train.X, rational_train.y, fast_settings)
-        for a, b in zip(population, reference):
-            self._assert_same_evaluation(a, b)
-
-    def test_process_backend_runs_picklable_trees(self, rational_train,
-                                                  fast_settings):
-        """Default-set trees (including operator-bearing ones) pickle, so
-        the process pool genuinely runs (no fallback warning) and matches
-        the serial results."""
-        import warnings as warnings_module
-
-        population = [Individual(bases=[ProductTerm(vc=VariableCombo((k, j, 1)))])
-                      for k in (1, 2, 3) for j in (-1, -2)]
-        population.append(Individual(bases=[ProductTerm(
-            vc=VariableCombo((1, 0, 0)),
-            ops=[UnaryOpTerm(op=UNARY_OPERATORS["sqrt"],
-                             argument=WeightedSum(offset=Weight(stored=2.0)))])]))
-        reference = [ind.clone() for ind in population]
-        with warnings_module.catch_warnings(record=True) as caught:
-            warnings_module.simplefilter("always")
-            with PopulationEvaluator(
-                    rational_train.X, rational_train.y,
-                    fast_settings.copy(evaluation_backend="process",
-                                       evaluation_workers=2)) as evaluator:
-                evaluator.evaluate_population(population)
-        assert not [w for w in caught
-                    if issubclass(w.category, RuntimeWarning)]
-        serial = PopulationEvaluator(rational_train.X, rational_train.y,
-                                     fast_settings)
-        serial.evaluate_population(reference)
-        for a, b in zip(population, reference):
-            self._assert_same_evaluation(a, b)
-
-    def test_run_releases_worker_pool(self, rational_train):
-        from repro.core.engine import CaffeineEngine
-
-        settings = CaffeineSettings(population_size=20, n_generations=2,
-                                    random_seed=0,
-                                    evaluation_backend="thread",
-                                    evaluation_workers=2)
-        engine = CaffeineEngine(rational_train, settings=settings)
-        engine.run()
-        assert engine.evaluator._executor is None
-
     def test_simplify_rejects_mismatched_evaluator(self, generator,
                                                    rational_train, fast_settings):
         from repro.core.simplify import simplify_individual
@@ -314,16 +233,19 @@ class TestEvaluatorValidation:
             PopulationEvaluator(np.zeros((5, 2)), np.zeros(4), fast_settings)
 
     def test_settings_validate_backend(self):
-        with pytest.raises(ValueError):
+        # Evaluation has one production path: the former backend knobs are
+        # not settings any more, and the cache budget is still validated.
+        with pytest.raises(TypeError):
             CaffeineSettings(evaluation_backend="gpu")
-        with pytest.raises(ValueError):
-            CaffeineSettings(evaluation_workers=-1)
+        with pytest.raises(TypeError):
+            CaffeineSettings(evaluation_workers=2)
         with pytest.raises(ValueError):
             CaffeineSettings(basis_cache_size=-1)
 
 
 class TestGramPoolEquivalence:
-    """Gram-pool fits are bit-for-bit identical to direct fit_linear fits."""
+    """Gram-pool fits are bit-for-bit identical to direct fit_linear fits
+    (the reference :class:`oracles.DirectFitEvaluator`)."""
 
     def _assert_same_evaluation(self, a: Individual, b: Individual):
         assert a.error == b.error
@@ -342,12 +264,12 @@ class TestGramPoolEquivalence:
         population = _random_population(generator, 25)
         reference = [ind.clone() for ind in population]
         gram = PopulationEvaluator(rational_train.X, rational_train.y,
-                                   fast_settings.copy(fit_backend="gram"))
-        direct = PopulationEvaluator(rational_train.X, rational_train.y,
-                                     fast_settings.copy(fit_backend="direct"))
+                                   fast_settings)
+        direct = DirectFitEvaluator(rational_train.X, rational_train.y,
+                                    fast_settings)
         gram.evaluate_population(population)
         direct.evaluate_population(reference)
-        assert gram.gram_pool is not None and direct.gram_pool is None
+        assert len(gram.gram_pool) > 0 and len(direct.gram_pool) == 0
         for a, b in zip(population, reference):
             self._assert_same_evaluation(a, b)
 
@@ -359,7 +281,7 @@ class TestGramPoolEquivalence:
         population = _random_population(generator, 10)
         evaluator = PopulationEvaluator(
             rational_train.X, rational_train.y,
-            fast_settings.copy(fit_backend="gram", basis_cache_size=0))
+            fast_settings.copy(basis_cache_size=0))
         evaluator.evaluate_population(population)
         pairs_after_first = evaluator.gram_pool.n_pairs_computed
         assert pairs_after_first > 0
@@ -372,10 +294,8 @@ class TestGramPoolEquivalence:
         X = rational_train.X.copy()
         X[0, 0] = 0.0
         bad = Individual(bases=[ProductTerm(vc=VariableCombo((-4, 0, 0)))])
-        gram = PopulationEvaluator(X, rational_train.y,
-                                   fast_settings.copy(fit_backend="gram"))
-        direct = PopulationEvaluator(X, rational_train.y,
-                                     fast_settings.copy(fit_backend="direct"))
+        gram = PopulationEvaluator(X, rational_train.y, fast_settings)
+        direct = DirectFitEvaluator(X, rational_train.y, fast_settings)
         a, b = bad.clone(), bad.clone()
         gram.evaluate_individual(a)
         direct.evaluate_individual(b)
@@ -388,27 +308,28 @@ class TestGramPoolEquivalence:
         population = _random_population(generator, 12)
         reference = [ind.clone() for ind in population]
         tiny = PopulationEvaluator(rational_train.X, rational_train.y,
-                                   fast_settings.copy(fit_backend="gram",
-                                                      gram_pool_size=3))
-        direct = PopulationEvaluator(rational_train.X, rational_train.y,
-                                     fast_settings.copy(fit_backend="direct"))
+                                   fast_settings.copy(gram_pool_size=3))
+        direct = DirectFitEvaluator(rational_train.X, rational_train.y,
+                                    fast_settings)
         tiny.evaluate_population(population)
         direct.evaluate_population(reference)
         for a, b in zip(population, reference):
             self._assert_same_evaluation(a, b)
 
     def test_settings_validate_fit_backend(self):
-        with pytest.raises(ValueError):
-            CaffeineSettings(fit_backend="magic")
+        # Fits and Pareto ranking have one production path each; their
+        # former backend knobs are rejected outright.
+        with pytest.raises(TypeError):
+            CaffeineSettings(fit_backend="direct")
         with pytest.raises(ValueError):
             CaffeineSettings(gram_pool_size=-1)
-        with pytest.raises(ValueError):
-            CaffeineSettings(pareto_backend="fortran")
+        with pytest.raises(TypeError):
+            CaffeineSettings(pareto_backend="python")
 
 
 class TestPicklableFunctionSet:
-    """The default function set round-trips through pickle (so the process
-    evaluation backend genuinely runs instead of degrading to threads)."""
+    """The default function set round-trips through pickle (so results
+    holding trees travel back from session workers and into checkpoints)."""
 
     def test_default_function_set_round_trips(self):
         import pickle as pickle_module
@@ -518,32 +439,19 @@ class TestEndToEndReproducibility:
         assert [m.train_error for m in cached.tradeoff] == \
             [m.train_error for m in uncached.tradeoff]
 
-    def test_thread_backend_same_tradeoff(self, rational_train, rational_test):
-        base = CaffeineSettings(population_size=20, n_generations=4,
-                                random_seed=7)
-        serial = run_caffeine(rational_train, rational_test, base)
-        threaded = run_caffeine(rational_train, rational_test,
-                                base.copy(evaluation_backend="thread",
-                                          evaluation_workers=2))
-        assert [m.expression() for m in serial.tradeoff] == \
-            [m.expression() for m in threaded.tradeoff]
-
     def test_gram_and_pareto_backends_same_tradeoff(self, rational_train,
                                                     rational_test):
         """Fixed seed => identical trade-offs with the gram-pool fits and
-        the vectorized Pareto kernels on or off (all four combinations)."""
+        the vectorized Pareto kernels swapped for their references (all
+        three non-production combinations)."""
         base = CaffeineSettings(population_size=20, n_generations=4,
                                 random_seed=7)
         reference = run_caffeine(rational_train, rational_test, base)
-        for fit_backend in ("gram", "direct"):
-            for pareto_backend in ("numpy", "python"):
-                result = run_caffeine(
-                    rational_train, rational_test,
-                    base.copy(fit_backend=fit_backend,
-                              pareto_backend=pareto_backend))
+        for layers in (("fits",), ("pareto",), ("fits", "pareto")):
+            with reference_layers(*layers):
+                result = run_caffeine(rational_train, rational_test, base)
                 assert [m.expression() for m in result.tradeoff] == \
-                    [m.expression() for m in reference.tradeoff], \
-                    (fit_backend, pareto_backend)
+                    [m.expression() for m in reference.tradeoff], layers
                 assert [m.train_error for m in result.tradeoff] == \
                     [m.train_error for m in reference.tradeoff]
                 assert [m.test_error for m in result.tradeoff] == \

@@ -12,8 +12,10 @@ from repro.core.functions import polynomial_function_set, rational_function_set
 from repro.core.generator import ExpressionGenerator
 from repro.core.grammar import default_grammar, validate_expression
 from repro.core.individual import Individual
-from repro.core.operators import VariationOperators, collect_slots
+from repro.core.operators import VariationOperators
 from repro.core.settings import CaffeineSettings
+
+from oracles import DeepcopyVariationOperators, collect_slots, reference_layers
 
 
 @pytest.fixture
@@ -212,14 +214,18 @@ def _tree_snapshot(individual):
         for basis in individual.bases)
 
 
+#: the production path-copying operators and the clone-and-edit reference
+_GENOME_OPERATORS = {"shared": VariationOperators,
+                     "deepcopy": DeepcopyVariationOperators}
+
+
 def _backend_pair(backend, seed):
     settings = CaffeineSettings(population_size=20, n_generations=5,
-                                max_basis_functions=6, random_seed=0,
-                                genome_backend=backend)
+                                max_basis_functions=6, random_seed=0)
     generator = ExpressionGenerator(n_variables=4, settings=settings,
                                     rng=np.random.default_rng(seed))
-    operators = VariationOperators(generator, settings,
-                                   rng=np.random.default_rng(seed + 1))
+    operators = _GENOME_OPERATORS[backend](
+        generator, settings, rng=np.random.default_rng(seed + 1))
     return generator, operators
 
 
@@ -234,11 +240,13 @@ OPERATOR_ARITY = {
 
 class TestGenomeBackends:
     def test_settings_reject_unknown_genome_backend(self):
-        with pytest.raises(ValueError, match="genome_backend must be"):
-            CaffeineSettings(genome_backend="cow")
+        # Variation has one production genome; the reference lives in the
+        # tests, so no genome switch is accepted as a setting.
+        with pytest.raises(TypeError, match="genome_backend"):
+            CaffeineSettings(genome_backend="deepcopy")
 
     def test_subtree_crossover_never_clones_whole_donor(self):
-        """Regression: the deepcopy path used to deep-clone the entire donor
+        """Regression: the deepcopy reference used to deep-clone the entire donor
         individual just to enumerate graft sites.  Counting clone() calls on
         the donor's basis roots, a single crossover may clone at most the one
         transplanted subtree (<= 1 root clone; a wholesale donor clone would
@@ -259,7 +267,7 @@ class TestGenomeBackends:
                 assert counter[0] - before <= per_call_limit, backend
 
     def test_vary_streams_bit_identical_across_backends(self):
-        """The shared (path-copying) and deepcopy (reference) genome backends
+        """The shared (path-copying) operators and the deepcopy reference
         must produce bit-identical children from an identical RNG stream --
         including when shared children are recycled as parents."""
         results = {}
@@ -283,10 +291,10 @@ class TestGenomeBackends:
         from repro.core.engine import run_caffeine
 
         fronts = {}
-        for backend in ("shared", "deepcopy"):
-            settings = fast_settings.copy(n_generations=4,
-                                          genome_backend=backend)
-            result = run_caffeine(rational_train, settings=settings)
+        settings = fast_settings.copy(n_generations=4)
+        for backend, layers in (("shared", ()), ("deepcopy", ("genome",))):
+            with reference_layers(*layers):
+                result = run_caffeine(rational_train, settings=settings)
             fronts[backend] = [(repr(m.train_error), repr(m.complexity),
                                 m.expression()) for m in result.tradeoff]
         assert fronts["shared"] == fronts["deepcopy"]

@@ -16,6 +16,7 @@ from repro.core.nsga2 import (
     select_and_rerank,
     tournament_winner,
 )
+from repro.core import pareto
 from repro.core.pareto import (
     crowding_distances,
     dominates,
@@ -23,6 +24,8 @@ from repro.core.pareto import (
     nondominated_filter,
     nondominated_indices,
 )
+
+import oracles
 
 
 @dataclasses.dataclass
@@ -94,7 +97,8 @@ class TestCrowding:
 
 
 class TestBackendDispatch:
-    """The numpy/python Pareto backends are interchangeable and validated."""
+    """The production Pareto kernels agree with the pure-Python reference,
+    and no backend selector is accepted any more."""
 
     VECTORS = [(1.0, 4.0), (2.0, 2.0), (4.0, 1.0), (3.0, 3.0), (2.0, 2.0),
                (float("inf"), 0.0), (0.5, float("inf"))]
@@ -102,39 +106,39 @@ class TestBackendDispatch:
     def test_unknown_backend_rejected(self):
         for function in (fast_nondominated_sort, crowding_distances,
                          nondominated_indices):
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 function(self.VECTORS, backend="cython")
 
     def test_sort_backends_agree(self):
-        assert fast_nondominated_sort(self.VECTORS, backend="numpy") == \
-            fast_nondominated_sort(self.VECTORS, backend="python")
+        assert fast_nondominated_sort(self.VECTORS) == \
+            oracles.fast_nondominated_sort(self.VECTORS)
 
     def test_indices_backends_agree(self):
-        assert nondominated_indices(self.VECTORS, backend="numpy") == \
-            nondominated_indices(self.VECTORS, backend="python")
+        assert nondominated_indices(self.VECTORS) == \
+            oracles.nondominated_indices(self.VECTORS)
 
     def test_crowding_backends_agree(self):
-        assert crowding_distances(self.VECTORS, backend="numpy") == \
-            crowding_distances(self.VECTORS, backend="python")
+        assert crowding_distances(self.VECTORS) == \
+            oracles.crowding_distances(self.VECTORS)
 
     def test_empty_input(self):
-        for backend in ("numpy", "python"):
-            assert fast_nondominated_sort([], backend=backend) == []
-            assert crowding_distances([], backend=backend) == []
-            assert nondominated_indices([], backend=backend) == []
+        for kernels in (pareto, oracles):
+            assert kernels.fast_nondominated_sort([]) == []
+            assert kernels.crowding_distances([]) == []
+            assert kernels.nondominated_indices([]) == []
 
     def test_filter_backends_agree(self):
         points = [Point(v) for v in self.VECTORS]
-        assert nondominated_filter(points, key=lambda p: p.objectives,
-                                   backend="numpy") == \
-            nondominated_filter(points, key=lambda p: p.objectives,
-                                backend="python")
+        production = nondominated_filter(points, key=lambda p: p.objectives)
+        with oracles.reference_layers("pareto"):
+            reference = nondominated_filter(points, key=lambda p: p.objectives)
+        assert production == reference
 
     def test_fronts_are_ascending(self):
         rng = np.random.default_rng(3)
         vectors = [tuple(v) for v in rng.random((60, 2))]
-        for backend in ("numpy", "python"):
-            for front in fast_nondominated_sort(vectors, backend=backend):
+        for kernels in (pareto, oracles):
+            for front in kernels.fast_nondominated_sort(vectors):
                 assert front == sorted(front)
 
 
@@ -294,8 +298,8 @@ class TestArrayNativeSelection:
 
 
 class TestTwoObjectiveSweep:
-    """The numpy backend's O(n log n) two-objective fast paths agree with
-    the pure-Python oracle on adversarial inputs (duplicates, infs, ties)."""
+    """The O(n log n) two-objective fast paths agree with the pure-Python
+    oracle on adversarial inputs (duplicates, infs, ties)."""
 
     def _adversarial_vectors(self, rng, n):
         vectors = rng.integers(0, 6, size=(n, 2)).astype(float)
@@ -307,29 +311,29 @@ class TestTwoObjectiveSweep:
         rng = np.random.default_rng(42)
         for n in (1, 2, 3, 17, 120):
             vectors = self._adversarial_vectors(rng, n)
-            assert fast_nondominated_sort(vectors, backend="numpy") == \
-                fast_nondominated_sort(vectors, backend="python")
+            assert fast_nondominated_sort(vectors) == \
+                oracles.fast_nondominated_sort(vectors)
 
     def test_indices_agree_with_python_oracle(self):
         rng = np.random.default_rng(43)
         for n in (1, 2, 3, 17, 120):
             vectors = self._adversarial_vectors(rng, n)
-            assert nondominated_indices(vectors, backend="numpy") == \
-                nondominated_indices(vectors, backend="python")
+            assert nondominated_indices(vectors) == \
+                oracles.nondominated_indices(vectors)
 
     def test_three_objectives_still_agree(self):
         """>2 objectives take the domination-matrix path -- keep it covered."""
         rng = np.random.default_rng(44)
         vectors = [tuple(v) for v in
                    rng.integers(0, 4, size=(50, 3)).astype(float)]
-        assert fast_nondominated_sort(vectors, backend="numpy") == \
-            fast_nondominated_sort(vectors, backend="python")
-        assert nondominated_indices(vectors, backend="numpy") == \
-            nondominated_indices(vectors, backend="python")
+        assert fast_nondominated_sort(vectors) == \
+            oracles.fast_nondominated_sort(vectors)
+        assert nondominated_indices(vectors) == \
+            oracles.nondominated_indices(vectors)
 
     def test_all_duplicates_single_front(self):
         vectors = [(2.0, 2.0)] * 6
-        assert fast_nondominated_sort(vectors, backend="numpy") == \
+        assert fast_nondominated_sort(vectors) == \
             [[0, 1, 2, 3, 4, 5]]
-        assert nondominated_indices(vectors, backend="numpy") == \
+        assert nondominated_indices(vectors) == \
             [0, 1, 2, 3, 4, 5]

@@ -1,8 +1,10 @@
 """Batched vs scalar residual engine: bit-for-bit equality guarantees.
 
-The generation-batched residual pass (``CaffeineSettings.residual_backend =
-"batched"``) claims its stacked predictions and row-stacked residual
-reductions are bit-for-bit identical to the per-individual scalar path.
+The generation-batched residual pass
+(:class:`repro.core.evaluation.BatchedResidualBackend`) claims its stacked
+predictions and row-stacked residual reductions are bit-for-bit identical to
+the per-individual scalar path (the reference
+:class:`oracles.ScalarResidualBackend`).
 These tests enforce that claim over adversarial inputs (NaN, signed zeros,
 huge magnitudes, infinities) and over full fixed-seed engine runs.
 """
@@ -15,15 +17,10 @@ from hypothesis import HealthCheck, given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from repro.core.engine import run_caffeine
-from repro.core.evaluation import (
-    BatchedResidualBackend,
-    PopulationEvaluator,
-    ScalarResidualBackend,
-)
+from repro.core.evaluation import BatchedResidualBackend, PopulationEvaluator
 from repro.core.generator import ExpressionGenerator
 from repro.core.individual import Individual
 from repro.core.model import batch_test_errors
-from repro.core.registry import backend_names
 from repro.core.settings import CaffeineSettings
 from repro.data.metrics import relative_rmse, relative_rmse_rows
 from repro.regression.least_squares import (
@@ -32,6 +29,8 @@ from repro.regression.least_squares import (
     predict_linear,
     predict_linear_batch,
 )
+
+from oracles import ScalarResidualBackend, reference_layers
 
 FAST = hyp_settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -189,7 +188,7 @@ class TestRelativeRmseRows:
 
 
 class TestResidualBackends:
-    """The registered "scalar" and "batched" backends agree bit for bit."""
+    """The batched backend agrees bit for bit with the scalar reference."""
 
     def _group(self, rng, m, k, n):
         y = rng.normal(size=n)
@@ -244,14 +243,9 @@ class TestResidualBackends:
         assert scalar_errors[3] == float("inf")
         assert np.isfinite(scalar_errors[0]) and np.isfinite(scalar_errors[2])
 
-    def test_registered_names(self):
-        assert set(backend_names("residual")) >= {"scalar", "batched"}
-        with pytest.raises(ValueError):
-            CaffeineSettings(residual_backend="gpu")
-
 
 class TestEvaluatorResidualEquivalence:
-    """Population evaluation is identical under both residual backends."""
+    """Population evaluation is identical under the scalar reference."""
 
     def test_population_bitwise_equal(self, rational_train, fast_settings):
         generator = ExpressionGenerator(3, fast_settings,
@@ -259,16 +253,15 @@ class TestEvaluatorResidualEquivalence:
         population = [Individual(bases=generator.random_basis_functions())
                       for _ in range(25)]
         clones = [ind.clone() for ind in population]
-        batched = PopulationEvaluator(
-            rational_train.X, rational_train.y,
-            fast_settings.copy(residual_backend="batched"))
-        scalar = PopulationEvaluator(
-            rational_train.X, rational_train.y,
-            fast_settings.copy(residual_backend="scalar"))
+        batched = PopulationEvaluator(rational_train.X, rational_train.y,
+                                      fast_settings)
+        with reference_layers("residuals"):
+            scalar = PopulationEvaluator(rational_train.X, rational_train.y,
+                                         fast_settings)
         batched.evaluate_population(population)
         scalar.evaluate_population(clones)
-        assert batched.residual_backend.name == "batched"
-        assert scalar.residual_backend.name == "scalar"
+        assert isinstance(batched.residual_backend, BatchedResidualBackend)
+        assert isinstance(scalar.residual_backend, ScalarResidualBackend)
         assert batched.residual_backend.n_batched_fits > 0
         for a, b in zip(population, clones):
             assert a.error == b.error
@@ -323,7 +316,7 @@ class TestAdaptiveBudgets:
             settings.resolved_basis_cache_size()
         assert evaluator.gram_pool.max_pairs == \
             settings.resolved_gram_pool_size()
-        assert evaluator._compiler.max_kernels == \
+        assert evaluator.column_backend.compiler.max_kernels == \
             settings.resolved_kernel_cache_size()
         with pytest.raises(ValueError):
             CaffeineSettings(kernel_cache_size=-1)
@@ -336,8 +329,8 @@ class TestEngineResidualEquivalence:
         base = CaffeineSettings(population_size=20, n_generations=4,
                                 random_seed=7)
         batched = run_caffeine(rational_train, rational_test, base)
-        scalar = run_caffeine(rational_train, rational_test,
-                              base.copy(residual_backend="scalar"))
+        with reference_layers("residuals"):
+            scalar = run_caffeine(rational_train, rational_test, base)
         assert [m.expression() for m in batched.tradeoff] == \
             [m.expression() for m in scalar.tradeoff]
         assert [m.train_error for m in batched.tradeoff] == \
@@ -374,8 +367,8 @@ class TestEngineResidualEquivalence:
         models = list(result.tradeoff)
         assert models
         batched = rescore_models(models, rational_test.X, rational_test.y)
-        scalar = rescore_models(models, rational_test.X, rational_test.y,
-                                backend="scalar")
+        with reference_layers("residuals"):
+            scalar = rescore_models(models, rational_test.X, rational_test.y)
         assert batched == scalar
         for model, fresh in zip(models, batched):
             expected = q_tc(rational_test.y,
@@ -401,8 +394,10 @@ class TestEngineResidualEquivalence:
         assert len(fitted) >= 2
         batched = batch_test_errors(fitted, rational_test.X, rational_test.y,
                                     evaluator.normalization)
-        scalar = batch_test_errors(fitted, rational_test.X, rational_test.y,
-                                   evaluator.normalization, backend="scalar")
+        with reference_layers("residuals"):
+            scalar = batch_test_errors(fitted, rational_test.X,
+                                       rational_test.y,
+                                       evaluator.normalization)
         assert batched == scalar
         with pytest.raises(ValueError):
             batch_test_errors([Individual(bases=generator

@@ -290,45 +290,6 @@ class TestCallbacksAndCheckpoints:
         assert any(key[0][0] == "foreign-dataset"
                    for key, _column in stored.items())
 
-    def test_parallel_rejects_unshippable_backend_on_spawn(self, monkeypatch):
-        """Custom runtime registrations fail fast under spawn workers."""
-        import multiprocessing
-
-        from repro.core.pareto import PYTHON_PARETO_BACKEND
-        from repro.core.registry import register_backend, unregister_backend
-
-        monkeypatch.setattr(multiprocessing, "get_start_method",
-                            lambda allow_none=False: "spawn")
-        register_backend("pareto", "session-spawn-probe",
-                         lambda: PYTHON_PARETO_BACKEND)
-        try:
-            custom = SETTINGS.copy(pareto_backend="session-spawn-probe")
-            session = Session(_two_problems(), settings=custom, jobs=2)
-            with pytest.raises(ValueError, match="runtime-registered"):
-                session.run()
-        finally:
-            unregister_backend("pareto", "session-spawn-probe")
-
-    def test_parallel_rejects_shadowed_builtin_on_spawn(self, monkeypatch):
-        """replace=True shadowing is just as unshippable as a new name."""
-        import multiprocessing
-
-        from repro.core.pareto import PYTHON_PARETO_BACKEND
-        from repro.core.registry import backend_registry
-
-        monkeypatch.setattr(multiprocessing, "get_start_method",
-                            lambda allow_none=False: "spawn")
-        registry = backend_registry("pareto")
-        original = registry.get("numpy")
-        registry.register("numpy", lambda: PYTHON_PARETO_BACKEND,
-                          replace=True)
-        try:
-            session = Session(_two_problems(), settings=SETTINGS, jobs=2)
-            with pytest.raises(ValueError, match="runtime-registered"):
-                session.run()
-        finally:
-            registry.register("numpy", original, replace=True)
-
     def test_cache_disabled_problem_never_touches_shared_cache(self):
         """basis_cache_size=0 problems opt out of the shared cache."""
         cache = BasisColumnCache(SETTINGS.basis_cache_size)

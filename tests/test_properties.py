@@ -24,6 +24,8 @@ from repro.data.metrics import error_normalization, normalized_mse, relative_rms
 from repro.doe.orthogonal import is_orthogonal_array, orthogonal_array
 from repro.regression.least_squares import fit_linear
 
+import oracles
+
 # Shared hypothesis profile: keep examples modest so the suite stays fast.
 FAST = hyp_settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -164,8 +166,8 @@ def test_crowding_distances_nonnegative(vectors):
 # ----------------------------------------------------------------------
 # Adversarial objective values: exact ties and signed zeros (stable-sort
 # order must agree), infinities (the engine's infeasibility marker), plus
-# ordinary magnitudes.  NaN is deliberately excluded: the backends document
-# it as unsupported (sort placement would differ).
+# ordinary magnitudes.  NaN is deliberately excluded: repro.core.pareto
+# documents it as unsupported (sort placement would differ).
 _adversarial_value = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300,
                      float("inf"), float("-inf")]),
@@ -188,23 +190,23 @@ def _equal_length_vectors(draw):
 @FAST
 @given(vectors=_equal_length_vectors())
 def test_fast_sort_backends_identical(vectors):
-    python_fronts = fast_nondominated_sort(vectors, backend="python")
-    numpy_fronts = fast_nondominated_sort(vectors, backend="numpy")
+    python_fronts = oracles.fast_nondominated_sort(vectors)
+    numpy_fronts = fast_nondominated_sort(vectors)
     assert numpy_fronts == python_fronts
 
 
 @FAST
 @given(vectors=_equal_length_vectors())
 def test_nondominated_indices_backends_identical(vectors):
-    assert nondominated_indices(vectors, backend="numpy") == \
-        nondominated_indices(vectors, backend="python")
+    assert nondominated_indices(vectors) == \
+        oracles.nondominated_indices(vectors)
 
 
 @FAST
 @given(vectors=_equal_length_vectors())
 def test_crowding_backends_identical(vectors):
-    python_distances = crowding_distances(vectors, backend="python")
-    numpy_distances = crowding_distances(vectors, backend="numpy")
+    python_distances = oracles.crowding_distances(vectors)
+    numpy_distances = crowding_distances(vectors)
     assert len(python_distances) == len(numpy_distances)
     for a, b in zip(python_distances, numpy_distances):
         # Bitwise agreement, inf included (inf == inf holds).
@@ -227,16 +229,17 @@ def test_rank_and_selection_backends_identical(vectors, seed, target_fraction):
         objectives: tuple
 
     population = [Point(v) for v in vectors]
-    ranked_python = rank_population(population, backend="python")
-    ranked_numpy = rank_population(population, backend="numpy")
+    ranked_numpy = rank_population(population)
+    target = max(1, int(len(population) * target_fraction))
+    survivors_numpy = environmental_selection(population, target)
+    with oracles.reference_layers("pareto"):
+        ranked_python = rank_population(population)
+        survivors_python = environmental_selection(population, target)
     assert [r.rank for r in ranked_python] == [r.rank for r in ranked_numpy]
     assert [r.crowding for r in ranked_python] == \
         [r.crowding for r in ranked_numpy]
-    target = max(1, int(len(population) * target_fraction))
-    assert [id(p) for p in environmental_selection(population, target,
-                                                   backend="python")] == \
-        [id(p) for p in environmental_selection(population, target,
-                                                backend="numpy")]
+    assert [id(p) for p in survivors_python] == \
+        [id(p) for p in survivors_numpy]
 
 
 # ----------------------------------------------------------------------
@@ -287,6 +290,8 @@ def test_gram_evaluator_bitwise_equals_direct_evaluator(seed, n_individuals):
     from repro.core.evaluation import PopulationEvaluator
     from repro.core.individual import Individual
 
+    from oracles import DirectFitEvaluator
+
     settings = CaffeineSettings(population_size=10, n_generations=1,
                                 random_seed=seed, max_basis_functions=6)
     rng = np.random.default_rng(seed)
@@ -296,8 +301,8 @@ def test_gram_evaluator_bitwise_equals_direct_evaluator(seed, n_individuals):
     population = [Individual(bases=generator.random_basis_functions())
                   for _ in range(n_individuals)]
     reference = [ind.clone() for ind in population]
-    gram = PopulationEvaluator(X, y, settings.copy(fit_backend="gram"))
-    direct = PopulationEvaluator(X, y, settings.copy(fit_backend="direct"))
+    gram = PopulationEvaluator(X, y, settings)
+    direct = DirectFitEvaluator(X, y, settings)
     gram.evaluate_population(population)
     direct.evaluate_population(reference)
     for a, b in zip(population, reference):
