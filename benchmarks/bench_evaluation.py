@@ -475,9 +475,9 @@ def _measure_population_1000(train):
         "kernels_compiled": compiler.n_compiled,
         "column_cache_entries": len(evaluator.cache),
         "gram_pool_entries": len(evaluator.gram_pool),
-        "resolved_basis_cache_size": settings.resolved_basis_cache_size(),
-        "resolved_gram_pool_size": settings.resolved_gram_pool_size(),
-        "resolved_kernel_cache_size": settings.resolved_kernel_cache_size(),
+        "resolved_basis_cache_size": evaluator.cache.max_entries,
+        "resolved_gram_pool_size": evaluator.gram_pool.max_pairs,
+        "resolved_kernel_cache_size": compiler.max_kernels,
     }
     return report, equal, final_snapshot
 
@@ -636,7 +636,7 @@ def _measure_persistent_cache(engine, batches, tmp_path):
     save_seconds = time.perf_counter() - save_start
 
     load_start = time.perf_counter()
-    store.load(WORKLOAD_SETTINGS.resolved_basis_cache_size())
+    store.load(cold_evaluator.cache.max_entries)
     load_seconds = time.perf_counter() - load_start
 
     seconds_by_path = {"cold": [], "warm": []}
@@ -645,7 +645,7 @@ def _measure_persistent_cache(engine, batches, tmp_path):
     for _round in range(TIMING_ROUNDS):
         seconds, _cold, _evaluator = _run_cached(engine, batches)
         seconds_by_path["cold"].append(seconds)
-        warm_cache = store.load(WORKLOAD_SETTINGS.resolved_basis_cache_size())
+        warm_cache = store.load(cold_evaluator.cache.max_entries)
         seconds, warm, evaluator = _run_cached(engine, batches,
                                                cache=warm_cache)
         seconds_by_path["warm"].append(seconds)

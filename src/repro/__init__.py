@@ -80,9 +80,9 @@ finally recorded as a structured
 :class:`~repro.core.session.ProblemFailure` in
 ``SessionResult.failures`` while every other problem's result is
 returned.  The fault-injection harness behind those guarantees lives in
-:mod:`repro.core.faults` (``REPRO_FAULTS`` environment variable or
-``CaffeineSettings.fault_injection``); see ``benchmarks/README.md`` for
-the checkpoint/resume semantics and failure knobs.
+:mod:`repro.core.faults`, armed through the ``REPRO_FAULTS``
+environment variable; see ``benchmarks/README.md`` for the
+checkpoint/resume semantics and failure knobs.
 
 The legacy one-call entry point :func:`run_caffeine` remains supported as
 a bit-for-bit shim over the Session path; see the migration table in

@@ -458,7 +458,7 @@ has a budget that surfaces as a structured TimeoutError."""
 # ----------------------------------------------------------------------
 class FaultSpecRule(Rule):
     id = "fault-spec"
-    summary = ("REPRO_FAULTS / fault_injection spec strings that name "
+    summary = ("REPRO_FAULTS / faults.install* spec strings that name "
                "unknown fault points or break the grammar")
     hint = ("use `point[:key=value]...` specs over the registered points "
             "(repro.core.faults.KNOWN_FAULT_POINTS); a typo'd point "
@@ -467,10 +467,10 @@ class FaultSpecRule(Rule):
 PR 7's fault harness is deliberate about silence: an armed spec whose
 point name matches nothing simply never fires, so a typo like
 `worker.kil` turns a crash-recovery test into a test of nothing.  This
-rule parses every string literal handed to `fault_injection=`, installed
-via `faults.install*`, or assigned to the REPRO_FAULTS environment
-variable with the real grammar (repro.core.faults.parse_faults) and checks
-every point name against the registry of declared fault points
+rule parses every string literal installed via `faults.install*`,
+assigned to the REPRO_FAULTS environment variable or passed to `setenv`
+for it, with the real grammar (repro.core.faults.parse_faults) and
+checks every point name against the registry of declared fault points
 (KNOWN_FAULT_POINTS, each declared at the production call site listed in
 the repro/core/faults.py table)."""
     scope = None
@@ -487,10 +487,6 @@ the repro/core/faults.py table)."""
                     if text is not None:
                         specs.append((node, text, False))
         else:
-            value = _call_keyword(node, "fault_injection")
-            text = _constant_str(value)
-            if text is not None:
-                specs.append((node, text, False))
             name = dotted_name(node.func) or ""
             if name.endswith("install_from_string") and node.args:
                 text = _constant_str(node.args[0])

@@ -29,7 +29,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core import faults
 from repro.core.evaluation import (
     BasisColumnCache,
     PopulationEvaluator,
@@ -124,11 +123,6 @@ class CaffeineEngine:
         if self.test is not None and self.test.variable_names != self.train.variable_names:
             raise ValueError("train and test datasets use different design variables")
         self.settings = settings if settings is not None else CaffeineSettings()
-        if self.settings.fault_injection:
-            # Recovery-test hook: per-problem settings travel into session
-            # worker processes, so arming here is what lets a test inject a
-            # failure inside one specific worker (idempotent per string).
-            faults.install_from_string(self.settings.fault_injection)
         self.rng = np.random.default_rng(self.settings.random_seed)
         self.generator = ExpressionGenerator(self.train.n_variables,
                                              self.settings, rng=self.rng)

@@ -51,7 +51,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,6 +78,8 @@ from repro.regression.least_squares import (
 __all__ = [
     "CacheStats",
     "BasisColumnCache",
+    "CacheBudgets",
+    "cache_budgets",
     "GramPool",
     "PopulationEvaluator",
     "CompiledColumnBackend",
@@ -117,6 +119,37 @@ def function_set_fingerprint(function_set) -> Tuple:
     also keys by.)
     """
     return function_set.fingerprint()
+
+
+class CacheBudgets(NamedTuple):
+    """Capacities of one run's evaluation caches (see :func:`cache_budgets`)."""
+
+    #: :class:`BasisColumnCache` entries (also the fit cache's entries)
+    columns: int
+    #: :class:`GramPool` pairwise dot products
+    gram_pairs: int
+    #: :class:`~repro.core.compile.TreeCompiler` compiled tapes
+    kernels: int
+
+
+def cache_budgets(settings: CaffeineSettings) -> CacheBudgets:
+    """The evaluation-cache capacities a run under ``settings`` gets.
+
+    Each budget is a floor tuned for the paper-scale population of 100-200
+    that grows with ``population_size`` so that large populations do not
+    evict a generation's entries before the next can reuse them: about four
+    generations of basis columns, three generations of basis-pair dots and
+    eight compiled skeletons per individual.  Budgets trade memory for
+    wall-clock time only; every budget gives bit-for-bit identical models.
+    """
+    per_generation = settings.population_size * settings.max_basis_functions
+    pairs_per_individual = (settings.max_basis_functions
+                            * (settings.max_basis_functions + 1)) // 2
+    return CacheBudgets(
+        columns=max(20000, 4 * per_generation),
+        gram_pairs=max(200000,
+                       3 * settings.population_size * pairs_per_individual),
+        kernels=max(4096, 8 * settings.population_size))
 
 
 @dataclasses.dataclass
@@ -454,9 +487,8 @@ class CompiledColumnBackend:
     """
 
     def __init__(self, X: np.ndarray, settings: CaffeineSettings) -> None:
-        # The kernel budget adapts to population_size.
         self.compiler = TreeCompiler(
-            X, max_kernels=settings.resolved_kernel_cache_size())
+            X, max_kernels=cache_budgets(settings).kernels)
 
     def basis_key(self, basis: ProductTerm) -> Tuple:
         # Memoized on the root node: offspring share untouched basis trees
@@ -537,11 +569,10 @@ class PopulationEvaluator:
         if self.X.shape[0] != self.y.shape[0]:
             raise ValueError("X and y disagree on the number of samples")
         self.settings = settings if settings is not None else CaffeineSettings()
-        # The default budget adapts to population_size (see
-        # CaffeineSettings.resolved_basis_cache_size); explicit sizes and
-        # externally shared caches are honored exactly.
+        budgets = cache_budgets(self.settings)
+        # An externally shared cache is used as given, whatever its size.
         self.cache = cache if cache is not None \
-            else BasisColumnCache(self.settings.resolved_basis_cache_size())
+            else BasisColumnCache(budgets.columns)
         self.normalization = error_normalization(self.y)
         #: miss-path column computation; it also owns the basis-key recipe,
         #: so its keys and its evaluations always agree
@@ -559,11 +590,8 @@ class PopulationEvaluator:
         self.residual_backend = BatchedResidualBackend(self.y,
                                                        self.normalization)
         #: the cross-generation normal-equation scalar pool every fit
-        #: gathers from; the default budget adapts to population_size so
-        #: large-population runs do not evict a generation's pairs before
-        #: the next can reuse them
-        self.gram_pool = GramPool(self.y,
-                                  self.settings.resolved_gram_pool_size())
+        #: gathers from
+        self.gram_pool = GramPool(self.y, budgets.gram_pairs)
         self._y_sum = float(self.y.sum())
         self._y_finite = bool(np.isfinite(self.y).all())
         #: total number of individual evaluations performed (for benchmarks)
@@ -646,9 +674,9 @@ class PopulationEvaluator:
         through every stage; hashing the trees is otherwise the single
         largest cost of a fully cached evaluation.
 
-        With ``basis_cache_size=0`` nothing persists across calls, but the
-        unique columns of *this* batch are still computed once via a
-        batch-local overlay.
+        With a zero-capacity column cache nothing persists across calls,
+        but the unique columns of *this* batch are still computed once via
+        a batch-local overlay.
         """
         # Recovery-test hook: a batch whose fit machinery blows up
         # (singular solve, numerical bug, OOM) must surface as a structured

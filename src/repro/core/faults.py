@@ -35,16 +35,16 @@ point                     effect when armed (and where it is declared)
                           _write_document`)
 ========================  ==================================================
 
-Specs are activated two ways, both reaching worker processes:
+Specs are armed in one of two ways:
 
-* the ``REPRO_FAULTS`` environment variable (inherited by fork- and
-  spawn-started workers alike), e.g.::
+* the ``REPRO_FAULTS`` environment variable, the one channel that reaches
+  session worker processes (fork- and spawn-started workers inherit it),
+  e.g.::
 
       REPRO_FAULTS="worker.kill:problem=PM:attempt=0, problem.stall:delay=30"
 
-* ``CaffeineSettings.fault_injection`` with the same syntax -- installed
-  when an engine (or session worker) is constructed from those settings,
-  which travels with per-problem settings through process pools.
+* :func:`install` / :func:`install_from_string` with the same syntax, which
+  arm the calling process only.
 
 Each comma-separated spec is ``point[:key=value]...``.  The reserved keys
 ``times`` (how often the spec may fire; default 1; ``inf`` = unlimited) and
@@ -58,8 +58,9 @@ Fire counts are **per process**: a retried worker is a fresh process and
 starts its counts at zero, so attempt-conditioned specs (not ``times``)
 are the way to distinguish attempts across process boundaries.  A given
 spec string installs at most once per process
-(:func:`install_from_string` is idempotent), so serial sweeps that build
-one engine per problem from the same settings do not stack duplicates.
+(:func:`install_from_string` is idempotent).  The environment variable is
+read once per process, on first use; :func:`clear` forgets it so that the
+next fault point reads it again.
 
 The module is inert by default: with no env var and no installed specs a
 fault point costs one function call and one list check.
@@ -142,7 +143,7 @@ def parse_faults(text: str) -> List[FaultSpec]:
     """Parse a spec string (see module docstring); raises ``ValueError``.
 
     Parsing never arms anything -- :func:`install_from_string` does -- so
-    settings validation can use this to reject malformed strings early.
+    callers can use this to reject malformed strings early.
     """
     specs: List[FaultSpec] = []
     for chunk in text.split(","):

@@ -77,7 +77,7 @@ from typing import (
 from repro.core import faults
 from repro.core.cache_store import ColumnCacheStore, RunCheckpointStore
 from repro.core.engine import CaffeineEngine, CaffeineResult, GenerationStats
-from repro.core.evaluation import BasisColumnCache
+from repro.core.evaluation import BasisColumnCache, cache_budgets
 from repro.core.problem import Problem
 from repro.core.settings import CaffeineSettings
 
@@ -121,10 +121,6 @@ class SessionCallback:
                          failure: "ProblemFailure") -> None:
         """After one problem failed *terminally* (every retry and fallback
         exhausted); the sweep continues under ``failure_policy="continue"``."""
-
-    def on_checkpoint(self, problem: Problem, path: str,
-                      n_entries: int) -> None:
-        """After a mid-session column-cache checkpoint was written."""
 
     def on_session_end(self, result: "SessionResult") -> None:
         """After every problem finished/failed and caches were saved."""
@@ -325,9 +321,8 @@ class Session:
         either way -- see the module docstring.
     column_cache:
         Optional in-memory cache to share (serial only); defaults to a
-        fresh one sized to the largest per-problem ``basis_cache_size``.
-        Problems whose effective settings disable caching
-        (``basis_cache_size=0``) never touch the shared cache.
+        fresh one sized to the largest per-problem column budget
+        (:func:`~repro.core.evaluation.cache_budgets`).
     column_cache_path:
         Optional :class:`ColumnCacheStore` path: the session warm-starts
         from it and saves back everything it computed.  With ``jobs > 1``
@@ -336,11 +331,6 @@ class Session:
         columns across problems and across sessions.
     callbacks:
         :class:`SessionCallback` instances observing the run.
-    checkpoint_column_cache:
-        Serially, save the shared cache to ``column_cache_path`` after
-        *each* problem (not just at the end), so an interrupted sweep
-        keeps the warmth it paid for.  Parallel sessions checkpoint
-        inherently (each worker saves on completion).
     checkpoint_path:
         Optional :class:`~repro.core.cache_store.RunCheckpointStore` path
         making every problem's run crash-safe: its engine snapshots the
@@ -380,7 +370,6 @@ class Session:
                  column_cache: Optional[BasisColumnCache] = None,
                  column_cache_path: Optional[str] = None,
                  callbacks: Sequence[SessionCallback] = (),
-                 checkpoint_column_cache: bool = False,
                  checkpoint_path: Optional[str] = None,
                  checkpoint_every: int = 1,
                  timeout: Optional[float] = None,
@@ -394,10 +383,6 @@ class Session:
             raise ValueError(
                 "an in-memory column_cache cannot be shared across "
                 "processes; use column_cache_path with jobs > 1")
-        if checkpoint_column_cache and column_cache_path is None:
-            raise ValueError(
-                "checkpoint_column_cache=True has nothing to write to; "
-                "pass column_cache_path as well")
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be at least 1")
         if timeout is not None and timeout <= 0:
@@ -417,7 +402,6 @@ class Session:
         self.column_cache_path = (str(column_cache_path)
                                   if column_cache_path is not None else None)
         self.callbacks: List[SessionCallback] = list(callbacks)
-        self.checkpoint_column_cache = bool(checkpoint_column_cache)
         self.checkpoint_path = (str(checkpoint_path)
                                 if checkpoint_path is not None else None)
         self.checkpoint_every = int(checkpoint_every)
@@ -496,16 +480,12 @@ class Session:
     def _run_serial(self, resume: bool
                     ) -> Tuple[Dict[str, CaffeineResult],
                                Dict[str, ProblemFailure], bool]:
-        # The shared cache is sized to the largest per-problem request so
-        # no problem's working set is squeezed by a smaller neighbour;
-        # problems that *disable* caching (basis_cache_size=0) opt out of
-        # sharing entirely below (their engines build their own disabled
-        # caches, which also keeps their fit caches off).
-        cache_sizes = [problem.effective_settings(self.settings)
-                       .resolved_basis_cache_size()
-                       for problem in self.problems]
+        # The shared cache is sized to the largest per-problem budget so
+        # no problem's working set is squeezed by a smaller neighbour.
         cache = (self.column_cache if self.column_cache is not None
-                 else BasisColumnCache(max(cache_sizes)))
+                 else BasisColumnCache(max(
+                     cache_budgets(problem.effective_settings(self.settings))
+                     .columns for problem in self.problems)))
         store = (ColumnCacheStore(self.column_cache_path)
                  if self.column_cache_path is not None else None)
         checkpoints = self._checkpoint_store()
@@ -525,9 +505,8 @@ class Session:
                 while True:
                     engine = CaffeineEngine(
                         problem.train, test=problem.test, settings=effective,
-                        column_cache=(cache if effective.basis_cache_size > 0
-                                      else None))
-                    if store is not None and effective.basis_cache_size > 0:
+                        column_cache=cache)
+                    if store is not None:
                         # Admit only this problem's namespace into the LRU
                         # (a shared store file only grows; foreign
                         # namespaces would occupy -- and at capacity evict
@@ -570,11 +549,6 @@ class Session:
                     self._fire("on_problem_end", problem, result, index,
                                total)
                     break
-                if store is not None and self.checkpoint_column_cache \
-                        and index + 1 < total:
-                    n_entries = store.save(cache)
-                    self._fire("on_checkpoint", problem, str(store.path),
-                               n_entries)
         except KeyboardInterrupt:
             # The engine already saved the interrupted problem's last
             # completed generation boundary (when checkpointing is on);
@@ -838,7 +812,7 @@ def _run_problem_task(problem: Problem, settings: CaffeineSettings,
                       checkpoint_every: int = 1,
                       resume: bool = False) -> CaffeineResult:
     """One worker's whole job: warm-load, run, merge-save (picklable)."""
-    cache = BasisColumnCache(settings.resolved_basis_cache_size())
+    cache = BasisColumnCache(cache_budgets(settings).columns)
     store = (ColumnCacheStore(column_cache_path)
              if column_cache_path is not None else None)
     engine = CaffeineEngine(problem.train, test=problem.test,
@@ -869,10 +843,6 @@ def _worker_main(conn, problem: Problem, settings: CaffeineSettings,
     orchestrator through the pipe's EOF plus the process exitcode.
     """
     try:
-        if settings.fault_injection:
-            # Arm before the fault points below -- engine construction
-            # (which also arms) happens after them.
-            faults.install_from_string(settings.fault_injection)
         faults.raise_point("worker.exception", problem=problem.name,
                            attempt=attempt)
         faults.kill_point("worker.kill", problem=problem.name,

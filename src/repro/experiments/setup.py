@@ -28,7 +28,7 @@ from repro.circuits.ota import (
 )
 from repro.core.cache_store import ColumnCacheStore
 from repro.core.engine import CaffeineResult, run_caffeine
-from repro.core.evaluation import BasisColumnCache
+from repro.core.evaluation import BasisColumnCache, cache_budgets
 from repro.core.problem import Problem
 from repro.core.session import Session, SessionCallback
 from repro.core.settings import CaffeineSettings
@@ -140,7 +140,7 @@ def shared_column_cache(settings: Optional[CaffeineSettings] = None
     performance only) are isolated automatically by the fingerprint.
     """
     settings = settings if settings is not None else CaffeineSettings()
-    return BasisColumnCache(settings.resolved_basis_cache_size())
+    return BasisColumnCache(cache_budgets(settings).columns)
 
 
 @contextlib.contextmanager

@@ -29,7 +29,9 @@ Endpoints (all JSON):
 Requests whose feature count disagrees with the artifact are rejected with
 HTTP 400 (the only hard incompatibility); everything else about the posted
 data is the caller's business -- a frozen front exists to be applied to
-data it has never seen.
+data it has never seen.  A body that declares more than
+:data:`MAX_BODY_BYTES` is answered with HTTP 413 without being read, and
+the connection is closed.
 """
 
 from __future__ import annotations
@@ -45,7 +47,16 @@ import numpy as np
 
 from repro.core.artifact import FrozenFront, load_front
 
-__all__ = ["RequestProfiler", "FrontHTTPServer", "make_server", "serve_front"]
+__all__ = ["RequestProfiler", "FrontHTTPServer", "make_server", "serve_front",
+           "MAX_BODY_BYTES"]
+
+#: largest request body (declared ``Content-Length``) the server reads; a
+#: 10000-row, 13-variable ``/predict`` body is about 3 MB
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+
+class _BodyTooLarge(ValueError):
+    """A request body above :data:`MAX_BODY_BYTES` (answered with 413)."""
 
 
 def _percentile_ms(sorted_seconds: List[float], fraction: float) -> float:
@@ -152,11 +163,15 @@ class _FrontRequestHandler(BaseHTTPRequestHandler):
         if not self.server.quiet:  # pragma: no cover - cosmetic
             super().log_message(format, *args)
 
-    def _send_json(self, payload: dict, status: int = 200) -> None:
+    def _send_json(self, payload: dict, status: int = 200,
+                   close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # http.server also sets close_connection from this header.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -164,6 +179,9 @@ class _FrontRequestHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         if length <= 0:
             raise ValueError("request body is empty (send a JSON object)")
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(f"request body of {length} bytes exceeds the "
+                                f"{MAX_BODY_BYTES}-byte limit")
         payload = json.loads(self.rfile.read(length).decode("utf-8"))
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
@@ -227,6 +245,11 @@ class _FrontRequestHandler(BaseHTTPRequestHandler):
                 self._send_json({"error": f"unknown path {self.path!r}"},
                                 status=404)
                 return
+        except _BodyTooLarge as error:
+            # The body stays unread, so the connection cannot carry another
+            # request.
+            self._send_json({"error": str(error)}, status=413, close=True)
+            return
         except (ValueError, TypeError, json.JSONDecodeError) as error:
             self._send_json({"error": str(error)}, status=400)
             return

@@ -345,8 +345,8 @@ class TestFaultSpecRule:
         assert "fault-spec" in rules_hit(findings)
 
     def test_malformed_spec_triggers(self, tmp_path):
-        source = ("def run(make):\n"
-                  "    return make(fault_injection='worker.kill:delay')\n")
+        source = ("from repro.core import faults\n"
+                  "faults.install_from_string('worker.kill:delay')\n")
         findings = lint_source(tmp_path, "src/repro/ext.py", source)
         assert "fault-spec" in rules_hit(findings)
 

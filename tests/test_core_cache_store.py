@@ -10,7 +10,11 @@ import pytest
 
 from repro.core.cache_store import ColumnCacheStore
 from repro.core.engine import run_caffeine
-from repro.core.evaluation import BasisColumnCache, PopulationEvaluator
+from repro.core.evaluation import (
+    BasisColumnCache,
+    PopulationEvaluator,
+    cache_budgets,
+)
 from repro.core.generator import ExpressionGenerator
 from repro.core.individual import Individual
 from repro.core.settings import CaffeineSettings
@@ -51,7 +55,7 @@ class TestRoundTrip:
         n_saved = store.save(evaluator.cache)
         assert n_saved == len(evaluator.cache) > 0
 
-        reloaded = store.load(max_entries=fast_settings.basis_cache_size)
+        reloaded = store.load(max_entries=cache_budgets(fast_settings).columns)
         original = dict(evaluator.cache.items())
         restored = dict(reloaded.items())
         assert set(original) == set(restored)
@@ -65,7 +69,7 @@ class TestRoundTrip:
         store = ColumnCacheStore(tmp_path / "cols.cache")
         store.save(cold.cache)
 
-        warm_cache = BasisColumnCache(fast_settings.basis_cache_size)
+        warm_cache = BasisColumnCache(cache_budgets(fast_settings).columns)
         assert store.load_into(warm_cache) == len(cold.cache)
         warm = _evaluator(1, fast_settings, cache=warm_cache)
         reference = [ind.clone() for ind in population]
@@ -139,7 +143,7 @@ class TestIsolation:
         other = PopulationEvaluator(
             other_rng.uniform(0.5, 2.0, size=(30, 3)),
             other_rng.normal(size=30), fast_settings,
-            cache=store.load(fast_settings.basis_cache_size))
+            cache=store.load(cache_budgets(fast_settings).columns))
         population = _population(4)
         reference = [ind.clone() for ind in population]
         other.evaluate_population(population)

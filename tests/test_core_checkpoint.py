@@ -19,6 +19,7 @@ import pytest
 from repro.core import faults
 from repro.core.cache_store import FileLock, RunCheckpointStore
 from repro.core.engine import CaffeineEngine, run_caffeine
+from repro.core.evaluation import BasisColumnCache
 from repro.core.problem import Problem
 from repro.core.session import Session, SessionCallback
 from repro.core.settings import CaffeineSettings
@@ -171,17 +172,20 @@ class TestEngineResume:
         with pytest.raises(ValueError, match="fingerprint"):
             other.restore_run_state(state)
 
-    def test_result_neutral_settings_share_fingerprints(self):
+    def test_result_neutral_settings_share_fingerprints(self, monkeypatch):
         train, test = _datasets()
         base = CaffeineEngine(train, test=test, settings=SETTINGS)
-        tweaked = CaffeineEngine(
-            train, test=test,
-            settings=SETTINGS.copy(basis_cache_size=7,
-                                   fault_injection="lock.timeout:times=1"))
-        # Cache budgets never change results, so their checkpoints are
-        # mutually resumable by design.
+        monkeypatch.setenv(faults.ENV_VAR, "lock.timeout:times=1")
+        faults.clear()
+        tweaked = CaffeineEngine(train, test=test, settings=SETTINGS,
+                                 column_cache=BasisColumnCache(7))
+        # Cache budgets and armed faults never change results, so their
+        # checkpoints are mutually resumable by design.
         assert base.checkpoint_fingerprint() == \
             tweaked.checkpoint_fingerprint()
+        tweaked.initialize_population()
+        tweaked.step(0)
+        base.restore_run_state(tweaked.capture_run_state(1))
         assert SETTINGS.fingerprint() != \
             SETTINGS.copy(population_size=24).fingerprint()
 

@@ -8,7 +8,9 @@ import pytest
 from repro.core.engine import run_caffeine
 from repro.core.evaluation import (
     BasisColumnCache,
+    GramPool,
     PopulationEvaluator,
+    cache_budgets,
     evaluate_individual_inplace,
 )
 from repro.core.expression import ProductTerm, UnaryOpTerm, WeightedSum, structural_key
@@ -165,9 +167,9 @@ class TestEvaluatorEquivalence:
                                           fast_settings):
         population = _random_population(generator, 6)
         reference = [ind.clone() for ind in population]
-        no_cache = PopulationEvaluator(
-            rational_train.X, rational_train.y,
-            fast_settings.copy(basis_cache_size=0))
+        no_cache = PopulationEvaluator(rational_train.X, rational_train.y,
+                                       fast_settings,
+                                       cache=BasisColumnCache(0))
         cached = PopulationEvaluator(rational_train.X, rational_train.y,
                                      fast_settings)
         no_cache.evaluate_population(population)
@@ -180,7 +182,7 @@ class TestEvaluatorEquivalence:
         population = _random_population(generator, 10)
         reference = [ind.clone() for ind in population]
         tiny = PopulationEvaluator(rational_train.X, rational_train.y,
-                                   fast_settings.copy(basis_cache_size=2))
+                                   fast_settings, cache=BasisColumnCache(2))
         big = PopulationEvaluator(rational_train.X, rational_train.y,
                                   fast_settings)
         tiny.evaluate_population(population)
@@ -234,13 +236,16 @@ class TestEvaluatorValidation:
 
     def test_settings_validate_backend(self):
         # Evaluation has one production path: the former backend knobs are
-        # not settings any more, and the cache budget is still validated.
+        # not settings any more, and neither is the cache budget, whose
+        # capacity the cache itself still validates.
         with pytest.raises(TypeError):
             CaffeineSettings(evaluation_backend="gpu")
         with pytest.raises(TypeError):
             CaffeineSettings(evaluation_workers=2)
+        with pytest.raises(TypeError):
+            CaffeineSettings(basis_cache_size=100)
         with pytest.raises(ValueError):
-            CaffeineSettings(basis_cache_size=-1)
+            BasisColumnCache(-1)
 
 
 class TestGramPoolEquivalence:
@@ -279,9 +284,9 @@ class TestGramPoolEquivalence:
         second batch (clones with the fit cache disabled) computes no new
         pair dots."""
         population = _random_population(generator, 10)
-        evaluator = PopulationEvaluator(
-            rational_train.X, rational_train.y,
-            fast_settings.copy(basis_cache_size=0))
+        evaluator = PopulationEvaluator(rational_train.X, rational_train.y,
+                                        fast_settings,
+                                        cache=BasisColumnCache(0))
         evaluator.evaluate_population(population)
         pairs_after_first = evaluator.gram_pool.n_pairs_computed
         assert pairs_after_first > 0
@@ -308,7 +313,8 @@ class TestGramPoolEquivalence:
         population = _random_population(generator, 12)
         reference = [ind.clone() for ind in population]
         tiny = PopulationEvaluator(rational_train.X, rational_train.y,
-                                   fast_settings.copy(gram_pool_size=3))
+                                   fast_settings)
+        tiny.gram_pool = GramPool(rational_train.y, 3)
         direct = DirectFitEvaluator(rational_train.X, rational_train.y,
                                     fast_settings)
         tiny.evaluate_population(population)
@@ -321,8 +327,10 @@ class TestGramPoolEquivalence:
         # former backend knobs are rejected outright.
         with pytest.raises(TypeError):
             CaffeineSettings(fit_backend="direct")
+        with pytest.raises(TypeError):
+            CaffeineSettings(gram_pool_size=100)
         with pytest.raises(ValueError):
-            CaffeineSettings(gram_pool_size=-1)
+            GramPool(np.zeros(3), -1)
         with pytest.raises(TypeError):
             CaffeineSettings(pareto_backend="python")
 
@@ -432,8 +440,8 @@ class TestEndToEndReproducibility:
         base = CaffeineSettings(population_size=20, n_generations=4,
                                 random_seed=7)
         cached = run_caffeine(rational_train, rational_test, base)
-        uncached = run_caffeine(rational_train, rational_test,
-                                base.copy(basis_cache_size=0))
+        uncached = run_caffeine(rational_train, rational_test, base,
+                                column_cache=BasisColumnCache(0))
         assert [m.expression() for m in cached.tradeoff] == \
             [m.expression() for m in uncached.tradeoff]
         assert [m.train_error for m in cached.tradeoff] == \
@@ -465,7 +473,7 @@ class TestEndToEndReproducibility:
         base = CaffeineSettings(population_size=20, n_generations=3,
                                 random_seed=11)
         private = run_caffeine(rational_train, rational_test, base)
-        shared = Cache(base.basis_cache_size)
+        shared = Cache(cache_budgets(base).columns)
         first = run_caffeine(rational_train, rational_test, base,
                              column_cache=shared)
         second = run_caffeine(rational_train, rational_test, base,

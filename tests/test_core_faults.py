@@ -32,6 +32,12 @@ def _clean_faults():
     faults.clear()
 
 
+def _arm(monkeypatch, spec):
+    """Arm ``spec`` through ``REPRO_FAULTS``, the channel workers inherit."""
+    monkeypatch.setenv(faults.ENV_VAR, spec)
+    faults.clear()  # forget the memo so the env var is re-read
+
+
 def _problems(names=("t1", "t2")):
     rng = np.random.default_rng(0)
     X = rng.uniform(0.5, 2.0, size=(40, 3))
@@ -85,13 +91,10 @@ class TestSpecGrammar:
             faults.parse_faults("problem.stall:delay=-1")
         assert faults.parse_faults("") == []
 
-    def test_settings_validate_rejects_bad_spec(self):
-        with pytest.raises(ValueError, match="fault_injection"):
-            CaffeineSettings(fault_injection="worker.kill:nonsense")
-
-    def test_settings_accept_good_spec(self):
-        settings = CaffeineSettings(fault_injection="fit.exception:times=2")
-        assert settings.fault_injection == "fit.exception:times=2"
+    def test_malformed_env_spec_raises_on_first_use(self, monkeypatch):
+        _arm(monkeypatch, "worker.kill:nonsense")
+        with pytest.raises(ValueError, match="key=value"):
+            faults.fire("worker.kill")
 
 
 class TestFireSemantics:
@@ -140,19 +143,18 @@ class TestFireSemantics:
 
 
 class TestSerialFaultTolerance:
-    def test_fit_exception_propagates_through_legacy_shim(self):
+    def test_fit_exception_propagates_through_legacy_shim(self, monkeypatch):
         problem = _problems(("t1",))[0]
-        settings = SETTINGS.copy(fault_injection="fit.exception")
+        _arm(monkeypatch, "fit.exception")
         with pytest.raises(InjectedFault):
-            run_caffeine(problem.train, settings=settings)
+            run_caffeine(problem.train, settings=SETTINGS)
 
-    def test_serial_retry_recovers_and_matches_clean_run(self):
+    def test_serial_retry_recovers_and_matches_clean_run(self, monkeypatch):
         problem = _problems(("t1",))[0]
         clean = Session([problem], settings=SETTINGS).run()
-        faults.clear()
+        _arm(monkeypatch, "fit.exception:times=1")
         recorder = _Recorder()
-        settings = SETTINGS.copy(fault_injection="fit.exception:times=1")
-        outcome = Session([problem], settings=settings, retries=1,
+        outcome = Session([problem], settings=SETTINGS, retries=1,
                           retry_backoff=0.0,
                           callbacks=[recorder]).run()
         assert outcome.complete
@@ -160,15 +162,13 @@ class TestSerialFaultTolerance:
         assert recorder.errors == []
         assert _front(outcome["t1"]) == _front(clean["t1"])
 
-    def test_serial_terminal_failure_is_structured(self):
+    def test_serial_terminal_failure_is_structured(self, monkeypatch):
         problems = _problems(("t1", "t2"))
         recorder = _Recorder()
-        settings = SETTINGS.copy(
-            fault_injection="fit.exception:times=inf")
-        # Injection is condition-free, so it also fires for t2 -- but each
-        # engine arms per settings string once per process, and times=inf
-        # keeps firing: BOTH problems fail, each with its own record.
-        outcome = Session(problems, settings=settings, retries=0,
+        # Injection is condition-free and times=inf keeps firing: BOTH
+        # problems fail, each with its own record.
+        _arm(monkeypatch, "fit.exception:times=inf")
+        outcome = Session(problems, settings=SETTINGS, retries=0,
                           callbacks=[recorder]).run()
         assert outcome.results == {}
         assert set(outcome.failures) == {"t1", "t2"}
@@ -185,33 +185,31 @@ class TestSerialFaultTolerance:
         with pytest.raises(RuntimeError, match="2 problem"):
             outcome.raise_failures()
 
-    def test_failure_policy_raise_propagates(self):
+    def test_failure_policy_raise_propagates(self, monkeypatch):
         problem = _problems(("t1",))[0]
-        settings = SETTINGS.copy(fault_injection="fit.exception")
+        _arm(monkeypatch, "fit.exception")
         with pytest.raises(InjectedFault):
-            Session([problem], settings=settings, retries=3,
+            Session([problem], settings=SETTINGS, retries=3,
                     failure_policy="raise").run()
 
 
 class TestParallelFaultTolerance:
-    def test_killed_worker_is_retried_and_result_matches(self):
+    def test_killed_worker_is_retried_and_result_matches(self, monkeypatch):
         problems = _problems(("t1", "t2"))
         clean = Session(problems, settings=SETTINGS).run()
-        settings = SETTINGS.copy(
-            fault_injection="worker.kill:problem=t1:attempt=0")
+        _arm(monkeypatch, "worker.kill:problem=t1:attempt=0")
         recorder = _Recorder()
-        outcome = Session(problems, settings=settings, jobs=2, retries=1,
+        outcome = Session(problems, settings=SETTINGS, jobs=2, retries=1,
                           retry_backoff=0.01, callbacks=[recorder]).run()
         assert outcome.complete
         assert recorder.retries == [("t1", "worker-crash", 1)]
         for name in ("t1", "t2"):
             assert _front(outcome[name]) == _front(clean[name])
 
-    def test_worker_exception_reported_with_traceback(self):
+    def test_worker_exception_reported_with_traceback(self, monkeypatch):
         problems = _problems(("t1", "t2"))
-        settings = SETTINGS.copy(
-            fault_injection="worker.exception:problem=t2")
-        outcome = Session(problems, settings=settings, jobs=2, retries=0,
+        _arm(monkeypatch, "worker.exception:problem=t2")
+        outcome = Session(problems, settings=SETTINGS, jobs=2, retries=0,
                           fallback_serial=False).run()
         assert set(outcome.results) == {"t1"}
         failure = outcome.failures["t2"]
@@ -219,20 +217,20 @@ class TestParallelFaultTolerance:
         assert failure.error_type == "InjectedFault"
         assert "worker.exception" in failure.traceback
 
-    def test_serial_fallback_rescues_flaky_worker(self):
+    def test_serial_fallback_rescues_flaky_worker(self, monkeypatch):
         # The kill fires on every worker attempt (times=inf, any attempt),
         # so only the in-process fallback -- which never passes through
         # _worker_main's kill point -- can finish the problem.
         problems = _problems(("t1", "t2"))
         clean = Session(problems, settings=SETTINGS).run()
-        settings = SETTINGS.copy(
-            fault_injection="worker.kill:problem=t1:times=inf")
-        outcome = Session(problems, settings=settings, jobs=2, retries=1,
+        _arm(monkeypatch, "worker.kill:problem=t1:times=inf")
+        outcome = Session(problems, settings=SETTINGS, jobs=2, retries=1,
                           retry_backoff=0.01, fallback_serial=True).run()
         assert outcome.complete
         assert _front(outcome["t1"]) == _front(clean["t1"])
 
-    def test_sweep_survives_kill_timeout_and_corrupt_cache(self, tmp_path):
+    def test_sweep_survives_kill_timeout_and_corrupt_cache(self, tmp_path,
+                                                           monkeypatch):
         """The acceptance sweep: one killed worker, one problem stalled
         past its timeout, one corrupt shared-cache file -- every problem
         still returns a result or a structured failure."""
@@ -244,11 +242,10 @@ class TestParallelFaultTolerance:
         # loaders must quarantine, not crash on.
         cache_path.write_bytes(ColumnCacheStore.MAGIC + b"\n1\n"
                                + b"0" * 64 + b"\nnot-the-payload")
-        settings = SETTINGS.copy(fault_injection=(
-            "worker.kill:problem=t1:attempt=0, "
-            "problem.stall:problem=t2:delay=30:times=inf"))
+        _arm(monkeypatch, "worker.kill:problem=t1:attempt=0, "
+                          "problem.stall:problem=t2:delay=30:times=inf")
         recorder = _Recorder()
-        outcome = Session(problems, settings=settings, jobs=3,
+        outcome = Session(problems, settings=SETTINGS, jobs=3,
                           column_cache_path=str(cache_path),
                           timeout=1.0, retries=1, retry_backoff=0.01,
                           fallback_serial=False,

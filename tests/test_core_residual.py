@@ -16,8 +16,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from repro.core.engine import run_caffeine
-from repro.core.evaluation import BatchedResidualBackend, PopulationEvaluator
+from repro.core.compile import TreeCompiler
+from repro.core.engine import CaffeineEngine, run_caffeine
+from repro.core.evaluation import (
+    BasisColumnCache,
+    BatchedResidualBackend,
+    CacheBudgets,
+    GramPool,
+    PopulationEvaluator,
+    cache_budgets,
+)
 from repro.core.generator import ExpressionGenerator
 from repro.core.individual import Individual
 from repro.core.model import batch_test_errors
@@ -275,51 +283,69 @@ class TestEvaluatorResidualEquivalence:
 
 
 class TestAdaptiveBudgets:
-    """The default LRU budgets scale with population; explicit values hold."""
+    """The evaluation-cache budgets derive from the population shape and
+    scale with it; injected capacities hold exactly and never change a
+    result."""
 
     def test_defaults_scale_with_population(self):
-        small = CaffeineSettings()
-        assert small.resolved_basis_cache_size() == small.basis_cache_size
-        assert small.resolved_gram_pool_size() == small.gram_pool_size
-        assert small.resolved_kernel_cache_size() == small.kernel_cache_size
-        big = CaffeineSettings(population_size=2000)
-        assert big.resolved_basis_cache_size() > big.basis_cache_size
-        assert big.resolved_gram_pool_size() > big.gram_pool_size
-        assert big.resolved_kernel_cache_size() > big.kernel_cache_size
+        small = cache_budgets(CaffeineSettings())
+        big = cache_budgets(CaffeineSettings(population_size=2000))
+        assert all(b > s for b, s in zip(big, small))
 
-    def test_adaptive_budgets_flag_pins_defaults_exactly(self):
-        """A hard cap equal to a class default is expressible: turning the
-        flag off pins every budget verbatim (a dataclass cannot tell an
-        untouched default from the same number typed deliberately)."""
-        pinned = CaffeineSettings(population_size=2000,
-                                  adaptive_cache_budgets=False)
-        assert pinned.resolved_basis_cache_size() == pinned.basis_cache_size
-        assert pinned.resolved_gram_pool_size() == pinned.gram_pool_size
-        assert pinned.resolved_kernel_cache_size() == pinned.kernel_cache_size
+    @pytest.mark.parametrize("settings, expected", [
+        (CaffeineSettings(population_size=200, max_basis_functions=15),
+         (20000, 200000, 4096)),
+        (CaffeineSettings(population_size=60, max_basis_functions=15),
+         (20000, 200000, 4096)),
+        (CaffeineSettings(population_size=100, max_basis_functions=15),
+         (20000, 200000, 4096)),
+        (CaffeineSettings.paper_settings(), (20000, 200000, 4096)),
+        (CaffeineSettings(population_size=1000, max_basis_functions=15),
+         (60000, 360000, 8000)),
+    ], ids=["pop200", "pop60", "pop100", "paper", "pop1000"])
+    def test_budgets_pinned(self, settings, expected):
+        assert cache_budgets(settings) == CacheBudgets(*expected)
 
-    def test_explicit_values_are_honored_exactly(self):
-        settings = CaffeineSettings(population_size=2000, basis_cache_size=2,
-                                    gram_pool_size=3, kernel_cache_size=0)
-        assert settings.resolved_basis_cache_size() == 2
-        assert settings.resolved_gram_pool_size() == 3
-        assert settings.resolved_kernel_cache_size() == 0
-        disabled = CaffeineSettings(population_size=2000, basis_cache_size=0,
-                                    gram_pool_size=0)
-        assert disabled.resolved_basis_cache_size() == 0
-        assert disabled.resolved_gram_pool_size() == 0
+    def test_explicit_values_are_honored_exactly(self, rational_train):
+        """Injected capacities are used verbatim, never raised to the
+        derived budgets: the tiny and zero budgets below rely on it."""
+        evaluator = PopulationEvaluator(
+            rational_train.X, rational_train.y,
+            CaffeineSettings(population_size=2000),
+            cache=BasisColumnCache(2))
+        assert evaluator.cache.max_entries == 2
+        assert GramPool(rational_train.y, 3).max_pairs == 3
+        assert TreeCompiler(rational_train.X, max_kernels=0).max_kernels == 0
 
     def test_evaluator_and_compiler_use_resolved_budgets(self, rational_train):
         settings = CaffeineSettings(population_size=1000)
+        budgets = cache_budgets(settings)
         evaluator = PopulationEvaluator(rational_train.X, rational_train.y,
                                         settings)
-        assert evaluator.cache.max_entries == \
-            settings.resolved_basis_cache_size()
-        assert evaluator.gram_pool.max_pairs == \
-            settings.resolved_gram_pool_size()
+        assert evaluator.cache.max_entries == budgets.columns
+        assert evaluator.gram_pool.max_pairs == budgets.gram_pairs
         assert evaluator.column_backend.compiler.max_kernels == \
-            settings.resolved_kernel_cache_size()
-        with pytest.raises(ValueError):
-            CaffeineSettings(kernel_cache_size=-1)
+            budgets.kernels
+
+    def test_tiny_budgets_same_tradeoff(self, rational_train, rational_test):
+        """Fixed seed => an engine whose column cache, gram pool and kernel
+        cache all thrash evolves the same trade-off as the default one."""
+        settings = CaffeineSettings(population_size=20, n_generations=4,
+                                    random_seed=7)
+        reference = run_caffeine(rational_train, rational_test, settings)
+        engine = CaffeineEngine(rational_train, test=rational_test,
+                                settings=settings,
+                                column_cache=BasisColumnCache(2))
+        evaluator = engine.evaluator
+        evaluator.gram_pool = GramPool(evaluator.y, 3)
+        evaluator.column_backend.compiler = TreeCompiler(evaluator.X,
+                                                         max_kernels=0)
+        tiny = engine.run()
+        assert evaluator.cache.stats.evictions > 0
+        assert [(m.expression(), m.train_error, m.test_error)
+                for m in tiny.tradeoff] == \
+            [(m.expression(), m.train_error, m.test_error)
+             for m in reference.tradeoff]
 
 
 class TestEngineResidualEquivalence:

@@ -9,7 +9,8 @@ import pytest
 
 from repro.core.cache_store import ColumnCacheStore
 from repro.core.engine import run_caffeine
-from repro.core.evaluation import BasisColumnCache
+from repro.core import session as session_module
+from repro.core.evaluation import BasisColumnCache, cache_budgets
 from repro.core.problem import Problem
 from repro.core.session import (
     LegacyProgressCallback,
@@ -133,7 +134,7 @@ class TestSerialEquality:
         problems = _two_problems()
         outcome = Session(problems, settings=SETTINGS).run()
 
-        shared = BasisColumnCache(SETTINGS.basis_cache_size)
+        shared = BasisColumnCache(cache_budgets(SETTINGS).columns)
         for problem in problems:
             legacy = run_caffeine(problem.train, settings=SETTINGS,
                                   column_cache=shared)
@@ -170,8 +171,6 @@ class TestSerialEquality:
             Session([_dataset(1)])
         with pytest.raises(ValueError, match="no problems"):
             Session([], settings=SETTINGS).run()
-        with pytest.raises(ValueError, match="checkpoint_column_cache"):
-            Session(problems, checkpoint_column_cache=True)
 
 
 class TestParallel:
@@ -245,21 +244,22 @@ class TestCallbacksAndCheckpoints:
                     lambda gen, stats: seen.append(gen))]).run()
         assert seen == list(range(SETTINGS.n_generations))
 
-    def test_checkpoint_saves_after_each_problem(self, tmp_path):
+    def test_interrupted_serial_sweep_saves_column_store(self, tmp_path):
+        """Ctrl-C during the second problem still saves the columns the
+        first one paid for."""
         path = str(tmp_path / "cols.cache")
-        checkpoints = []
 
-        class Recorder(SessionCallback):
-            def on_checkpoint(self, problem, store_path, n_entries):
-                checkpoints.append((problem.name, n_entries))
+        class Interrupt(SessionCallback):
+            def on_generation(self, problem, generation, stats):
+                if problem.name == "t2":
+                    raise KeyboardInterrupt
 
-        Session(_two_problems(), settings=SETTINGS,
-                column_cache_path=path, checkpoint_column_cache=True,
-                callbacks=[Recorder()]).run()
-        # One mid-run checkpoint (after t1; the final save is not one).
-        assert [name for name, _n in checkpoints] == ["t1"]
-        assert checkpoints[0][1] > 0
-        assert os.path.exists(path)
+        outcome = Session(_two_problems(), settings=SETTINGS,
+                          column_cache_path=path,
+                          callbacks=[Interrupt()]).run()
+        assert outcome.interrupted
+        assert set(outcome.results) == {"t1"}
+        assert len(ColumnCacheStore(path).load(100000)) > 0
 
     def test_persistent_path_warm_start_identical(self, tmp_path):
         path = str(tmp_path / "cols.cache")
@@ -279,7 +279,7 @@ class TestCallbacksAndCheckpoints:
                     np.zeros(8))
         ColumnCacheStore(path).save(foreign)
 
-        cache = BasisColumnCache(SETTINGS.basis_cache_size)
+        cache = BasisColumnCache(cache_budgets(SETTINGS).columns)
         Session(_two_problems(), settings=SETTINGS, column_cache=cache,
                 column_cache_path=path).run()
         foreign_keys = [key for key, _column in cache.items()
@@ -290,24 +290,20 @@ class TestCallbacksAndCheckpoints:
         assert any(key[0][0] == "foreign-dataset"
                    for key, _column in stored.items())
 
-    def test_cache_disabled_problem_never_touches_shared_cache(self):
-        """basis_cache_size=0 problems opt out of the shared cache."""
-        cache = BasisColumnCache(SETTINGS.basis_cache_size)
-        no_cache = _two_problems()[1].with_settings(
-            SETTINGS.copy(basis_cache_size=0))
-        outcome = Session([no_cache], settings=SETTINGS,
-                          column_cache=cache).run()
-        assert len(cache) == 0  # nothing leaked into the shared cache
-        # Results still match an independent run of the same settings.
-        reference = run_caffeine(no_cache.train, settings=no_cache.settings)
-        assert _front(reference) == _front(outcome["t2"])
+    def test_shared_cache_sized_to_largest_problem_request(self, monkeypatch):
+        sizes = []
 
-    def test_shared_cache_sized_to_largest_problem_request(self):
+        class RecordingCache(BasisColumnCache):
+            def __init__(self, max_entries):
+                sizes.append(max_entries)
+                super().__init__(max_entries)
+
+        monkeypatch.setattr(session_module, "BasisColumnCache",
+                            RecordingCache)
         problems = _two_problems()
-        big = problems[1].with_settings(SETTINGS.copy(basis_cache_size=50000))
-        session = Session([problems[0], big], settings=SETTINGS)
-        outcome = session.run()
-        assert outcome.names == ("t1", "t2")  # runs fine; sizing is internal
-        sizes = [p.effective_settings(SETTINGS).basis_cache_size
-                 for p in session.problems]
-        assert max(sizes) == 50000
+        # 4 x population x max_basis_functions columns: above the floor
+        wide = SETTINGS.copy(n_generations=1, max_basis_functions=500)
+        big = problems[1].with_settings(wide)
+        outcome = Session([problems[0], big], settings=SETTINGS).run()
+        assert outcome.names == ("t1", "t2")
+        assert sizes == [cache_budgets(wide).columns] == [32000]

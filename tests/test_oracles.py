@@ -6,11 +6,13 @@ compare it against the references in ``tests/oracles.py``.  These tests
 make sure such a comparison is never vacuous -- inside
 :func:`oracles.reference_layers` the engine really runs the references,
 and outside it really runs production code -- and that the settings
-fingerprint checkpoints carry did not change when the backend knobs went.
+fingerprint checkpoints carry did not change when the backend, cache-budget
+and fault-injection knobs went.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -24,6 +26,7 @@ from repro.core.evaluation import (
     PopulationEvaluator,
 )
 from repro.core.operators import VariationOperators
+from repro.core.session import Session
 from repro.core.settings import CaffeineSettings
 
 import oracles
@@ -31,7 +34,9 @@ import oracles
 #: the removed implementation switches (now test-side references)
 REMOVED_KNOBS = ("evaluation_backend", "evaluation_workers", "column_backend",
                  "fit_backend", "pareto_backend", "residual_backend",
-                 "genome_backend")
+                 "genome_backend", "basis_cache_size", "gram_pool_size",
+                 "kernel_cache_size", "adaptive_cache_budgets",
+                 "fault_injection")
 
 
 def _engine(rational_train, fast_settings):
@@ -93,6 +98,15 @@ def test_unknown_layer_rejected():
 def test_removed_knobs_are_not_settings(knob):
     with pytest.raises(TypeError, match=knob):
         CaffeineSettings(**{knob: "serial"})
+
+
+def test_settings_hold_only_the_algorithm():
+    assert len(dataclasses.fields(CaffeineSettings)) == 21
+
+
+def test_session_checkpoint_column_cache_option_removed():
+    with pytest.raises(TypeError, match="checkpoint_column_cache"):
+        Session(checkpoint_column_cache=True)
 
 
 def test_settings_fingerprint_unchanged_by_knob_removal():

@@ -10,6 +10,7 @@ is built from it.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -21,7 +22,7 @@ import pytest
 from repro.core.artifact import load_front, save_front
 from repro.core.report import rescore_models
 from repro.estimator import SymbolicRegressor
-from repro.serve import RequestProfiler, make_server
+from repro.serve import MAX_BODY_BYTES, RequestProfiler, make_server
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +158,30 @@ class TestRejections:
             error.read()
             status = error.code
         assert status == 404
+
+    def test_oversized_body_rejected_unread(self, server):
+        """A body declared above the limit gets 413 before any of it is
+        read, and the connection closes instead of parsing it as the next
+        request."""
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.putrequest("POST", "/predict")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 413
+            assert response.getheader("Connection") == "close"
+            assert "exceeds" in json.loads(response.read())["error"]
+        finally:
+            connection.close()
+        assert _get(server, "/healthz")["status"] == "ok"
+
+    def test_body_limit_admits_bulk_batches(self):
+        rows = np.random.default_rng(0).uniform(0.5, 2.0, size=(10000, 13))
+        body = json.dumps({"X": rows.tolist()}).encode("utf-8")
+        assert 4 * len(body) < MAX_BODY_BYTES
 
 
 class TestRequestProfiler:
