@@ -67,6 +67,8 @@ from repro.core.evaluation import (
 )
 from repro.core.nsga2 import rank_population
 from repro.core.operators import VariationOperators
+from repro.core.problem import Problem
+from repro.core.session import Session
 from repro.core.settings import CaffeineSettings
 
 from conftest import write_output
@@ -138,6 +140,11 @@ def _capture_workloads(train):
 #: paths alike instead of skewing whichever ran while the machine was busy,
 #: which is what keeps the speedup gates stable.
 TIMING_ROUNDS = 3
+
+
+def _run_session(train, settings):
+    """One fixed-seed CAFFEINE run through a one-problem Session."""
+    return Session([Problem(train=train)], settings=settings).run().single()
 
 
 def _run_naive(engine, batches):
@@ -535,12 +542,11 @@ def _measure_selection_variation(train, shared_population_1000_report,
     Also produces the ``genome_shared_vs_deepcopy`` equivalence verdict:
     the deepcopy population-1000 run must reach a bit-identical final
     population (errors, complexities, structural keys), and a fixed-seed
-    Figure-3 workload must yield bit-identical Pareto fronts through
-    ``run_caffeine`` under both operator sets.
+    Figure-3 workload must yield bit-identical Pareto fronts through a
+    one-problem ``Session`` under both operator sets.
     """
     import numpy as np
 
-    from repro.core.engine import run_caffeine
     from repro.core.generator import ExpressionGenerator
     from repro.core.individual import Individual
 
@@ -596,7 +602,7 @@ def _measure_selection_variation(train, shared_population_1000_report,
     fronts = {}
     for genome_backend, layers in (("shared", ()), ("deepcopy", ("genome",))):
         with reference_layers(*layers):
-            result = run_caffeine(train, settings=figure3_settings)
+            result = _run_session(train, figure3_settings)
         fronts[genome_backend] = [
             (repr(model.train_error), repr(model.complexity),
              model.expression()) for model in result.tradeoff]
@@ -670,42 +676,6 @@ def _measure_persistent_cache(engine, batches, tmp_path):
     return report, equal
 
 
-def _measure_session_api(train):
-    """Legacy ``run_caffeine`` shim vs the Problem/Session path, PR 4's API.
-
-    Both run the same small fixed-seed workload; the section records wall
-    clocks and -- the part the trajectory gate cares about -- whether the
-    resulting Pareto fronts are bit-for-bit identical, which is the
-    guarantee the deprecation shims advertise.
-    """
-    from repro.core.engine import run_caffeine
-    from repro.core.problem import Problem
-    from repro.core.session import Session
-
-    settings = WORKLOAD_SETTINGS.copy(n_generations=5)
-
-    legacy_start = time.perf_counter()
-    legacy = run_caffeine(train, settings=settings)
-    legacy_seconds = time.perf_counter() - legacy_start
-
-    session_start = time.perf_counter()
-    session = Session([Problem(train=train)], settings=settings).run().single()
-    session_seconds = time.perf_counter() - session_start
-
-    def front(result):
-        return [(m.train_error, m.complexity, m.expression())
-                for m in result.tradeoff]
-
-    equal = front(legacy) == front(session)
-    report = {
-        "workload": "figure3-PM, 5 generations, fixed seed",
-        "legacy_run_caffeine_seconds": round(legacy_seconds, 4),
-        "session_seconds": round(session_seconds, 4),
-        "n_models": legacy.n_models,
-    }
-    return report, equal
-
-
 def _measure_serving(train, tmp_path):
     """Frozen-front artifact round trip plus served-prediction latency.
 
@@ -729,12 +699,10 @@ def _measure_serving(train, tmp_path):
     import numpy as np
 
     from repro.core.artifact import load_front, save_front
-    from repro.core.engine import run_caffeine
     from repro.core.report import rescore_models
     from repro.serve import RequestProfiler, make_server
 
-    result = run_caffeine(train,
-                          settings=WORKLOAD_SETTINGS.copy(n_generations=5))
+    result = _run_session(train, WORKLOAD_SETTINGS.copy(n_generations=5))
     path = os.path.join(tmp_path, "bench-front.caffeine")
     save_start = time.perf_counter()
     n_models = save_front(result, path)
@@ -889,7 +857,6 @@ def test_population_evaluation_throughput(benchmark, bench_datasets,
         _measure_selection_variation(train, population_1000_report,
                                      shared_final_snapshot)
     sort_report = _measure_sort(population_batches[-1])
-    session_report, session_equal = _measure_session_api(train)
     serving_report, artifact_equal = _measure_serving(train, str(tmp_path))
     concurrent_report, concurrent_ok = _measure_concurrent_store(
         str(tmp_path))
@@ -902,7 +869,6 @@ def test_population_evaluation_throughput(benchmark, bench_datasets,
         "population_1000_scalar_vs_batched": population_1000_equal,
         "genome_shared_vs_deepcopy": genome_backends_equal,
         "cold_vs_warm_cache": cache_equal,
-        "legacy_shim_vs_session": session_equal,
         "artifact_roundtrip": artifact_equal,
         "concurrent_store_writers_lose_nothing": concurrent_ok,
     }
@@ -920,7 +886,6 @@ def test_population_evaluation_throughput(benchmark, bench_datasets,
         "population_1000": population_1000_report,
         "selection_variation": selection_variation_report,
         "pareto_sort": sort_report,
-        "session_api": session_report,
         "serving": serving_report,
         "concurrent_store": concurrent_report,
         "equivalence": equivalence,

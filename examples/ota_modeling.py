@@ -24,7 +24,8 @@ import sys
 
 from repro.core import CaffeineSettings
 from repro.core.report import models_table, tradeoff_table
-from repro.experiments import generate_ota_datasets, run_caffeine_for_target
+from repro.experiments import generate_ota_datasets
+from repro.experiments.setup import session_for_targets
 
 
 def main(target: str = "PM") -> None:
@@ -42,7 +43,7 @@ def main(target: str = "PM") -> None:
     print(f"\nRunning CAFFEINE on {target} "
           f"(population {settings.population_size}, "
           f"{settings.n_generations} generations)...")
-    result = run_caffeine_for_target(datasets, target, settings)
+    result = session_for_targets(datasets, (target,), settings).run().single()
     print(f"done in {result.runtime_seconds:.1f} s; "
           f"{result.n_models} models in the trade-off\n")
 

@@ -84,12 +84,12 @@ returned.  The fault-injection harness behind those guarantees lives in
 environment variable; see ``benchmarks/README.md`` for the
 checkpoint/resume semantics and failure knobs.
 
-The legacy one-call entry point :func:`run_caffeine` remains supported as
-a bit-for-bit shim over the Session path; see the migration table in
-``benchmarks/README.md``.  Every layer (column evaluation, linear fits,
-residual scoring, Pareto ranking, variation) has exactly one production
-implementation; the reference implementations it must match bit for bit
-live in the test suite.
+:class:`Session` is the one way to run CAFFEINE: a single run is
+``Session([Problem(train, test)], settings=s).run().single()`` (see the
+migration table in ``benchmarks/README.md``).  Every layer (column
+evaluation, linear fits, residual scoring, Pareto ranking, variation) has
+exactly one production implementation; the reference implementations it
+must match bit for bit live in the test suite.
 
 The invariants behind these guarantees (bit-identical reductions,
 spawn-safe worker entry points, crash-safe stores, seeded randomness) are
@@ -131,7 +131,6 @@ from repro.core import (
     default_function_set,
     polynomial_function_set,
     rational_function_set,
-    run_caffeine,
 )
 from repro.data import Dataset
 from repro.estimator import SymbolicRegressor
@@ -149,8 +148,7 @@ __all__ = [
     "ProgressPrinter",
     "InjectedFault",
     "SymbolicRegressor",
-    # engine layer (run_caffeine is the legacy shim)
-    "run_caffeine",
+    # engine layer
     "CaffeineEngine",
     "CaffeineResult",
     "CaffeineSettings",

@@ -317,7 +317,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.analysis.cli import main as lint_main
 
         return lint_main(argv[1:])
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "resume", False) and args.checkpoint is None:
+        parser.error("--resume needs --checkpoint PATH to read from")
     if args.command in ("run", "freeze"):
         return _run_csv_command(args)
     if args.command == "serve":
@@ -334,35 +337,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"{settings.n_generations} generations, seed {settings.random_seed}"
           + (f", {jobs} jobs" if jobs > 1 else "") + "\n")
 
-    checkpoint = getattr(args, "checkpoint", None)  # table2 has no sweep
-    resume = getattr(args, "resume", False)
+    # table2 has no sweep, hence no crash-safety options
+    sweep_options = dict(column_cache_path=args.column_cache, jobs=jobs,
+                         checkpoint_path=getattr(args, "checkpoint", None),
+                         checkpoint_every=getattr(args, "checkpoint_every", 1),
+                         resume=getattr(args, "resume", False))
     sweep_result = None
     if args.command == "figure3":
         sweep_result = run_figure3(datasets, settings, targets=args.targets,
-                                   column_cache_path=args.column_cache,
-                                   jobs=jobs, checkpoint_path=checkpoint,
-                                   resume=resume)
+                                   **sweep_options)
         print(sweep_result.render())
     elif args.command == "table1":
         sweep_result = run_table1(datasets, settings, targets=args.targets,
-                                  column_cache_path=args.column_cache,
-                                  jobs=jobs, checkpoint_path=checkpoint,
-                                  resume=resume)
+                                  **sweep_options)
         print(sweep_result.render())
     elif args.command == "table2":
         print(run_table2(datasets, settings, target=args.target,
                          column_cache_path=args.column_cache).render())
     elif args.command == "figure4":
         sweep_result = run_figure4(datasets, settings, targets=args.targets,
-                                   column_cache_path=args.column_cache,
-                                   jobs=jobs, checkpoint_path=checkpoint,
-                                   resume=resume)
+                                   **sweep_options)
         print(sweep_result.render())
     elif args.command == "ablation":
         print(run_ablation(datasets, settings, target=args.target,
-                           column_cache_path=args.column_cache,
-                           jobs=jobs, checkpoint_path=checkpoint,
-                           resume=resume).render())
+                           **sweep_options).render())
     if sweep_result is not None and getattr(args, "save_front", None):
         _save_front_directory(sweep_result.results, args.save_front)
     return 0

@@ -11,8 +11,8 @@ The public surface of the core package:
   partial results with structured
   :class:`~repro.core.session.ProblemFailure` records);
 * :class:`~repro.core.engine.CaffeineEngine` -- one run's evolutionary
-  loop (:func:`~repro.core.engine.run_caffeine` is the legacy one-call
-  shim over a one-problem session);
+  loop (a Session builds one per problem; a one-problem run is
+  ``Session([problem]).run().single()``);
 * :class:`~repro.core.settings.CaffeineSettings` -- all tunables (paper
   settings available via ``CaffeineSettings.paper_settings()``);
 * :class:`~repro.core.model.SymbolicModel` / :class:`~repro.core.model.TradeoffSet`
@@ -60,7 +60,6 @@ from repro.core.engine import (
     CaffeineEngine,
     CaffeineResult,
     GenerationStats,
-    run_caffeine,
 )
 from repro.core.expression import (
     BinaryOpTerm,
@@ -99,7 +98,6 @@ from repro.core.model import SymbolicModel, TradeoffSet
 from repro.core.operators import VariationOperators
 from repro.core.problem import Problem
 from repro.core.session import (
-    LegacyProgressCallback,
     ProblemFailure,
     ProgressPrinter,
     Session,
@@ -112,7 +110,6 @@ from repro.core.variable_combo import VariableCombo
 from repro.core.weights import Weight
 
 __all__ = [
-    "run_caffeine",
     "CaffeineEngine",
     "CaffeineResult",
     "GenerationStats",
@@ -123,7 +120,6 @@ __all__ = [
     "SessionResult",
     "ProblemFailure",
     "ProgressPrinter",
-    "LegacyProgressCallback",
     "InjectedFault",
     "FileLock",
     "SymbolicModel",

@@ -466,7 +466,7 @@ class RunCheckpointStore(_VersionedFileStore):
     """Crash-safe named snapshots of in-progress runs, one file per sweep.
 
     The store maps *slot names* (one per problem; ``Session`` uses the
-    problem name, ``run_caffeine`` the single problem's name) to opaque
+    problem name) to opaque
     pickled state dicts -- a :meth:`CaffeineEngine.capture_run_state
     <repro.core.engine.CaffeineEngine.capture_run_state>` generation
     snapshot while a run is in flight, or a completed

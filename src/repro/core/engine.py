@@ -6,9 +6,9 @@ individuals under the two objectives (normalized training error,
 complexity), applies simplification-after-generation, and returns a
 :class:`CaffeineResult` holding the trade-off of symbolic models plus
 per-generation statistics.  Engines are driven by the
-:class:`~repro.core.session.Session` orchestrator (the preferred API,
-alongside the :class:`repro.SymbolicRegressor` facade); :func:`run_caffeine`
-remains as the legacy one-call shim over a one-problem session.
+:class:`~repro.core.session.Session` orchestrator (the one public way to
+run CAFFEINE, also behind the :class:`repro.SymbolicRegressor` facade);
+building an engine directly is for tests and tools that need its state.
 
 All fitness evaluation is routed through one
 :class:`~repro.core.evaluation.PopulationEvaluator` bound to the training
@@ -49,7 +49,7 @@ from repro.core.settings import CaffeineSettings
 from repro.core.simplify import simplify_population
 from repro.data.dataset import Dataset
 
-__all__ = ["GenerationStats", "CaffeineResult", "CaffeineEngine", "run_caffeine"]
+__all__ = ["GenerationStats", "CaffeineResult", "CaffeineEngine"]
 
 #: Optional per-generation callback: ``callback(generation_index, stats)``.
 ProgressCallback = Callable[[int, "GenerationStats"], None]
@@ -113,7 +113,8 @@ class CaffeineResult:
 
 
 class CaffeineEngine:
-    """Stateful engine; :func:`run_caffeine` wraps it for the common case."""
+    """Stateful engine for one run; :class:`~repro.core.session.Session`
+    builds one per problem."""
 
     def __init__(self, train: Dataset, test: Optional[Dataset] = None,
                  settings: Optional[CaffeineSettings] = None,
@@ -474,79 +475,3 @@ class CaffeineEngine:
                             else None),
             ))
         return models
-
-
-def run_caffeine(train: Dataset, test: Optional[Dataset] = None,
-                 settings: Optional[CaffeineSettings] = None,
-                 progress: Optional[ProgressCallback] = None,
-                 column_cache: Optional[BasisColumnCache] = None,
-                 column_cache_path: Optional[str] = None,
-                 checkpoint_path: Optional[str] = None,
-                 checkpoint_every: int = 1,
-                 resume: bool = True) -> CaffeineResult:
-    """Run CAFFEINE on a training dataset (and optional testing dataset).
-
-    .. deprecated:: 1.1
-        This is now a compatibility shim over the Problem/Session API --
-        one :class:`~repro.core.problem.Problem` run by a one-problem
-        :class:`~repro.core.session.Session` -- and is kept bit-for-bit
-        identical to calling that API directly (asserted by the test
-        suite).  New code should prefer :class:`~repro.core.session.Session`
-        (multi-run orchestration, process pools, structured callbacks) or
-        :class:`repro.SymbolicRegressor` (the sklearn-style facade); see
-        the migration table in ``benchmarks/README.md``.
-
-        One deliberate tightening rides along: ``Problem`` validates the
-        train/test pair up front, so a ``test`` dataset whose target name
-        or log-scaling disagrees with ``train`` -- silently accepted (and
-        silently mis-scored) before -- now raises ``ValueError`` at the
-        call instead of producing a result.  Valid pairs are unaffected.
-
-    Usage::
-
-        from repro import CaffeineSettings, run_caffeine
-        result = run_caffeine(train, test, CaffeineSettings(population_size=100,
-                                                            n_generations=50))
-        for model in result.test_tradeoff:
-            print(model.train_error_percent, model.expression())
-
-    ``column_cache`` optionally shares one
-    :class:`~repro.core.evaluation.BasisColumnCache` across runs; cache keys
-    are namespaced by a dataset fingerprint, so runs on the same ``X``
-    (e.g. the six OTA performances) reuse evaluated basis columns while
-    runs on different data stay isolated.
-
-    ``column_cache_path`` additionally persists that cache across
-    *processes*: entries stored at the path are loaded before the run
-    (damaged or stale files degrade to a cold start, see
-    :class:`~repro.core.cache_store.ColumnCacheStore`) and the cache --
-    including everything this run computed -- is saved back after a
-    successful run, merged under the store's advisory lock so concurrent
-    runs cannot erase each other's columns.  Neither knob ever changes the
-    evolved models, only wall-clock time.
-
-    ``checkpoint_path`` makes the run *crash-safe*: every
-    ``checkpoint_every`` generations the run's boundary state (RNG state,
-    population, rank arrays, history) is snapshotted to a
-    :class:`~repro.core.cache_store.RunCheckpointStore` at the path, and --
-    because ``resume`` defaults to True -- re-running the same call after a
-    crash, SIGKILL or Ctrl-C warm-restarts from the last snapshot,
-    **bit-identically** to a run that was never interrupted (a finished
-    run's stored result is returned outright).  ``resume=False`` ignores
-    any existing snapshot and starts cold.  Like the cache knobs, the
-    checkpoint cadence never changes the evolved models.
-    """
-    # Imported here: session.py imports this module (CaffeineEngine).
-    from repro.core.problem import Problem
-    from repro.core.session import LegacyProgressCallback, Session
-
-    callbacks = ([LegacyProgressCallback(progress)]
-                 if progress is not None else ())
-    session = Session([Problem(train=train, test=test)], settings=settings,
-                      column_cache=column_cache,
-                      column_cache_path=column_cache_path,
-                      callbacks=callbacks,
-                      checkpoint_path=checkpoint_path,
-                      checkpoint_every=checkpoint_every,
-                      failure_policy="raise")
-    return session.run(resume=bool(checkpoint_path) and resume).single()

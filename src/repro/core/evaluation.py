@@ -43,7 +43,7 @@ Column-cache keys carry a :func:`dataset_fingerprint` prefix, so one
 different targets: the six OTA performances of the paper's experiments all
 evaluate on the *same* ``X``, and a shared cache makes the column side of a
 multi-target experiment driver roughly six times cheaper (see
-``repro.experiments.setup.run_caffeine_for_target``).
+``repro.experiments.setup.session_for_targets``).
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ performances that all evaluate basis functions on the same ``X``.  A
 run serially or on worker processes, sharing one fingerprinted column cache
 (in memory when serial, through a lock-protected
 :class:`~repro.core.cache_store.ColumnCacheStore` file when parallel or
-persistent), with a structured callback API replacing the ad-hoc
-``progress`` callable of :func:`~repro.core.engine.run_caffeine`::
+persistent), observed through a structured callback API.  It is the one
+way to run CAFFEINE; a single run is
+``Session([problem]).run().single()``::
 
     from repro import Problem, Session
 
@@ -23,24 +24,22 @@ persistent), with a structured callback API replacing the ad-hoc
 Guarantees (same discipline as the engine's other fast paths):
 
 * the Session path is **bit-for-bit identical** to looping
-  ``run_caffeine`` by hand -- each problem runs its own engine under its
-  own (or the session's) settings and seed, and caches never change
-  results, only wall-clock time;
+  :class:`~repro.core.engine.CaffeineEngine` runs by hand -- each problem
+  runs its own engine under its own (or the session's) settings and seed,
+  and caches never change results, only wall-clock time;
 * ``jobs > 1`` is bit-for-bit identical to serial: runs are independent,
   so worker scheduling cannot reorder any run's random stream;
 * concurrent workers saving the shared cache file merge under an advisory
   lock -- no run's columns are lost (see
   :meth:`~repro.core.cache_store.ColumnCacheStore.save`).
 
-Fault tolerance (all opt-out rather than opt-in -- a long sweep should
-survive by default):
+Fault tolerance (always on -- a long sweep should survive by default):
 
-* **one problem's failure never aborts the sweep** (default
-  ``failure_policy="continue"``): a worker that crashes (killed pid,
-  segfault), times out (``timeout`` seconds per problem) or raises is
-  retried up to ``retries`` times with exponential backoff + jitter, then
-  -- if ``fallback_serial`` -- run once more in-process; only after all
-  that does the problem land in :attr:`SessionResult.failures` as a
+* **one problem's failure never aborts the sweep**: a worker that crashes
+  (killed pid, segfault), times out (``timeout`` seconds per problem) or
+  raises is retried up to ``retries`` times with exponential backoff +
+  jitter, then run once more in-process; only after all that does the
+  problem land in :attr:`SessionResult.failures` as a
   structured :class:`ProblemFailure` (and
   :meth:`SessionCallback.on_problem_error` fires) while every other
   problem's result is returned normally;
@@ -53,8 +52,7 @@ survive by default):
 * **Ctrl-C returns what finished**: a ``KeyboardInterrupt`` saves the
   running problem's last boundary checkpoint, stops the sweep, and returns
   a partial :class:`SessionResult` (``interrupted=True``) instead of
-  discarding hours of completed work (with ``failure_policy="raise"`` it
-  propagates, preserving the legacy shim's semantics).
+  discarding hours of completed work.
 """
 
 from __future__ import annotations
@@ -82,7 +80,11 @@ from repro.core.problem import Problem
 from repro.core.settings import CaffeineSettings
 
 __all__ = ["Session", "SessionCallback", "SessionResult", "ProblemFailure",
-           "ProgressPrinter", "LegacyProgressCallback"]
+           "ProgressPrinter"]
+
+#: Base retry delay in seconds; failed attempt ``k`` waits
+#: ``RETRY_BACKOFF * 2**(k-1)`` (+ up to 25% jitter).
+RETRY_BACKOFF = 0.5
 
 
 class SessionCallback:
@@ -120,7 +122,7 @@ class SessionCallback:
     def on_problem_error(self, problem: Problem,
                          failure: "ProblemFailure") -> None:
         """After one problem failed *terminally* (every retry and fallback
-        exhausted); the sweep continues under ``failure_policy="continue"``."""
+        exhausted); the sweep continues with the next problem."""
 
     def on_session_end(self, result: "SessionResult") -> None:
         """After every problem finished/failed and caches were saved."""
@@ -158,19 +160,6 @@ class ProgressPrinter(SessionCallback):
                          failure: "ProblemFailure") -> None:
         self.printer(f"[{problem.name}] FAILED after {failure.attempts} "
                      f"attempt(s): {failure.phase}: {failure.message}")
-
-
-class LegacyProgressCallback(SessionCallback):
-    """Adapter: the old ``progress(generation, stats)`` callable as a
-    callback (what the :func:`~repro.core.engine.run_caffeine` shim uses)."""
-
-    def __init__(self, progress: Callable[[int, GenerationStats], None]
-                 ) -> None:
-        self.progress = progress
-
-    def on_generation(self, problem: Problem, generation: int,
-                      stats: GenerationStats) -> None:
-        self.progress(generation, stats)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -318,10 +307,8 @@ class Session:
         in-memory column cache; ``n > 1`` runs up to ``n`` problems
         concurrently, each in its own worker process, sharing columns
         through ``column_cache_path`` (if given).  Results are identical
-        either way -- see the module docstring.
-    column_cache:
-        Optional in-memory cache to share (serial only); defaults to a
-        fresh one sized to the largest per-problem column budget
+        either way -- see the module docstring.  A serial session's cache
+        is sized to the largest per-problem column budget
         (:func:`~repro.core.evaluation.cache_budgets`).
     column_cache_path:
         Optional :class:`ColumnCacheStore` path: the session warm-starts
@@ -346,59 +333,36 @@ class Session:
         deadline is killed and the problem retried/failed like a crash.
     retries:
         How many times a crashed / timed-out / raising problem is retried
-        (fresh worker, exponential backoff with jitter) before the serial
-        fallback or terminal failure.  Default 1.
-    retry_backoff:
-        Base backoff delay in seconds; attempt ``k`` waits
-        ``retry_backoff * 2**(k-1)`` (+ up to 25% jitter).  Default 0.5.
-    fallback_serial:
-        After all parallel retries fail, try the problem once more
-        in-process (default True) -- degraded throughput beats a lost
-        problem when the failure was pool-related.
-    failure_policy:
-        ``"continue"`` (default): terminal failures become structured
+        (fresh worker, exponential backoff with jitter, see
+        :data:`RETRY_BACKOFF`) before terminal failure.  Default 1.  With
+        ``jobs > 1``, after the worker retries a problem gets one more
+        in-process attempt --
+        degraded throughput beats a lost problem when the failure was
+        pool-related.  Terminal failures become structured
         :class:`ProblemFailure` records in a partial
-        :class:`SessionResult` and the sweep keeps going.  ``"raise"``:
-        the first failure propagates as an exception (the legacy
-        :func:`~repro.core.engine.run_caffeine` contract) and a
-        ``KeyboardInterrupt`` propagates instead of returning partials.
+        :class:`SessionResult` and the sweep keeps going.
     """
 
     def __init__(self, problems: Sequence[Problem] = (),
                  settings: Optional[CaffeineSettings] = None, *,
                  jobs: int = 1,
-                 column_cache: Optional[BasisColumnCache] = None,
                  column_cache_path: Optional[str] = None,
                  callbacks: Sequence[SessionCallback] = (),
                  checkpoint_path: Optional[str] = None,
                  checkpoint_every: int = 1,
                  timeout: Optional[float] = None,
-                 retries: int = 1,
-                 retry_backoff: float = 0.5,
-                 fallback_serial: bool = True,
-                 failure_policy: str = "continue") -> None:
+                 retries: int = 1) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if column_cache is not None and jobs > 1:
-            raise ValueError(
-                "an in-memory column_cache cannot be shared across "
-                "processes; use column_cache_path with jobs > 1")
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be at least 1")
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive (or None)")
         if retries < 0:
             raise ValueError("retries must be non-negative")
-        if retry_backoff < 0:
-            raise ValueError("retry_backoff must be non-negative")
-        if failure_policy not in ("continue", "raise"):
-            raise ValueError(
-                f"failure_policy must be 'continue' or 'raise', "
-                f"got {failure_policy!r}")
         self.problems: List[Problem] = []
         self.settings = settings
         self.jobs = int(jobs)
-        self.column_cache = column_cache
         self.column_cache_path = (str(column_cache_path)
                                   if column_cache_path is not None else None)
         self.callbacks: List[SessionCallback] = list(callbacks)
@@ -407,9 +371,6 @@ class Session:
         self.checkpoint_every = int(checkpoint_every)
         self.timeout = timeout
         self.retries = int(retries)
-        self.retry_backoff = float(retry_backoff)
-        self.fallback_serial = bool(fallback_serial)
-        self.failure_policy = failure_policy
         for problem in problems:
             self.add(problem)
 
@@ -423,10 +384,6 @@ class Session:
                 f"a problem named {problem.name!r} is already scheduled "
                 f"(names key the result mapping and must be unique)")
         self.problems.append(problem)
-        return self
-
-    def add_callback(self, callback: SessionCallback) -> "Session":
-        self.callbacks.append(callback)
         return self
 
     # ------------------------------------------------------------------
@@ -472,7 +429,7 @@ class Session:
 
     def _backoff_delay(self, failed_attempt: int) -> float:
         """Exponential backoff with up to 25% jitter (wall-clock only)."""
-        base = self.retry_backoff * (2.0 ** failed_attempt)
+        base = RETRY_BACKOFF * (2.0 ** failed_attempt)
         # repro-lint: allow[determinism] -- retry-backoff jitter shapes wall-clock waits only, never results
         return base * (1.0 + 0.25 * random.random())
 
@@ -482,10 +439,9 @@ class Session:
                                Dict[str, ProblemFailure], bool]:
         # The shared cache is sized to the largest per-problem budget so
         # no problem's working set is squeezed by a smaller neighbour.
-        cache = (self.column_cache if self.column_cache is not None
-                 else BasisColumnCache(max(
-                     cache_budgets(problem.effective_settings(self.settings))
-                     .columns for problem in self.problems)))
+        cache = BasisColumnCache(max(
+            cache_budgets(problem.effective_settings(self.settings)).columns
+            for problem in self.problems))
         store = (ColumnCacheStore(self.column_cache_path)
                  if self.column_cache_path is not None else None)
         checkpoints = self._checkpoint_store()
@@ -528,8 +484,6 @@ class Session:
                     except KeyboardInterrupt:
                         raise
                     except Exception as error:
-                        if self.failure_policy == "raise":
-                            raise
                         attempt += 1
                         failure = ProblemFailure(
                             problem=problem, phase="exception",
@@ -553,8 +507,6 @@ class Session:
             # The engine already saved the interrupted problem's last
             # completed generation boundary (when checkpointing is on);
             # report what finished instead of discarding it.
-            if self.failure_policy == "raise":
-                raise
             interrupted = True
             if current is not None and current.name not in results:
                 failures[current.name] = ProblemFailure(
@@ -634,11 +586,6 @@ class Session:
             failure = ProblemFailure(
                 problem=worker.problem, phase=phase, error_type=error_type,
                 message=message, attempts=attempts, traceback=trace)
-            if self.failure_policy == "raise":
-                raise RuntimeError(
-                    f"problem {worker.problem.name!r} failed "
-                    f"({phase}: {error_type}: {message})"
-                    + (f"\n{trace}" if trace else ""))
             if worker.attempt < self.retries:
                 delay = self._backoff_delay(worker.attempt)
                 self._fire("on_problem_retry", worker.problem, failure,
@@ -647,13 +594,11 @@ class Session:
                     index=worker.index, problem=worker.problem,
                     attempt=worker.attempt + 1,
                     ready_at=time.monotonic() + delay))
-            elif self.fallback_serial:
+            else:
                 self._fire("on_problem_retry", worker.problem, failure, 0.0)
                 serial_queue.append(_Attempt(
                     index=worker.index, problem=worker.problem,
                     attempt=attempts))
-            else:
-                failures[worker.problem.name] = failure
 
         def reap(conn, worker: _Running) -> None:
             """Collect one finished/broken worker's outcome."""
@@ -719,8 +664,6 @@ class Session:
                                 f"problem exceeded the per-problem timeout "
                                 f"of {self.timeout} s and was killed")
         except KeyboardInterrupt:
-            if self.failure_policy == "raise":
-                raise
             interrupted = True
             for worker in running.values():
                 failures.setdefault(worker.problem.name, ProblemFailure(

@@ -19,9 +19,6 @@ reduced budgets and prints the same rows/series the paper reports;
 from repro.experiments.setup import (
     OtaDatasets,
     generate_ota_datasets,
-    persistent_shared_cache,
-    run_caffeine_for_target,
-    shared_column_cache,
 )
 from repro.experiments.figure3 import Figure3Result, run_figure3
 from repro.experiments.table1 import Table1Result, run_table1
@@ -32,9 +29,6 @@ from repro.experiments.ablation import AblationResult, run_ablation
 __all__ = [
     "OtaDatasets",
     "generate_ota_datasets",
-    "run_caffeine_for_target",
-    "shared_column_cache",
-    "persistent_shared_cache",
     "Figure3Result",
     "run_figure3",
     "Table1Result",

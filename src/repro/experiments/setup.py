@@ -9,15 +9,17 @@ performances are modeled: ``ALF``, ``fu`` (log10-scaled for fitting), ``PM``,
 ``voffset``, ``SRp`` and ``SRn``.
 
 :func:`generate_ota_datasets` reproduces that data-generation flow on the
-analytic OTA substrate; :func:`run_caffeine_for_target` wraps a CAFFEINE run
-for one performance, applying the same scaling conventions as the paper.
+analytic OTA substrate; :func:`problems_for_targets` packages the selected
+performances (with the paper's scaling conventions) as
+:class:`~repro.core.problem.Problem` objects, and :func:`session_for_targets`
+wraps them in the :class:`~repro.core.session.Session` every experiment
+driver runs.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.circuits.ota import (
     OTA_NOMINAL_POINT,
@@ -26,18 +28,14 @@ from repro.circuits.ota import (
     SymmetricalOta,
     simulate_ota_performances,
 )
-from repro.core.cache_store import ColumnCacheStore
-from repro.core.engine import CaffeineResult, run_caffeine
-from repro.core.evaluation import BasisColumnCache, cache_budgets
 from repro.core.problem import Problem
 from repro.core.session import Session, SessionCallback
 from repro.core.settings import CaffeineSettings
 from repro.data.dataset import Dataset, train_test_from_doe
 from repro.doe.sampling import DoePlan
 
-__all__ = ["OtaDatasets", "generate_ota_datasets", "run_caffeine_for_target",
+__all__ = ["OtaDatasets", "generate_ota_datasets",
            "problems_for_targets", "session_for_targets",
-           "shared_column_cache", "persistent_shared_cache",
            "DEFAULT_TRAIN_DX", "DEFAULT_TEST_DX", "DEFAULT_N_RUNS"]
 
 #: Paper values: training DOE step, testing DOE step, number of DOE runs.
@@ -126,46 +124,6 @@ def generate_ota_datasets(train_dx: float = DEFAULT_TRAIN_DX,
     )
 
 
-def shared_column_cache(settings: Optional[CaffeineSettings] = None
-                        ) -> BasisColumnCache:
-    """A basis-column cache sized for sharing across multi-target drivers.
-
-    The six OTA performances evaluate their basis functions on the *same*
-    training ``X`` (only ``y`` differs), and column-cache keys carry a
-    dataset fingerprint -- so one cache handed to every
-    :func:`run_caffeine_for_target` call lets later targets reuse the
-    columns earlier targets already evaluated, making the column side of a
-    six-target sweep roughly six times cheaper.  Targets whose cleaned
-    datasets end up with different ``X`` (e.g. rows dropped for one
-    performance only) are isolated automatically by the fingerprint.
-    """
-    settings = settings if settings is not None else CaffeineSettings()
-    return BasisColumnCache(cache_budgets(settings).columns)
-
-
-@contextlib.contextmanager
-def persistent_shared_cache(settings: Optional[CaffeineSettings] = None,
-                            column_cache_path: Optional[str] = None
-                            ) -> Iterator[BasisColumnCache]:
-    """A shared column cache, optionally warm-started from / saved to disk.
-
-    The multi-target experiment drivers run their whole sweep inside this
-    context: with a ``column_cache_path`` the cache is pre-loaded from the
-    store before the first run (a missing or damaged file degrades to a
-    cold start) and written back -- now containing every column the sweep
-    computed -- when the sweep finishes without raising.  With no path this
-    is exactly :func:`shared_column_cache`.
-    """
-    cache = shared_column_cache(settings)
-    store = (ColumnCacheStore(column_cache_path)
-             if column_cache_path is not None else None)
-    if store is not None:
-        store.load_into(cache)
-    yield cache
-    if store is not None:
-        store.save(cache)
-
-
 def problems_for_targets(datasets: OtaDatasets,
                          targets: Optional[Sequence[str]] = None
                          ) -> Tuple[Problem, ...]:
@@ -198,9 +156,7 @@ def session_for_targets(datasets: OtaDatasets,
                         jobs: int = 1,
                         callbacks: Sequence[SessionCallback] = (),
                         checkpoint_path: Optional[str] = None,
-                        checkpoint_every: int = 1,
-                        timeout: Optional[float] = None,
-                        retries: int = 1) -> Session:
+                        checkpoint_every: int = 1) -> Session:
     """A ready-to-run :class:`Session` over the selected OTA performances.
 
     All experiment drivers build their sweeps through here: the six
@@ -213,37 +169,11 @@ def session_for_targets(datasets: OtaDatasets,
     generation boundaries (and its final result) to a
     :class:`~repro.core.cache_store.RunCheckpointStore` there, so
     ``session.run(resume=True)`` after a crash or Ctrl-C skips finished
-    performances and continues in-flight ones bit-identically.  ``timeout``
-    and ``retries`` bound per-performance wall-clock and retry crashed
-    workers when ``jobs > 1``.
+    performances and continues in-flight ones bit-identically.
     """
     return Session(problems_for_targets(datasets, targets),
                    settings=settings, jobs=jobs,
                    column_cache_path=column_cache_path,
                    callbacks=callbacks,
                    checkpoint_path=checkpoint_path,
-                   checkpoint_every=checkpoint_every,
-                   timeout=timeout, retries=retries)
-
-
-def run_caffeine_for_target(datasets: OtaDatasets, target: str,
-                            settings: Optional[CaffeineSettings] = None,
-                            column_cache: Optional[BasisColumnCache] = None,
-                            column_cache_path: Optional[str] = None
-                            ) -> CaffeineResult:
-    """Run CAFFEINE for one OTA performance with the paper's conventions.
-
-    .. deprecated:: 1.1
-        A compatibility shim over the Problem/Session API (bit-for-bit
-        identical; see :func:`problems_for_targets` /
-        :func:`session_for_targets` for the preferred multi-run form).
-
-    ``column_cache`` (see :func:`shared_column_cache`) may be shared across
-    the six performances, and ``column_cache_path`` persists columns across
-    processes (see :func:`repro.core.engine.run_caffeine`); neither changes
-    the models, only the wall-clock time of every run after the first.
-    """
-    train, test = datasets.for_target(target)
-    return run_caffeine(train, test, settings=settings,
-                        column_cache=column_cache,
-                        column_cache_path=column_cache_path)
+                   checkpoint_every=checkpoint_every)

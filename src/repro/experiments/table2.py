@@ -18,7 +18,7 @@ from repro.core.model import SymbolicModel, TradeoffSet
 from repro.core.report import models_table
 from repro.core.settings import CaffeineSettings
 from repro.experiments.setup import OtaDatasets, generate_ota_datasets, \
-    run_caffeine_for_target
+    session_for_targets
 
 __all__ = ["Table2Result", "run_table2"]
 
@@ -65,8 +65,9 @@ def run_table2(datasets: Optional[OtaDatasets] = None,
     if result is None:
         datasets = datasets if datasets is not None else generate_ota_datasets()
         settings = settings if settings is not None else CaffeineSettings()
-        result = run_caffeine_for_target(datasets, target, settings,
-                                         column_cache_path=column_cache_path)
+        result = session_for_targets(
+            datasets, (target,), settings,
+            column_cache_path=column_cache_path).run().single()
     source = result.test_tradeoff if len(result.test_tradeoff) > 0 else result.tradeoff
     ordered = sorted(source, key=lambda m: (m.complexity, -m.train_error))
     return Table2Result(target=target, models=tuple(ordered), result=result)

@@ -394,7 +394,7 @@ def reference_layers(*layers: str) -> Iterator[None]:
     for ``"columns"``/``"residuals"``, every evaluator or test-set scoring
     pass) built uses the named references above.  Serial
     :class:`~repro.core.session.Session` runs execute in this process, so
-    ``run_caffeine`` and ``Session(jobs=1)`` pick the swap up too.
+    ``Session(jobs=1)`` picks the swap up too.
     """
     unknown = sorted(set(layers) - set(LAYERS))
     if unknown:

@@ -98,6 +98,56 @@ class TestMain:
         assert os.path.exists(path)  # the sweep persisted its columns
 
 
+class TestCrashSafetyFlags:
+    def _record_snapshots(self, monkeypatch):
+        from repro.core.cache_store import RunCheckpointStore
+
+        generations = []
+        save_state = RunCheckpointStore.save_state
+
+        def recording_save_state(store, slot, state):
+            if state["kind"] == "generation":
+                generations.append(state["generation"])
+            return save_state(store, slot, state)
+
+        monkeypatch.setattr(RunCheckpointStore, "save_state",
+                            recording_save_state)
+        return generations
+
+    @pytest.mark.parametrize("command", ["figure3", "table1", "figure4"])
+    def test_sweeps_forward_checkpoint_every(self, command, monkeypatch,
+                                             tmp_path, capsys):
+        generations = self._record_snapshots(monkeypatch)
+        exit_code = main([command, "--targets", "PM", "--population", "10",
+                          "--generations", "6", "--runs", "27",
+                          "--checkpoint", str(tmp_path / "a.ckpt"),
+                          "--checkpoint-every", "3"])
+        assert exit_code == 0
+        # Generation 6 is the last: its boundary becomes the stored result.
+        assert generations == [3]
+
+    def test_ablation_forwards_checkpoint_every(self, monkeypatch, tmp_path,
+                                                capsys):
+        generations = self._record_snapshots(monkeypatch)
+        exit_code = main(["ablation", "--population", "10",
+                          "--generations", "6", "--runs", "27",
+                          "--checkpoint", str(tmp_path / "a.ckpt"),
+                          "--checkpoint-every", "3"])
+        assert exit_code == 0
+        assert generations == [3] * 4  # one snapshot per CAFFEINE variant
+
+    @pytest.mark.parametrize("command", [
+        ["run", "x.csv", "--target", "y"],
+        ["freeze", "x.csv", "--target", "y", "--out", "f.caffeine"],
+        ["figure3"], ["table1"], ["figure4"], ["ablation"]])
+    def test_resume_without_checkpoint_is_a_usage_error(self, command,
+                                                        capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--resume"])
+        assert excinfo.value.code == 2
+        assert "--resume needs --checkpoint" in capsys.readouterr().err
+
+
 class TestRunCommand:
     def _write_csv(self, path):
         import numpy as np

@@ -20,7 +20,7 @@ from repro.core.artifact import (
     load_front,
     save_front,
 )
-from repro.core.engine import run_caffeine
+from repro.core.engine import CaffeineEngine
 from repro.core.problem import Problem
 from repro.core.report import rescore_models
 from repro.core.session import Session
@@ -38,7 +38,7 @@ def _assert_rows_bit_identical(front: FrozenFront, models, X) -> None:
 
 @pytest.fixture(scope="module")
 def result(rational_train, rational_test, fast_settings):
-    return run_caffeine(rational_train, rational_test, fast_settings)
+    return CaffeineEngine(rational_train, rational_test, fast_settings).run()
 
 
 @pytest.fixture()

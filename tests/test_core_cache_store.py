@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.cache_store import ColumnCacheStore
-from repro.core.engine import run_caffeine
+from repro.core.engine import CaffeineEngine
 from repro.core.evaluation import (
     BasisColumnCache,
     PopulationEvaluator,
@@ -17,6 +17,8 @@ from repro.core.evaluation import (
 )
 from repro.core.generator import ExpressionGenerator
 from repro.core.individual import Individual
+from repro.core.problem import Problem
+from repro.core.session import Session
 from repro.core.settings import CaffeineSettings
 from repro.data.dataset import Dataset
 
@@ -237,32 +239,20 @@ class TestRunCaffeineIntegration:
         settings = CaffeineSettings.fast_settings(random_seed=3)
         path = str(tmp_path / "cache" / "cols.cache")
 
-        reference = run_caffeine(train, settings=settings)
-        cold = run_caffeine(train, settings=settings, column_cache_path=path)
+        def run_with_store():
+            return Session([Problem(train)], settings=settings,
+                           column_cache_path=path).run().single()
+
+        reference = CaffeineEngine(train, settings=settings).run()
+        cold = run_with_store()
         assert os.path.exists(path)
-        warm = run_caffeine(train, settings=settings, column_cache_path=path)
+        warm = run_with_store()
 
         def errors(result):
             return [(m.train_error, m.complexity) for m in result.tradeoff]
 
         assert errors(cold) == errors(reference)
         assert errors(warm) == errors(reference)
-
-    def test_persistent_shared_cache_context(self, tmp_path):
-        from repro.experiments.setup import persistent_shared_cache
-
-        settings = CaffeineSettings.fast_settings()
-        path = str(tmp_path / "shared.cache")
-        evaluator = _evaluator(8, settings)
-        with persistent_shared_cache(settings, path) as cache:
-            shared = PopulationEvaluator(evaluator.X, evaluator.y, settings,
-                                         cache=cache)
-            shared.evaluate_population(_population(8))
-            n_entries = len(cache)
-        assert n_entries > 0
-        assert os.path.exists(path)
-        with persistent_shared_cache(settings, path) as warm_cache:
-            assert len(warm_cache) == n_entries
 
 
 # ----------------------------------------------------------------------

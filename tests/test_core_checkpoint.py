@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import faults
 from repro.core.cache_store import FileLock, RunCheckpointStore
-from repro.core.engine import CaffeineEngine, run_caffeine
+from repro.core.engine import CaffeineEngine
 from repro.core.evaluation import BasisColumnCache
 from repro.core.problem import Problem
 from repro.core.session import Session, SessionCallback
@@ -194,13 +194,13 @@ class TestLegacyShimCheckpoint:
     def test_run_caffeine_checkpoint_and_resume(self, tmp_path):
         train, test = _datasets()
         path = str(tmp_path / "run.ckpt")
-        reference = run_caffeine(train, test, settings=SETTINGS)
-        first = run_caffeine(train, test, settings=SETTINGS,
-                             checkpoint_path=path)
+        reference = CaffeineEngine(train, test, settings=SETTINGS).run()
+        session = Session([Problem(train, test)], settings=SETTINGS,
+                          checkpoint_path=path)
+        first = session.run().single()
         assert _front(first) == _front(reference)
-        # Second call resumes straight from the stored result slot.
-        again = run_caffeine(train, test, settings=SETTINGS,
-                             checkpoint_path=path)
+        # The resumed run returns straight from the stored result slot.
+        again = session.run(resume=True).single()
         assert _front(again) == _front(reference)
 
 

@@ -473,7 +473,7 @@ class TestCanonicalFactorOrder:
 
 def test_engine_fixed_seed_identical_across_column_backends():
     """A full run (engine + simplify) matches the interpreter reference."""
-    from repro.core.engine import run_caffeine
+    from repro.core.engine import CaffeineEngine
     from repro.data.dataset import Dataset
 
     rng = np.random.default_rng(7)
@@ -484,7 +484,7 @@ def test_engine_fixed_seed_identical_across_column_backends():
     results = {}
     for backend, layers in (("interp", ("columns",)), ("compiled", ())):
         with reference_layers(*layers):
-            result = run_caffeine(train, settings=base)
+            result = CaffeineEngine(train, settings=base).run()
         results[backend] = [(m.train_error, m.complexity)
                             for m in result.tradeoff]
     assert results["compiled"] == results["interp"]

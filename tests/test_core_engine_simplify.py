@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import CaffeineEngine, run_caffeine
+from repro.core.engine import CaffeineEngine
 from repro.core.generator import ExpressionGenerator
 from repro.core.individual import Individual
 from repro.core.expression import ProductTerm
@@ -25,7 +25,7 @@ from repro.core.variable_combo import VariableCombo
 class TestEngineRun:
     @pytest.fixture(scope="class")
     def result(self, rational_train, rational_test, fast_settings):
-        return run_caffeine(rational_train, rational_test, fast_settings)
+        return CaffeineEngine(rational_train, rational_test, fast_settings).run()
 
     def test_returns_nonempty_tradeoff(self, result):
         assert result.n_models >= 2
@@ -73,8 +73,8 @@ class TestEngineRun:
     def test_reproducible_with_same_seed(self, rational_train, rational_test):
         settings = CaffeineSettings(population_size=20, n_generations=4,
                                     random_seed=7)
-        first = run_caffeine(rational_train, rational_test, settings)
-        second = run_caffeine(rational_train, rational_test, settings)
+        first = CaffeineEngine(rational_train, rational_test, settings).run()
+        second = CaffeineEngine(rational_train, rational_test, settings).run()
         assert [m.expression() for m in first.tradeoff] == \
             [m.expression() for m in second.tradeoff]
 
@@ -86,8 +86,8 @@ class TestEngineRun:
     def test_progress_callback_invoked(self, rational_train, fast_settings):
         calls = []
         settings = fast_settings.copy(n_generations=3, population_size=20)
-        run_caffeine(rational_train, settings=settings,
-                     progress=lambda gen, stats: calls.append(gen))
+        CaffeineEngine(rational_train, settings=settings).run(
+            progress=lambda gen, stats: calls.append(gen))
         assert calls == [0, 1, 2]
 
 
@@ -97,7 +97,7 @@ class TestBestModelSelection:
 
     @pytest.fixture(scope="class")
     def result(self, rational_train, rational_test, fast_settings):
-        return run_caffeine(rational_train, rational_test, fast_settings)
+        return CaffeineEngine(rational_train, rational_test, fast_settings).run()
 
     def test_by_test_uses_test_tradeoff(self, result):
         assert len(result.test_tradeoff) > 0
@@ -112,7 +112,7 @@ class TestBestModelSelection:
 
     def test_by_test_falls_back_without_test_data(self, rational_train,
                                                   fast_settings):
-        no_test = run_caffeine(rational_train, settings=fast_settings)
+        no_test = CaffeineEngine(rational_train, settings=fast_settings).run()
         assert len(no_test.test_tradeoff) == 0
         best = no_test.best_model(by="test")
         assert best.expression() == \
@@ -192,7 +192,8 @@ class TestSimplification:
 class TestTradeoffSetAndReport:
     @pytest.fixture(scope="class")
     def tradeoff(self, rational_train, rational_test, fast_settings):
-        return run_caffeine(rational_train, rational_test, fast_settings).tradeoff
+        engine = CaffeineEngine(rational_train, rational_test, fast_settings)
+        return engine.run().tradeoff
 
     def test_within_error_filter(self, tradeoff):
         tight = tradeoff.within_error(0.05, 0.05)

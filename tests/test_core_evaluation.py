@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import run_caffeine
+from repro.core.engine import CaffeineEngine
 from repro.core.evaluation import (
     BasisColumnCache,
     GramPool,
@@ -439,9 +439,9 @@ class TestEndToEndReproducibility:
         """Fixed seed => identical trade-off whether or not the cache is on."""
         base = CaffeineSettings(population_size=20, n_generations=4,
                                 random_seed=7)
-        cached = run_caffeine(rational_train, rational_test, base)
-        uncached = run_caffeine(rational_train, rational_test, base,
-                                column_cache=BasisColumnCache(0))
+        cached = CaffeineEngine(rational_train, rational_test, base).run()
+        uncached = CaffeineEngine(rational_train, rational_test, base,
+                                  column_cache=BasisColumnCache(0)).run()
         assert [m.expression() for m in cached.tradeoff] == \
             [m.expression() for m in uncached.tradeoff]
         assert [m.train_error for m in cached.tradeoff] == \
@@ -454,10 +454,10 @@ class TestEndToEndReproducibility:
         three non-production combinations)."""
         base = CaffeineSettings(population_size=20, n_generations=4,
                                 random_seed=7)
-        reference = run_caffeine(rational_train, rational_test, base)
+        reference = CaffeineEngine(rational_train, rational_test, base).run()
         for layers in (("fits",), ("pareto",), ("fits", "pareto")):
             with reference_layers(*layers):
-                result = run_caffeine(rational_train, rational_test, base)
+                result = CaffeineEngine(rational_train, rational_test, base).run()
                 assert [m.expression() for m in result.tradeoff] == \
                     [m.expression() for m in reference.tradeoff], layers
                 assert [m.train_error for m in result.tradeoff] == \
@@ -472,19 +472,17 @@ class TestEndToEndReproducibility:
 
         base = CaffeineSettings(population_size=20, n_generations=3,
                                 random_seed=11)
-        private = run_caffeine(rational_train, rational_test, base)
+        private = CaffeineEngine(rational_train, rational_test, base).run()
         shared = Cache(cache_budgets(base).columns)
-        first = run_caffeine(rational_train, rational_test, base,
-                             column_cache=shared)
-        second = run_caffeine(rational_train, rational_test, base,
-                              column_cache=shared)
+        first = CaffeineEngine(rational_train, rational_test, base,
+                               column_cache=shared).run()
+        second = CaffeineEngine(rational_train, rational_test, base,
+                                column_cache=shared).run()
         for result in (first, second):
             assert [m.expression() for m in result.tradeoff] == \
                 [m.expression() for m in private.tradeoff]
 
     def test_engine_cache_hits_accumulate(self, rational_train):
-        from repro.core.engine import CaffeineEngine
-
         settings = CaffeineSettings(population_size=20, n_generations=3,
                                     random_seed=5)
         engine = CaffeineEngine(rational_train, settings=settings)

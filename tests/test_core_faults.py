@@ -14,8 +14,8 @@ import pytest
 
 from repro import InjectedFault, ProblemFailure
 from repro.core import faults
+from repro.core import session as session_module
 from repro.core.cache_store import ColumnCacheStore
-from repro.core.engine import run_caffeine
 from repro.core.problem import Problem
 from repro.core.session import Session, SessionCallback
 from repro.core.settings import CaffeineSettings
@@ -26,7 +26,8 @@ SETTINGS = CaffeineSettings(population_size=16, n_generations=2,
 
 
 @pytest.fixture(autouse=True)
-def _clean_faults():
+def _clean_faults(monkeypatch):
+    monkeypatch.setattr(session_module, "RETRY_BACKOFF", 0.0)
     faults.clear()
     yield
     faults.clear()
@@ -57,10 +58,12 @@ def _front(result):
 class _Recorder(SessionCallback):
     def __init__(self):
         self.retries = []
+        self.failures = []
         self.errors = []
 
     def on_problem_retry(self, problem, failure, delay):
         self.retries.append((problem.name, failure.phase, failure.attempts))
+        self.failures.append(failure)
 
     def on_problem_error(self, problem, failure):
         self.errors.append((problem.name, failure.phase))
@@ -143,19 +146,12 @@ class TestFireSemantics:
 
 
 class TestSerialFaultTolerance:
-    def test_fit_exception_propagates_through_legacy_shim(self, monkeypatch):
-        problem = _problems(("t1",))[0]
-        _arm(monkeypatch, "fit.exception")
-        with pytest.raises(InjectedFault):
-            run_caffeine(problem.train, settings=SETTINGS)
-
     def test_serial_retry_recovers_and_matches_clean_run(self, monkeypatch):
         problem = _problems(("t1",))[0]
         clean = Session([problem], settings=SETTINGS).run()
         _arm(monkeypatch, "fit.exception:times=1")
         recorder = _Recorder()
         outcome = Session([problem], settings=SETTINGS, retries=1,
-                          retry_backoff=0.0,
                           callbacks=[recorder]).run()
         assert outcome.complete
         assert recorder.retries == [("t1", "exception", 1)]
@@ -185,13 +181,6 @@ class TestSerialFaultTolerance:
         with pytest.raises(RuntimeError, match="2 problem"):
             outcome.raise_failures()
 
-    def test_failure_policy_raise_propagates(self, monkeypatch):
-        problem = _problems(("t1",))[0]
-        _arm(monkeypatch, "fit.exception")
-        with pytest.raises(InjectedFault):
-            Session([problem], settings=SETTINGS, retries=3,
-                    failure_policy="raise").run()
-
 
 class TestParallelFaultTolerance:
     def test_killed_worker_is_retried_and_result_matches(self, monkeypatch):
@@ -200,22 +189,30 @@ class TestParallelFaultTolerance:
         _arm(monkeypatch, "worker.kill:problem=t1:attempt=0")
         recorder = _Recorder()
         outcome = Session(problems, settings=SETTINGS, jobs=2, retries=1,
-                          retry_backoff=0.01, callbacks=[recorder]).run()
+                          callbacks=[recorder]).run()
         assert outcome.complete
         assert recorder.retries == [("t1", "worker-crash", 1)]
         for name in ("t1", "t2"):
             assert _front(outcome[name]) == _front(clean[name])
 
     def test_worker_exception_reported_with_traceback(self, monkeypatch):
+        # The worker's exception is reported per attempt; the in-process
+        # fallback never passes _worker_main's exception point, so it
+        # finishes the problem.
         problems = _problems(("t1", "t2"))
+        clean = Session(problems, settings=SETTINGS).run()
         _arm(monkeypatch, "worker.exception:problem=t2")
+        recorder = _Recorder()
         outcome = Session(problems, settings=SETTINGS, jobs=2, retries=0,
-                          fallback_serial=False).run()
-        assert set(outcome.results) == {"t1"}
-        failure = outcome.failures["t2"]
-        assert failure.phase == "exception"
+                          callbacks=[recorder]).run()
+        assert outcome.complete
+        assert recorder.retries == [("t2", "exception", 1)]
+        failure = recorder.failures[0]
         assert failure.error_type == "InjectedFault"
         assert "worker.exception" in failure.traceback
+        assert recorder.errors == []
+        for name in ("t1", "t2"):
+            assert _front(outcome[name]) == _front(clean[name])
 
     def test_serial_fallback_rescues_flaky_worker(self, monkeypatch):
         # The kill fires on every worker attempt (times=inf, any attempt),
@@ -224,16 +221,36 @@ class TestParallelFaultTolerance:
         problems = _problems(("t1", "t2"))
         clean = Session(problems, settings=SETTINGS).run()
         _arm(monkeypatch, "worker.kill:problem=t1:times=inf")
-        outcome = Session(problems, settings=SETTINGS, jobs=2, retries=1,
-                          retry_backoff=0.01, fallback_serial=True).run()
+        outcome = Session(problems, settings=SETTINGS, jobs=2,
+                          retries=1).run()
         assert outcome.complete
         assert _front(outcome["t1"]) == _front(clean["t1"])
+
+    def test_failed_fallback_is_a_structured_terminal_failure(self,
+                                                             monkeypatch):
+        # times=inf fires in every worker and in the in-process fallback.
+        problems = _problems(("t1", "t2"))
+        _arm(monkeypatch, "fit.exception:times=inf")
+        recorder = _Recorder()
+        outcome = Session(problems, settings=SETTINGS, jobs=2, retries=0,
+                          callbacks=[recorder]).run()
+        assert outcome.results == {}
+        assert sorted(recorder.retries) == [("t1", "exception", 1),
+                                            ("t2", "exception", 1)]
+        assert sorted(recorder.errors) == [("t1", "exception"),
+                                           ("t2", "exception")]
+        for name in ("t1", "t2"):
+            failure = outcome.failures[name]
+            assert failure.fell_back_serial
+            assert failure.attempts == 2
+            assert failure.error_type == "InjectedFault"
+            assert "fit.exception" in failure.traceback
 
     def test_sweep_survives_kill_timeout_and_corrupt_cache(self, tmp_path,
                                                            monkeypatch):
         """The acceptance sweep: one killed worker, one problem stalled
         past its timeout, one corrupt shared-cache file -- every problem
-        still returns a result or a structured failure."""
+        still returns a result, bit-identical to an undisturbed run."""
         problems = _problems(("t1", "t2", "t3"))
         clean = Session(problems, settings=SETTINGS).run()
 
@@ -247,23 +264,24 @@ class TestParallelFaultTolerance:
         recorder = _Recorder()
         outcome = Session(problems, settings=SETTINGS, jobs=3,
                           column_cache_path=str(cache_path),
-                          timeout=1.0, retries=1, retry_backoff=0.01,
-                          fallback_serial=False,
+                          timeout=1.0, retries=1,
                           callbacks=[recorder]).run()
 
-        # Every problem is accounted for: results for t1 (after its killed
-        # worker was retried) and t3, a structured timeout failure for t2.
-        assert set(outcome.results) == {"t1", "t3"}
-        assert set(outcome.failures) == {"t2"}
-        failure = outcome.failures["t2"]
-        assert failure.phase == "timeout"
-        assert failure.attempts == 2  # first try + one retry, both stalled
-        assert ("t2", "timeout") in recorder.errors
-        assert not outcome.complete
+        # t1's killed worker was retried; t2 timed out on its first try
+        # and its retry (both stalled), then the in-process fallback --
+        # which never passes the worker's stall point -- finished it.
+        assert sorted(recorder.retries) == [("t1", "worker-crash", 1),
+                                            ("t2", "timeout", 1),
+                                            ("t2", "timeout", 2)]
+        assert all("timeout" in failure.message
+                   for failure in recorder.failures
+                   if failure.phase == "timeout")
+        assert recorder.errors == []
+        assert outcome.complete
 
-        # The surviving results are bit-identical to an undisturbed run.
-        assert _front(outcome["t1"]) == _front(clean["t1"])
-        assert _front(outcome["t3"]) == _front(clean["t3"])
+        # Every result is bit-identical to an undisturbed run.
+        for name in ("t1", "t2", "t3"):
+            assert _front(outcome[name]) == _front(clean[name])
 
         # The damaged cache file was quarantined by the first loader and
         # replaced by a fresh valid store (loading it warns about nothing).

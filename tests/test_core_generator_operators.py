@@ -288,13 +288,13 @@ class TestGenomeBackends:
 
     def test_engine_runs_bit_identical_across_backends(self, rational_train,
                                                        fast_settings):
-        from repro.core.engine import run_caffeine
+        from repro.core.engine import CaffeineEngine
 
         fronts = {}
         settings = fast_settings.copy(n_generations=4)
         for backend, layers in (("shared", ()), ("deepcopy", ("genome",))):
             with reference_layers(*layers):
-                result = run_caffeine(rational_train, settings=settings)
+                result = CaffeineEngine(rational_train, settings=settings).run()
             fronts[backend] = [(repr(m.train_error), repr(m.complexity),
                                 m.expression()) for m in result.tradeoff]
         assert fronts["shared"] == fronts["deepcopy"]

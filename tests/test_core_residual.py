@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from repro.core.compile import TreeCompiler
-from repro.core.engine import CaffeineEngine, run_caffeine
+from repro.core.engine import CaffeineEngine
 from repro.core.evaluation import (
     BasisColumnCache,
     BatchedResidualBackend,
@@ -332,7 +332,7 @@ class TestAdaptiveBudgets:
         cache all thrash evolves the same trade-off as the default one."""
         settings = CaffeineSettings(population_size=20, n_generations=4,
                                     random_seed=7)
-        reference = run_caffeine(rational_train, rational_test, settings)
+        reference = CaffeineEngine(rational_train, rational_test, settings).run()
         engine = CaffeineEngine(rational_train, test=rational_test,
                                 settings=settings,
                                 column_cache=BasisColumnCache(2))
@@ -354,9 +354,9 @@ class TestEngineResidualEquivalence:
     def test_fixed_seed_engine_equality(self, rational_train, rational_test):
         base = CaffeineSettings(population_size=20, n_generations=4,
                                 random_seed=7)
-        batched = run_caffeine(rational_train, rational_test, base)
+        batched = CaffeineEngine(rational_train, rational_test, base).run()
         with reference_layers("residuals"):
-            scalar = run_caffeine(rational_train, rational_test, base)
+            scalar = CaffeineEngine(rational_train, rational_test, base).run()
         assert [m.expression() for m in batched.tradeoff] == \
             [m.expression() for m in scalar.tradeoff]
         assert [m.train_error for m in batched.tradeoff] == \
@@ -371,7 +371,7 @@ class TestEngineResidualEquivalence:
 
         base = CaffeineSettings(population_size=20, n_generations=3,
                                 random_seed=3)
-        result = run_caffeine(rational_train, rational_test, base)
+        result = CaffeineEngine(rational_train, rational_test, base).run()
         assert result.n_models >= 1
         for model in result.tradeoff:
             individual = Individual(bases=list(model.bases),
@@ -389,7 +389,7 @@ class TestEngineResidualEquivalence:
 
         base = CaffeineSettings(population_size=20, n_generations=3,
                                 random_seed=13)
-        result = run_caffeine(rational_train, rational_test, base)
+        result = CaffeineEngine(rational_train, rational_test, base).run()
         models = list(result.tradeoff)
         assert models
         batched = rescore_models(models, rational_test.X, rational_test.y)

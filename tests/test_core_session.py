@@ -1,4 +1,4 @@
-"""Problem/Session orchestration: shim equality, parallel runs, callbacks."""
+"""Problem/Session orchestration: engine equality, parallel runs, callbacks."""
 
 from __future__ import annotations
 
@@ -8,15 +8,11 @@ import numpy as np
 import pytest
 
 from repro.core.cache_store import ColumnCacheStore
-from repro.core.engine import run_caffeine
+from repro.core.engine import CaffeineEngine
 from repro.core import session as session_module
 from repro.core.evaluation import BasisColumnCache, cache_budgets
 from repro.core.problem import Problem
-from repro.core.session import (
-    LegacyProgressCallback,
-    Session,
-    SessionCallback,
-)
+from repro.core.session import Session, SessionCallback
 from repro.core.settings import CaffeineSettings
 from repro.data.dataset import Dataset
 
@@ -124,22 +120,6 @@ class TestProblem:
 
 
 class TestSerialEquality:
-    def test_session_matches_legacy_run_caffeine(self):
-        """Fixed-seed bit-for-bit equality: Session vs the legacy shim.
-
-        (The shim itself routes through Session now, so run each problem
-        through a *bare* one-problem session AND through run_caffeine with
-        a pre-shared cache -- the historic driver shape -- and compare.)
-        """
-        problems = _two_problems()
-        outcome = Session(problems, settings=SETTINGS).run()
-
-        shared = BasisColumnCache(cache_budgets(SETTINGS).columns)
-        for problem in problems:
-            legacy = run_caffeine(problem.train, settings=SETTINGS,
-                                  column_cache=shared)
-            assert _front(legacy) == _front(outcome[problem.name])
-
     def test_result_mapping_api(self):
         outcome = Session(_two_problems(), settings=SETTINGS).run()
         assert outcome.names == ("t1", "t2")
@@ -156,15 +136,14 @@ class TestSerialEquality:
             SETTINGS.copy(population_size=20, random_seed=9))
         outcome = Session([problems[0], pinned], settings=SETTINGS).run()
         assert outcome["t2"].settings.population_size == 20
-        reference = run_caffeine(pinned.train, settings=pinned.settings)
+        reference = CaffeineEngine(pinned.train,
+                                   settings=pinned.settings).run()
         assert _front(reference) == _front(outcome["t2"])
 
     def test_validation_errors(self):
         problems = _two_problems()
         with pytest.raises(ValueError, match="jobs"):
             Session(problems, jobs=0)
-        with pytest.raises(ValueError, match="column_cache_path"):
-            Session(problems, jobs=2, column_cache=BasisColumnCache(10))
         with pytest.raises(ValueError, match="already scheduled"):
             Session([problems[0], problems[0]])
         with pytest.raises(TypeError, match="Problem"):
@@ -236,14 +215,6 @@ class TestCallbacksAndCheckpoints:
         for name in outcome.names:
             assert _front(silent[name]) == _front(outcome[name])
 
-    def test_legacy_progress_adapter(self):
-        seen = []
-        problem = _two_problems()[0]
-        Session([problem], settings=SETTINGS,
-                callbacks=[LegacyProgressCallback(
-                    lambda gen, stats: seen.append(gen))]).run()
-        assert seen == list(range(SETTINGS.n_generations))
-
     def test_interrupted_serial_sweep_saves_column_store(self, tmp_path):
         """Ctrl-C during the second problem still saves the columns the
         first one paid for."""
@@ -270,7 +241,7 @@ class TestCallbacksAndCheckpoints:
         for name in cold.names:
             assert _front(cold[name]) == _front(warm[name])
 
-    def test_warm_load_is_namespace_filtered(self, tmp_path):
+    def test_warm_load_is_namespace_filtered(self, tmp_path, monkeypatch):
         """Foreign namespaces in a shared store never occupy LRU room."""
         path = str(tmp_path / "cols.cache")
         # Seed the store with entries from an unrelated namespace.
@@ -279,12 +250,23 @@ class TestCallbacksAndCheckpoints:
                     np.zeros(8))
         ColumnCacheStore(path).save(foreign)
 
-        cache = BasisColumnCache(cache_budgets(SETTINGS).columns)
-        Session(_two_problems(), settings=SETTINGS, column_cache=cache,
-                column_cache_path=path).run()
-        foreign_keys = [key for key, _column in cache.items()
-                        if key[0][0] == "foreign-dataset"]
-        assert foreign_keys == []  # filtered out, not loaded
+        requested = []
+        load_into = ColumnCacheStore.load_into
+
+        def recording_load_into(store, cache, dataset_key=None):
+            loaded = load_into(store, cache, dataset_key=dataset_key)
+            requested.append((dataset_key, loaded))
+            return loaded
+
+        monkeypatch.setattr(ColumnCacheStore, "load_into",
+                            recording_load_into)
+        problems = _two_problems()
+        Session(problems, settings=SETTINGS, column_cache_path=path).run()
+        # Both problems share X, so their one namespace loads once; only
+        # that namespace is requested, so the foreign entry never lands.
+        expected = CaffeineEngine(problems[0].train,
+                                  settings=SETTINGS).evaluator.dataset_key
+        assert requested == [(expected, 0)]
         # ... while the store still holds the foreign namespace on disk.
         stored = ColumnCacheStore(path).load(100000)
         assert any(key[0][0] == "foreign-dataset"

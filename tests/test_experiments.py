@@ -14,13 +14,12 @@ from repro.core.settings import CaffeineSettings
 from repro.experiments import (
     generate_ota_datasets,
     run_ablation,
-    run_caffeine_for_target,
     run_figure3,
     run_figure4,
     run_table1,
     run_table2,
 )
-from repro.experiments.setup import LOG_SCALED_TARGETS
+from repro.experiments.setup import LOG_SCALED_TARGETS, session_for_targets
 
 
 @pytest.fixture(scope="module")
@@ -33,8 +32,8 @@ def tiny_settings():
 def shared_results(ota_datasets, tiny_settings):
     """One CAFFEINE run per target, shared by the driver tests."""
     targets = ("PM", "SRp")
-    return {t: run_caffeine_for_target(ota_datasets, t, tiny_settings)
-            for t in targets}
+    outcome = session_for_targets(ota_datasets, targets, tiny_settings).run()
+    return dict(outcome.raise_failures().items())
 
 
 class TestSetup:

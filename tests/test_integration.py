@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.core.settings import CaffeineSettings
-from repro.experiments import run_caffeine_for_target, run_figure4, run_table1
+from repro.experiments import run_figure4, run_table1
+from repro.experiments.setup import session_for_targets
 from repro.posynomial import fit_posynomial
 
 
@@ -26,7 +27,8 @@ def settings():
 
 @pytest.fixture(scope="module")
 def srp_result(ota_datasets_full, settings):
-    return run_caffeine_for_target(ota_datasets_full, "SRp", settings)
+    return session_for_targets(ota_datasets_full, ("SRp",),
+                               settings).run().single()
 
 
 class TestEndToEndSlewRate:

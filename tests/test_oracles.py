@@ -1,5 +1,5 @@
-"""The reference oracles reach the engine, and removing the knobs broke no
-checkpoint.
+"""The reference oracles reach the engine, removing the knobs broke no
+checkpoint, and the retired second way to run stays retired.
 
 Every layer ships one production implementation; the equivalence tests
 compare it against the references in ``tests/oracles.py``.  These tests
@@ -7,12 +7,16 @@ make sure such a comparison is never vacuous -- inside
 :func:`oracles.reference_layers` the engine really runs the references,
 and outside it really runs production code -- and that the settings
 fingerprint checkpoints carry did not change when the backend, cache-budget
-and fault-injection knobs went.
+and fault-injection knobs went.  :class:`Session` is the one way to run
+CAFFEINE: the one-call shims, the pre-Session cache helpers and the
+Session options only they or the tests set are gone for good.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import inspect
 import pickle
 
 import numpy as np
@@ -37,6 +41,25 @@ REMOVED_KNOBS = ("evaluation_backend", "evaluation_workers", "column_backend",
                  "genome_backend", "basis_cache_size", "gram_pool_size",
                  "kernel_cache_size", "adaptive_cache_budgets",
                  "fault_injection")
+
+#: the retired second way to run: (module, name) pairs that must not exist
+REMOVED_NAMES = (
+    ("repro", "run_caffeine"),
+    ("repro.core", "run_caffeine"),
+    ("repro.core.engine", "run_caffeine"),
+    ("repro.core", "LegacyProgressCallback"),
+    ("repro.core.session", "LegacyProgressCallback"),
+    ("repro.experiments", "run_caffeine_for_target"),
+    ("repro.experiments", "shared_column_cache"),
+    ("repro.experiments", "persistent_shared_cache"),
+    ("repro.experiments.setup", "run_caffeine_for_target"),
+    ("repro.experiments.setup", "shared_column_cache"),
+    ("repro.experiments.setup", "persistent_shared_cache"),
+)
+
+#: Session options that only the retired shims or the tests set
+REMOVED_SESSION_OPTIONS = ("failure_policy", "column_cache", "retry_backoff",
+                           "fallback_serial", "checkpoint_column_cache")
 
 
 def _engine(rational_train, fast_settings):
@@ -107,6 +130,33 @@ def test_settings_hold_only_the_algorithm():
 def test_session_checkpoint_column_cache_option_removed():
     with pytest.raises(TypeError, match="checkpoint_column_cache"):
         Session(checkpoint_column_cache=True)
+
+
+@pytest.mark.parametrize("module, name", REMOVED_NAMES)
+def test_removed_entry_points_are_gone(module, name):
+    assert not hasattr(importlib.import_module(module), name)
+    with pytest.raises(ImportError, match=name):
+        exec(f"from {module} import {name}", {})
+
+
+def test_session_add_callback_removed():
+    with pytest.raises(AttributeError, match="add_callback"):
+        Session().add_callback  # noqa: B018
+
+
+@pytest.mark.parametrize("option", REMOVED_SESSION_OPTIONS)
+def test_removed_session_options_rejected(option):
+    with pytest.raises(TypeError, match=option):
+        Session(**{option: None})
+
+
+def test_session_takes_seven_keyword_options():
+    parameters = inspect.signature(Session.__init__).parameters.values()
+    keyword_only = [p.name for p in parameters
+                    if p.kind is inspect.Parameter.KEYWORD_ONLY]
+    assert keyword_only == ["jobs", "column_cache_path", "callbacks",
+                            "checkpoint_path", "checkpoint_every", "timeout",
+                            "retries"]
 
 
 def test_settings_fingerprint_unchanged_by_knob_removal():
