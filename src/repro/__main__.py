@@ -41,10 +41,12 @@ import sys
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
+from repro.circuits.ota import OTA_VARIABLE_NAMES
 from repro.core.problem import Problem
 from repro.core.report import tradeoff_table
 from repro.core.session import ProgressPrinter, Session
 from repro.core.settings import CaffeineSettings
+from repro.doe.orthogonal import orthogonal_hypercube
 from repro.experiments import (
     generate_ota_datasets,
     run_ablation,
@@ -246,6 +248,21 @@ def settings_from_args(args: argparse.Namespace) -> CaffeineSettings:
                             random_seed=args.seed)
 
 
+def _checked_settings(args: argparse.Namespace
+                      ) -> Optional[CaffeineSettings]:
+    """The command's settings (``None`` without budget options), after
+    checking every budget flag; raises ``ValueError`` before any dataset is
+    read or built."""
+    if getattr(args, "checkpoint_every", 1) < 1:
+        raise ValueError("--checkpoint-every must be at least 1")
+    if hasattr(args, "runs"):
+        try:
+            orthogonal_hypercube(len(OTA_VARIABLE_NAMES), n_runs=args.runs)
+        except ValueError as error:
+            raise ValueError(f"--runs {args.runs}: {error}") from None
+    return settings_from_args(args) if hasattr(args, "population") else None
+
+
 def _save_front_file(result, path) -> None:
     """Freeze one result at ``path`` and report where it landed."""
     from repro.core.artifact import save_front
@@ -264,12 +281,12 @@ def _save_front_directory(results: Mapping, directory) -> None:
         _save_front_file(result, base / f"{target}.front")
 
 
-def _run_csv_command(args: argparse.Namespace) -> int:
+def _run_csv_command(args: argparse.Namespace,
+                     settings: CaffeineSettings) -> int:
     problem = Problem.from_csv(args.csv, target=args.target,
                                test_path=args.test,
                                feature_columns=args.features,
                                log10_target=args.log10_target)
-    settings = settings_from_args(args)
     print(f"Problem {problem.name!r}: {problem.train.n_samples} train"
           + (f" / {problem.test.n_samples} test" if problem.test else "")
           + f" samples, {problem.n_variables} variables")
@@ -321,8 +338,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "resume", False) and args.checkpoint is None:
         parser.error("--resume needs --checkpoint PATH to read from")
+    try:
+        settings = _checked_settings(args)
+    except ValueError as error:
+        parser.error(f"invalid budget: {error}")
     if args.command in ("run", "freeze"):
-        return _run_csv_command(args)
+        return _run_csv_command(args, settings)
     if args.command == "serve":
         return _serve_command(args)
 
@@ -331,7 +352,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "datasets":
         return 0
 
-    settings = settings_from_args(args)
     jobs = getattr(args, "jobs", 1)  # table2 has no --jobs (single run)
     print(f"\nCAFFEINE settings: population {settings.population_size}, "
           f"{settings.n_generations} generations, seed {settings.random_seed}"

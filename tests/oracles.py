@@ -16,9 +16,9 @@ plainer reference here that it must match bit for bit:
 
 :func:`reference_layers` swaps any of them into the engine for the duration
 of a ``with`` block, so a whole fixed-seed run can be compared against the
-production run.  ``benchmarks/bench_evaluation.py`` and
-``benchmarks/bench_pareto.py`` import this module for their
-production-vs-reference equivalence keys.
+production run.  ``test_equivalence_keys.py`` runs the required
+equivalence keys through it, and ``benchmarks/bench_pareto.py`` times the
+Pareto kernels against it.
 """
 
 from __future__ import annotations

@@ -148,6 +148,42 @@ class TestCrashSafetyFlags:
         assert "--resume needs --checkpoint" in capsys.readouterr().err
 
 
+class TestInvalidBudgets:
+    @pytest.mark.parametrize("command, message", [
+        (["run", "toy.csv", "--target", "y", "--population", "3"],
+         "population_size must be at least 4"),
+        (["run", "toy.csv", "--target", "y", "--generations", "0"],
+         "n_generations must be at least 1"),
+        (["run", "toy.csv", "--target", "y", "--checkpoint-every", "0"],
+         "--checkpoint-every must be at least 1"),
+        (["freeze", "toy.csv", "--target", "y", "--out", "f.caffeine",
+          "--population", "3"], "population_size must be at least 4"),
+        (["figure3", "--targets", "PM", "--population", "3"],
+         "population_size must be at least 4"),
+        (["ablation", "--generations", "0"],
+         "n_generations must be at least 1"),
+        (["table1", "--checkpoint-every", "0"],
+         "--checkpoint-every must be at least 1"),
+        (["datasets", "--runs", "0"], "--runs 0"),
+        (["table2", "--runs", "9"], "--runs 9"),
+    ])
+    def test_is_a_usage_error_before_any_work(self, command, message,
+                                              monkeypatch, capsys):
+        # Neither the CSV (which does not exist) nor the OTA datasets are
+        # touched: the budget is checked right after parsing.
+        def no_datasets(**_kwargs):
+            raise AssertionError("datasets built before the budget check")
+
+        monkeypatch.setattr("repro.__main__.generate_ota_datasets",
+                            no_datasets)
+        with pytest.raises(SystemExit) as excinfo:
+            main(command)
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert "usage:" in error
+        assert f"invalid budget: {message}" in error
+
+
 class TestRunCommand:
     def _write_csv(self, path):
         import numpy as np
