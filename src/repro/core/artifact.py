@@ -4,9 +4,9 @@ A CAFFEINE run's real product is its error/complexity trade-off, but until
 now that trade-off died with the process (or lived inside a run checkpoint,
 which drags the whole evolutionary state along).  This module freezes a
 finished front into a small, versioned, checksummed file and loads it back
-as a :class:`FrozenFront` -- a pure *prediction* object that reconstitutes
-compiled kernels through :mod:`repro.core.compile` and never imports the
-evolution machinery (engine, session, evaluator).
+as a :class:`FrozenFront` -- a pure *prediction* object that holds no
+population, RNG or cache state and never builds an engine, a session or an
+evaluator.
 
 * :func:`save_front` serializes a :class:`~repro.core.engine.CaffeineResult`
   (or anything carrying a ``tradeoff``) through :class:`FrontArtifactStore`,
@@ -21,32 +21,27 @@ evolution machinery (engine, session, evaluator).
   because a frozen model is *supposed* to be applied to fresh data; only a
   feature-count mismatch (the model literally cannot evaluate) rejects.
 
-Prediction follows the engine's canonical recipes bit for bit: unique basis
-columns are evaluated once across the front (compiled tapes via
-:class:`~repro.core.compile.TreeCompiler`, bit-identical to the
-interpreter), matrices assemble from the shared columns, and same-width
-groups run through one
-:func:`~repro.regression.least_squares.predict_linear_batch` pass -- so a
+Prediction and rescoring run through the one post-evolution scoring path,
+:func:`repro.core.model.predict_models` (unique basis columns evaluated once
+across the front, one stacked prediction pass per basis width) -- so a
 frozen front's predictions and :meth:`FrozenFront.rescore` errors equal the
-originating run's :func:`repro.core.report.rescore_models` output exactly
-(the ``artifact_roundtrip`` equivalence gate in CI).
+originating run's models and its :func:`repro.core.report.rescore_models`
+output exactly (the ``artifact_roundtrip`` equivalence gate in CI).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import os
 import time
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.cache_store import _VersionedFileStore
-from repro.core.compile import TreeCompiler
-from repro.core.expression import structural_key
-from repro.core.model import SymbolicModel, TradeoffSet
-from repro.regression.least_squares import predict_linear_batch
+from repro.core.model import SymbolicModel, TradeoffSet, predict_models
 
 __all__ = ["FRONT_ARTIFACT_VERSION", "FrontArtifactStore", "FrozenFront",
            "save_front", "load_front"]
@@ -94,68 +89,6 @@ class FrontArtifactStore(_VersionedFileStore):
             self._warn("malformed front document", quarantine=True)
             return None
         return front
-
-
-# ----------------------------------------------------------------------
-# prediction helpers (the canonical batched recipe, engine-free)
-# ----------------------------------------------------------------------
-
-def _front_matrices(models: Sequence[SymbolicModel],
-                    X: np.ndarray) -> List[np.ndarray]:
-    """One basis matrix per model from *shared* compiled columns.
-
-    Unique basis functions across the whole front evaluate once -- front
-    models share bases heavily -- through a :class:`TreeCompiler` bound to
-    ``X`` (recurring skeletons run as fused tapes, bit-identical to the
-    interpreter), exactly the column-sharing discipline of
-    :func:`repro.core.model.batch_test_errors`.
-    """
-    compiler = TreeCompiler(X)
-    columns: Dict[object, np.ndarray] = {}
-    matrices: List[np.ndarray] = []
-    for model in models:
-        assembled = []
-        for basis in model.bases:
-            key = structural_key(basis)
-            column = columns.get(key)
-            if column is None:
-                column = compiler.column(basis)
-                columns[key] = column
-            assembled.append(column)
-        matrices.append(np.column_stack(assembled) if assembled
-                        else np.zeros((X.shape[0], 0)))
-    return matrices
-
-
-def _predict_models(models: Sequence[SymbolicModel], X: np.ndarray,
-                    transformed: bool = False) -> np.ndarray:
-    """``(n_models, n_samples)`` predictions via the batched recipe.
-
-    Row ``i`` is bit-for-bit ``models[i].predict(X)`` (or
-    ``predict_transformed`` with ``transformed=True``): the stacked
-    left-to-right accumulation of :func:`predict_linear_batch` is
-    row-independent by construction, and the ``10**`` unscaling is applied
-    per row so its array shape matches the scalar path.
-    """
-    matrices = _front_matrices(models, X)
-    predictions = np.zeros((len(models), X.shape[0]))
-    groups: Dict[int, List[int]] = {}
-    for index, model in enumerate(models):
-        groups.setdefault(model.fit.n_terms, []).append(index)
-    for _width, indices in groups.items():
-        stacked = np.stack([matrices[i] for i in indices])
-        rows = predict_linear_batch(
-            np.array([models[i].fit.intercept for i in indices]),
-            np.stack([np.asarray(models[i].fit.coefficients, dtype=float)
-                      for i in indices]),
-            stacked)
-        for row, i in enumerate(indices):
-            predictions[i] = rows[row]
-    if not transformed:
-        for index, model in enumerate(models):
-            if model.log_scaled_target:
-                predictions[index] = np.power(10.0, predictions[index])
-    return predictions
 
 
 # ----------------------------------------------------------------------
@@ -268,14 +201,25 @@ class FrozenFront:
         train error for ``by="train"``, ties broken toward lower
         complexity.  ``complexity_max`` first restricts the candidates to
         models within the bound (the designer's "simplest model I can
-        afford" query).
+        afford" query).  A ``model_index`` that is not an integer, or a
+        ``complexity_max`` that is not a real number, raises ``ValueError``
+        (``True`` is neither).
         """
         if model_index is not None:
-            if not 0 <= int(model_index) < len(self.models):
+            if isinstance(model_index, bool) \
+                    or not isinstance(model_index, (int, np.integer)):
+                raise ValueError(
+                    f"model_index must be an integer, got {model_index!r}")
+            if not 0 <= model_index < len(self.models):
                 raise ValueError(
                     f"model_index {model_index} out of range "
                     f"[0, {len(self.models)})")
-            return self.models[int(model_index)]
+            return self.models[model_index]
+        if complexity_max is not None and (
+                isinstance(complexity_max, bool)
+                or not isinstance(complexity_max, numbers.Real)):
+            raise ValueError(f"complexity_max must be a real number, got "
+                             f"{complexity_max!r}")
         candidates = [m for m in self.models
                       if complexity_max is None
                       or m.complexity <= complexity_max]
@@ -299,19 +243,27 @@ class FrozenFront:
         """Predictions of the selected model (original target domain).
 
         Bit-for-bit what ``self.select(...).predict(X)`` -- and therefore
-        what the live run's model -- returns; computed through the batched
-        kernel path.
+        what the live run's model -- returns; computed through
+        :func:`~repro.core.model.predict_models`.
         """
         X = self._check_features(X)
         model = self.select(by=by, complexity_max=complexity_max,
                             model_index=model_index)
-        return _predict_models([model], X)[0]
+        return model.to_original_domain(predict_models([model], X)[0])
 
     def predict_all(self, X: np.ndarray,
                     transformed: bool = False) -> np.ndarray:
-        """``(n_models, n_samples)`` predictions of every frozen model."""
-        X = self._check_features(X)
-        return _predict_models(self.models, X, transformed=transformed)
+        """``(n_models, n_samples)`` predictions of every frozen model.
+
+        Original target domain, or the training domain with
+        ``transformed=True``.
+        """
+        predictions = predict_models(self.models, self._check_features(X))
+        if not transformed:
+            for index, model in enumerate(self.models):
+                predictions[index] = model.to_original_domain(
+                    predictions[index])
+        return predictions
 
     def rescore(self, X: np.ndarray, y: np.ndarray) -> List[float]:
         """Per-model relative RMS errors on fresh data.

@@ -44,26 +44,22 @@ first sighting of a skeleton is interpreted (and the skeleton remembered);
 a tape is built only when a skeleton recurs, so one-shot trees never pay
 compilation, only the cheap skeleton walk.
 
-A node type the compiler does not know falls back *per node*: the tape
-embeds a call to that subtree's own ``evaluate``, so exotic extensions still
-evaluate exactly as interpreted while the rest of the tree stays compiled
-(such trees are compiled fresh per evaluation -- their embedded state cannot
-be keyed -- and a node without even an ``evaluate`` method falls back to the
-plain interpreter for the whole tree).
+Only the node classes of :mod:`repro.core.expression` lower to tapes;
+:func:`skeleton_and_params` raises :class:`CompilationError` for any other
+node type, so such trees never reach the compiler.
 
-Correctness contract: ``TreeCompiler.column(basis)`` is bit-for-bit
-identical to ``evaluate_basis_column(basis, X)`` (magnitude clip and NaN
-semantics included) for every tree built from the node classes in
-:mod:`repro.core.expression`; the hypothesis property tests in
-``tests/test_core_compile.py`` enforce this over random trees, including
+Correctness contract: ``TreeCompiler.column_from_key(skeleton, params,
+basis)`` is bit-for-bit identical to ``evaluate_basis_column(basis, X)``
+(magnitude clip and NaN semantics included) for every tree built from the
+node classes in :mod:`repro.core.expression`; the hypothesis property tests
+in ``tests/test_core_compile.py`` enforce this over random trees, including
 parameter-perturbed skeleton reuse.  Operator implementations are assumed
 not to mutate their input arrays (true of every NumPy-style operation,
 including the whole default function set).
 
-Routed through the miss path of
-:class:`repro.core.evaluation.PopulationEvaluator`, so the engine, the
-experiment drivers and ``simplify_population`` all use it without further
-wiring.
+Its one caller is the miss path of
+:class:`repro.core.evaluation.PopulationEvaluator`, which the engine uses
+for evolution and simplification alike.
 """
 
 from __future__ import annotations
@@ -92,7 +88,6 @@ __all__ = [
     "canonicalize_factors",
     "canonicalize_fresh_product_term",
     "cached_skeleton_and_params",
-    "compile_basis_function",
     "skeleton_and_params",
 ]
 
@@ -103,7 +98,7 @@ Operand = Union[int, Tuple[str, int], np.ndarray]
 
 
 class CompilationError(ValueError):
-    """A tree cannot be lowered to a tape (callers fall back to interpretation)."""
+    """A tree holds a node type that cannot be keyed or lowered to a tape."""
 
 
 class CompiledKernel:
@@ -427,14 +422,7 @@ class _Lowering:
             return self.emit(node.op.implementation, (left, right))
         if kind is ConditionalOpTerm:
             return self._lower_conditional(node)
-        # Per-node fallback: embed an interpreted evaluation of this subtree
-        # in the tape.  It runs under the kernel's errstate exactly as it
-        # would under evaluate_basis_column's, so the value is unchanged.
-        evaluate = getattr(node, "evaluate", None)
-        if not callable(evaluate):
-            raise CompilationError(
-                f"cannot lower {kind.__name__} (no evaluate method)")
-        return self.emit(evaluate, (self.compiler.X,))
+        raise CompilationError(f"cannot lower {kind.__name__} nodes")
 
     def _lower_product_term(self, node: ProductTerm) -> Operand:
         """Left-to-right product in the interpreter's association.
@@ -562,46 +550,24 @@ class TreeCompiler:
 
     # -- compilation ---------------------------------------------------
     def compile(self, basis: ProductTerm) -> CompiledKernel:
-        """Lower one tree to a kernel (no caching; unknown nodes embed their
-        own ``evaluate`` as a per-node fallback step)."""
+        """Lower one tree to a kernel (no caching)."""
         lowering = _Lowering(self)
         result = lowering.lower(basis)
         self.n_compiled += 1
         return CompiledKernel(lowering.steps, lowering.n_slots, result,
                               self.n_samples, lowering.params)
 
-    def column(self, basis: ProductTerm) -> np.ndarray:
-        """Drop-in replacement for ``evaluate_basis_column(basis, self.X)``.
-
-        Total: every tree evaluates, bit-for-bit with the interpreter --
-        through a skeleton-cached tape when the skeleton has recurred,
-        through the interpreter on a skeleton's first sighting, through a
-        fresh uncached tape when the tree embeds unknown (opaque) node
-        types, and through the interpreter itself when a node cannot be
-        lowered at all.
-        """
-        try:
-            skeleton, params = skeleton_and_params(basis)
-        except CompilationError:
-            self.n_kernel_requests += 1
-            try:
-                kernel = self.compile(basis)
-            except CompilationError:
-                return evaluate_basis_column(basis, self.X)
-            return kernel(kernel.compiled_params)
-        return self.column_from_key(skeleton, params, basis)
-
     def column_from_key(self, skeleton: Tuple, params: Sequence[float],
                         basis: ProductTerm) -> np.ndarray:
-        """:meth:`column` for callers that already hold the skeleton walk.
+        """``evaluate_basis_column(basis, self.X)``, bit for bit.
 
-        The population evaluator keys its basis-column cache by
-        ``(skeleton, params)``, so on a cache miss the walk has already been
-        paid -- this entry point reuses it instead of re-walking the tree.
+        ``(skeleton, params)`` is ``skeleton_and_params(basis)``: the
+        population evaluator keys its basis-column cache by that pair, so on
+        a cache miss the walk has already been paid.  A recurring skeleton
+        runs its cached tape; a first sighting is interpreted (with
+        ``max_kernels=0`` every call is).
         """
         self.n_kernel_requests += 1
-        if self.max_kernels == 0:
-            return self.compile(basis)(params)
         kernel = self._kernels.get(skeleton)
         if kernel is not None:
             self._kernels.move_to_end(skeleton)
@@ -622,12 +588,3 @@ class TreeCompiler:
             self._kernels.popitem(last=False)
         return kernel(params)
 
-
-def compile_basis_function(basis: ProductTerm, X: np.ndarray) -> CompiledKernel:
-    """One-shot convenience: compile ``basis`` against ``X``.
-
-    ``kernel(kernel.compiled_params)`` evaluates ``basis`` itself;
-    :func:`skeleton_and_params` extracts the parameter vector of any other
-    tree sharing the same skeleton.
-    """
-    return TreeCompiler(X).compile(basis)

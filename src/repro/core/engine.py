@@ -418,9 +418,7 @@ class CaffeineEngine:
 
         front = self.final_front()
         if self.settings.simplify_after_generation:
-            front = simplify_population(front, self.train.X, self.train.y,
-                                        self.settings,
-                                        evaluator=self.evaluator)
+            front = simplify_population(front, self.evaluator)
             front = [ind for ind in front if ind.is_feasible]
             front = nondominated_filter(front, key=lambda ind: ind.objectives)
 
@@ -455,23 +453,18 @@ class CaffeineEngine:
 
     def _freeze_models(self, front: Sequence[Individual]) -> List[SymbolicModel]:
         feasible = [ind for ind in front if ind.is_feasible]
-        # Test-set scoring runs through the same residual engine as
-        # training: unique basis columns are evaluated once on X_test across
-        # the whole front and same-width groups score in stacked passes
-        # (bit-for-bit the per-model scalar path; see batch_test_errors).
-        test_errors: Optional[List[float]] = None
+        # One batched pass scores the whole front on the testing data
+        # (bit-for-bit the per-model scalar qtc; see batch_test_errors).
+        test_errors = [float("nan")] * len(feasible)
         if self.test is not None and feasible:
             test_errors = batch_test_errors(
                 feasible, self.test.X, self.test.y,
                 self.evaluator.normalization)
-        models = []
-        for index, individual in enumerate(feasible):
-            models.append(SymbolicModel.from_individual(
-                individual,
-                target_name=self.train.target_name,
-                variable_names=self.train.variable_names,
-                log_scaled_target=self.train.log_scaled,
-                test_error=(test_errors[index] if test_errors is not None
-                            else None),
-            ))
-        return models
+        return [SymbolicModel.from_individual(
+                    individual,
+                    target_name=self.train.target_name,
+                    variable_names=self.train.variable_names,
+                    log_scaled_target=self.train.log_scaled,
+                    test_error=test_error)
+                for individual, test_error in zip(feasible, test_errors,
+                                                  strict=True)]

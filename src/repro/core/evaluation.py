@@ -23,8 +23,8 @@ the *same* dataset.  This module removes that redundancy:
   ``n_samples`` beyond the final residual step; offspring that differ from a
   parent by one basis function cost ``k`` fresh pair dots instead of a full
   ``k^2`` gram (the incremental, "rank-1" regime);
-* :func:`evaluate_individual_inplace` -- the one-individual path that
-  ``Individual.evaluate`` wraps for backward compatibility.
+* :func:`evaluate_individual_inplace` -- the uncached one-individual path
+  behind ``Individual.evaluate``.
 
 Correctness invariant: a cache hit returns the exact array a fresh
 evaluation would produce (both go through

@@ -5,9 +5,9 @@ functions; therefore, each individual is a set of GP trees."  An
 :class:`Individual` holds those trees; fitting the outer linear weights
 (intercept plus one coefficient per basis function) to the training data and
 computing the two objectives (error, complexity) is delegated to
-:mod:`repro.core.evaluation`, which caches basis columns by structural key
-and can batch-evaluate whole populations (``Individual.evaluate`` remains as
-the one-individual compatibility entry point).
+:mod:`repro.core.evaluation`, whose evaluator caches basis columns and
+batch-evaluates whole populations for the engine and for simplification
+(``Individual.evaluate`` is the uncached one-individual entry point).
 """
 
 from __future__ import annotations
@@ -119,10 +119,9 @@ class Individual:
         The error objective is the paper's ``qwc``: RMS training error
         divided by the training-data range (see :mod:`repro.data.metrics`).
 
-        This is a thin compatibility wrapper: the actual work lives in
-        :mod:`repro.core.evaluation`, which the engine drives in batch (with
-        basis-column caching and optional parallelism) via
-        :class:`~repro.core.evaluation.PopulationEvaluator`.
+        Uncached: the engine and simplification evaluate through
+        :class:`~repro.core.evaluation.PopulationEvaluator` instead, which
+        gives bit-identical results from its column cache.
         """
         from repro.core.evaluation import evaluate_individual_inplace
 

@@ -11,7 +11,7 @@ testing-error trade-off, "all models under 10% train and test error", ...).
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,48 +21,35 @@ from repro.core.individual import (
     evaluate_basis_column,
     evaluate_basis_matrix,
 )
-from repro.core.evaluation import BatchedResidualBackend
 from repro.core.pareto import nondominated_filter
-from repro.data.metrics import q_tc
-from repro.regression.least_squares import LinearFit
+from repro.data.metrics import relative_rmse_rows
+from repro.regression.least_squares import LinearFit, predict_linear_batch
 
-__all__ = ["SymbolicModel", "TradeoffSet", "batch_test_errors"]
+__all__ = ["SymbolicModel", "TradeoffSet", "batch_test_errors",
+           "predict_models"]
 
 
-def batch_test_errors(individuals: Sequence, X: np.ndarray,
-                      y: np.ndarray, normalization: float) -> List[float]:
-    """Per-individual ``qtc`` on ``(X, y)``, scored generation-style.
+def predict_models(models: Sequence, X: np.ndarray) -> np.ndarray:
+    """``(n_models, n_samples)`` predictions in the training domain.
 
-    ``individuals`` may be :class:`Individual` or :class:`SymbolicModel`
-    instances -- anything carrying ``fit`` and ``bases``.
-
-    This is the test-error analogue of the evaluator's residual engine:
-    unique basis columns are evaluated once across all individuals (front
-    models share basis functions heavily), matrices are assembled from the
-    shared columns, and same-width groups are scored in one stacked
-    prediction/residual pass per width
-    (:class:`~repro.core.evaluation.BatchedResidualBackend`).  Every
-    returned value is bit-for-bit what the
-    scalar path (``q_tc(y, individual.predict(X), normalization)``) returns:
-    columns come from the same :func:`evaluate_basis_column`, predictions
-    from the same canonical accumulation, and the row-stacked residual
-    reduction is batch-shape independent.
-
-    All individuals must carry a successful fit; ``normalization`` is the
-    *training*-data range shared by the individuals (the paper's qtc
-    denominator).
+    The one post-evolution predictor: test scoring, rescoring and
+    :class:`~repro.core.artifact.FrozenFront` all run through it.
+    ``models`` is anything carrying ``fit`` and ``bases``.  Each unique
+    basis column is evaluated once across all models, and each basis width
+    runs one stacked ``predict_linear_batch`` pass.  Row ``i`` is
+    bit-for-bit ``models[i].predict_transformed(X)``: the accumulation is
+    row-independent by construction.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    residual = BatchedResidualBackend(y, normalization)
     columns: dict = {}
     matrices: List[np.ndarray] = []
-    for individual in individuals:
-        if individual.fit is None:
-            raise ValueError(
-                "batch_test_errors requires successfully fitted individuals")
+    groups: Dict[int, List[int]] = {}
+    for index, model in enumerate(models):
+        if model.fit is None:
+            raise ValueError("predict_models requires successfully fitted "
+                             "models")
         assembled = []
-        for basis in individual.bases:
+        for basis in model.bases:
             key = structural_key(basis)
             column = columns.get(key)
             if column is None:
@@ -71,17 +58,29 @@ def batch_test_errors(individuals: Sequence, X: np.ndarray,
             assembled.append(column)
         matrices.append(np.column_stack(assembled) if assembled
                         else np.zeros((X.shape[0], 0)))
-    groups: dict = {}
-    for index, individual in enumerate(individuals):
-        groups.setdefault(individual.fit.n_terms, []).append(index)
-    errors: List[float] = [float("nan")] * len(matrices)
+        groups.setdefault(model.fit.n_terms, []).append(index)
+    predictions = np.empty((len(matrices), X.shape[0]))
     for indices in groups.values():
-        group_errors = residual.errors(
-            [individuals[i].fit for i in indices],
-            [matrices[i] for i in indices])
-        for i, value in zip(indices, group_errors, strict=True):
-            errors[i] = float(value)
-    return errors
+        predictions[indices] = predict_linear_batch(
+            np.array([models[i].fit.intercept for i in indices]),
+            np.stack([np.asarray(models[i].fit.coefficients, dtype=float)
+                      for i in indices]),
+            np.stack([matrices[i] for i in indices]))
+    return predictions
+
+
+def batch_test_errors(individuals: Sequence, X: np.ndarray,
+                      y: np.ndarray, normalization: float) -> List[float]:
+    """Per-individual ``qtc`` on ``(X, y)``: one :func:`predict_models` pass.
+
+    Every value is bit-for-bit
+    ``q_tc(y, individual.predict(X), normalization)``: the row-stacked
+    residual reduction (:func:`~repro.data.metrics.relative_rmse_rows`) is
+    batch-shape independent.  ``normalization`` is the *training*-data range
+    shared by the individuals (the paper's qtc denominator).
+    """
+    return [float(error) for error in relative_rmse_rows(
+        y, predict_models(individuals, X), normalization)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,29 +109,16 @@ class SymbolicModel:
     @classmethod
     def from_individual(cls, individual: Individual, target_name: str,
                         variable_names: Sequence[str],
-                        X_test: Optional[np.ndarray] = None,
-                        y_test: Optional[np.ndarray] = None,
                         log_scaled_target: bool = False,
-                        test_error: Optional[float] = None) -> "SymbolicModel":
+                        test_error: float = float("nan")) -> "SymbolicModel":
         """Freeze an evaluated individual into a result model.
 
-        ``test_error`` lets callers that scored a whole front in one batched
-        pass (:func:`batch_test_errors`, as the engine does) hand the value
-        in instead of re-predicting per model; it must then be the same
-        quantity the scalar path below computes (bit-for-bit, when produced
-        by the residual engine).
+        ``test_error`` is the model's qtc on the testing data (the engine
+        scores a whole front in one :func:`batch_test_errors` pass); it
+        stays NaN without testing data.
         """
         if individual.fit is None:
             raise ValueError("individual must have a successful linear fit")
-        if test_error is None:
-            test_error = float("nan")
-            if X_test is not None and y_test is not None:
-                predictions = individual.predict(np.asarray(X_test, dtype=float))
-                # The paper's qtc: the testing error is normalized by the
-                # *training*-data range (individual.normalization), the same
-                # reference as the training error, never the testing range.
-                test_error = q_tc(np.asarray(y_test, dtype=float), predictions,
-                                  individual.normalization)
         return cls(
             target_name=target_name,
             variable_names=tuple(variable_names),
@@ -166,16 +152,18 @@ class SymbolicModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Evaluate the model on new design points (original target domain)."""
-        basis_matrix = evaluate_basis_matrix(list(self.bases), np.asarray(X, dtype=float))
-        predictions = self.fit.predict(basis_matrix)
-        if self.log_scaled_target:
-            return np.power(10.0, predictions)
-        return predictions
+        return self.to_original_domain(self.predict_transformed(X))
 
     def predict_transformed(self, X: np.ndarray) -> np.ndarray:
         """Evaluate in the (possibly log-scaled) training domain."""
         basis_matrix = evaluate_basis_matrix(list(self.bases), np.asarray(X, dtype=float))
         return self.fit.predict(basis_matrix)
+
+    def to_original_domain(self, predictions: np.ndarray) -> np.ndarray:
+        """Undo the ``log10`` target scaling of training-domain predictions."""
+        if self.log_scaled_target:
+            return np.power(10.0, predictions)
+        return predictions
 
     # ------------------------------------------------------------------
     def expression(self, precision: int = 4) -> str:
@@ -285,8 +273,8 @@ class TradeoffSet:
         This is the paper's final filtering step (rightmost column of
         Figure 3); models without testing error are dropped.  Every
         ``test_error`` here is the paper's qtc -- normalized by the
-        *training*-data range (see :meth:`SymbolicModel.from_individual`), so
-        filtering compares like with like.
+        *training*-data range (see :func:`batch_test_errors`), so filtering
+        compares like with like.
         """
         with_test = [m for m in self._models if np.isfinite(m.test_error)]
         return TradeoffSet(nondominated_filter(

@@ -17,7 +17,8 @@ from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.model import SymbolicModel, TradeoffSet, batch_test_errors
+from repro.core.model import SymbolicModel, TradeoffSet, predict_models
+from repro.data.metrics import relative_rmse_rows
 
 __all__ = [
     "tradeoff_table",
@@ -86,23 +87,22 @@ def rescore_models(models: Sequence[SymbolicModel], X: np.ndarray,
     """Relative RMS errors of frozen models on a fresh dataset, batch-scored.
 
     Each model is scored against ``(X, y)`` normalized by its own stored
-    training range (the paper's qtc convention), through the generation-
-    batched residual engine: unique basis columns evaluate once across all
-    models and same-width groups score in one stacked pass -- bit-for-bit
-    the value ``q_tc(y, model.predict_transformed(X), model.normalization)``
-    computes per model.  Models are grouped by normalization so mixed-target
-    trade-offs score correctly.
+    training range (the paper's qtc convention): one
+    :func:`~repro.core.model.predict_models` pass over all models, then one
+    row-stacked residual reduction per distinct normalization, so
+    mixed-target trade-offs score correctly.  Every value is bit-for-bit
+    ``q_tc(y, model.predict_transformed(X), model.normalization)``.
     """
-    errors: List[float] = [float("nan")] * len(models)
+    predictions = predict_models(models, X)
     by_normalization: dict = {}
     for index, model in enumerate(models):
         by_normalization.setdefault(float(model.normalization),
                                     []).append(index)
+    errors: List[float] = [float("nan")] * len(models)
     for normalization, indices in by_normalization.items():
-        scored = batch_test_errors([models[i] for i in indices], X, y,
-                                   normalization)
+        scored = relative_rmse_rows(y, predictions[indices], normalization)
         for i, value in zip(indices, scored, strict=True):
-            errors[i] = value
+            errors[i] = float(value)
     return errors
 
 

@@ -19,51 +19,13 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.individual import Individual, evaluate_basis_matrix
-from repro.core.settings import CaffeineSettings
+from repro.core.individual import Individual
 from repro.regression.forward_regression import forward_select
 
 __all__ = ["simplify_individual", "simplify_population"]
 
 
-def _evaluate(individual: Individual, X: np.ndarray, y: np.ndarray,
-              settings: CaffeineSettings, evaluator) -> Individual:
-    """Evaluate through the shared cache when an evaluator is supplied."""
-    if evaluator is not None:
-        evaluator.evaluate_individual(individual)
-    else:
-        individual.evaluate(X, y, settings)
-    return individual
-
-
-def _check_evaluator_data(evaluator, X: np.ndarray, y: np.ndarray,
-                          settings: CaffeineSettings) -> None:
-    """An evaluator silently replaces ``(X, y)`` and supplies the complexity
-    constants from its own settings; refuse one bound to different data or
-    different settings rather than returning silently wrong numbers."""
-    if evaluator is None:
-        return
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if evaluator.X.shape != X.shape or evaluator.y.shape != y.shape \
-            or not (evaluator.X is X or np.array_equal(evaluator.X, X)) \
-            or not (evaluator.y is y or np.array_equal(evaluator.y, y)):
-        raise ValueError(
-            "evaluator is bound to a different dataset than the (X, y) "
-            "passed to simplify; pass the matching evaluator or none")
-    es = evaluator.settings
-    if es is not settings and (
-            es.basis_function_cost != settings.basis_function_cost
-            or es.vc_exponent_cost != settings.vc_exponent_cost):
-        raise ValueError(
-            "evaluator settings disagree with the settings passed to "
-            "simplify on the complexity constants; pass the matching "
-            "evaluator or none")
-
-
-def simplify_individual(individual: Individual, X: np.ndarray, y: np.ndarray,
-                        settings: CaffeineSettings,
-                        evaluator=None) -> Individual:
+def simplify_individual(individual: Individual, evaluator) -> Individual:
     """PRESS-driven forward-regression pruning of one individual's bases.
 
     Returns a new, re-evaluated individual containing only the basis
@@ -71,21 +33,17 @@ def simplify_individual(individual: Individual, X: np.ndarray, y: np.ndarray,
     none -- then the model reduces to a constant).  The original individual
     is not modified.
 
-    ``evaluator`` may be a :class:`~repro.core.evaluation.PopulationEvaluator`
-    bound to the same ``(X, y)``; basis matrices and re-evaluations then come
-    from its column cache (bit-for-bit identical, just faster).  An evaluator
-    bound to different data raises ``ValueError``.
+    ``evaluator`` is the :class:`~repro.core.evaluation.PopulationEvaluator`
+    the individual was evolved with: it supplies the training data, the
+    settings, the basis matrices (from its column cache) and every
+    re-evaluation.
     """
-    _check_evaluator_data(evaluator, X, y, settings)
     if not individual.bases:
-        simplified = individual.clone()
-        return _evaluate(simplified, X, y, settings, evaluator)
+        return evaluator.evaluate_individual(individual.clone())
 
-    basis_matrix = (evaluator.basis_matrix(individual.bases)
-                    if evaluator is not None
-                    else evaluate_basis_matrix(individual.bases, X))
+    settings = evaluator.settings
     selection = forward_select(
-        basis_matrix, np.asarray(y, dtype=float),
+        evaluator.basis_matrix(individual.bases), evaluator.y,
         max_terms=settings.max_basis_functions,
         min_relative_improvement=settings.sag_min_relative_improvement,
     )
@@ -105,23 +63,21 @@ def simplify_individual(individual: Individual, X: np.ndarray, y: np.ndarray,
             cheapest = min(individual.bases, key=lambda b: b.n_nodes)
             kept = Individual(bases=[cheapest.clone()],
                               generation_born=individual.generation_born)
-    _evaluate(kept, X, y, settings, evaluator)
+    evaluator.evaluate_individual(kept)
     # Keep the simplification only if it does not destroy the training fit.
     if kept.error <= individual.error * (1.0 + 1e-9) or not individual.is_feasible:
         return kept
     if kept.complexity < individual.complexity and np.isfinite(kept.error):
         return kept
-    original = individual.clone()
-    return _evaluate(original, X, y, settings, evaluator)
+    return evaluator.evaluate_individual(individual.clone())
 
 
-def simplify_population(individuals: Sequence[Individual], X: np.ndarray,
-                        y: np.ndarray, settings: CaffeineSettings,
-                        evaluator=None) -> List[Individual]:
+def simplify_population(individuals: Sequence[Individual],
+                        evaluator) -> List[Individual]:
     """Apply :func:`simplify_individual` to a whole trade-off set.
 
-    Passing the engine's :class:`~repro.core.evaluation.PopulationEvaluator`
-    as ``evaluator`` reuses the basis-column cache built during evolution.
+    The engine passes its own evaluator, so the basis-column cache built
+    during evolution is reused.
     """
-    return [simplify_individual(individual, X, y, settings, evaluator=evaluator)
+    return [simplify_individual(individual, evaluator)
             for individual in individuals]

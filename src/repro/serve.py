@@ -18,9 +18,9 @@ Endpoints (all JSON):
   (``"test"``/``"train"``), the
   :meth:`~repro.core.artifact.FrozenFront.select` contract.  With
   ``"all_models": true`` the response carries one prediction row per
-  frozen model.  Predictions run through the batched kernel path
-  (:func:`~repro.regression.least_squares.predict_linear_batch`) and are
-  bit-identical to the originating run's models.
+  frozen model.  Predictions run through the front's one prediction path
+  (:func:`repro.core.model.predict_models`) and are bit-identical to the
+  originating run's models.
 * ``POST /rescore`` -- body ``{"X": ..., "y": ...}``: per-model relative
   RMS errors on the posted data, bit-for-bit
   :func:`repro.core.report.rescore_models` (asserted by the test suite
@@ -188,11 +188,15 @@ class _FrontRequestHandler(BaseHTTPRequestHandler):
         return payload
 
     @staticmethod
-    def _matrix(payload: dict, key: str, n_variables: int) -> np.ndarray:
-        rows = payload.get(key)
-        if rows is None:
+    def _required(payload: dict, key: str) -> object:
+        value = payload.get(key)
+        if value is None:
             raise ValueError(f"request body is missing {key!r}")
-        X = np.asarray(rows, dtype=float)
+        return value
+
+    @classmethod
+    def _matrix(cls, payload: dict, key: str, n_variables: int) -> np.ndarray:
+        X = np.asarray(cls._required(payload, key), dtype=float)
         if X.ndim == 1 and n_variables == 1:
             X = X.reshape(-1, 1)
         return X
@@ -234,7 +238,7 @@ class _FrontRequestHandler(BaseHTTPRequestHandler):
                     response = self._predict(front, payload, X)
             elif self.path == "/rescore":
                 X = self._matrix(payload, "X", front.n_variables)
-                y = np.asarray(payload.get("y"), dtype=float)
+                y = np.asarray(self._required(payload, "y"), dtype=float)
                 with profiler.profile_step("rescore", rows=X.shape[0]
                                            if X.ndim == 2 else 0):
                     errors = front.rescore(X, y)

@@ -30,7 +30,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 import pytest
 
-from repro.core import engine, evaluation, model, nsga2, pareto
+from repro.core import engine, evaluation, nsga2, pareto
 from repro.core.compile import canonicalize_factors
 from repro.core.evaluation import PopulationEvaluator, evaluate_individual_inplace
 from repro.core.expression import (
@@ -391,8 +391,8 @@ def reference_layers(*layers: str) -> Iterator[None]:
     """Run the engine on the reference implementation of ``layers``.
 
     Inside the block, every :class:`~repro.core.engine.CaffeineEngine` (and,
-    for ``"columns"``/``"residuals"``, every evaluator or test-set scoring
-    pass) built uses the named references above.  Serial
+    for ``"columns"``/``"residuals"``, every evaluator) built uses the named
+    references above.  Serial
     :class:`~repro.core.session.Session` runs execute in this process, so
     ``Session(jobs=1)`` picks the swap up too.
     """
@@ -407,8 +407,6 @@ def reference_layers(*layers: str) -> Iterator[None]:
             patch.setattr(engine, "PopulationEvaluator", DirectFitEvaluator)
         if "residuals" in layers:
             patch.setattr(evaluation, "BatchedResidualBackend",
-                          ScalarResidualBackend)
-            patch.setattr(model, "BatchedResidualBackend",
                           ScalarResidualBackend)
         if "pareto" in layers:
             patch.setattr(pareto, "nondominated_indices", nondominated_indices)

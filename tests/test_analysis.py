@@ -117,9 +117,10 @@ class TestBitIdentityRule:
                "def f(a, b):\n"
                "    return a @ b\n")
 
-    def test_matmul_in_scope_triggers(self, tmp_path):
-        findings = lint_source(
-            tmp_path, "src/repro/regression/custom.py", self.TRIGGER)
+    @pytest.mark.parametrize("path", ["src/repro/regression/custom.py",
+                                      "src/repro/core/model.py"])
+    def test_matmul_in_scope_triggers(self, tmp_path, path):
+        findings = lint_source(tmp_path, path, self.TRIGGER)
         assert "bit-identity" in rules_hit(findings)
 
     def test_np_dot_and_einsum_trigger(self, tmp_path):

@@ -21,10 +21,12 @@ from repro.core.artifact import (
     save_front,
 )
 from repro.core.engine import CaffeineEngine
+from repro.core.model import predict_models
 from repro.core.problem import Problem
 from repro.core.report import rescore_models
 from repro.core.session import Session
 from repro.core.settings import CaffeineSettings
+from repro.data.metrics import q_tc
 from repro.estimator import SymbolicRegressor
 from repro.experiments import run_figure3
 
@@ -112,6 +114,37 @@ class TestRoundTrip:
             np.asarray(rescore_models(list(live.tradeoff), test.X, test.y)),
             equal_nan=True)
 
+    def test_six_target_front_with_log_scaled_fu(self, ota_datasets):
+        """One mixed front of all six OTA targets, the log-scaled fu
+        included: the shared predictor, the frozen front and the per-model
+        scalar paths agree bit for bit."""
+        settings = CaffeineSettings(population_size=16, n_generations=2,
+                                    max_basis_functions=4, random_seed=0)
+        figure3 = run_figure3(ota_datasets, settings)
+        models = [model for live in figure3.results.values()
+                  for model in live.tradeoff]
+        assert len(figure3.results) == 6
+        assert any(model.log_scaled_target for model in models)
+        front = FrozenFront(target_name="six",
+                            variable_names=models[0].variable_names,
+                            models=tuple(models))
+        _, test = ota_datasets.for_target("fu")
+        X = test.X
+        shared = predict_models(models, X)
+        transformed = front.predict_all(X, transformed=True)
+        original = front.predict_all(X)
+        for index, model in enumerate(models):
+            scalar = model.predict_transformed(X)
+            assert shared[index].tobytes() == scalar.tobytes()
+            assert transformed[index].tobytes() == scalar.tobytes()
+            assert original[index].tobytes() == model.predict(X).tobytes()
+            assert front.predict(X, model_index=index).tobytes() == \
+                model.predict(X).tobytes()
+        # six normalizations: rescoring groups by each model's own range
+        assert front.rescore(X, test.y) == [
+            q_tc(test.y, model.predict_transformed(X), model.normalization)
+            for model in models]
+
     def test_csv_problem_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
         X = rng.uniform(0.5, 2.0, size=(30, 2))
@@ -151,8 +184,17 @@ class TestSelection:
     def test_model_index(self, artifact_path):
         front = load_front(artifact_path)
         assert front.select(model_index=0) is front.models[0]
+        assert front.select(model_index=np.int64(0)) is front.models[0]
         with pytest.raises(ValueError, match="out of range"):
             front.select(model_index=front.n_models)
+
+    @pytest.mark.parametrize("selection", [
+        {"model_index": 1.7}, {"model_index": "1"}, {"model_index": True},
+        {"complexity_max": "5"}, {"complexity_max": True}])
+    def test_non_numeric_selection_rejected(self, artifact_path, selection):
+        front = load_front(artifact_path)
+        with pytest.raises(ValueError, match="must be"):
+            front.select(**selection)
 
     def test_bad_by_rejected(self, artifact_path):
         front = load_front(artifact_path)

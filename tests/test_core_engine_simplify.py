@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import CaffeineEngine
+from repro.core.evaluation import PopulationEvaluator
 from repro.core.generator import ExpressionGenerator
 from repro.core.individual import Individual
 from repro.core.expression import ProductTerm
@@ -142,6 +143,10 @@ class TestEngineEdgeCases:
 
 
 class TestSimplification:
+    @staticmethod
+    def _evaluator(data, settings):
+        return PopulationEvaluator(data.X, data.y, settings)
+
     def test_redundant_bases_are_pruned(self, rational_train, fast_settings):
         ratio = ProductTerm(vc=VariableCombo((1, -1, 0)))
         linear = ProductTerm(vc=VariableCombo((0, 0, 1)))
@@ -154,8 +159,8 @@ class TestSimplification:
         individual = Individual(bases=[ratio.clone(), ratio.clone(),
                                        ratio.clone(), linear])
         individual.evaluate(noisy.X, noisy.y, fast_settings)
-        simplified = simplify_individual(individual, noisy.X, noisy.y,
-                                         fast_settings)
+        simplified = simplify_individual(individual, self._evaluator(
+            noisy, fast_settings))
         assert simplified.n_bases < individual.n_bases
         assert simplified.error <= individual.error * 1.05
 
@@ -165,15 +170,15 @@ class TestSimplification:
         useful = ProductTerm(vc=VariableCombo((1, -1, 0)))
         individual = Individual(bases=[useful] + generator.random_basis_functions(3))
         individual.evaluate(rational_train.X, rational_train.y, fast_settings)
-        simplified = simplify_individual(individual, rational_train.X,
-                                         rational_train.y, fast_settings)
+        simplified = simplify_individual(individual, self._evaluator(
+            rational_train, fast_settings))
         assert simplified.is_feasible
         assert simplified.complexity <= individual.complexity
 
     def test_constant_individual_passthrough(self, rational_train, fast_settings):
         individual = Individual(bases=[])
-        simplified = simplify_individual(individual, rational_train.X,
-                                         rational_train.y, fast_settings)
+        simplified = simplify_individual(individual, self._evaluator(
+            rational_train, fast_settings))
         assert simplified.n_bases == 0
         assert simplified.is_feasible
 
@@ -184,8 +189,8 @@ class TestSimplification:
                       for _ in range(5)]
         for individual in population:
             individual.evaluate(rational_train.X, rational_train.y, fast_settings)
-        simplified = simplify_population(population, rational_train.X,
-                                         rational_train.y, fast_settings)
+        simplified = simplify_population(population, self._evaluator(
+            rational_train, fast_settings))
         assert len(simplified) == 5
 
 

@@ -191,20 +191,6 @@ class TestEvaluatorEquivalence:
         for a, b in zip(population, reference):
             self._assert_same_evaluation(a, b)
 
-    def test_simplify_rejects_mismatched_evaluator(self, generator,
-                                                   rational_train, fast_settings):
-        from repro.core.simplify import simplify_individual
-
-        individual = _random_population(generator, 1)[0]
-        evaluator = PopulationEvaluator(rational_train.X, rational_train.y,
-                                        fast_settings)
-        evaluator.evaluate_individual(individual)
-        other_X = rational_train.X[:50]
-        other_y = rational_train.y[:50]
-        with pytest.raises(ValueError):
-            simplify_individual(individual, other_X, other_y, fast_settings,
-                                evaluator=evaluator)
-
     def test_infeasible_individuals_marked(self, rational_train, fast_settings):
         # x^-4 on a dataset containing zero blows up -> non-finite column.
         X = rational_train.X.copy()

@@ -62,14 +62,19 @@ def _post(server, path, payload):
 
 
 def _post_status(server, path, payload) -> int:
+    return _post_error(server, path, payload)[0]
+
+
+def _post_error(server, path, payload):
+    """``(status, error message)``; the message is None on success."""
     try:
         request = urllib.request.Request(
             server.url + path, data=json.dumps(payload).encode("utf-8"))
         with urllib.request.urlopen(request, timeout=10) as response:
-            return response.status
+            response.read()
+            return response.status, None
     except urllib.error.HTTPError as error:
-        error.read()
-        return error.code
+        return error.code, json.loads(error.read()).get("error")
 
 
 class TestEndpoints:
@@ -143,6 +148,19 @@ class TestRejections:
     def test_feature_count_mismatch(self, server):
         assert _post_status(server, "/predict",
                             {"X": [[1.0, 2.0, 3.0]]}) == 400
+
+    def test_rescore_without_y(self, server):
+        assert _post_error(server, "/rescore", {"X": [[1.0, 1.0]]}) == \
+            (400, "request body is missing 'y'")
+
+    @pytest.mark.parametrize("selection", [
+        {"model_index": 1.7}, {"model_index": "1"}, {"model_index": True},
+        {"complexity_max": "5"}])
+    def test_non_numeric_selection_rejected(self, server, selection):
+        status, message = _post_error(server, "/predict",
+                                      {"X": [[1.0, 1.0]], **selection})
+        assert status == 400
+        assert "must be" in message
 
     def test_unsatisfiable_complexity_bound(self, server):
         assert _post_status(server, "/predict",
