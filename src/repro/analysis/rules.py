@@ -160,8 +160,8 @@ PR 5 (`predict_linear` / `predict_linear_batch`).  Sites genuinely outside
 the contract (the posynomial baseline, PRESS/NNLS baselines, MNA circuit
 solves) carry explicit waivers saying so."""
     scope = ("repro.core.evaluation", "repro.core.compile",
-             "repro.core.engine", "repro.core.model", "repro.regression",
-             "repro.posynomial", "repro.data.metrics")
+             "repro.core.engine", "repro.core.model", "repro.core.simplify",
+             "repro.regression", "repro.posynomial", "repro.data.metrics")
     node_types = (ast.BinOp, ast.Call)
 
     _CALLS = _np_names("dot", "matmul", "einsum", "inner", "vdot",

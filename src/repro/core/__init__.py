@@ -104,7 +104,7 @@ from repro.core.session import (
     SessionResult,
 )
 from repro.core.settings import CaffeineSettings
-from repro.core.simplify import simplify_individual, simplify_population
+from repro.core.simplify import simplify_population
 from repro.core.variable_combo import VariableCombo
 from repro.core.weights import Weight
 
@@ -144,7 +144,6 @@ __all__ = [
     "structural_key",
     "ExpressionGenerator",
     "VariationOperators",
-    "simplify_individual",
     "simplify_population",
     "model_complexity",
     "basis_function_complexity",

@@ -377,16 +377,15 @@ class ColumnCacheStore(_VersionedFileStore):
     KIND = "column-cache"
 
     # ------------------------------------------------------------------
-    def save(self, cache: BasisColumnCache, merge: bool = True) -> int:
+    def save(self, cache: BasisColumnCache) -> int:
         """Persist every entry of ``cache``; returns the number written.
 
-        With ``merge`` (the default) entries already stored at the path are
-        kept alongside the cache's (the cache wins on key collisions, though
-        by key construction both sides are bit-identical anyway).  This is
-        what makes one file safely shareable: a run whose LRU evicted -- or
-        never loaded -- another run's namespaces cannot erase them by
-        saving.  The file therefore only grows; delete it to reclaim space.
-        ``merge=False`` writes exactly the cache's entries.
+        Entries already stored at the path are kept alongside the cache's
+        (the cache wins on key collisions, though by key construction both
+        sides are bit-identical anyway).  This is what makes one file safely
+        shareable: a run whose LRU evicted -- or never loaded -- another
+        run's namespaces cannot erase them by saving.  The file therefore
+        only grows; delete it to reclaim space.
 
         The read-merge-write cycle runs under the store's advisory
         :attr:`lock`, so *simultaneous* savers serialize: the second to
@@ -401,12 +400,11 @@ class ColumnCacheStore(_VersionedFileStore):
         with self.lock:
             entries = [(key, np.ascontiguousarray(column))
                        for key, column in cache.items()]
-            if merge:
-                fresh = {key for key, _column in entries}
-                stored = self._read_payload()
-                if stored:
-                    entries.extend((key, column) for key, column in stored
-                                   if key not in fresh)
+            fresh = {key for key, _column in entries}
+            stored = self._read_payload()
+            if stored:
+                entries.extend((key, column) for key, column in stored
+                               if key not in fresh)
             self._write_document(
                 {"format_version": self.FORMAT_VERSION, "entries": entries})
         return len(entries)
@@ -440,13 +438,6 @@ class ColumnCacheStore(_VersionedFileStore):
             cache.put(key, column)
             loaded += 1
         return loaded
-
-    def load(self, max_entries: int = 20000,
-             dataset_key: Optional[Tuple] = None) -> BasisColumnCache:
-        """A fresh cache holding the stored entries (empty on any damage)."""
-        cache = BasisColumnCache(max_entries)
-        self.load_into(cache, dataset_key=dataset_key)
-        return cache
 
     # ------------------------------------------------------------------
     def _read_payload(self):
@@ -502,21 +493,6 @@ class RunCheckpointStore(_VersionedFileStore):
         if not slots:
             return None
         return slots.get(str(slot))
-
-    def discard(self, slot: str) -> bool:
-        """Drop one slot (e.g. after its run completed); True if it existed.
-
-        Removing the last slot leaves an empty-but-valid file rather than
-        deleting it (concurrent savers may be mid-merge on the same path).
-        """
-        with self.lock:
-            slots = self._read_slots()
-            if not slots or str(slot) not in slots:
-                return False
-            del slots[str(slot)]
-            self._write_document(
-                {"format_version": self.FORMAT_VERSION, "slots": slots})
-        return True
 
     def slot_names(self) -> Tuple[str, ...]:
         """Names of every stored slot (empty for a missing/damaged file)."""

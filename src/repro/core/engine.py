@@ -12,10 +12,13 @@ building an engine directly is for tests and tools that need its state.
 
 All fitness evaluation is routed through one
 :class:`~repro.core.evaluation.PopulationEvaluator` bound to the training
-data: identical basis functions (which crossover and cloning produce
-constantly) are evaluated once per run via an LRU column cache.  Cached and
-uncached evaluation are bit-for-bit identical, so the cache budgets never
-change the evolved models -- only the wall-clock time.
+data and its one fit path, ``evaluate_population``: once for the initial
+population, once per generation for the offspring and twice for
+simplification-after-generation.  Identical basis functions (which
+crossover and cloning produce constantly) are evaluated once per run via an
+LRU column cache.  Evaluation is bit-for-bit identical whatever the cache
+budgets and batch sizes, so they never change the evolved models -- only
+the wall-clock time.
 """
 
 from __future__ import annotations

@@ -22,9 +22,12 @@ the *same* dataset.  This module removes that redundancy:
   ``(k+1) x (k+1)`` gather-and-solve with no per-fit pass over
   ``n_samples`` beyond the final residual step; offspring that differ from a
   parent by one basis function cost ``k`` fresh pair dots instead of a full
-  ``k^2`` gram (the incremental, "rank-1" regime);
-* :func:`evaluate_individual_inplace` -- the uncached one-individual path
-  behind ``Individual.evaluate``.
+  ``k^2`` gram (the incremental, "rank-1" regime).
+
+:meth:`PopulationEvaluator.evaluate_population` is the only way an
+individual gets fitted: the engine calls it once per generation and
+simplification (:mod:`repro.core.simplify`) twice per run, and a batch of
+one individual is simply a small batch.
 
 Correctness invariant: a cache hit returns the exact array a fresh
 evaluation would produce (both go through
@@ -33,10 +36,11 @@ encodes the exact floating-point recipe), and a gram-pool fit returns the
 exact :class:`~repro.regression.least_squares.LinearFit` a direct
 :func:`~repro.regression.least_squares.fit_linear` would (both build their
 normal equations from the canonical
-:func:`~repro.regression.least_squares.pair_dots` recipe) -- so cached and
-uncached evaluation, and the evaluator and :func:`evaluate_individual_inplace`,
-are bit-for-bit identical: a fixed seed produces the same trade-off set
-regardless of the cache budgets.
+:func:`~repro.regression.least_squares.pair_dots` recipe) -- so the
+evaluator is bit-for-bit identical to one full ``fit_linear`` per
+individual (the test suite's reference) whatever the cache budgets and
+however a population is split into batches: a fixed seed produces the same
+trade-off set.
 
 Column-cache keys carry a :func:`dataset_fingerprint` prefix, so one
 :class:`BasisColumnCache` can safely be shared by evaluators bound to
@@ -57,19 +61,13 @@ import numpy as np
 
 from repro.core import faults
 from repro.core.compile import TreeCompiler, cached_skeleton_and_params
-from repro.core.complexity import basis_function_complexity, model_complexity
+from repro.core.complexity import basis_function_complexity
 from repro.core.expression import ProductTerm
-from repro.core.individual import Individual, evaluate_basis_matrix
+from repro.core.individual import Individual
 from repro.core.settings import CaffeineSettings
-from repro.data.metrics import (
-    error_normalization,
-    relative_rmse,
-    relative_rmse_rows,
-)
+from repro.data.metrics import error_normalization, relative_rmse_rows
 from repro.regression.least_squares import (
     LinearFit,
-    fit_linear,
-    fit_linear_from_gram,
     fit_linear_from_gram_batch,
     pair_dots,
     predict_linear_batch,
@@ -85,7 +83,6 @@ __all__ = [
     "CompiledColumnBackend",
     "BatchedResidualBackend",
     "dataset_fingerprint",
-    "evaluate_individual_inplace",
 ]
 
 
@@ -103,22 +100,6 @@ def dataset_fingerprint(X: np.ndarray) -> str:
     digest.update(str(arr.shape).encode("ascii"))
     digest.update(arr.tobytes())
     return digest.hexdigest()
-
-
-def function_set_fingerprint(function_set) -> Tuple:
-    """Identity of a function set's operator *implementations*.
-
-    Structural keys identify operators by name only, which is unambiguous
-    within one function set but not across sets: two runs could both name an
-    operator ``"inv"`` yet bind different implementations.  A shared column
-    cache therefore namespaces by this fingerprint too -- operator names
-    plus the module/qualname of their implementations -- so runs only share
-    columns when same-named operators mean the same computation.  (Thin
-    wrapper around :meth:`repro.core.functions.FunctionSet.fingerprint`,
-    which the persistent :class:`~repro.core.cache_store.ColumnCacheStore`
-    also keys by.)
-    """
-    return function_set.fingerprint()
 
 
 class CacheBudgets(NamedTuple):
@@ -182,13 +163,14 @@ class BasisColumnCache:
     evaluated (and magnitude-clipped) columns.  Stored arrays are treated as
     immutable -- callers must not write into a returned column.
 
-    ``max_entries == 0`` disables the cache (every lookup misses, nothing is
-    stored), which keeps the calling code branch-free.
+    ``max_entries`` (at least 1) also caps the evaluator's per-individual
+    fit cache.  Any capacity gives bit-identical models: a cache smaller
+    than one batch only costs recomputation in later batches.
     """
 
     def __init__(self, max_entries: int = 20000) -> None:
-        if max_entries < 0:
-            raise ValueError("max_entries must be non-negative")
+        if max_entries < 1:
+            raise ValueError("max_entries must be at least 1")
         self.max_entries = int(max_entries)
         self.stats = CacheStats()
         self._columns: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
@@ -219,8 +201,6 @@ class BasisColumnCache:
 
     def put(self, key: Tuple, column: np.ndarray) -> None:
         """Insert a column, evicting least-recently-used entries as needed."""
-        if self.max_entries == 0:
-            return
         if key in self._columns:
             self._columns.move_to_end(key)
             return
@@ -271,7 +251,6 @@ class GramPool:
         self._columns: "OrderedDict[Tuple, list]" = OrderedDict()
         self._pairs: "OrderedDict[Tuple[int, int], float]" = OrderedDict()
         self._next_id = 0
-        self.n_singles_computed = 0
         self.n_pairs_computed = 0
         self.n_pair_requests = 0
 
@@ -355,22 +334,6 @@ class GramPool:
             while len(self._pairs) > self.max_pairs:
                 self._pairs.popitem(last=False)
 
-    def statistics_for(self, columns: Sequence[Tuple[Tuple, np.ndarray]]
-                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-        """``(gram, colsums, ydots, all_finite)`` for one individual.
-
-        Missing scalars are computed (and cached) on demand, so this is
-        correct standalone; inside ``evaluate_population`` the batched
-        :meth:`prepare` has already run and this is a pure gather.  The
-        gathered gram is bit-for-bit the raw gram of the stacked columns.
-        """
-        k = len(columns)
-        gram = np.empty((k, k))
-        colsums = np.empty(k)
-        ydots = np.empty(k)
-        finite = self.gather_into(columns, gram, colsums, ydots)
-        return gram, colsums, ydots, finite
-
     def gather_into(self, columns: Sequence[Tuple[Tuple, np.ndarray]],
                     gram_out: np.ndarray, colsums_out: np.ndarray,
                     ydots_out: np.ndarray) -> bool:
@@ -378,12 +341,12 @@ class GramPool:
 
         Returns whether every column is finite.  ``gram_out`` may be one
         slice of a same-width group's ``(m, k, k)`` stack, which is how the
-        batched fit path avoids a copy per individual.  Missing scalars are
-        computed (and cached) inline with the canonical recipe, so the
-        gather is correct even without a prior :meth:`prepare`.  LRU
-        recency is deliberately *not* refreshed here: in the batched path
-        :meth:`prepare` just touched every entry this gather reads, and the
-        (rare) standalone path tolerates insertion-order aging.
+        batched fit path avoids a copy per individual.  Scalars evicted
+        since :meth:`prepare` (a pool smaller than the batch) are recomputed
+        (and cached) inline with the canonical recipe, so the gather is
+        correct whatever the pool size.  LRU recency is deliberately *not*
+        refreshed here: :meth:`prepare` just touched every entry this
+        gather reads.
         """
         k = len(columns)
         ids = []
@@ -391,8 +354,8 @@ class GramPool:
         for position, (key, column) in enumerate(columns):
             entry = self._columns.get(key)
             if entry is None:
-                # Unseen (standalone call) or evicted column: compute with
-                # the same canonical recipe -- the value is identical either
+                # Column evicted since prepare: compute with the same
+                # canonical recipe -- the value is identical either
                 # way -- and cache it for the next lookup.
                 entry = self._single_statistics(column)
                 self._columns[key] = entry
@@ -429,7 +392,6 @@ class GramPool:
                  float((row * self._y_row).sum(axis=1)[0]),
                  bool(np.isfinite(row).all(axis=1)[0])]
         self._next_id += 1
-        self.n_singles_computed += 1
         return entry
 
     def _compute_singles(self, missing: "OrderedDict[Tuple, np.ndarray]") -> None:
@@ -437,42 +399,12 @@ class GramPool:
         colsums = rows.sum(axis=1)
         ydots = (rows * self._y_row).sum(axis=1)
         finite = np.isfinite(rows).all(axis=1)
-        self.n_singles_computed += len(missing)
         for position, key in enumerate(missing):
             self._columns[key] = [self._next_id, float(colsums[position]),
                                   float(ydots[position]), bool(finite[position])]
             self._next_id += 1
         while len(self._columns) > self.max_columns:
             self._columns.popitem(last=False)
-
-
-def evaluate_individual_inplace(individual: Individual, X: np.ndarray,
-                                y: np.ndarray, settings: CaffeineSettings,
-                                basis_matrix: Optional[np.ndarray] = None,
-                                normalization: Optional[float] = None,
-                                complexity: Optional[float] = None) -> None:
-    """Fit one individual's linear weights and set both objectives in place.
-
-    This is the single implementation behind ``Individual.evaluate`` and the
-    batch evaluator; ``basis_matrix``/``normalization``/``complexity`` let
-    callers that already hold those (the evaluator, with cached columns and
-    per-basis complexities) skip recomputing them.
-    """
-    y = np.asarray(y, dtype=float)
-    individual.complexity = (complexity if complexity is not None
-                             else model_complexity(individual.bases, settings))
-    individual.normalization = (normalization if normalization is not None
-                                else error_normalization(y))
-    if basis_matrix is None:
-        basis_matrix = evaluate_basis_matrix(individual.bases, X)
-    fit = fit_linear(basis_matrix, y)
-    if fit is None:
-        individual.fit = None
-        individual.error = float("inf")
-        return
-    individual.fit = fit
-    predictions = fit.predict(basis_matrix)
-    individual.error = relative_rmse(y, predictions, individual.normalization)
 
 
 class CompiledColumnBackend:
@@ -512,9 +444,9 @@ class BatchedResidualBackend:
     contiguous-last-axis pairwise summation whose per-row results are
     independent of the stack, the ``pair_dots`` argument transplanted to
     the prediction side).  ``errors`` is bit-for-bit one
-    ``relative_rmse(y, fit.predict(basis_matrix))`` per individual,
-    enforced by hypothesis property tests and fixed-seed engine equality
-    against that per-individual reference.
+    ``relative_rmse(y, fit.predict(basis_matrix))`` per individual, for
+    any group size including one, enforced by hypothesis property tests and
+    fixed-seed engine equality against that per-individual reference.
     """
 
     def __init__(self, y: np.ndarray, normalization: float) -> None:
@@ -524,18 +456,11 @@ class BatchedResidualBackend:
         self.n_batched_passes = 0
         self.n_batched_fits = 0
 
-    def error(self, fit: LinearFit, basis_matrix: np.ndarray) -> float:
-        """One individual: no batch to exploit, same canonical recipe."""
-        return relative_rmse(self.y, fit.predict(basis_matrix),
-                             self.normalization)
-
     def errors(self, fits: Sequence[LinearFit],
                basis_matrices: Sequence[np.ndarray]) -> List[float]:
         """One stacked prediction/residual pass over a same-width group."""
         if not fits:
             return []
-        if len(fits) == 1:
-            return [self.error(fits[0], basis_matrices[0])]
         intercepts = np.array([fit.intercept for fit in fits])
         coefficient_rows = np.stack([fit.coefficients for fit in fits])
         stacked = np.stack([np.asarray(m, dtype=float)
@@ -581,10 +506,9 @@ class PopulationEvaluator:
         #: implementation-identical function set share cached columns
         #: through a common cache; different data or differently-bound
         #: operator names never collide (see :func:`dataset_fingerprint`
-        #: and :func:`function_set_fingerprint`)
+        #: and :meth:`~repro.core.functions.FunctionSet.fingerprint`)
         self.dataset_key = (dataset_fingerprint(self.X),
-                            function_set_fingerprint(
-                                self.settings.function_set))
+                            self.settings.function_set.fingerprint())
         #: the post-fit prediction/residual step: one stacked pass per
         #: basis width and generation
         self.residual_backend = BatchedResidualBackend(self.y,
@@ -594,8 +518,6 @@ class PopulationEvaluator:
         self.gram_pool = GramPool(self.y, budgets.gram_pairs)
         self._y_sum = float(self.y.sum())
         self._y_finite = bool(np.isfinite(self.y).all())
-        #: total number of individual evaluations performed (for benchmarks)
-        self.n_evaluated = 0
         #: column-level accounting: how many basis-column lookups were made
         #: and how many had to be computed (the gap is the cache's work saved)
         self.n_column_requests = 0
@@ -608,12 +530,9 @@ class PopulationEvaluator:
         #: keys prefilled by the current batch; their first assembly lookup is
         #: accounted as a computation, not a cache hit (see _column_for)
         self._fresh_keys: set = set()
-        #: batch-local precomputed gram fits keyed by :meth:`_batch_key`;
-        #: filled by :meth:`_prepare_fits`
-        self._batch_fit_results: Dict = {}
         #: batch-local overlay of prefilled columns, consulted before the LRU
-        #: so that a cache smaller than one batch (or a disabled cache) never
-        #: forces recomputation within the batch that just computed a column
+        #: so that a cache smaller than one batch never forces recomputation
+        #: within the batch that just computed a column
         self._batch_columns: Dict[Tuple, np.ndarray] = {}
         #: per-basis complexity by structural key (complexity is additive
         #: over bases and fully determined by the key + settings, so the sum
@@ -621,10 +540,6 @@ class PopulationEvaluator:
         self._complexity_cache: Dict[Tuple, float] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def stats(self) -> CacheStats:
-        return self.cache.stats
-
     @property
     def column_hit_rate(self) -> float:
         """Fraction of basis-column lookups served without re-evaluation."""
@@ -645,65 +560,77 @@ class PopulationEvaluator:
         """The exact evaluation-recipe identity used as the cache key."""
         return self.column_backend.basis_key(basis)
 
-    def basis_column(self, basis: ProductTerm) -> np.ndarray:
-        """The (cached) evaluated column of one basis function."""
-        return self._column_for(self.basis_key(basis), basis)
-
     def basis_matrix(self, bases: Sequence[ProductTerm]) -> np.ndarray:
         """Assemble an ``(n_samples, n_bases)`` matrix from cached columns."""
         return self._matrix_from_keys([self.basis_key(b) for b in bases], bases)
 
     # ------------------------------------------------------------------
-    def evaluate_individual(self, individual: Individual) -> Individual:
-        """Evaluate one individual through the caches (in place)."""
-        basis_keys = [self.basis_key(b) for b in individual.bases]
-        return self._evaluate_with_keys(individual, basis_keys)
-
     def evaluate_population(self, individuals: Sequence[Individual]
                             ) -> Sequence[Individual]:
-        """Evaluate a whole population (in place), batching uncached columns.
+        """Fit every individual and set both objectives (in place).
 
-        Individuals whose exact basis sequence was fitted before are served
-        from the fit cache.  For the rest, the unique uncached basis columns
-        are computed once, every missing normal-equation scalar is computed
-        in one vectorized pass, and each same-width group is solved and
-        scored in stacked calls; the per-individual loop then distributes
-        the results in population order.
+        This is the only way an individual gets fitted.  Individuals whose
+        exact basis sequence was fitted before -- in an earlier call or
+        earlier in this one -- share that fit, error and complexity.  For
+        the rest, the unique uncached basis columns are computed once, every
+        missing normal-equation scalar is computed in one vectorized pass,
+        and each same-width group (intercept-only individuals form the
+        width-0 group) is solved and scored in stacked calls.  Batching
+        never changes a bit: one call on a population and one call per
+        individual give identical results.
 
         Basis keys are computed exactly once per basis per call and threaded
         through every stage; hashing the trees is otherwise the single
         largest cost of a fully cached evaluation.
-
-        With a zero-capacity column cache nothing persists across calls,
-        but the unique columns of *this* batch are still computed once via
-        a batch-local overlay.
         """
         # Recovery-test hook: a batch whose fit machinery blows up
         # (singular solve, numerical bug, OOM) must surface as a structured
         # per-problem failure upstream, never abort a whole sweep.
         faults.raise_point("fit.exception", n=len(individuals))
         basis_key = self.column_backend.basis_key
-        keyed = [(individual, [basis_key(b) for b in individual.bases])
-                 for individual in individuals]
-        if self.cache.max_entries > 0:
-            pending = [(individual, keys) for individual, keys in keyed
-                       if tuple(keys) not in self._fit_cache]
-        else:
-            pending = keyed
+        fit_keys: List[Tuple] = []
+        results: Dict[Tuple, Optional[Tuple]] = {}
+        pending: List[Tuple[Individual, List[Tuple]]] = []
+        for individual in individuals:
+            keys = [basis_key(b) for b in individual.bases]
+            # Column order determines which coefficient belongs to which
+            # basis, so the individual-level key is the ordered key tuple.
+            fit_key = tuple(keys)
+            fit_keys.append(fit_key)
+            if fit_key in results:
+                continue
+            cached = self._fit_cache.get(fit_key)
+            if cached is None:
+                pending.append((individual, keys))
+            else:
+                self._fit_cache.move_to_end(fit_key)
+            results[fit_key] = cached
         try:
             self._prefill_columns(pending)
-            if pending:
-                self._prepare_fits(pending)
-            for individual, keys in keyed:
-                self._evaluate_with_keys(individual, keys)
+            fresh = self._prepare_fits(pending)
         finally:
             # Clear even on a mid-batch exception: leftover fresh keys would
-            # corrupt the hit-rate accounting of the next batch, and leftover
-            # overlay columns would outlive the 'nothing persists across
-            # calls' guarantee of a disabled cache.
+            # corrupt the hit-rate accounting of the next batch.
             self._fresh_keys.clear()
             self._batch_columns.clear()
-            self._batch_fit_results.clear()
+        for (individual, keys), (fit, error) in zip(pending, fresh,
+                                                    strict=True):
+            entry = (fit, error,
+                     self._complexity_from_keys(keys, individual.bases))
+            results[tuple(keys)] = entry
+            self._fit_cache[tuple(keys)] = entry
+        while len(self._fit_cache) > self.cache.max_entries:
+            self._fit_cache.popitem(last=False)
+        self.n_fit_requests += len(individuals)
+        self.n_fits_computed += len(pending)
+        for individual, fit_key in zip(individuals, fit_keys, strict=True):
+            # LinearFit is frozen and treated as immutable, so sharing one
+            # instance across structurally identical individuals is safe --
+            # exactly what SymbolicModel.from_individual already does between
+            # an individual and its frozen model.
+            individual.fit, individual.error, individual.complexity = \
+                results[fit_key]
+            individual.normalization = self.normalization
         return individuals
 
     # ------------------------------------------------------------------
@@ -743,56 +670,20 @@ class PopulationEvaluator:
                 term = basis_function_complexity(
                     basis, self.settings.basis_function_cost,
                     self.settings.vc_exponent_cost)
-                if self.cache.max_entries > 0:
-                    if len(self._complexity_cache) >= self.cache.max_entries:
-                        self._complexity_cache.clear()
-                    self._complexity_cache[key] = term
+                if len(self._complexity_cache) >= self.cache.max_entries:
+                    self._complexity_cache.clear()
+                self._complexity_cache[key] = term
             total.append(term)
         return float(sum(total))
-
-    def _batch_key(self, individual: Individual, keys: List[Tuple]):
-        # Duplicates share one fit exactly as the fit cache would arrange;
-        # without a fit cache every individual is its own entry.
-        return tuple(keys) if self.cache.max_entries > 0 else id(individual)
-
-    def _evaluate_with_keys(self, individual: Individual,
-                            basis_keys: List[Tuple]) -> Individual:
-        # Column order determines which coefficient belongs to which basis,
-        # so the individual-level key is the ordered tuple of basis keys.
-        fit_key = tuple(basis_keys) if self.cache.max_entries > 0 else None
-        self.n_evaluated += 1
-        self.n_fit_requests += 1
-        if fit_key is not None:
-            cached = self._fit_cache.get(fit_key)
-            if cached is not None:
-                self._fit_cache.move_to_end(fit_key)
-                fit, error, complexity = cached
-                # LinearFit is frozen and treated as immutable, so sharing
-                # one instance across structurally identical individuals is
-                # safe -- exactly what SymbolicModel.from_individual already
-                # does between an individual and its frozen model.
-                individual.fit = fit
-                individual.error = error
-                individual.complexity = complexity
-                individual.normalization = self.normalization
-                return individual
-        self.n_fits_computed += 1
-        self._fit(individual, basis_keys)
-        if fit_key is not None:
-            self._fit_cache[fit_key] = (individual.fit, individual.error,
-                                        individual.complexity)
-            while len(self._fit_cache) > self.cache.max_entries:
-                self._fit_cache.popitem(last=False)
-        return individual
 
     # ------------------------------------------------------------------
     def _prefill_columns(self, keyed: Sequence[Tuple[Individual, List[Tuple]]]
                          ) -> None:
         """Compute every column the given individuals will need, once.
 
-        Results land in the batch-local overlay (always) and the LRU (when
-        enabled), so assembly never recomputes a column this batch produced --
-        even when the LRU is smaller than the batch or disabled entirely.
+        Results land in the batch-local overlay and the LRU, so assembly
+        never recomputes a column this batch produced -- even when the LRU
+        is smaller than the batch.
         """
         missing: "OrderedDict[Tuple, ProductTerm]" = OrderedDict()
         for individual, keys in keyed:
@@ -815,81 +706,37 @@ class PopulationEvaluator:
     # Fits gather canonical normal-equation scalars from the cross-generation
     # GramPool instead of re-reducing n_samples-long columns, and whole
     # batches solve in stacked LAPACK calls.  Every value is bit-for-bit
-    # what evaluate_individual_inplace's full fit_linear produces (the
-    # scalars come from the same pair_dots recipe no matter when or in
-    # which batch they were first computed); the test suite holds that
-    # per-individual path as the reference.
+    # what a full fit_linear per individual produces (the scalars come from
+    # the same pair_dots recipe no matter when or in which batch they were
+    # first computed); the test suite holds that per-individual path as the
+    # reference.
     # ------------------------------------------------------------------
-    def _fit(self, individual: Individual, basis_keys: List[Tuple]) -> None:
-        """Set ``fit``/``error``/``complexity``/``normalization`` in place."""
-        individual.complexity = self._complexity_from_keys(
-            basis_keys, individual.bases)
-        individual.normalization = self.normalization
-        precomputed = self._batch_fit_results.get(
-            self._batch_key(individual, basis_keys))
-        if precomputed is not None:
-            # Sharing one frozen LinearFit across structurally identical
-            # individuals mirrors what the fit cache already does.
-            individual.fit, individual.error = precomputed
-            return
-        self._fit_with_gram(individual, basis_keys)
-
-    def _fit_with_gram(self, individual: Individual,
-                       basis_keys: List[Tuple]) -> None:
-        """One gram-pool fit outside a prepared batch (standalone calls and
-        the intercept-only individual): gather, small solve, score."""
-        columns = [self._column_for(key, basis)
-                   for key, basis in zip(basis_keys, individual.bases,
-                                         strict=True)]
-        gram, colsums, ydots, finite = self.gram_pool.statistics_for(
-            list(zip(basis_keys, columns, strict=True)))
-        individual.fit = None
-        individual.error = float("inf")
-        if not (finite and self._y_finite):
-            # Exactly fit_linear's non-finite rejection, decided from the
-            # pool's per-column finite flags instead of a full-matrix scan.
-            return
-        if columns:
-            basis_matrix = np.column_stack(columns)
-        else:
-            basis_matrix = np.zeros((self.X.shape[0], 0))
-        fit = fit_linear_from_gram(gram, colsums, ydots, self._y_sum,
-                                   basis_matrix, self.y)
-        if fit is not None:
-            individual.fit = fit
-            individual.error = self.residual_backend.error(fit, basis_matrix)
-
     def _prepare_fits(self, pending: Sequence[Tuple[Individual, List[Tuple]]]
-                      ) -> None:
-        """Solve the batch's unique fresh fits in stacked LAPACK calls.
+                      ) -> List[Tuple[Optional[LinearFit], float]]:
+        """``(fit, error)`` for each of the batch's fresh individuals, in order.
 
-        Pending individuals are deduplicated by :meth:`_batch_key` and their
+        ``pending`` holds each structurally distinct individual once.  Their
         ``(key, column)`` sequences are built once -- shared by the pool's
         batched :meth:`GramPool.prepare` and the per-group gathers below.
         Each same-basis-count group's normal equations are then solved by
         one :func:`~repro.regression.least_squares.fit_linear_from_gram_batch`
-        call and scored in one stacked residual pass.  Results land in
-        ``_batch_fit_results`` for the per-individual loop to distribute.
+        call and scored in one stacked residual pass.  Infeasible
+        individuals get ``(None, inf)``.
         """
-        groups: Dict[int, List[Tuple]] = {}
-        queued = set()
+        if not pending:
+            return []
+        results: List[Tuple[Optional[LinearFit], float]] = \
+            [(None, float("inf"))] * len(pending)
+        groups: Dict[int, List[Tuple[int, list]]] = {}
         prepared_columns = []
-        for individual, keys in pending:
-            batch_key = self._batch_key(individual, keys)
-            if batch_key in queued or not keys:
-                # Duplicates share the first occurrence's fit; empty
-                # individuals take the (cheap) standalone intercept-only path.
-                continue
-            queued.add(batch_key)
+        for position, (individual, keys) in enumerate(pending):
             keyed_columns = [(key, self._column_for(key, basis))
                              for key, basis in zip(keys, individual.bases,
                                                    strict=True)]
             prepared_columns.append(keyed_columns)
-            groups.setdefault(len(keys), []).append(
-                (batch_key, keyed_columns))
-        if not groups:
-            return
+            groups.setdefault(len(keys), []).append((position, keyed_columns))
         self.gram_pool.prepare(prepared_columns)
+        n_samples = self.X.shape[0]
         for n_bases, items in groups.items():
             n_items = len(items)
             grams = np.empty((n_items, n_bases, n_bases))
@@ -897,47 +744,37 @@ class PopulationEvaluator:
             ydots = np.empty((n_items, n_bases))
             basis_matrices = []
             finite_rows = np.empty(n_items, dtype=bool)
-            for position, (_batch_key, keyed_columns) in enumerate(items):
-                finite_rows[position] = self.gram_pool.gather_into(
-                    keyed_columns, grams[position], colsums[position],
-                    ydots[position])
-                basis_matrices.append(np.column_stack(
-                    [column for _key, column in keyed_columns]))
+            for row, (_position, keyed_columns) in enumerate(items):
+                finite_rows[row] = self.gram_pool.gather_into(
+                    keyed_columns, grams[row], colsums[row], ydots[row])
+                basis_matrices.append(
+                    np.column_stack([column for _key, column in keyed_columns])
+                    if n_bases else np.zeros((n_samples, 0)))
             if not self._y_finite:
                 finite_rows[:] = False
-            if finite_rows.all():
-                solvable = np.arange(n_items)
-            else:
+            solvable = np.flatnonzero(finite_rows)
+            if solvable.size == 0:
+                continue
+            if solvable.size < n_items:
                 # Non-finite items would poison the stacked LAPACK calls;
                 # they are infeasible by fit_linear's rules anyway.
-                solvable = np.flatnonzero(finite_rows)
-                for position in np.flatnonzero(~finite_rows):
-                    self._batch_fit_results[items[position][0]] = \
-                        (None, float("inf"))
-                if solvable.size == 0:
-                    continue
                 grams = grams[solvable]
                 colsums = colsums[solvable]
                 ydots = ydots[solvable]
-            solvable_matrices = [basis_matrices[i] for i in solvable]
+            solvable_matrices = [basis_matrices[row] for row in solvable]
             fits = fit_linear_from_gram_batch(grams, colsums, ydots,
                                               self._y_sum, solvable_matrices,
                                               self.y)
-            scored_positions = []
-            scored_fits: List[LinearFit] = []
-            scored_matrices = []
-            for position, fit, basis_matrix in zip(solvable, fits,
-                                                   solvable_matrices, strict=True):
-                if fit is None:
-                    self._batch_fit_results[items[position][0]] = \
-                        (None, float("inf"))
-                    continue
-                scored_positions.append(position)
-                scored_fits.append(fit)
-                scored_matrices.append(basis_matrix)
-            if not scored_fits:
+            scored = [(items[row][0], fit, basis_matrix)
+                      for row, fit, basis_matrix in zip(
+                          solvable, fits, solvable_matrices, strict=True)
+                      if fit is not None]
+            if not scored:
                 continue
-            errors = self.residual_backend.errors(scored_fits, scored_matrices)
-            for position, fit, error in zip(scored_positions, scored_fits,
-                                            errors, strict=True):
-                self._batch_fit_results[items[position][0]] = (fit, error)
+            errors = self.residual_backend.errors(
+                [fit for _position, fit, _matrix in scored],
+                [basis_matrix for _position, _fit, basis_matrix in scored])
+            for (position, fit, _matrix), error in zip(scored, errors,
+                                                       strict=True):
+                results[position] = (fit, error)
+        return results

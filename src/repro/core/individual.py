@@ -4,10 +4,10 @@
 functions; therefore, each individual is a set of GP trees."  An
 :class:`Individual` holds those trees; fitting the outer linear weights
 (intercept plus one coefficient per basis function) to the training data and
-computing the two objectives (error, complexity) is delegated to
-:mod:`repro.core.evaluation`, whose evaluator caches basis columns and
-batch-evaluates whole populations for the engine and for simplification
-(``Individual.evaluate`` is the uncached one-individual entry point).
+computing the two objectives (error, complexity) is done by
+:meth:`repro.core.evaluation.PopulationEvaluator.evaluate_population`, the
+one fit path, which caches basis columns and batch-evaluates whole
+populations for the engine and for simplification.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.expression import ProductTerm
-from repro.core.settings import CaffeineSettings
 from repro.regression.least_squares import LinearFit
 
 __all__ = ["Individual", "evaluate_basis_column", "evaluate_basis_matrix"]
@@ -112,21 +111,6 @@ class Individual:
                           generation_born=self.generation_born)
 
     # ------------------------------------------------------------------
-    def evaluate(self, X: np.ndarray, y: np.ndarray,
-                 settings: CaffeineSettings) -> None:
-        """Fit the outer linear weights and compute both objectives.
-
-        The error objective is the paper's ``qwc``: RMS training error
-        divided by the training-data range (see :mod:`repro.data.metrics`).
-
-        Uncached: the engine and simplification evaluate through
-        :class:`~repro.core.evaluation.PopulationEvaluator` instead, which
-        gives bit-identical results from its column cache.
-        """
-        from repro.core.evaluation import evaluate_individual_inplace
-
-        evaluate_individual_inplace(self, X, y, settings)
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predictions of the fitted model on new samples."""
         if self.fit is None:

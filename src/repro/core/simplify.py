@@ -11,6 +11,11 @@ After the evolutionary run, each model in the trade-off is post-processed:
    separate testing data and filtered down to the models that are also on
    the trade-off of *testing* error vs. complexity (the 5-10 models per
    performance of most interest in the paper).
+
+Step 1 runs here; every refit goes through the evaluator's one fit path,
+:meth:`~repro.core.evaluation.PopulationEvaluator.evaluate_population`, as
+two batches per trade-off.  Batching never changes a bit, so simplifying a
+whole trade-off equals simplifying each model on its own.
 """
 
 from __future__ import annotations
@@ -22,25 +27,42 @@ import numpy as np
 from repro.core.individual import Individual
 from repro.regression.forward_regression import forward_select
 
-__all__ = ["simplify_individual", "simplify_population"]
+__all__ = ["simplify_population"]
 
 
-def simplify_individual(individual: Individual, evaluator) -> Individual:
-    """PRESS-driven forward-regression pruning of one individual's bases.
+def simplify_population(individuals: Sequence[Individual],
+                        evaluator) -> List[Individual]:
+    """PRESS-driven forward-regression pruning of each individual's bases.
 
-    Returns a new, re-evaluated individual containing only the basis
-    functions selected by forward regression (possibly all of them, possibly
-    none -- then the model reduces to a constant).  The original individual
-    is not modified.
+    Returns one new, evaluated individual per input, in order: either the
+    basis functions forward regression selected (possibly all of them) or,
+    when that simplification would destroy the training fit, a re-evaluated
+    clone of the original.  The inputs are not modified.
 
     ``evaluator`` is the :class:`~repro.core.evaluation.PopulationEvaluator`
-    the individual was evolved with: it supplies the training data, the
-    settings, the basis matrices (from its column cache) and every
-    re-evaluation.
+    the individuals were evolved with: it supplies the training data, the
+    settings, the basis matrices (from its column cache) and both batched
+    evaluations -- the simplified candidates, then clones of the originals
+    whose candidate was rejected.
     """
-    if not individual.bases:
-        return evaluator.evaluate_individual(individual.clone())
+    candidates = [_forward_selected(individual, evaluator)
+                  for individual in individuals]
+    evaluator.evaluate_population(candidates)
+    rejected = [position for position, (individual, kept)
+                in enumerate(zip(individuals, candidates, strict=True))
+                if not _keeps_fit(individual, kept)]
+    originals = evaluator.evaluate_population(
+        [individuals[position].clone() for position in rejected])
+    simplified = list(candidates)
+    for position, original in zip(rejected, originals, strict=True):
+        simplified[position] = original
+    return simplified
 
+
+def _forward_selected(individual: Individual, evaluator) -> Individual:
+    """An unevaluated individual holding the bases forward regression keeps."""
+    if not individual.bases:
+        return individual.clone()
     settings = evaluator.settings
     selection = forward_select(
         evaluator.basis_matrix(individual.bases), evaluator.y,
@@ -48,36 +70,26 @@ def simplify_individual(individual: Individual, evaluator) -> Individual:
         min_relative_improvement=settings.sag_min_relative_improvement,
     )
     if len(selection.selected_indices) == len(individual.bases):
-        kept = individual.clone()
-    else:
-        kept = Individual(
-            bases=[individual.bases[i].clone()
-                   for i in sorted(selection.selected_indices)],
-            generation_born=individual.generation_born,
-        )
-        if not kept.bases:
-            # All bases pruned: fall back to the constant model (an Individual
-            # must hold at least one tree, so keep the cheapest original one
-            # but let the linear fit decide; if even that hurts, the fit's
-            # coefficient will be ~0).
-            cheapest = min(individual.bases, key=lambda b: b.n_nodes)
-            kept = Individual(bases=[cheapest.clone()],
-                              generation_born=individual.generation_born)
-    evaluator.evaluate_individual(kept)
-    # Keep the simplification only if it does not destroy the training fit.
-    if kept.error <= individual.error * (1.0 + 1e-9) or not individual.is_feasible:
-        return kept
-    if kept.complexity < individual.complexity and np.isfinite(kept.error):
-        return kept
-    return evaluator.evaluate_individual(individual.clone())
+        return individual.clone()
+    if not selection.selected_indices:
+        # All bases pruned: fall back to the constant model (an Individual
+        # must hold at least one tree, so keep the cheapest original one
+        # but let the linear fit decide; if even that hurts, the fit's
+        # coefficient will be ~0).
+        cheapest = min(individual.bases, key=lambda b: b.n_nodes)
+        return Individual(bases=[cheapest.clone()],
+                          generation_born=individual.generation_born)
+    return Individual(
+        bases=[individual.bases[i].clone()
+               for i in sorted(selection.selected_indices)],
+        generation_born=individual.generation_born,
+    )
 
 
-def simplify_population(individuals: Sequence[Individual],
-                        evaluator) -> List[Individual]:
-    """Apply :func:`simplify_individual` to a whole trade-off set.
-
-    The engine passes its own evaluator, so the basis-column cache built
-    during evolution is reused.
-    """
-    return [simplify_individual(individual, evaluator)
-            for individual in individuals]
+def _keeps_fit(individual: Individual, kept: Individual) -> bool:
+    """Whether the evaluated simplification ``kept`` may replace ``individual``:
+    it does not worsen the training fit, or it is simpler and still finite."""
+    if kept.error <= individual.error * (1.0 + 1e-9) \
+            or not individual.is_feasible:
+        return True
+    return kept.complexity < individual.complexity and np.isfinite(kept.error)

@@ -336,8 +336,8 @@ def fit_linear_from_gram_batch(grams: np.ndarray, colsums: np.ndarray,
     ``grams`` is an ``(m, k, k)`` stack of raw grams, ``colsums``/``ydots``
     the matching ``(m, k)`` stacks, and ``basis_matrices`` the ``m``
     assembled matrices (needed, as always, for the prediction/residual
-    pass); all items share the same ``y``.  Requires ``k >= 1`` and an
-    intercept (the evaluator's case).
+    pass); all items share the same ``y``.  Always fits an intercept (the
+    evaluator's case); ``k == 0`` gives intercept-only fits.
 
     Every per-item result is bit-for-bit what :func:`fit_linear_from_gram`
     returns: the scaling/ridge arithmetic is elementwise (batching cannot
@@ -349,7 +349,7 @@ def fit_linear_from_gram_batch(grams: np.ndarray, colsums: np.ndarray,
     y = np.asarray(y, dtype=float).ravel()
     m, k = colsums.shape
     if k == 0:
-        raise ValueError("batched gram fits require at least one basis column")
+        return [_intercept_only_fit(y, True) for _ in range(m)]
     n_samples = y.shape[0]
     size = k + 1
 

@@ -182,7 +182,11 @@ class _FrontRequestHandler(BaseHTTPRequestHandler):
         if length > MAX_BODY_BYTES:
             raise _BodyTooLarge(f"request body of {length} bytes exceeds the "
                                 f"{MAX_BODY_BYTES}-byte limit")
-        payload = json.loads(self.rfile.read(length).decode("utf-8"))
+        try:
+            payload = json.loads(self.rfile.read(length).decode("utf-8"))
+        except RecursionError:
+            # The body was read in full, so the connection stays usable.
+            raise ValueError("request body nests too deeply") from None
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
         return payload

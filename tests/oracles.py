@@ -6,7 +6,9 @@ plainer reference here that it must match bit for bit:
 * columns -- :class:`InterpColumnBackend` walks every tree node by node
   instead of running compiled NumPy tapes;
 * fits -- :class:`DirectFitEvaluator` runs a full ``fit_linear`` per
-  individual instead of gathering normal equations from the gram pool;
+  individual (:func:`evaluate_individual_inplace`) instead of gathering
+  normal equations from the gram pool and solving each basis width in
+  stacked calls;
 * residuals -- :class:`ScalarResidualBackend` scores one individual at a
   time instead of one stacked pass per basis width;
 * Pareto -- :func:`nondominated_indices`, :func:`fast_nondominated_sort`
@@ -32,7 +34,8 @@ import pytest
 
 from repro.core import engine, evaluation, nsga2, pareto
 from repro.core.compile import canonicalize_factors
-from repro.core.evaluation import PopulationEvaluator, evaluate_individual_inplace
+from repro.core.complexity import model_complexity
+from repro.core.evaluation import PopulationEvaluator
 from repro.core.expression import (
     BinaryOpTerm,
     ConditionalOpTerm,
@@ -45,11 +48,16 @@ from repro.core.expression import (
     iter_variable_combos,
     iter_weights,
 )
-from repro.core.individual import Individual, evaluate_basis_column
+from repro.core.individual import (
+    Individual,
+    evaluate_basis_column,
+    evaluate_basis_matrix,
+)
 from repro.core.operators import VariationOperators
 from repro.core.pareto import dominates
-from repro.data.metrics import relative_rmse
-from repro.regression.least_squares import LinearFit
+from repro.core.settings import CaffeineSettings
+from repro.data.metrics import error_normalization, relative_rmse
+from repro.regression.least_squares import LinearFit, fit_linear
 
 #: the layers :func:`reference_layers` can swap
 LAYERS = ("columns", "fits", "residuals", "pareto", "genome")
@@ -74,24 +82,51 @@ class InterpColumnBackend:
 # ----------------------------------------------------------------------
 # fits
 # ----------------------------------------------------------------------
+def evaluate_individual_inplace(individual: Individual, X: np.ndarray,
+                                y: np.ndarray, settings: CaffeineSettings,
+                                basis_matrix: Optional[np.ndarray] = None,
+                                normalization: Optional[float] = None,
+                                complexity: Optional[float] = None) -> None:
+    """Fit one individual with a full ``fit_linear`` and set both objectives.
+
+    ``basis_matrix``/``normalization``/``complexity`` let callers that
+    already hold those skip recomputing them.
+    """
+    y = np.asarray(y, dtype=float)
+    individual.complexity = (complexity if complexity is not None
+                             else model_complexity(individual.bases, settings))
+    individual.normalization = (normalization if normalization is not None
+                                else error_normalization(y))
+    if basis_matrix is None:
+        basis_matrix = evaluate_basis_matrix(individual.bases, X)
+    fit = fit_linear(basis_matrix, y)
+    if fit is None:
+        individual.fit = None
+        individual.error = float("inf")
+        return
+    individual.fit = fit
+    individual.error = relative_rmse(y, fit.predict(basis_matrix),
+                                     individual.normalization)
+
+
 class DirectFitEvaluator(PopulationEvaluator):
     """The evaluator with one full ``fit_linear`` per individual.
 
     Columns, caches and complexities are the production evaluator's; only
-    the fit replaces the gram-pool gather-and-solve with
-    :func:`~repro.core.evaluation.evaluate_individual_inplace`.
+    the batched gram-pool gather-and-solve is replaced by
+    :func:`evaluate_individual_inplace`.
     """
 
-    def _prepare_fits(self, pending) -> None:
-        """Direct fits need no batch precomputation."""
-
-    def _fit(self, individual: Individual, basis_keys: List[Tuple]) -> None:
-        evaluate_individual_inplace(
-            individual, self.X, self.y, self.settings,
-            basis_matrix=self._matrix_from_keys(basis_keys, individual.bases),
-            normalization=self.normalization,
-            complexity=self._complexity_from_keys(basis_keys,
-                                                  individual.bases))
+    def _prepare_fits(self, pending) -> List[Tuple[Optional[LinearFit], float]]:
+        results = []
+        for individual, keys in pending:
+            evaluate_individual_inplace(
+                individual, self.X, self.y, self.settings,
+                basis_matrix=self._matrix_from_keys(keys, individual.bases),
+                normalization=self.normalization,
+                complexity=self._complexity_from_keys(keys, individual.bases))
+            results.append((individual.fit, individual.error))
+        return results
 
 
 # ----------------------------------------------------------------------

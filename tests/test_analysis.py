@@ -118,7 +118,8 @@ class TestBitIdentityRule:
                "    return a @ b\n")
 
     @pytest.mark.parametrize("path", ["src/repro/regression/custom.py",
-                                      "src/repro/core/model.py"])
+                                      "src/repro/core/model.py",
+                                      "src/repro/core/simplify.py"])
     def test_matmul_in_scope_triggers(self, tmp_path, path):
         findings = lint_source(tmp_path, path, self.TRIGGER)
         assert "bit-identity" in rules_hit(findings)

@@ -44,6 +44,13 @@ def _evaluator(seed: int, settings, cache=None):
     return PopulationEvaluator(X, y, settings, cache=cache)
 
 
+def _load(store, max_entries: int = 20000) -> BasisColumnCache:
+    """A fresh cache holding the stored entries (empty on any damage)."""
+    cache = BasisColumnCache(max_entries)
+    store.load_into(cache)
+    return cache
+
+
 def _no_store_warnings(recorded) -> bool:
     return not [w for w in recorded if "column-cache" in str(w.message)]
 
@@ -57,7 +64,7 @@ class TestRoundTrip:
         n_saved = store.save(evaluator.cache)
         assert n_saved == len(evaluator.cache) > 0
 
-        reloaded = store.load(max_entries=cache_budgets(fast_settings).columns)
+        reloaded = _load(store, cache_budgets(fast_settings).columns)
         original = dict(evaluator.cache.items())
         restored = dict(reloaded.items())
         assert set(original) == set(restored)
@@ -110,18 +117,15 @@ class TestRoundTrip:
         second.evaluate_population(_population(21))
         store.save(second.cache)  # second.cache holds none of first's keys
 
-        merged = store.load(max_entries=100000)
+        merged = _load(store, 100000)
         merged_keys = {key for key, _column in merged.items()}
         for key, _column in first.cache.items():
             assert key in merged_keys
         for key, _column in second.cache.items():
             assert key in merged_keys
-        # A shrunken (even empty) cache cannot wipe the file either ...
+        # A shrunken (even empty) cache cannot wipe the file either.
         store.save(BasisColumnCache(10))
-        assert {k for k, _c in store.load(100000).items()} == merged_keys
-        # ... unless merging is explicitly disabled.
-        store.save(BasisColumnCache(10), merge=False)
-        assert len(store.load(100000)) == 0
+        assert {k for k, _c in _load(store, 100000).items()} == merged_keys
 
     def test_load_skips_existing_keys(self, fast_settings, tmp_path):
         evaluator = _evaluator(3, fast_settings)
@@ -145,7 +149,7 @@ class TestIsolation:
         other = PopulationEvaluator(
             other_rng.uniform(0.5, 2.0, size=(30, 3)),
             other_rng.normal(size=30), fast_settings,
-            cache=store.load(cache_budgets(fast_settings).columns))
+            cache=_load(store, cache_budgets(fast_settings).columns))
         population = _population(4)
         reference = [ind.clone() for ind in population]
         other.evaluate_population(population)
@@ -167,7 +171,7 @@ class TestIsolation:
 
         rational = fast_settings.copy(function_set=rational_function_set())
         consumer = PopulationEvaluator(producer.X, producer.y, rational,
-                                       cache=store.load())
+                                       cache=_load(store))
         assert consumer.dataset_key != producer.dataset_key
 
     def test_dataset_key_filter_loads_only_matching(self, fast_settings,
@@ -312,7 +316,7 @@ class TestConcurrentWriters:
             worker.join(timeout=120)
         assert all(worker.exitcode == 0 for worker in workers)
 
-        merged = store.load(max_entries=10000)
+        merged = _load(store, 10000)
         stored_keys = {key for key, _column in merged.items()}
         for worker_id in (1, 2):
             missing = set(_worker_keys(worker_id, n_entries)) - stored_keys
@@ -368,7 +372,7 @@ class TestConcurrentWriters:
         for thread in threads:
             thread.join(timeout=120)
         assert not errors
-        stored = {key for key, _column in store.load(10000).items()}
+        stored = {key for key, _column in _load(store, 10000).items()}
         for worker_id in (1, 2):
             assert not set(_worker_keys(worker_id, 20)) - stored
 

@@ -19,7 +19,7 @@ from repro.core.report import (
     tradeoff_table,
 )
 from repro.core.settings import CaffeineSettings
-from repro.core.simplify import simplify_individual, simplify_population
+from repro.core.simplify import simplify_population
 from repro.core.variable_combo import VariableCombo
 
 
@@ -147,6 +147,14 @@ class TestSimplification:
     def _evaluator(data, settings):
         return PopulationEvaluator(data.X, data.y, settings)
 
+    @classmethod
+    def _simplify_one(cls, individual, data, settings):
+        """Evaluate ``individual`` on ``data``, then simplify it alone."""
+        evaluator = cls._evaluator(data, settings)
+        evaluator.evaluate_population([individual])
+        simplified, = simplify_population([individual], evaluator)
+        return simplified
+
     def test_redundant_bases_are_pruned(self, rational_train, fast_settings):
         ratio = ProductTerm(vc=VariableCombo((1, -1, 0)))
         linear = ProductTerm(vc=VariableCombo((0, 0, 1)))
@@ -158,9 +166,7 @@ class TestSimplification:
             * np.random.default_rng(0).normal(size=rational_train.n_samples))
         individual = Individual(bases=[ratio.clone(), ratio.clone(),
                                        ratio.clone(), linear])
-        individual.evaluate(noisy.X, noisy.y, fast_settings)
-        simplified = simplify_individual(individual, self._evaluator(
-            noisy, fast_settings))
+        simplified = self._simplify_one(individual, noisy, fast_settings)
         assert simplified.n_bases < individual.n_bases
         assert simplified.error <= individual.error * 1.05
 
@@ -169,15 +175,14 @@ class TestSimplification:
                                         rng=np.random.default_rng(3))
         useful = ProductTerm(vc=VariableCombo((1, -1, 0)))
         individual = Individual(bases=[useful] + generator.random_basis_functions(3))
-        individual.evaluate(rational_train.X, rational_train.y, fast_settings)
-        simplified = simplify_individual(individual, self._evaluator(
-            rational_train, fast_settings))
+        simplified = self._simplify_one(individual, rational_train,
+                                        fast_settings)
         assert simplified.is_feasible
         assert simplified.complexity <= individual.complexity
 
     def test_constant_individual_passthrough(self, rational_train, fast_settings):
         individual = Individual(bases=[])
-        simplified = simplify_individual(individual, self._evaluator(
+        simplified, = simplify_population([individual], self._evaluator(
             rational_train, fast_settings))
         assert simplified.n_bases == 0
         assert simplified.is_feasible
@@ -187,11 +192,48 @@ class TestSimplification:
                                         rng=np.random.default_rng(4))
         population = [Individual(bases=generator.random_basis_functions())
                       for _ in range(5)]
-        for individual in population:
-            individual.evaluate(rational_train.X, rational_train.y, fast_settings)
-        simplified = simplify_population(population, self._evaluator(
-            rational_train, fast_settings))
+        evaluator = self._evaluator(rational_train, fast_settings)
+        evaluator.evaluate_population(population)
+        simplified = simplify_population(population, evaluator)
         assert len(simplified) == 5
+
+    def test_batched_front_equals_per_model(self, rational_train,
+                                            fast_settings):
+        """Simplifying a whole evolved front in two batched evaluations is
+        bit for bit simplifying each model alone on a fresh evaluator."""
+        settings = fast_settings.copy(population_size=30, n_generations=5,
+                                      random_seed=3)
+        engine = CaffeineEngine(rational_train, settings=settings)
+        engine.initialize_population()
+        for generation in range(settings.n_generations):
+            engine.step(generation)
+        constant = Individual(bases=[])
+        doctored = Individual(bases=[])
+        engine.evaluator.evaluate_population([constant, doctored])
+        # An error no refit can reach sends this one through the second
+        # batch: its simplification is rejected and the original refitted.
+        doctored.error *= 0.5
+        front = engine.final_front() + [constant, doctored]
+        assert len(front) >= 3
+        requests = engine.evaluator.n_fit_requests
+        batched = simplify_population(front, engine.evaluator)
+        assert engine.evaluator.n_fit_requests - requests == len(front) + 1
+        assert len(batched) == len(front)
+        for individual, together in zip(front, batched):
+            alone, = simplify_population(
+                [individual], self._evaluator(rational_train, settings))
+            assert together is not individual
+            assert [engine.evaluator.basis_key(b) for b in together.bases] \
+                == [engine.evaluator.basis_key(b) for b in alone.bases]
+            assert together.error == alone.error
+            assert together.complexity == alone.complexity
+            assert together.normalization == alone.normalization
+            assert together.generation_born == alone.generation_born
+            assert together.fit.intercept == alone.fit.intercept
+            assert np.array_equal(together.fit.coefficients,
+                                  alone.fit.coefficients)
+            assert together.fit.residual_sum_of_squares == \
+                alone.fit.residual_sum_of_squares
 
 
 class TestTradeoffSetAndReport:

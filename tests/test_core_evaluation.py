@@ -11,7 +11,6 @@ from repro.core.evaluation import (
     GramPool,
     PopulationEvaluator,
     cache_budgets,
-    evaluate_individual_inplace,
 )
 from repro.core.expression import ProductTerm, UnaryOpTerm, WeightedSum, structural_key
 from repro.core.functions import UNARY_OPERATORS
@@ -20,8 +19,10 @@ from repro.core.individual import Individual
 from repro.core.settings import CaffeineSettings
 from repro.core.variable_combo import VariableCombo
 from repro.core.weights import Weight
+from repro.data.dataset import Dataset
 
-from oracles import DirectFitEvaluator, reference_layers
+from oracles import DirectFitEvaluator, evaluate_individual_inplace, \
+    reference_layers
 
 
 @pytest.fixture()
@@ -88,12 +89,15 @@ class TestBasisColumnCache:
         assert ("a",) in cache and ("c",) in cache
         assert cache.stats.evictions == 1
 
-    def test_zero_capacity_disables_storage(self):
-        cache = BasisColumnCache(max_entries=0)
+    def test_zero_capacity_rejected(self):
+        # Every evaluator caches at least one column and one fit; there is
+        # no disabled mode.
+        with pytest.raises(ValueError):
+            BasisColumnCache(max_entries=0)
+        cache = BasisColumnCache(max_entries=1)
         cache.put(("a",), np.zeros(3))
-        assert len(cache) == 0
-        assert cache.get(("a",)) is None
-        assert cache.stats.misses == 1
+        cache.put(("b",), np.ones(3))
+        assert len(cache) == 1 and ("b",) in cache
 
     def test_hit_rate(self):
         cache = BasisColumnCache(max_entries=4)
@@ -123,10 +127,12 @@ class TestEvaluatorEquivalence:
 
     def test_matches_legacy_individual_evaluate(self, generator, rational_train,
                                                 fast_settings):
+        """The evaluator equals the uncached one-individual reference."""
         population = _random_population(generator, 12)
         legacy = [ind.clone() for ind in population]
         for individual in legacy:
-            individual.evaluate(rational_train.X, rational_train.y, fast_settings)
+            evaluate_individual_inplace(individual, rational_train.X,
+                                        rational_train.y, fast_settings)
         evaluator = PopulationEvaluator(rational_train.X, rational_train.y,
                                         fast_settings)
         evaluator.evaluate_population(population)
@@ -138,10 +144,10 @@ class TestEvaluatorEquivalence:
         individual = _random_population(generator, 1)[0]
         evaluator = PopulationEvaluator(rational_train.X, rational_train.y,
                                         fast_settings)
-        first = evaluator.evaluate_individual(individual.clone())
+        first, = evaluator.evaluate_population([individual.clone()])
         assert evaluator.n_fits_computed == 1
         # A structurally identical clone is served from the fit cache ...
-        second = evaluator.evaluate_individual(individual.clone())
+        second, = evaluator.evaluate_population([individual.clone()])
         assert evaluator.n_fits_computed == 1
         assert evaluator.n_fit_requests == 2
         assert evaluator.fit_hit_rate == pytest.approx(0.5)
@@ -157,19 +163,21 @@ class TestEvaluatorEquivalence:
                 weight.stored = weight.stored + 0.5
                 perturbed = True
         legacy = variant.clone()
-        evaluator.evaluate_individual(variant)
-        legacy.evaluate(rational_train.X, rational_train.y, fast_settings)
+        evaluator.evaluate_population([variant])
+        evaluate_individual_inplace(legacy, rational_train.X, rational_train.y,
+                                    fast_settings)
         if perturbed:
             assert evaluator.n_fits_computed == 2
         self._assert_same_evaluation(variant, legacy)
 
     def test_cache_disabled_still_correct(self, generator, rational_train,
                                           fast_settings):
+        """The smallest cache (one column, one fit) changes no result."""
         population = _random_population(generator, 6)
         reference = [ind.clone() for ind in population]
         no_cache = PopulationEvaluator(rational_train.X, rational_train.y,
                                        fast_settings,
-                                       cache=BasisColumnCache(0))
+                                       cache=BasisColumnCache(1))
         cached = PopulationEvaluator(rational_train.X, rational_train.y,
                                      fast_settings)
         no_cache.evaluate_population(population)
@@ -197,17 +205,28 @@ class TestEvaluatorEquivalence:
         X[0, 0] = 0.0
         bad = Individual(bases=[ProductTerm(vc=VariableCombo((-4, 0, 0)))])
         evaluator = PopulationEvaluator(X, rational_train.y, fast_settings)
-        evaluator.evaluate_individual(bad)
+        evaluator.evaluate_population([bad])
         assert not bad.is_feasible
         assert bad.error == float("inf")
 
     def test_evaluate_individual_inplace_helper(self, generator, rational_train,
                                                 fast_settings):
+        """The reference helper's shortcuts (a precomputed basis matrix,
+        normalization and complexity) change nothing."""
+        from repro.core.complexity import model_complexity
+        from repro.core.individual import evaluate_basis_matrix
+        from repro.data.metrics import error_normalization
+
         individual = _random_population(generator, 1)[0]
         reference = individual.clone()
         evaluate_individual_inplace(individual, rational_train.X,
                                     rational_train.y, fast_settings)
-        reference.evaluate(rational_train.X, rational_train.y, fast_settings)
+        evaluate_individual_inplace(
+            reference, rational_train.X, rational_train.y, fast_settings,
+            basis_matrix=evaluate_basis_matrix(reference.bases,
+                                               rational_train.X),
+            normalization=error_normalization(rational_train.y),
+            complexity=model_complexity(reference.bases, fast_settings))
         self._assert_same_evaluation(individual, reference)
 
 
@@ -267,12 +286,12 @@ class TestGramPoolEquivalence:
     def test_gram_pairs_reused_across_generations(self, generator,
                                                   rational_train, fast_settings):
         """Re-evaluating overlapping individuals hits the pair pool: the
-        second batch (clones with the fit cache disabled) computes no new
+        second batch (clones missing a one-entry fit cache) computes no new
         pair dots."""
         population = _random_population(generator, 10)
         evaluator = PopulationEvaluator(rational_train.X, rational_train.y,
                                         fast_settings,
-                                        cache=BasisColumnCache(0))
+                                        cache=BasisColumnCache(1))
         evaluator.evaluate_population(population)
         pairs_after_first = evaluator.gram_pool.n_pairs_computed
         assert pairs_after_first > 0
@@ -288,10 +307,35 @@ class TestGramPoolEquivalence:
         gram = PopulationEvaluator(X, rational_train.y, fast_settings)
         direct = DirectFitEvaluator(X, rational_train.y, fast_settings)
         a, b = bad.clone(), bad.clone()
-        gram.evaluate_individual(a)
-        direct.evaluate_individual(b)
+        gram.evaluate_population([a])
+        direct.evaluate_population([b])
         assert not a.is_feasible and not b.is_feasible
         self._assert_same_evaluation(a, b)
+
+    def test_mixed_batch_with_intercept_only_matches_reference(
+            self, generator, rational_train, fast_settings):
+        """Intercept-only individuals (``basis_delete`` can empty a 1-basis
+        parent) form the width-0 group of one batch beside other widths,
+        duplicates and an infeasible individual, bit for bit the reference
+        fits."""
+        X = rational_train.X.copy()
+        X[0, 0] = 0.0
+        train = Dataset(X, rational_train.y, rational_train.variable_names)
+        infeasible = Individual(bases=[ProductTerm(vc=VariableCombo((-4, 0, 0)))])
+        population = _random_population(generator, 10)
+        population[3:3] = [Individual(bases=[]), infeasible]
+        population += [Individual(bases=[]), population[0].clone()]
+        reference = [ind.clone() for ind in population]
+        CaffeineEngine(train, settings=fast_settings).evaluator \
+            .evaluate_population(population)
+        with reference_layers("fits"):
+            direct = CaffeineEngine(train, settings=fast_settings).evaluator
+        assert isinstance(direct, DirectFitEvaluator)
+        direct.evaluate_population(reference)
+        assert population[3].is_feasible and not population[4].is_feasible
+        assert population[3].fit.coefficients.shape == (0,)
+        for a, b in zip(population, reference):
+            self._assert_same_evaluation(a, b)
 
     def test_gram_tiny_pool_still_correct(self, generator, rational_train,
                                           fast_settings):
@@ -357,10 +401,7 @@ class TestSharedColumnCache:
 
     def test_same_data_shares_columns(self, generator, rational_train,
                                       fast_settings):
-        from repro.core.evaluation import (
-            dataset_fingerprint,
-            function_set_fingerprint,
-        )
+        from repro.core.evaluation import dataset_fingerprint
 
         population = _random_population(generator, 8)
         shared = BasisColumnCache(max_entries=5000)
@@ -371,7 +412,7 @@ class TestSharedColumnCache:
                                      fast_settings, cache=shared)
         assert first.dataset_key == second.dataset_key == \
             (dataset_fingerprint(rational_train.X),
-             function_set_fingerprint(fast_settings.function_set))
+             fast_settings.function_set.fingerprint())
         first.evaluate_population([ind.clone() for ind in population])
         computed_by_first = first.n_columns_computed
         assert computed_by_first > 0
@@ -422,12 +463,13 @@ class TestSharedColumnCache:
 
 class TestEndToEndReproducibility:
     def test_cache_on_off_same_tradeoff(self, rational_train, rational_test):
-        """Fixed seed => identical trade-off whether or not the cache is on."""
+        """Fixed seed => identical trade-off with the default cache and the
+        smallest one (one column, one fit)."""
         base = CaffeineSettings(population_size=20, n_generations=4,
                                 random_seed=7)
         cached = CaffeineEngine(rational_train, rational_test, base).run()
         uncached = CaffeineEngine(rational_train, rational_test, base,
-                                  column_cache=BasisColumnCache(0)).run()
+                                  column_cache=BasisColumnCache(1)).run()
         assert [m.expression() for m in cached.tradeoff] == \
             [m.expression() for m in uncached.tradeoff]
         assert [m.train_error for m in cached.tradeoff] == \
@@ -476,6 +518,6 @@ class TestEndToEndReproducibility:
         assert result.n_models >= 1
         # Clones and crossover survivors re-use parental basis functions, so
         # a multi-generation run must see cache hits.
-        assert engine.evaluator.stats.hits > 0
-        assert engine.evaluator.n_evaluated >= \
+        assert engine.evaluator.cache.stats.hits > 0
+        assert engine.evaluator.n_fit_requests >= \
             settings.population_size * (settings.n_generations + 1)

@@ -16,6 +16,7 @@ from repro import InjectedFault, ProblemFailure
 from repro.core import faults
 from repro.core import session as session_module
 from repro.core.cache_store import ColumnCacheStore
+from repro.core.evaluation import BasisColumnCache
 from repro.core.problem import Problem
 from repro.core.session import Session, SessionCallback
 from repro.core.settings import CaffeineSettings
@@ -289,4 +290,4 @@ class TestParallelFaultTolerance:
         import warnings as warnings_module
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
-            ColumnCacheStore(cache_path).load()
+            ColumnCacheStore(cache_path).load_into(BasisColumnCache(100))

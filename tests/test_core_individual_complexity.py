@@ -10,6 +10,7 @@ from repro.core.complexity import (
     model_complexity,
     vc_cost,
 )
+from repro.core.evaluation import PopulationEvaluator
 from repro.core.expression import ProductTerm
 from repro.core.generator import ExpressionGenerator
 from repro.core.individual import Individual, evaluate_basis_matrix
@@ -32,6 +33,11 @@ def data():
 
 def ratio_term():
     return ProductTerm(vc=VariableCombo((1, -1, 0)))
+
+
+def evaluate(individual, X, y, settings):
+    """Fit one individual through the one fit path, the batch evaluator."""
+    PopulationEvaluator(X, y, settings).evaluate_population([individual])
 
 
 def linear_term(index):
@@ -92,7 +98,7 @@ class TestIndividualEvaluation:
     def test_exact_model_reaches_zero_error(self, settings, data):
         X, y = data
         individual = Individual(bases=[ratio_term(), linear_term(2)])
-        individual.evaluate(X, y, settings)
+        evaluate(individual, X, y, settings)
         assert individual.is_feasible
         assert individual.error < 1e-8
         assert individual.fit.intercept == pytest.approx(1.0, abs=1e-6)
@@ -102,7 +108,7 @@ class TestIndividualEvaluation:
     def test_constant_individual(self, settings, data):
         X, y = data
         individual = Individual(bases=[])
-        individual.evaluate(X, y, settings)
+        evaluate(individual, X, y, settings)
         assert individual.is_feasible
         assert individual.complexity == 0.0
         assert individual.fit.intercept == pytest.approx(np.mean(y))
@@ -113,7 +119,7 @@ class TestIndividualEvaluation:
         X = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
         y = np.array([1.0, 2.0])
         individual = Individual(bases=[ProductTerm(vc=VariableCombo((-1, 0, 0)))])
-        individual.evaluate(X, y, settings)
+        evaluate(individual, X, y, settings)
         assert not individual.is_feasible
         assert individual.error == float("inf")
         with pytest.raises(RuntimeError):
@@ -122,7 +128,7 @@ class TestIndividualEvaluation:
     def test_predict_matches_fit(self, settings, data):
         X, y = data
         individual = Individual(bases=[ratio_term()])
-        individual.evaluate(X, y, settings)
+        evaluate(individual, X, y, settings)
         predictions = individual.predict(X)
         assert predictions.shape == y.shape
         assert np.all(np.isfinite(predictions))
@@ -130,7 +136,7 @@ class TestIndividualEvaluation:
     def test_clone_resets_evaluation(self, settings, data):
         X, y = data
         individual = Individual(bases=[ratio_term()])
-        individual.evaluate(X, y, settings)
+        evaluate(individual, X, y, settings)
         clone = individual.clone()
         assert clone.fit is None
         assert not clone.is_evaluated
@@ -139,7 +145,7 @@ class TestIndividualEvaluation:
     def test_render_shows_coefficients_and_bases(self, settings, data):
         X, y = data
         individual = Individual(bases=[ratio_term(), linear_term(2)])
-        individual.evaluate(X, y, settings)
+        evaluate(individual, X, y, settings)
         text = individual.render(("a", "b", "c"))
         assert "a / b" in text
         assert "c" in text
@@ -147,7 +153,7 @@ class TestIndividualEvaluation:
     def test_objectives_tuple(self, settings, data):
         X, y = data
         individual = Individual(bases=[ratio_term()])
-        individual.evaluate(X, y, settings)
+        evaluate(individual, X, y, settings)
         error, complexity = individual.objectives
         assert error == individual.error
         assert complexity == individual.complexity
@@ -158,6 +164,6 @@ class TestIndividualEvaluation:
         feasible = 0
         for _ in range(40):
             individual = Individual(bases=generator.random_basis_functions())
-            individual.evaluate(X, y, settings)
+            evaluate(individual, X, y, settings)
             feasible += int(individual.is_feasible)
         assert feasible > 20

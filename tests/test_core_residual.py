@@ -220,11 +220,12 @@ class TestResidualBackends:
         scalar_errors = scalar.errors(fits, matrices)
         batched_errors = batched.errors(fits, matrices)
         assert scalar_errors == batched_errors
+        assert batched.n_batched_passes == 1
+        assert batched.n_batched_fits == len(fits)
+        # A group of one is one more stacked pass with the same bits.
         for fit, matrix, expected in zip(fits, matrices, scalar_errors):
-            assert batched.error(fit, matrix) == expected
-        if k and len(fits) > 1:
-            assert batched.n_batched_passes == 1
-            assert batched.n_batched_fits == len(fits)
+            assert batched.errors([fit], [matrix]) == [expected]
+        assert batched.n_batched_passes == 1 + len(fits)
 
     def test_nan_columns_score_identically(self):
         """Test-set matrices may contain NaN (blow-up columns): both

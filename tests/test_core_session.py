@@ -164,7 +164,8 @@ class TestParallel:
         assert parallel.jobs == 2
         # Both workers merged their columns into the shared store.
         assert os.path.exists(tmp_path / "cols.cache")
-        merged = ColumnCacheStore(tmp_path / "cols.cache").load(100000)
+        merged = BasisColumnCache(100000)
+        ColumnCacheStore(tmp_path / "cols.cache").load_into(merged)
         assert len(merged) > 0
 
     def test_parallel_callbacks_fire_in_order(self):
@@ -230,7 +231,7 @@ class TestCallbacksAndCheckpoints:
                           callbacks=[Interrupt()]).run()
         assert outcome.interrupted
         assert set(outcome.results) == {"t1"}
-        assert len(ColumnCacheStore(path).load(100000)) > 0
+        assert ColumnCacheStore(path).load_into(BasisColumnCache(100000)) > 0
 
     def test_persistent_path_warm_start_identical(self, tmp_path):
         path = str(tmp_path / "cols.cache")
@@ -268,7 +269,8 @@ class TestCallbacksAndCheckpoints:
                                   settings=SETTINGS).evaluator.dataset_key
         assert requested == [(expected, 0)]
         # ... while the store still holds the foreign namespace on disk.
-        stored = ColumnCacheStore(path).load(100000)
+        stored = BasisColumnCache(100000)
+        load_into(ColumnCacheStore(path), stored)
         assert any(key[0][0] == "foreign-dataset"
                    for key, _column in stored.items())
 

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from repro.core.complexity import model_complexity
+from repro.core.evaluation import PopulationEvaluator
 from repro.core.generator import ExpressionGenerator
 from repro.core.grammar import default_grammar, validate_expression
 from repro.core.individual import Individual
@@ -287,9 +288,6 @@ def test_gram_fit_bitwise_equals_fit_linear(n_samples, n_bases,
 @given(seed=st.integers(min_value=0, max_value=10_000),
        n_individuals=st.integers(min_value=1, max_value=8))
 def test_gram_evaluator_bitwise_equals_direct_evaluator(seed, n_individuals):
-    from repro.core.evaluation import PopulationEvaluator
-    from repro.core.individual import Individual
-
     from oracles import DirectFitEvaluator
 
     settings = CaffeineSettings(population_size=10, n_generations=1,
@@ -386,7 +384,7 @@ def test_individual_evaluation_invariants(seed):
     X = rng.uniform(0.5, 2.0, size=(30, 3))
     y = 1.0 + X[:, 0] * X[:, 1]
     individual = Individual(bases=generator.random_basis_functions())
-    individual.evaluate(X, y, settings)
+    PopulationEvaluator(X, y, settings).evaluate_population([individual])
     assert individual.complexity >= 0.0
     assert individual.error >= 0.0 or individual.error == float("inf")
     if individual.is_feasible:

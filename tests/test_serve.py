@@ -196,6 +196,31 @@ class TestRejections:
             connection.close()
         assert _get(server, "/healthz")["status"] == "ok"
 
+    def test_deeply_nested_body_rejected(self, server, fitted):
+        """JSON nested past the parser's recursion limit (far below the
+        size cap) answers 400, and the same keep-alive connection then
+        serves a valid request."""
+        _est, X, _y = fitted
+        valid = {"X": X[:3].tolist()}
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.request("POST", "/predict",
+                               body=b"[" * 100000 + b"]" * 100000,
+                               headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "nests too deeply" in json.loads(response.read())["error"]
+            connection.request("POST", "/predict",
+                               body=json.dumps(valid).encode("utf-8"),
+                               headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read()) == \
+                _post(server, "/predict", valid)
+        finally:
+            connection.close()
+
     def test_body_limit_admits_bulk_batches(self):
         rows = np.random.default_rng(0).uniform(0.5, 2.0, size=(10000, 13))
         body = json.dumps({"X": rows.tolist()}).encode("utf-8")
