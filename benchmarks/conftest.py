@@ -19,8 +19,9 @@ import sys
 
 import pytest
 
+from repro.core.session import Session
 from repro.core.settings import CaffeineSettings
-from repro.experiments.setup import generate_ota_datasets, session_for_targets
+from repro.experiments.setup import generate_ota_datasets, problems_for_targets
 
 #: Output directory for the rendered tables/figures.
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
@@ -65,5 +66,6 @@ def bench_datasets():
 @pytest.fixture(scope="session")
 def bench_results(bench_datasets, bench_settings):
     """One CAFFEINE run per performance goal, shared by all benchmarks."""
-    outcome = session_for_targets(bench_datasets, ALL_TARGETS, bench_settings).run()
+    outcome = Session(problems_for_targets(bench_datasets, ALL_TARGETS),
+                      settings=bench_settings).run()
     return dict(outcome.raise_failures().items())

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import sys
 
-from repro.core import CaffeineSettings
+from repro.core import CaffeineSettings, Session
 from repro.core.report import models_table, tradeoff_table
 from repro.experiments import generate_ota_datasets
-from repro.experiments.setup import session_for_targets
+from repro.experiments.setup import problems_for_targets
 
 
 def main(target: str = "PM") -> None:
@@ -43,7 +43,8 @@ def main(target: str = "PM") -> None:
     print(f"\nRunning CAFFEINE on {target} "
           f"(population {settings.population_size}, "
           f"{settings.n_generations} generations)...")
-    result = session_for_targets(datasets, (target,), settings).run().single()
+    result = Session(problems_for_targets(datasets, (target,)),
+                     settings=settings).run().single()
     print(f"done in {result.runtime_seconds:.1f} s; "
           f"{result.n_models} models in the trade-off\n")
 

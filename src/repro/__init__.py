@@ -72,7 +72,7 @@ Long sweeps are crash-safe and fault-tolerant: ``Session(...,
 checkpoint_path="sweep.ckpt")`` snapshots every run's generation
 boundaries (and final results) to a
 :class:`~repro.core.cache_store.RunCheckpointStore`, so after a crash or
-Ctrl-C ``session.resume()`` skips finished problems and continues
+Ctrl-C ``session.run(resume=True)`` skips finished problems and continues
 interrupted ones **bit-identically** from their last snapshot.  With
 ``jobs > 1`` a crashed, hung or raising worker is contained to its
 problem -- retried with backoff, degraded to in-process execution, and

@@ -44,7 +44,7 @@ from typing import Mapping, Optional, Sequence
 from repro.circuits.ota import OTA_VARIABLE_NAMES
 from repro.core.problem import Problem
 from repro.core.report import tradeoff_table
-from repro.core.session import ProgressPrinter, Session
+from repro.core.session import ProgressPrinter, Session, SessionResult
 from repro.core.settings import CaffeineSettings
 from repro.doe.orthogonal import orthogonal_hypercube
 from repro.experiments import (
@@ -55,6 +55,8 @@ from repro.experiments import (
     run_table1,
     run_table2,
 )
+from repro.experiments.ablation import ablation_problems
+from repro.experiments.setup import normalize_targets, problems_for_targets
 
 #: All subcommands: experiment regenerators, the generic ``run``, the
 #: deployment pair (``freeze`` a front artifact, ``serve`` it over HTTP)
@@ -251,16 +253,29 @@ def settings_from_args(args: argparse.Namespace) -> CaffeineSettings:
 def _checked_settings(args: argparse.Namespace
                       ) -> Optional[CaffeineSettings]:
     """The command's settings (``None`` without budget options), after
-    checking every budget flag; raises ``ValueError`` before any dataset is
-    read or built."""
+    normalizing the OTA targets and checking every budget flag; raises
+    ``ValueError`` before any dataset is read or built."""
+    try:
+        if hasattr(args, "targets"):
+            args.targets = normalize_targets(args.targets)
+        elif args.command in ("table2", "ablation"):
+            normalize_targets((args.target,))
+    except ValueError as error:
+        raise ValueError(f"invalid target: {error}") from None
     if getattr(args, "checkpoint_every", 1) < 1:
-        raise ValueError("--checkpoint-every must be at least 1")
+        raise ValueError("invalid budget: --checkpoint-every must be at "
+                         "least 1")
     if hasattr(args, "runs"):
         try:
             orthogonal_hypercube(len(OTA_VARIABLE_NAMES), n_runs=args.runs)
         except ValueError as error:
-            raise ValueError(f"--runs {args.runs}: {error}") from None
-    return settings_from_args(args) if hasattr(args, "population") else None
+            raise ValueError(
+                f"invalid budget: --runs {args.runs}: {error}") from None
+    try:
+        return (settings_from_args(args) if hasattr(args, "population")
+                else None)
+    except ValueError as error:
+        raise ValueError(f"invalid budget: {error}") from None
 
 
 def _save_front_file(result, path) -> None:
@@ -281,6 +296,21 @@ def _save_front_directory(results: Mapping, directory) -> None:
         _save_front_file(result, base / f"{target}.front")
 
 
+def _run_session(args: argparse.Namespace, problems: Sequence[Problem],
+                 settings: CaffeineSettings,
+                 callbacks: Sequence = ()) -> SessionResult:
+    """Run the command's one :class:`Session`: the only place the Session
+    options (``--jobs``, ``--column-cache``, ``--checkpoint``,
+    ``--checkpoint-every``, ``--resume``) are read."""
+    session = Session(problems, settings=settings,
+                      jobs=getattr(args, "jobs", 1),
+                      column_cache_path=args.column_cache,
+                      callbacks=callbacks,
+                      checkpoint_path=getattr(args, "checkpoint", None),
+                      checkpoint_every=getattr(args, "checkpoint_every", 1))
+    return session.run(resume=getattr(args, "resume", False))
+
+
 def _run_csv_command(args: argparse.Namespace,
                      settings: CaffeineSettings) -> int:
     problem = Problem.from_csv(args.csv, target=args.target,
@@ -294,12 +324,7 @@ def _run_csv_command(args: argparse.Namespace,
           f"{settings.n_generations} generations, seed "
           f"{settings.random_seed}\n")
     callbacks = [ProgressPrinter()] if args.progress else []
-    session = Session([problem], settings=settings,
-                      column_cache_path=args.column_cache,
-                      callbacks=callbacks,
-                      checkpoint_path=args.checkpoint,
-                      checkpoint_every=args.checkpoint_every)
-    result = session.run(resume=args.resume).single()
+    result = _run_session(args, [problem], settings, callbacks).single()
     print(tradeoff_table(
         result.tradeoff,
         title=f"{problem.name}: error/complexity trade-off "
@@ -341,7 +366,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         settings = _checked_settings(args)
     except ValueError as error:
-        parser.error(f"invalid budget: {error}")
+        parser.error(str(error))
     if args.command in ("run", "freeze"):
         return _run_csv_command(args, settings)
     if args.command == "serve":
@@ -357,30 +382,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"{settings.n_generations} generations, seed {settings.random_seed}"
           + (f", {jobs} jobs" if jobs > 1 else "") + "\n")
 
-    # table2 has no sweep, hence no crash-safety options
-    sweep_options = dict(column_cache_path=args.column_cache, jobs=jobs,
-                         checkpoint_path=getattr(args, "checkpoint", None),
-                         checkpoint_every=getattr(args, "checkpoint_every", 1),
-                         resume=getattr(args, "resume", False))
+    if args.command == "ablation":
+        problems = ablation_problems(datasets, settings, args.target)
+    elif args.command == "table2":
+        problems = problems_for_targets(datasets, (args.target,))
+    else:
+        problems = problems_for_targets(datasets, args.targets)
+    results = _run_session(args, problems, settings).raise_failures().results
     sweep_result = None
     if args.command == "figure3":
         sweep_result = run_figure3(datasets, settings, targets=args.targets,
-                                   **sweep_options)
+                                   results=results)
         print(sweep_result.render())
     elif args.command == "table1":
         sweep_result = run_table1(datasets, settings, targets=args.targets,
-                                  **sweep_options)
+                                  results=results)
         print(sweep_result.render())
     elif args.command == "table2":
         print(run_table2(datasets, settings, target=args.target,
-                         column_cache_path=args.column_cache).render())
+                         result=results[args.target]).render())
     elif args.command == "figure4":
         sweep_result = run_figure4(datasets, settings, targets=args.targets,
-                                   **sweep_options)
+                                   results=results)
         print(sweep_result.render())
     elif args.command == "ablation":
         print(run_ablation(datasets, settings, target=args.target,
-                           **sweep_options).render())
+                           results=results).render())
     if sweep_result is not None and getattr(args, "save_front", None):
         _save_front_directory(sweep_result.results, args.save_front)
     return 0

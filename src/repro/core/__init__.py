@@ -6,7 +6,7 @@ The public surface of the core package:
   -- package modeling tasks and orchestrate many of them (serially or on a
   process pool) over one shared, optionally persistent column cache, with
   crash-safe checkpoint/resume (``checkpoint_path`` +
-  :meth:`~repro.core.session.Session.resume`, bit-identical restarts) and
+  ``run(resume=True)``, bit-identical restarts) and
   fault tolerance (per-problem timeouts/retries, worker-crash containment,
   partial results with structured
   :class:`~repro.core.session.ProblemFailure` records);

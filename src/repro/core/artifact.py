@@ -91,6 +91,12 @@ class FrontArtifactStore(_VersionedFileStore):
         return front
 
 
+def _jsonable(value: float) -> Optional[float]:
+    """Strict-JSON scalar: non-finite floats become None (JSON null)."""
+    value = float(value)
+    return value if np.isfinite(value) else None
+
+
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class FrozenFront:
@@ -147,8 +153,8 @@ class FrozenFront:
         return [{
             "index": index,
             "complexity": float(model.complexity),
-            "train_error": float(model.train_error),
-            "test_error": float(model.test_error),
+            "train_error": _jsonable(model.train_error),
+            "test_error": _jsonable(model.test_error),
             "n_bases": int(model.n_bases),
             "expression": model.expression(),
         } for index, model in enumerate(self.models)]

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
 import time
 import warnings
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.cache_store import RunCheckpointStore
 from repro.core.evaluation import (
     BasisColumnCache,
     PopulationEvaluator,
@@ -346,22 +346,14 @@ class CaffeineEngine:
                                             np.asarray(state["crowding"]))
         return int(state["generation"])
 
-    @staticmethod
-    def _as_checkpoint_store(checkpoint):
-        from repro.core.cache_store import RunCheckpointStore
-
-        if checkpoint is None or isinstance(checkpoint, RunCheckpointStore):
-            return checkpoint
-        return RunCheckpointStore(checkpoint)
-
     def run(self, progress: Optional[ProgressCallback] = None, *,
-            checkpoint: Optional[Union[str, os.PathLike, "object"]] = None,
+            checkpoint: Optional[RunCheckpointStore] = None,
             checkpoint_every: int = 1,
             checkpoint_slot: Optional[str] = None,
             resume: bool = False) -> CaffeineResult:
         """Run the full evolutionary loop plus post-processing.
 
-        ``checkpoint`` (a path or a
+        ``checkpoint`` (a
         :class:`~repro.core.cache_store.RunCheckpointStore`) makes the run
         crash-safe: every ``checkpoint_every`` generations the boundary
         state is snapshotted under ``checkpoint_slot`` (default: the
@@ -376,13 +368,12 @@ class CaffeineEngine:
         """
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be at least 1")
-        store = self._as_checkpoint_store(checkpoint)
         slot = (checkpoint_slot if checkpoint_slot is not None
                 else (self.train.target_name or "run"))
         start_time = time.perf_counter()
         start_generation = 0
-        if store is not None and resume:
-            state = store.load_state(slot)
+        if checkpoint is not None and resume:
+            state = checkpoint.load_state(slot)
             if state is not None:
                 if state.get("kind") == "result" and \
                         state.get("fingerprint") == \
@@ -393,7 +384,7 @@ class CaffeineEngine:
                 except ValueError as error:
                     warnings.warn(
                         f"ignoring checkpoint slot {slot!r} at "
-                        f"{store.path}: {error}; starting cold",
+                        f"{checkpoint.path}: {error}; starting cold",
                         RuntimeWarning, stacklevel=2)
                     start_generation = 0
         boundary: Optional[dict] = None
@@ -405,18 +396,18 @@ class CaffeineEngine:
                 stats = self.step(generation)
                 if progress is not None:
                     progress(generation, stats)
-                if store is not None:
+                if checkpoint is not None:
                     boundary = self.capture_run_state(generation + 1)
                     if (generation + 1) % checkpoint_every == 0 \
                             and generation + 1 < self.settings.n_generations:
-                        store.save_state(slot, boundary)
+                        checkpoint.save_state(slot, boundary)
         except KeyboardInterrupt:
             # Persist the last *completed* generation boundary so the
             # interrupted run can continue exactly where it stopped (a
             # mid-step interrupt must never pair an advanced RNG with a
             # stale population -- boundary snapshots cannot).
-            if store is not None and boundary is not None:
-                store.save_state(slot, boundary)
+            if checkpoint is not None and boundary is not None:
+                checkpoint.save_state(slot, boundary)
             raise
 
         front = self.final_front()
@@ -441,10 +432,10 @@ class CaffeineEngine:
             dataset_fingerprint=dataset_fingerprint(self.train.X),
             function_set_fingerprint=self.settings.function_set.fingerprint(),
         )
-        if store is not None:
+        if checkpoint is not None:
             # Replace the generation snapshot with the finished result, so
             # a resumed sweep returns this problem without re-running it.
-            store.save_state(slot, {
+            checkpoint.save_state(slot, {
                 "state_version": self.RUN_STATE_VERSION,
                 "kind": "result",
                 "fingerprint": self.checkpoint_fingerprint(),

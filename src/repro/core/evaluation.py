@@ -46,8 +46,8 @@ Column-cache keys carry a :func:`dataset_fingerprint` prefix, so one
 :class:`BasisColumnCache` can safely be shared by evaluators bound to
 different targets: the six OTA performances of the paper's experiments all
 evaluate on the *same* ``X``, and a shared cache makes the column side of a
-multi-target experiment driver roughly six times cheaper (see
-``repro.experiments.setup.session_for_targets``).
+multi-target sweep roughly six times cheaper (a serial
+:class:`~repro.core.session.Session` shares one across its problems).
 """
 
 from __future__ import annotations

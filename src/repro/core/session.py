@@ -46,7 +46,7 @@ Fault tolerance (always on -- a long sweep should survive by default):
 * **crash-safe checkpoints** (``checkpoint_path``): each problem's engine
   periodically snapshots its generation boundary to a
   :class:`~repro.core.cache_store.RunCheckpointStore` (and stores its
-  final result on completion), so :meth:`Session.resume` warm-restarts an
+  final result on completion), so ``run(resume=True)`` warm-restarts an
   interrupted sweep -- finished problems return instantly, in-flight ones
   continue **bit-identically** from their last snapshot;
 * **Ctrl-C returns what finished**: a ``KeyboardInterrupt`` saves the
@@ -272,7 +272,7 @@ class SessionResult:
 
 @dataclasses.dataclass
 class _Attempt:
-    """One queued (re)try of one problem in the parallel runner."""
+    """One queued (re)try of one problem; ``attempt`` counts tries made."""
 
     index: int
     problem: Problem
@@ -299,7 +299,7 @@ class Session:
     Parameters
     ----------
     problems:
-        Initial problems (more via :meth:`add`); names must be unique.
+        The problems to run, in order; names must be unique.
     settings:
         Shared :class:`CaffeineSettings` for problems without their own.
     jobs:
@@ -323,7 +323,7 @@ class Session:
         making every problem's run crash-safe: its engine snapshots the
         generation boundary every ``checkpoint_every`` generations (slot =
         problem name) and stores the final result on completion, so
-        :meth:`resume` warm-restarts an interrupted sweep bit-identically.
+        ``run(resume=True)`` restarts an interrupted sweep bit-identically.
     checkpoint_every:
         Generation cadence of those snapshots (default 1 -- every
         boundary; raise it to trade crash granularity for less pickling).
@@ -360,7 +360,17 @@ class Session:
             raise ValueError("timeout must be positive (or None)")
         if retries < 0:
             raise ValueError("retries must be non-negative")
-        self.problems: List[Problem] = []
+        names = set()
+        for problem in problems:
+            if not isinstance(problem, Problem):
+                raise TypeError(
+                    f"expected a Problem, got {type(problem).__name__}")
+            if problem.name in names:
+                raise ValueError(
+                    f"a problem named {problem.name!r} is already scheduled "
+                    f"(names key the result mapping and must be unique)")
+            names.add(problem.name)
+        self.problems: List[Problem] = list(problems)
         self.settings = settings
         self.jobs = int(jobs)
         self.column_cache_path = (str(column_cache_path)
@@ -371,20 +381,6 @@ class Session:
         self.checkpoint_every = int(checkpoint_every)
         self.timeout = timeout
         self.retries = int(retries)
-        for problem in problems:
-            self.add(problem)
-
-    # ------------------------------------------------------------------
-    def add(self, problem: Problem) -> "Session":
-        """Append a problem (chainable); names must stay unique."""
-        if not isinstance(problem, Problem):
-            raise TypeError(f"expected a Problem, got {type(problem).__name__}")
-        if any(existing.name == problem.name for existing in self.problems):
-            raise ValueError(
-                f"a problem named {problem.name!r} is already scheduled "
-                f"(names key the result mapping and must be unique)")
-        self.problems.append(problem)
-        return self
 
     # ------------------------------------------------------------------
     def run(self, *, resume: bool = False) -> SessionResult:
@@ -406,7 +402,10 @@ class Session:
         if self.jobs > 1 and len(self.problems) > 1:
             results, failures, interrupted = self._run_parallel(resume)
         else:
-            results, failures, interrupted = self._run_serial(resume)
+            results, failures, interrupted = self._run_in_process(
+                [_Attempt(index=index, problem=problem)
+                 for index, problem in enumerate(self.problems)],
+                resume, fell_back=False)
         outcome = SessionResult(
             problems=tuple(self.problems),
             results=results,
@@ -418,15 +417,7 @@ class Session:
         self._fire("on_session_end", outcome)
         return outcome
 
-    def resume(self) -> SessionResult:
-        """Warm-restart the sweep from ``checkpoint_path`` (see :meth:`run`)."""
-        return self.run(resume=True)
-
     # ------------------------------------------------------------------
-    def _checkpoint_store(self) -> Optional[RunCheckpointStore]:
-        return (RunCheckpointStore(self.checkpoint_path)
-                if self.checkpoint_path is not None else None)
-
     def _backoff_delay(self, failed_attempt: int) -> float:
         """Exponential backoff with up to 25% jitter (wall-clock only)."""
         base = RETRY_BACKOFF * (2.0 ** failed_attempt)
@@ -434,88 +425,80 @@ class Session:
         return base * (1.0 + 0.25 * random.random())
 
     # ------------------------------------------------------------------
-    def _run_serial(self, resume: bool
-                    ) -> Tuple[Dict[str, CaffeineResult],
-                               Dict[str, ProblemFailure], bool]:
-        # The shared cache is sized to the largest per-problem budget so
-        # no problem's working set is squeezed by a smaller neighbour.
+    def _run_in_process(self, items: List[_Attempt], resume: bool,
+                        fell_back: bool
+                        ) -> Tuple[Dict[str, CaffeineResult],
+                                   Dict[str, ProblemFailure], bool]:
+        """Run ``items`` one after another on this process, sharing one
+        column cache (sized to the largest per-problem budget) and saving
+        the store once.  A serial session passes every problem and gets
+        callbacks and ``retries`` as it goes; the parallel runner passes
+        the problems its workers could not finish (``fell_back=True``) for
+        one attempt each, and fires their callbacks itself."""
         cache = BasisColumnCache(max(
-            cache_budgets(problem.effective_settings(self.settings)).columns
-            for problem in self.problems))
+            cache_budgets(item.problem.effective_settings(self.settings)
+                          ).columns
+            for item in items))
         store = (ColumnCacheStore(self.column_cache_path)
                  if self.column_cache_path is not None else None)
-        checkpoints = self._checkpoint_store()
+        checkpoints = (RunCheckpointStore(self.checkpoint_path)
+                       if self.checkpoint_path is not None else None)
         total = len(self.problems)
         results: Dict[str, CaffeineResult] = {}
         failures: Dict[str, ProblemFailure] = {}
         interrupted = False
         loaded_namespaces = set()
-        current: Optional[Problem] = None
+        current: Optional[_Attempt] = None
+        fire = (lambda *_args: None) if fell_back else self._fire
         try:
-            for index, problem in enumerate(self.problems):
-                current = problem
-                self._fire("on_problem_start", problem, index, total)
-                effective = problem.effective_settings(self.settings)
-                progress = self._generation_progress(problem)
-                attempt = 0
+            for item in items:
+                current = item
+                problem = item.problem
+                fire("on_problem_start", problem, item.index, total)
+                progress = (None if fell_back
+                            else self._generation_progress(problem))
                 while True:
-                    engine = CaffeineEngine(
-                        problem.train, test=problem.test, settings=effective,
-                        column_cache=cache)
-                    if store is not None:
-                        # Admit only this problem's namespace into the LRU
-                        # (a shared store file only grows; foreign
-                        # namespaces would occupy -- and at capacity evict
-                        # -- the warm columns this sweep actually uses).
-                        # Each namespace loads once per session.
-                        dataset_key = engine.evaluator.dataset_key
-                        if dataset_key not in loaded_namespaces:
-                            loaded_namespaces.add(dataset_key)
-                            store.load_into(cache, dataset_key=dataset_key)
                     try:
                         # A retry resumes from the failed attempt's own
                         # checkpoints: completed generations stay paid for.
-                        result = engine.run(
-                            progress=progress,
-                            checkpoint=checkpoints,
-                            checkpoint_every=self.checkpoint_every,
-                            checkpoint_slot=problem.name,
-                            resume=resume or attempt > 0)
-                    except KeyboardInterrupt:
-                        raise
+                        result = _run_problem(
+                            problem, problem.effective_settings(self.settings),
+                            cache, store, loaded_namespaces, checkpoints,
+                            self.checkpoint_every, resume or item.attempt > 0,
+                            progress)
                     except Exception as error:
-                        attempt += 1
+                        item.attempt += 1
                         failure = ProblemFailure(
                             problem=problem, phase="exception",
                             error_type=type(error).__name__,
-                            message=str(error), attempts=attempt,
-                            traceback=traceback_module.format_exc())
-                        if attempt <= self.retries:
-                            delay = self._backoff_delay(attempt - 1)
+                            message=str(error), attempts=item.attempt,
+                            traceback=traceback_module.format_exc(),
+                            fell_back_serial=fell_back)
+                        if not fell_back and item.attempt <= self.retries:
+                            delay = self._backoff_delay(item.attempt - 1)
                             self._fire("on_problem_retry", problem, failure,
                                        delay)
                             time.sleep(delay)
                             continue
                         failures[problem.name] = failure
-                        self._fire("on_problem_error", problem, failure)
+                        fire("on_problem_error", problem, failure)
                         break
                     results[problem.name] = result
-                    self._fire("on_problem_end", problem, result, index,
-                               total)
+                    fire("on_problem_end", problem, result, item.index, total)
                     break
         except KeyboardInterrupt:
             # The engine already saved the interrupted problem's last
             # completed generation boundary (when checkpointing is on);
             # report what finished instead of discarding it.
             interrupted = True
-            if current is not None and current.name not in results:
-                failures[current.name] = ProblemFailure(
-                    problem=current, phase="interrupted",
+            if current is not None and current.problem.name not in results:
+                failures[current.problem.name] = ProblemFailure(
+                    problem=current.problem, phase="interrupted",
                     error_type="KeyboardInterrupt",
                     message=("interrupted by user"
                              + ("; checkpoint saved"
                                 if checkpoints is not None else "")),
-                    attempts=1)
+                    attempts=current.attempt + 1, fell_back_serial=fell_back)
         if store is not None:
             store.save(cache)
         return results, failures, interrupted
@@ -687,33 +670,11 @@ class Session:
         # Graceful degradation: problems that kept dying in workers get one
         # in-process attempt (resuming their checkpoints, if any) -- slower,
         # but immune to pool-level pathologies.
-        if not interrupted:
-            for item in serial_queue:
-                try:
-                    result = _run_problem_task(
-                        item.problem,
-                        item.problem.effective_settings(self.settings),
-                        self.column_cache_path,
-                        checkpoint_path=self.checkpoint_path,
-                        checkpoint_every=self.checkpoint_every,
-                        resume=True)
-                except KeyboardInterrupt:
-                    interrupted = True
-                    failures[item.problem.name] = ProblemFailure(
-                        problem=item.problem, phase="interrupted",
-                        error_type="KeyboardInterrupt",
-                        message="interrupted during serial fallback",
-                        attempts=item.attempt + 1, fell_back_serial=True)
-                    break
-                except Exception as error:
-                    failures[item.problem.name] = ProblemFailure(
-                        problem=item.problem, phase="exception",
-                        error_type=type(error).__name__,
-                        message=str(error), attempts=item.attempt + 1,
-                        traceback=traceback_module.format_exc(),
-                        fell_back_serial=True)
-                else:
-                    outcomes[item.problem.name] = result
+        if serial_queue and not interrupted:
+            rescued, fallback_failures, interrupted = self._run_in_process(
+                serial_queue, resume, fell_back=True)
+            outcomes.update(rescued)
+            failures.update(fallback_failures)
 
         # Emit completion callbacks and the result mapping in problem
         # order, whatever order the workers actually finished in.
@@ -749,29 +710,25 @@ class Session:
             getattr(callback, hook)(*args)
 
 
-def _run_problem_task(problem: Problem, settings: CaffeineSettings,
-                      column_cache_path: Optional[str],
-                      checkpoint_path: Optional[str] = None,
-                      checkpoint_every: int = 1,
-                      resume: bool = False) -> CaffeineResult:
-    """One worker's whole job: warm-load, run, merge-save (picklable)."""
-    cache = BasisColumnCache(cache_budgets(settings).columns)
-    store = (ColumnCacheStore(column_cache_path)
-             if column_cache_path is not None else None)
+def _run_problem(problem: Problem, settings: CaffeineSettings,
+                 cache: BasisColumnCache, store: Optional[ColumnCacheStore],
+                 loaded: set, checkpoints: Optional[RunCheckpointStore],
+                 checkpoint_every: int, resume: bool,
+                 progress=None) -> CaffeineResult:
+    """One in-process attempt of one problem: build its engine on
+    ``cache``, warm-load its namespace from ``store`` unless ``loaded``
+    already holds it, and run."""
     engine = CaffeineEngine(problem.train, test=problem.test,
                             settings=settings, column_cache=cache)
-    if store is not None:
-        # Namespace-filtered, like the serial path: only this problem's
-        # columns occupy LRU room (save() below still merges, never erases).
-        store.load_into(cache, dataset_key=engine.evaluator.dataset_key)
-    checkpoints = (RunCheckpointStore(checkpoint_path)
-                   if checkpoint_path is not None else None)
-    result = engine.run(checkpoint=checkpoints,
-                        checkpoint_every=checkpoint_every,
-                        checkpoint_slot=problem.name, resume=resume)
-    if store is not None:
-        store.save(cache)
-    return result
+    dataset_key = engine.evaluator.dataset_key
+    if store is not None and dataset_key not in loaded:
+        # Only this problem's namespace enters the LRU: foreign ones in a
+        # shared store would evict the warm columns this sweep uses.
+        loaded.add(dataset_key)
+        store.load_into(cache, dataset_key=dataset_key)
+    return engine.run(progress=progress, checkpoint=checkpoints,
+                      checkpoint_every=checkpoint_every,
+                      checkpoint_slot=problem.name, resume=resume)
 
 
 def _worker_main(conn, problem: Problem, settings: CaffeineSettings,
@@ -792,10 +749,15 @@ def _worker_main(conn, problem: Problem, settings: CaffeineSettings,
                           attempt=attempt)
         faults.stall_point("problem.stall", problem=problem.name,
                            attempt=attempt)
-        result = _run_problem_task(problem, settings, column_cache_path,
-                                   checkpoint_path=checkpoint_path,
-                                   checkpoint_every=checkpoint_every,
-                                   resume=resume)
+        cache = BasisColumnCache(cache_budgets(settings).columns)
+        store = (ColumnCacheStore(column_cache_path)
+                 if column_cache_path is not None else None)
+        checkpoints = (RunCheckpointStore(checkpoint_path)
+                       if checkpoint_path is not None else None)
+        result = _run_problem(problem, settings, cache, store, set(),
+                              checkpoints, checkpoint_every, resume)
+        if store is not None:
+            store.save(cache)  # merges under the lock, never erases
         conn.send(("result", result))
     except BaseException as error:
         try:

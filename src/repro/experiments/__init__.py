@@ -11,9 +11,12 @@ Each module corresponds to one artifact of the paper's evaluation section:
 * :mod:`repro.experiments.ablation` -- extensions: grammar / multi-objective
   ablations against plain GP.
 
-The benchmark harness under ``benchmarks/`` simply calls these drivers with
-reduced budgets and prints the same rows/series the paper reports;
-``EXPERIMENTS.md`` records the measured numbers next to the paper's.
+The drivers take finished runs as ``results=`` and run only what is
+missing, as one plain :class:`~repro.core.session.Session`; Session options
+(``jobs``, a column cache, checkpoints) belong to the caller's own Session,
+as in ``python -m repro``.  The benchmark harness under ``benchmarks/``
+calls these drivers with reduced budgets and prints the same rows/series
+the paper reports.
 """
 
 from repro.experiments.setup import (

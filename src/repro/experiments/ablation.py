@@ -17,17 +17,18 @@ ablations quantify both on the OTA data:
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.core.engine import CaffeineResult
 from repro.core.functions import polynomial_function_set, rational_function_set
 from repro.core.problem import Problem
-from repro.core.session import Session
 from repro.core.settings import CaffeineSettings
-from repro.experiments.setup import OtaDatasets, generate_ota_datasets
+from repro.experiments.setup import OtaDatasets, complete_results, \
+    generate_ota_datasets, normalize_targets
 from repro.gp.regression import PlainGPResult, PlainGPSettings, run_plain_gp
 
-__all__ = ["AblationEntry", "AblationResult", "run_ablation"]
+__all__ = ["AblationEntry", "AblationResult", "ablation_problems",
+           "run_ablation"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,24 +92,14 @@ def _entry_from_plain_gp(target: str, result: PlainGPResult) -> AblationEntry:
     )
 
 
-def run_ablation(datasets: Optional[OtaDatasets] = None,
-                 settings: Optional[CaffeineSettings] = None,
-                 target: str = "PM",
-                 include_single_objective: bool = True,
-                 column_cache_path: Optional[str] = None,
-                 jobs: int = 1,
-                 checkpoint_path: Optional[str] = None,
-                 checkpoint_every: int = 1,
-                 resume: bool = False) -> AblationResult:
-    """Run the ablation study for one OTA performance.
-
-    The CAFFEINE variants run as one :class:`~repro.core.session.Session`
-    of per-problem-settings :class:`~repro.core.problem.Problem`\\ s
-    (``column_cache_path`` persists the shared column cache, ``jobs > 1``
-    runs variants concurrently); the plain-GP baseline runs inline.
-    """
-    datasets = datasets if datasets is not None else generate_ota_datasets()
-    settings = settings if settings is not None else CaffeineSettings()
+def ablation_problems(datasets: OtaDatasets, settings: CaffeineSettings,
+                      target: str = "PM",
+                      include_single_objective: bool = True
+                      ) -> Tuple[Problem, ...]:
+    """The CAFFEINE variants of the ablation study on one performance,
+    as per-problem-settings :class:`~repro.core.problem.Problem`\\ s
+    named after their approach."""
+    normalize_targets((target,))  # an unknown target raises here
     train, test = datasets.for_target(target)
 
     # The four CAFFEINE variants evaluate on the same X; the session's
@@ -134,13 +125,30 @@ def run_ablation(datasets: Optional[OtaDatasets] = None,
             train=train, test=test, name="CAFFEINE (error-only)",
             settings=settings.copy(basis_function_cost=0.0,
                                    vc_exponent_cost=0.0)))
-    outcome = Session(variants, settings=settings, jobs=jobs,
-                      column_cache_path=column_cache_path,
-                      checkpoint_path=checkpoint_path,
-                      checkpoint_every=checkpoint_every,
-                      ).run(resume=resume).raise_failures()
-    entries = [_entry_from_caffeine(name, target, result)
-               for name, result in outcome.items()]
+    return tuple(variants)
+
+
+def run_ablation(datasets: Optional[OtaDatasets] = None,
+                 settings: Optional[CaffeineSettings] = None,
+                 target: str = "PM",
+                 include_single_objective: bool = True,
+                 results: Optional[Mapping[str, CaffeineResult]] = None
+                 ) -> AblationResult:
+    """Run the ablation study for one OTA performance.
+
+    ``results`` may carry finished runs of the :func:`ablation_problems`
+    variants keyed by name; the rest run here
+    (:func:`~repro.experiments.setup.complete_results`), then the plain-GP
+    baseline.
+    """
+    datasets = datasets if datasets is not None else generate_ota_datasets()
+    settings = settings if settings is not None else CaffeineSettings()
+    variants = ablation_problems(datasets, settings, target,
+                                 include_single_objective)
+    all_results = complete_results(variants, settings, results)
+    entries = [_entry_from_caffeine(p.name, target, all_results[p.name])
+               for p in variants]
+    train, test = datasets.for_target(target)
 
     gp_settings = PlainGPSettings(
         population_size=settings.population_size,

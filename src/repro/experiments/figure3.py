@@ -18,8 +18,8 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from repro.core.engine import CaffeineResult
 from repro.core.report import tradeoff_table
 from repro.core.settings import CaffeineSettings
-from repro.experiments.setup import OtaDatasets, generate_ota_datasets, \
-    session_for_targets
+from repro.experiments.setup import OtaDatasets, complete_results, \
+    generate_ota_datasets, normalize_targets, problems_for_targets
 
 __all__ = ["Figure3Series", "Figure3Result", "run_figure3"]
 
@@ -96,35 +96,21 @@ def _series_from_result(target: str, result: CaffeineResult) -> Figure3Series:
 def run_figure3(datasets: Optional[OtaDatasets] = None,
                 settings: Optional[CaffeineSettings] = None,
                 targets: Optional[Sequence[str]] = None,
-                column_cache_path: Optional[str] = None,
-                jobs: int = 1,
-                checkpoint_path: Optional[str] = None,
-                checkpoint_every: int = 1,
-                resume: bool = False) -> Figure3Result:
+                results: Optional[Mapping[str, CaffeineResult]] = None
+                ) -> Figure3Result:
     """Regenerate the Figure 3 data (optionally for a subset of performances).
 
-    The sweep is one :class:`~repro.core.session.Session` over the selected
-    performances: all six evaluate on the same ``X``, so the session's
-    shared (fingerprinted) column cache lets each run reuse the columns the
-    previous ones computed.  ``column_cache_path`` persists that cache on
-    disk so repeated sweeps -- and the other drivers pointed at the same
-    path -- start warm; ``jobs > 1`` runs performances concurrently.
-    ``checkpoint_path`` makes the sweep crash-safe and ``resume=True``
-    warm-restarts it from there (finished performances return their stored
-    results, interrupted ones continue bit-identically).  None of these
-    change the models.
+    ``results`` may carry finished CAFFEINE runs keyed by performance name
+    (e.g. from a :class:`~repro.core.session.Session` with ``jobs``, a
+    column cache or checkpoints); the targets it lacks run here, as one
+    Session sweep (:func:`~repro.experiments.setup.complete_results`).
     """
     datasets = datasets if datasets is not None else generate_ota_datasets()
     settings = settings if settings is not None else CaffeineSettings()
-    selected = tuple(targets) if targets is not None else datasets.performance_names
+    selected = normalize_targets(targets)
 
-    outcome = session_for_targets(datasets, selected, settings,
-                                  column_cache_path=column_cache_path,
-                                  jobs=jobs,
-                                  checkpoint_path=checkpoint_path,
-                                  checkpoint_every=checkpoint_every,
-                                  ).run(resume=resume).raise_failures()
-    results: Dict[str, CaffeineResult] = dict(outcome.items())
+    results = complete_results(problems_for_targets(datasets, selected),
+                               settings, results)
     series: Dict[str, Figure3Series] = {
         target: _series_from_result(target, results[target])
         for target in selected

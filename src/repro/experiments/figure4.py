@@ -21,8 +21,8 @@ from repro.core.engine import CaffeineResult
 from repro.core.model import SymbolicModel
 from repro.core.report import comparison_table
 from repro.core.settings import CaffeineSettings
-from repro.experiments.setup import OtaDatasets, generate_ota_datasets, \
-    session_for_targets
+from repro.experiments.setup import OtaDatasets, complete_results, \
+    generate_ota_datasets, normalize_targets, problems_for_targets
 from repro.posynomial.model import PosynomialModel, fit_posynomial
 from repro.posynomial.template import PosynomialTemplate
 
@@ -122,34 +122,21 @@ def run_figure4(datasets: Optional[OtaDatasets] = None,
                 settings: Optional[CaffeineSettings] = None,
                 targets: Optional[Sequence[str]] = None,
                 template: Optional[PosynomialTemplate] = None,
-                results: Optional[Mapping[str, CaffeineResult]] = None,
-                column_cache_path: Optional[str] = None,
-                jobs: int = 1,
-                checkpoint_path: Optional[str] = None,
-                checkpoint_every: int = 1,
-                resume: bool = False) -> Figure4Result:
+                results: Optional[Mapping[str, CaffeineResult]] = None
+                ) -> Figure4Result:
     """Regenerate the Figure 4 comparison.
 
     The CAFFEINE side of the comparison runs as one
     :class:`~repro.core.session.Session` sweep over the targets missing
-    from ``results`` (``column_cache_path`` persists its shared column
-    cache, ``jobs > 1`` runs targets concurrently); the posynomial fits
-    are cheap and run inline.
+    from ``results`` (:func:`~repro.experiments.setup.complete_results`);
+    the posynomial fits are cheap and run inline.
     """
     datasets = datasets if datasets is not None else generate_ota_datasets()
     settings = settings if settings is not None else CaffeineSettings()
-    selected = tuple(targets) if targets is not None else datasets.performance_names
+    selected = normalize_targets(targets)
 
-    all_results: Dict[str, CaffeineResult] = dict(results or {})
-    missing = tuple(t for t in selected if t not in all_results)
-    if missing:
-        outcome = session_for_targets(datasets, missing, settings,
-                                      column_cache_path=column_cache_path,
-                                      jobs=jobs,
-                                      checkpoint_path=checkpoint_path,
-                                      checkpoint_every=checkpoint_every,
-                                      ).run(resume=resume).raise_failures()
-        all_results.update(outcome.items())
+    all_results = complete_results(problems_for_targets(datasets, selected),
+                                   settings, results)
     rows = []
     for target in selected:
         train, test = datasets.for_target(target)

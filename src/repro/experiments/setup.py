@@ -9,11 +9,12 @@ performances are modeled: ``ALF``, ``fu`` (log10-scaled for fitting), ``PM``,
 ``voffset``, ``SRp`` and ``SRn``.
 
 :func:`generate_ota_datasets` reproduces that data-generation flow on the
-analytic OTA substrate; :func:`problems_for_targets` packages the selected
-performances (with the paper's scaling conventions) as
-:class:`~repro.core.problem.Problem` objects, and :func:`session_for_targets`
-wraps them in the :class:`~repro.core.session.Session` every experiment
-driver runs.
+analytic OTA substrate; :func:`normalize_targets` is the one policy for a
+selection of performances, and :func:`problems_for_targets` packages the
+selected performances (with the paper's scaling conventions) as
+:class:`~repro.core.problem.Problem` objects for a
+:class:`~repro.core.session.Session`.  :func:`complete_results` is how the
+experiment drivers run the problems their caller did not run already.
 """
 
 from __future__ import annotations
@@ -28,14 +29,15 @@ from repro.circuits.ota import (
     SymmetricalOta,
     simulate_ota_performances,
 )
+from repro.core.engine import CaffeineResult
 from repro.core.problem import Problem
-from repro.core.session import Session, SessionCallback
+from repro.core.session import Session
 from repro.core.settings import CaffeineSettings
 from repro.data.dataset import Dataset, train_test_from_doe
 from repro.doe.sampling import DoePlan
 
 __all__ = ["OtaDatasets", "generate_ota_datasets",
-           "problems_for_targets", "session_for_targets",
+           "normalize_targets", "problems_for_targets", "complete_results",
            "DEFAULT_TRAIN_DX", "DEFAULT_TEST_DX", "DEFAULT_N_RUNS"]
 
 #: Paper values: training DOE step, testing DOE step, number of DOE runs.
@@ -124,6 +126,23 @@ def generate_ota_datasets(train_dx: float = DEFAULT_TRAIN_DX,
     )
 
 
+def normalize_targets(targets: Optional[Sequence[str]] = None
+                      ) -> Tuple[str, ...]:
+    """The selected performances: ``targets`` in order, each once (so
+    ``--targets PM PM`` is one run of PM); ``None`` selects all six.  An
+    empty selection or an unknown name raises ``ValueError``."""
+    if targets is None:
+        return OTA_PERFORMANCE_NAMES
+    selected = tuple(dict.fromkeys(targets))
+    unknown = [name for name in selected if name not in OTA_PERFORMANCE_NAMES]
+    if unknown or not selected:
+        mistake = (f"unknown performance {unknown[0]!r}" if unknown
+                   else "no performance selected")
+        raise ValueError(
+            f"{mistake}; known: {', '.join(OTA_PERFORMANCE_NAMES)}")
+    return selected
+
+
 def problems_for_targets(datasets: OtaDatasets,
                          targets: Optional[Sequence[str]] = None
                          ) -> Tuple[Problem, ...]:
@@ -133,47 +152,25 @@ def problems_for_targets(datasets: OtaDatasets,
     Problem/Session API: each problem packages one performance's cleaned
     train/test pair under the performance's name, ready for a
     :class:`~repro.core.session.Session` (serial or ``jobs > 1``).
+    ``targets`` goes through :func:`normalize_targets`.
     """
-    selected = (tuple(targets) if targets is not None
-                else datasets.performance_names)
     problems = []
-    seen = set()
-    for target in selected:
-        if target in seen:
-            # Repeated CLI targets ("--targets PM PM") mean one run of PM,
-            # as the pre-Session drivers keyed results by name.
-            continue
-        seen.add(target)
+    for target in normalize_targets(targets):
         train, test = datasets.for_target(target)
         problems.append(Problem(train=train, test=test, name=target))
     return tuple(problems)
 
 
-def session_for_targets(datasets: OtaDatasets,
-                        targets: Optional[Sequence[str]] = None,
-                        settings: Optional[CaffeineSettings] = None,
-                        column_cache_path: Optional[str] = None,
-                        jobs: int = 1,
-                        callbacks: Sequence[SessionCallback] = (),
-                        checkpoint_path: Optional[str] = None,
-                        checkpoint_every: int = 1) -> Session:
-    """A ready-to-run :class:`Session` over the selected OTA performances.
-
-    All experiment drivers build their sweeps through here: the six
-    performances evaluate on the same ``X``, so the session's shared
-    (fingerprinted, optionally persistent) column cache makes the column
-    side of a sweep roughly six times cheaper -- and ``jobs > 1`` runs
-    performances concurrently with identical results.
-
-    ``checkpoint_path`` makes the sweep crash-safe: every run snapshots its
-    generation boundaries (and its final result) to a
-    :class:`~repro.core.cache_store.RunCheckpointStore` there, so
-    ``session.run(resume=True)`` after a crash or Ctrl-C skips finished
-    performances and continues in-flight ones bit-identically.
-    """
-    return Session(problems_for_targets(datasets, targets),
-                   settings=settings, jobs=jobs,
-                   column_cache_path=column_cache_path,
-                   callbacks=callbacks,
-                   checkpoint_path=checkpoint_path,
-                   checkpoint_every=checkpoint_every)
+def complete_results(problems: Sequence[Problem],
+                     settings: CaffeineSettings,
+                     results: Optional[Mapping[str, CaffeineResult]] = None
+                     ) -> Dict[str, CaffeineResult]:
+    """``results`` (finished runs keyed by problem name) plus one plain
+    :class:`~repro.core.session.Session` run of the problems it lacks."""
+    all_results: Dict[str, CaffeineResult] = dict(results or {})
+    missing = [problem for problem in problems
+               if problem.name not in all_results]
+    if missing:
+        outcome = Session(missing, settings=settings).run().raise_failures()
+        all_results.update(outcome.items())
+    return all_results

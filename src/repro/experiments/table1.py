@@ -9,14 +9,14 @@ form ``10^(...)``).  :func:`run_table1` reproduces that selection.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.core.engine import CaffeineResult
 from repro.core.model import SymbolicModel
 from repro.core.report import format_percent
 from repro.core.settings import CaffeineSettings
-from repro.experiments.setup import OtaDatasets, generate_ota_datasets, \
-    session_for_targets
+from repro.experiments.setup import OtaDatasets, complete_results, \
+    generate_ota_datasets, normalize_targets, problems_for_targets
 
 __all__ = ["Table1Row", "Table1Result", "run_table1"]
 
@@ -89,35 +89,21 @@ def run_table1(datasets: Optional[OtaDatasets] = None,
                settings: Optional[CaffeineSettings] = None,
                targets: Optional[Sequence[str]] = None,
                error_target: float = DEFAULT_ERROR_TARGET,
-               results: Optional[Mapping[str, CaffeineResult]] = None,
-               column_cache_path: Optional[str] = None,
-               jobs: int = 1,
-               checkpoint_path: Optional[str] = None,
-               checkpoint_every: int = 1,
-               resume: bool = False) -> Table1Result:
+               results: Optional[Mapping[str, CaffeineResult]] = None
+               ) -> Table1Result:
     """Regenerate Table I.
 
     ``results`` may carry pre-computed CAFFEINE runs (e.g. shared with the
     Figure 3 driver) keyed by performance name; only the missing targets
     run here, as one :class:`~repro.core.session.Session` sweep
-    (``column_cache_path`` persists its shared column cache, ``jobs > 1``
-    runs targets concurrently -- see
-    :func:`repro.experiments.setup.session_for_targets`).
+    (:func:`~repro.experiments.setup.complete_results`).
     """
     datasets = datasets if datasets is not None else generate_ota_datasets()
     settings = settings if settings is not None else CaffeineSettings()
-    selected = tuple(targets) if targets is not None else datasets.performance_names
+    selected = normalize_targets(targets)
 
-    all_results: Dict[str, CaffeineResult] = dict(results or {})
-    missing = tuple(t for t in selected if t not in all_results)
-    if missing:
-        outcome = session_for_targets(datasets, missing, settings,
-                                      column_cache_path=column_cache_path,
-                                      jobs=jobs,
-                                      checkpoint_path=checkpoint_path,
-                                      checkpoint_every=checkpoint_every,
-                                      ).run(resume=resume).raise_failures()
-        all_results.update(outcome.items())
+    all_results = complete_results(problems_for_targets(datasets, selected),
+                                   settings, results)
     rows = []
     for target in selected:
         model = select_table1_model(all_results[target], error_target)

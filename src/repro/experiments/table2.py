@@ -17,8 +17,9 @@ from repro.core.engine import CaffeineResult
 from repro.core.model import SymbolicModel, TradeoffSet
 from repro.core.report import models_table
 from repro.core.settings import CaffeineSettings
+from repro.core.session import Session
 from repro.experiments.setup import OtaDatasets, generate_ota_datasets, \
-    session_for_targets
+    problems_for_targets
 
 __all__ = ["Table2Result", "run_table2"]
 
@@ -51,13 +52,11 @@ class Table2Result:
 def run_table2(datasets: Optional[OtaDatasets] = None,
                settings: Optional[CaffeineSettings] = None,
                target: str = "PM",
-               result: Optional[CaffeineResult] = None,
-               column_cache_path: Optional[str] = None) -> Table2Result:
+               result: Optional[CaffeineResult] = None) -> Table2Result:
     """Regenerate Table II (by default for the phase margin).
 
     A pre-computed CAFFEINE result may be passed to avoid re-running the
-    evolutionary search; otherwise one Session-backed run is made
-    (``column_cache_path`` warm-starts it from a persistent column cache).
+    evolutionary search; otherwise one Session-backed run is made.
     The listed models are those on the testing-error trade-off (the
     paper's "models of most interest"), ordered from the simplest/least
     accurate to the most complex/most accurate.
@@ -65,9 +64,8 @@ def run_table2(datasets: Optional[OtaDatasets] = None,
     if result is None:
         datasets = datasets if datasets is not None else generate_ota_datasets()
         settings = settings if settings is not None else CaffeineSettings()
-        result = session_for_targets(
-            datasets, (target,), settings,
-            column_cache_path=column_cache_path).run().single()
+        result = Session(problems_for_targets(datasets, (target,)),
+                         settings=settings).run().single()
     source = result.test_tradeoff if len(result.test_tradeoff) > 0 else result.tradeoff
     ordered = sorted(source, key=lambda m: (m.complexity, -m.train_error))
     return Table2Result(target=target, models=tuple(ordered), result=result)

@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.artifact import FrozenFront, load_front
+from repro.core.artifact import FrozenFront, _jsonable, load_front
 
 __all__ = ["RequestProfiler", "FrontHTTPServer", "make_server", "serve_front",
            "MAX_BODY_BYTES"]
@@ -258,7 +258,8 @@ class _FrontRequestHandler(BaseHTTPRequestHandler):
             # request.
             self._send_json({"error": str(error)}, status=413, close=True)
             return
-        except (ValueError, TypeError, json.JSONDecodeError) as error:
+        except (ValueError, TypeError, OverflowError) as error:
+            # OverflowError: a JSON integer too large for a float.
             self._send_json({"error": str(error)}, status=400)
             return
         self._send_json(response)
@@ -288,18 +289,12 @@ class _FrontRequestHandler(BaseHTTPRequestHandler):
                 "index": next(i for i, m in enumerate(front.models)
                               if m is model),
                 "complexity": float(model.complexity),
-                "train_error": float(model.train_error),
+                "train_error": _jsonable(model.train_error),
                 "test_error": _jsonable(model.test_error),
                 "expression": model.expression(),
             },
             "predictions": [_jsonable(v) for v in predictions],
         }
-
-
-def _jsonable(value: float) -> Optional[float]:
-    """Strict-JSON scalar: non-finite floats become None (JSON null)."""
-    value = float(value)
-    return value if np.isfinite(value) else None
 
 
 # ----------------------------------------------------------------------

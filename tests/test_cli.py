@@ -137,6 +137,35 @@ class TestCrashSafetyFlags:
         assert generations == [3] * 4  # one snapshot per CAFFEINE variant
 
     @pytest.mark.parametrize("command", [
+        ["figure3", "--targets", "PM", "SRp"],
+        ["table1", "--targets", "PM", "SRp"],
+        ["figure4", "--targets", "PM", "SRp"],
+        ["ablation", "--target", "SRp"]])
+    def test_jobs_and_column_cache_reach_the_one_session(self, command,
+                                                         monkeypatch,
+                                                         tmp_path, capsys):
+        from repro.core.session import Session
+
+        sessions = []
+        init = Session.__init__
+
+        def recording_init(session, *args, **kwargs):
+            init(session, *args, **kwargs)
+            sessions.append(session)
+
+        monkeypatch.setattr(Session, "__init__", recording_init)
+        path = str(tmp_path / "cols.cache")
+        exit_code = main(command + ["--population", "10", "--generations",
+                                    "2", "--runs", "27", "--jobs", "2",
+                                    "--column-cache", path])
+        assert exit_code == 0
+        # The driver reused the CLI's results instead of running again.
+        assert len(sessions) == 1
+        assert sessions[0].jobs == 2
+        assert sessions[0].column_cache_path == path
+        assert len(sessions[0].problems) > 1
+
+    @pytest.mark.parametrize("command", [
         ["run", "x.csv", "--target", "y"],
         ["freeze", "x.csv", "--target", "y", "--out", "f.caffeine"],
         ["figure3"], ["table1"], ["figure4"], ["ablation"]])
@@ -182,6 +211,28 @@ class TestInvalidBudgets:
         error = capsys.readouterr().err
         assert "usage:" in error
         assert f"invalid budget: {message}" in error
+
+    @pytest.mark.parametrize("command, message", [
+        (["figure3", "--targets", "PM", "XYZ"], "unknown performance 'XYZ'"),
+        (["table1", "--targets"], "no performance selected"),
+        (["figure4", "--targets", "gain"], "unknown performance 'gain'"),
+        (["table2", "--target", "XYZ"], "unknown performance 'XYZ'"),
+        (["ablation", "--target", "XYZ"], "unknown performance 'XYZ'"),
+    ])
+    def test_bad_target_is_a_usage_error_before_any_work(self, command,
+                                                         message,
+                                                         monkeypatch,
+                                                         capsys):
+        def no_datasets(**_kwargs):
+            raise AssertionError("datasets built before the target check")
+
+        monkeypatch.setattr("repro.__main__.generate_ota_datasets",
+                            no_datasets)
+        with pytest.raises(SystemExit) as excinfo:
+            main(command)
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert f"invalid target: {message}; known: ALF, fu, PM" in error
 
 
 class TestRunCommand:

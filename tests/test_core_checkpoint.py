@@ -102,60 +102,60 @@ class TestEngineResume:
             settings = SETTINGS
             reference = CaffeineEngine(train, test=test, settings=settings).run()
 
-            path = tmp_path / "run.ckpt"
+            store = RunCheckpointStore(tmp_path / "run.ckpt")
             engine = CaffeineEngine(train, test=test, settings=settings)
             with pytest.raises(KeyboardInterrupt):
-                engine.run(progress=_InterruptAt(2), checkpoint=path)
-            state = RunCheckpointStore(path).load_state("y")
+                engine.run(progress=_InterruptAt(2), checkpoint=store)
+            state = store.load_state("y")
             assert state["kind"] == "generation"
             assert 0 < state["generation"] < settings.n_generations
 
             resumed = CaffeineEngine(train, test=test, settings=settings).run(
-                checkpoint=path, resume=True)
+                checkpoint=store, resume=True)
             assert _front(resumed) == _front(reference)
 
     def test_checkpoint_every_controls_cadence(self, tmp_path):
         train, test = _datasets()
-        path = tmp_path / "run.ckpt"
+        store = RunCheckpointStore(tmp_path / "run.ckpt")
         engine = CaffeineEngine(train, test=test, settings=SETTINGS)
         # Interrupt during generation 3: with cadence 2 only the gen-2
         # boundary was persisted on the way (then the KI handler saves the
         # last completed boundary, gen 3).
         with pytest.raises(KeyboardInterrupt):
-            engine.run(progress=_InterruptAt(3), checkpoint=path,
+            engine.run(progress=_InterruptAt(3), checkpoint=store,
                        checkpoint_every=2)
-        state = RunCheckpointStore(path).load_state("y")
+        state = store.load_state("y")
         assert state["generation"] == 3
         resumed = CaffeineEngine(train, test=test, settings=SETTINGS).run(
-            checkpoint=path, checkpoint_every=2, resume=True)
+            checkpoint=store, checkpoint_every=2, resume=True)
         reference = CaffeineEngine(train, test=test, settings=SETTINGS).run()
         assert _front(resumed) == _front(reference)
 
     def test_result_slot_short_circuits_rerun(self, tmp_path):
         train, test = _datasets()
-        path = tmp_path / "run.ckpt"
+        store = RunCheckpointStore(tmp_path / "run.ckpt")
         first = CaffeineEngine(train, test=test, settings=SETTINGS).run(
-            checkpoint=path)
-        assert RunCheckpointStore(path).load_state("y")["kind"] == "result"
+            checkpoint=store)
+        assert store.load_state("y")["kind"] == "result"
 
         generations = []
         second = CaffeineEngine(train, test=test, settings=SETTINGS).run(
             progress=lambda g, s: generations.append(g),
-            checkpoint=path, resume=True)
+            checkpoint=store, resume=True)
         assert generations == []  # returned the stored result, no re-run
         assert _front(second) == _front(first)
 
     def test_incompatible_checkpoint_warns_and_cold_starts(self, tmp_path):
         train, test = _datasets()
-        path = tmp_path / "run.ckpt"
+        store = RunCheckpointStore(tmp_path / "run.ckpt")
         with pytest.raises(KeyboardInterrupt):
             CaffeineEngine(train, test=test, settings=SETTINGS).run(
-                progress=_InterruptAt(2), checkpoint=path)
+                progress=_InterruptAt(2), checkpoint=store)
 
         other = SETTINGS.copy(random_seed=8)
         with pytest.warns(RuntimeWarning, match="starting cold"):
             resumed = CaffeineEngine(train, test=test, settings=other).run(
-                checkpoint=path, resume=True)
+                checkpoint=store, resume=True)
         reference = CaffeineEngine(train, test=test, settings=other).run()
         assert _front(resumed) == _front(reference)
 
@@ -189,8 +189,8 @@ class TestEngineResume:
             SETTINGS.copy(population_size=24).fingerprint()
 
 
-class TestLegacyShimCheckpoint:
-    def test_run_caffeine_checkpoint_and_resume(self, tmp_path):
+class TestOneProblemSessionCheckpoint:
+    def test_result_slot_short_circuits_resume(self, tmp_path):
         train, test = _datasets()
         path = str(tmp_path / "run.ckpt")
         reference = CaffeineEngine(train, test, settings=SETTINGS).run()
@@ -237,7 +237,7 @@ class TestSessionResume:
 
         counter = _CountGenerations()
         resumed = Session(problems, settings=SETTINGS, checkpoint_path=path,
-                          callbacks=[counter]).resume()
+                          callbacks=[counter]).run(resume=True)
         assert resumed.complete
         # t1 came from its result slot (no generations re-run); t2 resumed
         # from its generation-2 boundary, not from scratch.
@@ -254,7 +254,7 @@ class TestSessionResume:
         store = RunCheckpointStore(path)
         assert sorted(store.slot_names()) == ["t1", "t2"]
         resumed = Session(problems, settings=SETTINGS, jobs=2,
-                          checkpoint_path=path).resume()
+                          checkpoint_path=path).run(resume=True)
         for name in ("t1", "t2"):
             assert _front(resumed[name]) == _front(first[name])
 
@@ -264,7 +264,7 @@ class TestSessionResume:
         from repro.experiments.figure3 import run_figure3
         from repro.experiments.setup import (
             generate_ota_datasets,
-            session_for_targets,
+            problems_for_targets,
         )
 
         datasets = generate_ota_datasets(n_runs=27)
@@ -278,13 +278,15 @@ class TestSessionResume:
                     raise KeyboardInterrupt
 
         path = str(tmp_path / "figure3.ckpt")
-        partial = session_for_targets(datasets, ("PM",), settings,
-                                      checkpoint_path=path,
-                                      callbacks=[_KI()]).run()
+        problems = problems_for_targets(datasets, ("PM",))
+        partial = Session(problems, settings=settings, checkpoint_path=path,
+                          callbacks=[_KI()]).run()
         assert partial.interrupted
 
+        finished = Session(problems, settings=settings,
+                           checkpoint_path=path).run(resume=True)
         resumed = run_figure3(datasets, settings, targets=("PM",),
-                              checkpoint_path=path, resume=True)
+                              results=finished.results)
         assert _front(resumed.results["PM"]) == \
             _front(reference.results["PM"])
 

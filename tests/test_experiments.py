@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.session import Session
 from repro.core.settings import CaffeineSettings
 from repro.experiments import (
     generate_ota_datasets,
@@ -19,7 +20,12 @@ from repro.experiments import (
     run_table1,
     run_table2,
 )
-from repro.experiments.setup import LOG_SCALED_TARGETS, session_for_targets
+from repro.experiments.ablation import ablation_problems
+from repro.experiments.setup import (
+    LOG_SCALED_TARGETS,
+    normalize_targets,
+    problems_for_targets,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +38,8 @@ def tiny_settings():
 def shared_results(ota_datasets, tiny_settings):
     """One CAFFEINE run per target, shared by the driver tests."""
     targets = ("PM", "SRp")
-    outcome = session_for_targets(ota_datasets, targets, tiny_settings).run()
+    outcome = Session(problems_for_targets(ota_datasets, targets),
+                      settings=tiny_settings).run()
     return dict(outcome.raise_failures().items())
 
 
@@ -69,6 +76,17 @@ class TestSetup:
     def test_summary_renders(self, ota_datasets):
         assert "PM" in ota_datasets.summary()
 
+    def test_normalize_targets(self, ota_datasets):
+        assert normalize_targets(None) == \
+            ("ALF", "fu", "PM", "voffset", "SRp", "SRn")
+        assert normalize_targets(["SRp", "PM", "SRp"]) == ("SRp", "PM")
+        problems = problems_for_targets(ota_datasets, ("SRp", "PM", "SRp"))
+        assert [problem.name for problem in problems] == ["SRp", "PM"]
+        with pytest.raises(ValueError, match="'XYZ'; known: ALF, fu"):
+            normalize_targets(["PM", "XYZ"])
+        with pytest.raises(ValueError, match="no performance selected"):
+            normalize_targets([])
+
 
 class TestFigure3:
     def test_series_shape(self, ota_datasets, tiny_settings, shared_results):
@@ -96,6 +114,19 @@ class TestFigure3:
 
 
 class TestTable1:
+    def test_duplicate_targets_give_one_row(self, ota_datasets, tiny_settings,
+                                            shared_results):
+        table1 = run_table1(ota_datasets, tiny_settings,
+                            targets=("SRp", "PM", "SRp"),
+                            results=shared_results)
+        assert [row.target for row in table1.rows] == ["SRp", "PM"]
+        figure4 = run_figure4(ota_datasets, tiny_settings,
+                              targets=("SRp", "SRp"), results=shared_results)
+        assert [row.target for row in figure4.rows] == ["SRp"]
+        figure3 = run_figure3(ota_datasets, tiny_settings,
+                              targets=("PM", "PM"), results=shared_results)
+        assert figure3.targets == ("PM",)
+
     def test_rows_for_all_requested_targets(self, ota_datasets, tiny_settings,
                                             shared_results):
         table1 = run_table1(ota_datasets, tiny_settings,
@@ -170,3 +201,29 @@ class TestAblation:
         assert "Ablation" in ablation.render()
         for entry in ablation.entries:
             assert np.isfinite(entry.train_error)
+
+    def test_finished_variants_are_not_rerun(self, ota_datasets,
+                                             monkeypatch):
+        settings = CaffeineSettings(population_size=20, n_generations=3,
+                                    random_seed=0)
+        problems = ablation_problems(ota_datasets, settings, "SRp",
+                                     include_single_objective=False)
+        assert [problem.name for problem in problems] == [
+            "CAFFEINE (full grammar)", "CAFFEINE (rationals)",
+            "CAFFEINE (polynomials)"]
+        results = Session(problems, settings=settings).run().results
+        reference = run_ablation(ota_datasets, settings, target="SRp",
+                                 include_single_objective=False)
+
+        def no_session(*_args, **_kwargs):
+            raise AssertionError("a finished variant ran again")
+
+        monkeypatch.setattr("repro.experiments.setup.Session", no_session)
+        reused = run_ablation(ota_datasets, settings, target="SRp",
+                              include_single_objective=False,
+                              results=results)
+        assert reused.render() == reference.render()
+
+    def test_unknown_target_rejected(self, ota_datasets):
+        with pytest.raises(ValueError, match="unknown performance 'XYZ'"):
+            ablation_problems(ota_datasets, CaffeineSettings(), "XYZ")

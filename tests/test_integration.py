@@ -11,9 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.session import Session
 from repro.core.settings import CaffeineSettings
 from repro.experiments import run_figure4, run_table1
-from repro.experiments.setup import session_for_targets
+from repro.experiments.setup import problems_for_targets
 from repro.posynomial import fit_posynomial
 
 
@@ -27,8 +28,8 @@ def settings():
 
 @pytest.fixture(scope="module")
 def srp_result(ota_datasets_full, settings):
-    return session_for_targets(ota_datasets_full, ("SRp",),
-                               settings).run().single()
+    return Session(problems_for_targets(ota_datasets_full, ("SRp",)),
+                   settings=settings).run().single()
 
 
 class TestEndToEndSlewRate:

@@ -77,6 +77,37 @@ def _post_error(server, path, payload):
         return error.code, json.loads(error.read()).get("error")
 
 
+def _strict_json(body: bytes):
+    """``json.loads`` that rejects the non-standard NaN/Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(body, parse_constant=reject)
+
+
+def _rejected_then_served(server, body: bytes, valid: dict) -> str:
+    """POST ``body`` to /predict, expect 400, then POST ``valid`` on the
+    same keep-alive connection and expect the normal answer; returns the
+    rejection's error message."""
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        connection.request("POST", "/predict", body=body,
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        assert response.status == 400
+        message = json.loads(response.read())["error"]
+        connection.request("POST", "/predict",
+                           body=json.dumps(valid).encode("utf-8"),
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read()) == _post(server, "/predict", valid)
+    finally:
+        connection.close()
+    return message
+
+
 class TestEndpoints:
     def test_healthz(self, server):
         health = _get(server, "/healthz")
@@ -131,6 +162,30 @@ class TestEndpoints:
                 assert not np.isfinite(computed)
             else:
                 assert served == computed
+
+    def test_every_body_is_strict_json(self, server, fitted):
+        """The front was frozen without test data, so every test error is
+        NaN: it must reach the client as null, never as a bare NaN."""
+        _est, X, y = fitted
+        assert all(np.isnan(m.test_error) for m in server.front.models)
+        bodies = []
+        for path in ("/healthz", "/models", "/stats"):
+            with urllib.request.urlopen(server.url + path,
+                                        timeout=10) as response:
+                bodies.append(response.read())
+        for path, payload in (
+                ("/predict", {"X": X.tolist()}),
+                ("/predict", {"X": X.tolist(), "all_models": True}),
+                ("/rescore", {"X": X.tolist(), "y": y.tolist()})):
+            request = urllib.request.Request(
+                server.url + path, data=json.dumps(payload).encode("utf-8"),
+                headers={"Content-Type": "application/json"})
+            with urllib.request.urlopen(request, timeout=10) as response:
+                bodies.append(response.read())
+        parsed = [_strict_json(body) for body in bodies]
+        assert all(model["test_error"] is None
+                   for model in parsed[1]["models"])
+        assert parsed[3]["model"]["test_error"] is None
 
     def test_stats_accumulate(self, server):
         _post(server, "/predict", {"X": [[1.0, 1.0]]})
@@ -201,25 +256,21 @@ class TestRejections:
         size cap) answers 400, and the same keep-alive connection then
         serves a valid request."""
         _est, X, _y = fitted
-        valid = {"X": X[:3].tolist()}
-        host, port = server.server_address[:2]
-        connection = http.client.HTTPConnection(host, port, timeout=10)
-        try:
-            connection.request("POST", "/predict",
-                               body=b"[" * 100000 + b"]" * 100000,
-                               headers={"Content-Type": "application/json"})
-            response = connection.getresponse()
-            assert response.status == 400
-            assert "nests too deeply" in json.loads(response.read())["error"]
-            connection.request("POST", "/predict",
-                               body=json.dumps(valid).encode("utf-8"),
-                               headers={"Content-Type": "application/json"})
-            response = connection.getresponse()
-            assert response.status == 200
-            assert json.loads(response.read()) == \
-                _post(server, "/predict", valid)
-        finally:
-            connection.close()
+        message = _rejected_then_served(
+            server, b"[" * 100000 + b"]" * 100000, {"X": X[:3].tolist()})
+        assert "nests too deeply" in message
+
+    def test_integer_too_large_for_a_float_rejected(self, server, fitted):
+        """A 400-digit JSON integer cannot become a float: 400, and the
+        same keep-alive connection then serves a valid request."""
+        _est, X, y = fitted
+        huge = 10 ** 400
+        message = _rejected_then_served(
+            server, json.dumps({"X": [[huge, 1.0]]}).encode("utf-8"),
+            {"X": X[:3].tolist()})
+        assert "too large" in message
+        assert _post_status(server, "/rescore",
+                            {"X": X[:2].tolist(), "y": [huge, y[1]]}) == 400
 
     def test_body_limit_admits_bulk_batches(self):
         rows = np.random.default_rng(0).uniform(0.5, 2.0, size=(10000, 13))
