@@ -144,8 +144,8 @@ class BitIdentityRule(Rule):
     id = "bit-identity"
     summary = ("BLAS reductions (`@`, np.dot/matmul/einsum) in mandatory "
                "canonical-recipe modules")
-    hint = ("use pair_dots / raw_normal_statistics for normal-equation "
-            "entries and predict_linear(_batch) for predictions "
+    hint = ("use pair_dots for normal-equation entries and "
+            "predict_linear_batch for predictions "
             "(repro.regression.least_squares), or waive with a reason if "
             "the site is outside the fit/predict bit-identity contract")
     explain = """\
@@ -156,9 +156,9 @@ differ in the last ulp, which breaks every bit-for-bit guarantee the engine
 makes (gram-pooled == direct fits, batched == scalar residuals, artifact
 round trips).  Established in PR 2 (`pair_dots`, the module docstring of
 repro/regression/least_squares.py) and extended to the prediction side in
-PR 5 (`predict_linear` / `predict_linear_batch`).  Sites genuinely outside
-the contract (the posynomial baseline, PRESS/NNLS baselines, MNA circuit
-solves) carry explicit waivers saying so."""
+PR 5 (`predict_linear_batch`).  Sites genuinely outside the contract (the
+posynomial baseline, PRESS/NNLS baselines, MNA circuit solves) carry
+explicit waivers saying so."""
     scope = ("repro.core.evaluation", "repro.core.compile",
              "repro.core.engine", "repro.core.model", "repro.core.simplify",
              "repro.regression", "repro.posynomial", "repro.data.metrics")

@@ -88,11 +88,7 @@ from repro.core.grammar import (
     parse_grammar,
     validate_expression,
 )
-from repro.core.individual import (
-    Individual,
-    evaluate_basis_column,
-    evaluate_basis_matrix,
-)
+from repro.core.individual import Individual, evaluate_basis_column
 from repro.core.model import SymbolicModel, TradeoffSet
 from repro.core.operators import VariationOperators
 from repro.core.problem import Problem
@@ -125,7 +121,6 @@ __all__ = [
     "TradeoffSet",
     "Individual",
     "evaluate_basis_column",
-    "evaluate_basis_matrix",
     "PopulationEvaluator",
     "BasisColumnCache",
     "CacheStats",

@@ -33,14 +33,13 @@ Correctness invariant: a cache hit returns the exact array a fresh
 evaluation would produce (both go through
 :func:`repro.core.individual.evaluate_basis_column`, and the structural key
 encodes the exact floating-point recipe), and a gram-pool fit returns the
-exact :class:`~repro.regression.least_squares.LinearFit` a direct
-:func:`~repro.regression.least_squares.fit_linear` would (both build their
-normal equations from the canonical
+exact :class:`~repro.regression.least_squares.LinearFit` that normal
+equations built from the assembled basis matrix and solved one individual
+at a time would give (both use the canonical
 :func:`~repro.regression.least_squares.pair_dots` recipe) -- so the
-evaluator is bit-for-bit identical to one full ``fit_linear`` per
-individual (the test suite's reference) whatever the cache budgets and
-however a population is split into batches: a fixed seed produces the same
-trade-off set.
+evaluator is bit-for-bit identical to that per-individual fit (the test
+suite's reference) whatever the cache budgets and however a population is
+split into batches: a fixed seed produces the same trade-off set.
 
 Column-cache keys carry a :func:`dataset_fingerprint` prefix, so one
 :class:`BasisColumnCache` can safely be shared by evaluators bound to
@@ -222,7 +221,7 @@ class GramPool:
     the squared norms the fit's column scaling needs).  Every scalar is
     computed through :func:`repro.regression.least_squares.pair_dots` --
     whose batched results are bit-for-bit independent of batch composition
-    -- so a gram gathered here is exactly the gram ``fit_linear`` would
+    -- so a gram gathered here is exactly the gram the same recipe would
     compute from the assembled basis matrix, no matter when or in which
     batch each entry was first produced.
 
@@ -443,16 +442,16 @@ class BatchedResidualBackend:
     reduction via :func:`~repro.data.metrics.relative_rmse_rows` (a
     contiguous-last-axis pairwise summation whose per-row results are
     independent of the stack, the ``pair_dots`` argument transplanted to
-    the prediction side).  ``errors`` is bit-for-bit one
-    ``relative_rmse(y, fit.predict(basis_matrix))`` per individual, for
-    any group size including one, enforced by hypothesis property tests and
-    fixed-seed engine equality against that per-individual reference.
+    the prediction side).  ``errors`` is bit-for-bit one ``relative_rmse``
+    of a left-to-right prediction per individual, for any group size
+    including one, enforced by hypothesis property tests and fixed-seed
+    engine equality against that per-individual reference.
     """
 
     def __init__(self, y: np.ndarray, normalization: float) -> None:
         self.y = np.ascontiguousarray(np.asarray(y, dtype=float).ravel())
         self.normalization = float(normalization)
-        #: stacked-pass accounting (benchmarks read these)
+        #: stacked-pass accounting
         self.n_batched_passes = 0
         self.n_batched_fits = 0
 
@@ -706,10 +705,10 @@ class PopulationEvaluator:
     # Fits gather canonical normal-equation scalars from the cross-generation
     # GramPool instead of re-reducing n_samples-long columns, and whole
     # batches solve in stacked LAPACK calls.  Every value is bit-for-bit
-    # what a full fit_linear per individual produces (the scalars come from
-    # the same pair_dots recipe no matter when or in which batch they were
-    # first computed); the test suite holds that per-individual path as the
-    # reference.
+    # what a per-individual fit from the assembled basis matrix produces
+    # (the scalars come from the same pair_dots recipe no matter when or in
+    # which batch they were first computed); the test suite holds that
+    # per-individual path as the reference.
     # ------------------------------------------------------------------
     def _prepare_fits(self, pending: Sequence[Tuple[Individual, List[Tuple]]]
                       ) -> List[Tuple[Optional[LinearFit], float]]:
@@ -757,7 +756,7 @@ class PopulationEvaluator:
                 continue
             if solvable.size < n_items:
                 # Non-finite items would poison the stacked LAPACK calls;
-                # they are infeasible by fit_linear's rules anyway.
+                # a fit with a non-finite column or target is infeasible.
                 grams = grams[solvable]
                 colsums = colsums[solvable]
                 ydots = ydots[solvable]

@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.expression import ProductTerm
 from repro.regression.least_squares import LinearFit
 
-__all__ = ["Individual", "evaluate_basis_column", "evaluate_basis_matrix"]
+__all__ = ["Individual", "evaluate_basis_column"]
 
 #: Values beyond this magnitude are treated as numerical blow-ups.
 _MAGNITUDE_LIMIT = 1e30
@@ -32,28 +32,14 @@ def evaluate_basis_column(basis: ProductTerm, X: np.ndarray) -> np.ndarray:
     Returns a vector of length ``n_samples``.  Absurd magnitudes are mapped to
     NaN; the linear-fit layer rejects such columns, which marks the owning
     individual as infeasible.  This is the single source of truth for basis
-    evaluation: both the straight-through matrix assembly below and the
-    column cache in :mod:`repro.core.evaluation` call it, which is what makes
-    cached and uncached evaluation bit-for-bit identical.
+    evaluation: :func:`repro.core.model.predict_models` calls it and the
+    compiled column kernels of :mod:`repro.core.compile` mirror it step for
+    step, which is what makes cached and uncached evaluation bit-for-bit
+    identical.
     """
     with np.errstate(all="ignore"):
         values = np.asarray(basis.evaluate(X), dtype=float)
         return np.where(np.abs(values) > _MAGNITUDE_LIMIT, np.nan, values)
-
-
-def evaluate_basis_matrix(bases: Sequence[ProductTerm], X: np.ndarray) -> np.ndarray:
-    """Evaluate every basis function on the sample matrix ``X``.
-
-    Returns an array of shape ``(n_samples, n_bases)``.  Non-finite values and
-    absurd magnitudes are passed through unchanged; the linear-fit layer
-    rejects such columns, which marks the individual as infeasible.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D")
-    if not bases:
-        return np.zeros((X.shape[0], 0))
-    return np.column_stack([evaluate_basis_column(basis, X) for basis in bases])
 
 
 @dataclasses.dataclass
@@ -109,14 +95,6 @@ class Individual:
         """
         return Individual(bases=list(self.bases) if bases is None else bases,
                           generation_born=self.generation_born)
-
-    # ------------------------------------------------------------------
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predictions of the fitted model on new samples."""
-        if self.fit is None:
-            raise RuntimeError("individual has not been (successfully) evaluated")
-        basis_matrix = evaluate_basis_matrix(self.bases, X)
-        return self.fit.predict(basis_matrix)
 
     # ------------------------------------------------------------------
     def render(self, variable_names: Sequence[str], precision: int = 4) -> str:

@@ -16,11 +16,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.expression import ProductTerm, structural_key
-from repro.core.individual import (
-    Individual,
-    evaluate_basis_column,
-    evaluate_basis_matrix,
-)
+from repro.core.individual import Individual, evaluate_basis_column
 from repro.core.pareto import nondominated_filter
 from repro.data.metrics import relative_rmse_rows
 from repro.regression.least_squares import LinearFit, predict_linear_batch
@@ -73,10 +69,10 @@ def batch_test_errors(individuals: Sequence, X: np.ndarray,
                       y: np.ndarray, normalization: float) -> List[float]:
     """Per-individual ``qtc`` on ``(X, y)``: one :func:`predict_models` pass.
 
-    Every value is bit-for-bit
-    ``q_tc(y, individual.predict(X), normalization)``: the row-stacked
-    residual reduction (:func:`~repro.data.metrics.relative_rmse_rows`) is
-    batch-shape independent.  ``normalization`` is the *training*-data range
+    Every value is bit-for-bit ``q_tc`` of that individual's predictions
+    alone: the row-stacked residual reduction
+    (:func:`~repro.data.metrics.relative_rmse_rows`) is batch-shape
+    independent.  ``normalization`` is the *training*-data range
     shared by the individuals (the paper's qtc denominator).
     """
     return [float(error) for error in relative_rmse_rows(
@@ -156,8 +152,7 @@ class SymbolicModel:
 
     def predict_transformed(self, X: np.ndarray) -> np.ndarray:
         """Evaluate in the (possibly log-scaled) training domain."""
-        basis_matrix = evaluate_basis_matrix(list(self.bases), np.asarray(X, dtype=float))
-        return self.fit.predict(basis_matrix)
+        return predict_models([self], X)[0]
 
     def to_original_domain(self, predictions: np.ndarray) -> np.ndarray:
         """Undo the ``log10`` target scaling of training-domain predictions."""

@@ -13,12 +13,9 @@ non-negative least squares (:mod:`~repro.regression.nnls`).
 from repro.regression.least_squares import (
     LinearFit,
     design_matrix,
-    fit_linear,
-    fit_linear_from_gram,
+    fit_linear_from_gram_batch,
     pair_dots,
-    predict_linear,
     predict_linear_batch,
-    raw_normal_statistics,
 )
 from repro.regression.press import (
     hat_matrix,
@@ -35,11 +32,8 @@ from repro.regression.nnls import nonnegative_least_squares
 __all__ = [
     "LinearFit",
     "design_matrix",
-    "fit_linear",
-    "fit_linear_from_gram",
+    "fit_linear_from_gram_batch",
     "pair_dots",
-    "raw_normal_statistics",
-    "predict_linear",
     "predict_linear_batch",
     "hat_matrix",
     "loo_residuals",

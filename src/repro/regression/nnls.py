@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.optimize import nnls as scipy_nnls
 
 __all__ = ["nonnegative_least_squares"]
 
@@ -39,6 +38,10 @@ def nonnegative_least_squares(features: np.ndarray, y: np.ndarray,
     -------
     (coefficients, intercept)
     """
+    # Imported here: SciPy is slow to import and only the posynomial
+    # baseline solves NNLS, so ``import repro`` must not pay for it.
+    from scipy.optimize import nnls as scipy_nnls
+
     features = np.asarray(features, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if features.ndim != 2:

@@ -157,6 +157,9 @@ class FrontHTTPServer(ThreadingHTTPServer):
 class _FrontRequestHandler(BaseHTTPRequestHandler):
     server_version = "caffeine-serve/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle's algorithm on, a
+    # keep-alive client's delayed ACK would hold the body back ~40 ms.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002

@@ -5,12 +5,15 @@ plainer reference here that it must match bit for bit:
 
 * columns -- :class:`InterpColumnBackend` walks every tree node by node
   instead of running compiled NumPy tapes;
-* fits -- :class:`DirectFitEvaluator` runs a full ``fit_linear`` per
-  individual (:func:`evaluate_individual_inplace`) instead of gathering
-  normal equations from the gram pool and solving each basis width in
-  stacked calls;
+* fits -- :class:`DirectFitEvaluator` fits each individual on its own
+  (:func:`evaluate_individual_inplace`): :func:`fit_linear` builds normal
+  equations from the assembled basis matrix and solves once, and
+  :func:`predict_linear` predicts left to right -- instead of gathering
+  normal equations from the gram pool and solving each basis width in one
+  stacked ``fit_linear_from_gram_batch`` call;
 * residuals -- :class:`ScalarResidualBackend` scores one individual at a
-  time instead of one stacked pass per basis width;
+  time with :func:`predict_linear` instead of one stacked
+  ``predict_linear_batch`` pass per basis width;
 * Pareto -- :func:`nondominated_indices`, :func:`fast_nondominated_sort`
   and :func:`crowding_distances` are Deb's definitions in pure Python;
 * genome -- :class:`DeepcopyVariationOperators` clones the whole parent and
@@ -48,16 +51,17 @@ from repro.core.expression import (
     iter_variable_combos,
     iter_weights,
 )
-from repro.core.individual import (
-    Individual,
-    evaluate_basis_column,
-    evaluate_basis_matrix,
-)
+from repro.core.individual import Individual, evaluate_basis_column
 from repro.core.operators import VariationOperators
 from repro.core.pareto import dominates
 from repro.core.settings import CaffeineSettings
 from repro.data.metrics import error_normalization, relative_rmse
-from repro.regression.least_squares import LinearFit, fit_linear
+from repro.regression.least_squares import (
+    LinearFit,
+    design_matrix,
+    fit_linear_from_gram_batch,
+    pair_dots,
+)
 
 #: the layers :func:`reference_layers` can swap
 LAYERS = ("columns", "fits", "residuals", "pareto", "genome")
@@ -82,12 +86,126 @@ class InterpColumnBackend:
 # ----------------------------------------------------------------------
 # fits
 # ----------------------------------------------------------------------
+def evaluate_basis_matrix(bases: Sequence[ProductTerm],
+                          X: np.ndarray) -> np.ndarray:
+    """The ``(n_samples, n_bases)`` matrix of interpreted basis columns."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("X must be 2-D")
+    if not bases:
+        return np.zeros((X.shape[0], 0))
+    return np.column_stack([evaluate_basis_column(basis, X)
+                            for basis in bases])
+
+
+def raw_normal_statistics(basis_matrix: np.ndarray, y: np.ndarray
+                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(gram, colsums, ydots)`` of one assembled matrix.
+
+    The raw (unscaled, no-intercept) normal-equation blocks, each entry by
+    the canonical :func:`~repro.regression.least_squares.pair_dots` recipe
+    -- the scalars the gram pool caches per column and pair.
+    """
+    n_bases = basis_matrix.shape[1]
+    rows = np.ascontiguousarray(basis_matrix.T)
+    colsums = rows.sum(axis=1)
+    ydots = (rows * y[None, :]).sum(axis=1)
+    upper_i, upper_j = np.triu_indices(n_bases)
+    dots = pair_dots(rows[upper_i], rows[upper_j])
+    gram = np.empty((n_bases, n_bases))
+    gram[upper_i, upper_j] = dots
+    gram[upper_j, upper_i] = dots
+    return gram, colsums, ydots
+
+
+def fit_linear(basis_matrix: np.ndarray, y: np.ndarray,
+               ridge: float = 1e-10) -> Optional[LinearFit]:
+    """Fit ``y ~ w0 + basis_matrix @ w`` on its own, one solve.
+
+    Column-scaled, slightly ridged normal equations (the intercept is never
+    penalized) built from the assembled matrix; a singular system falls
+    back to ``lstsq`` on the scaled design matrix.  ``None`` when an input
+    or the solution is not finite.
+    """
+    basis_matrix = np.asarray(basis_matrix, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    if basis_matrix.ndim != 2:
+        raise ValueError("basis_matrix must be 2-D (n_samples, n_bases)")
+    if basis_matrix.shape[0] != y.shape[0]:
+        raise ValueError("basis_matrix and y disagree on the number of samples")
+    if y.size == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    if not np.all(np.isfinite(basis_matrix)) or not np.all(np.isfinite(y)):
+        return None
+    n_samples, n_bases = basis_matrix.shape
+    if n_bases == 0:
+        return LinearFit(intercept=float(np.mean(y)),
+                         coefficients=np.zeros(0))
+    gram, colsums, ydots = raw_normal_statistics(basis_matrix, y)
+    scales = np.sqrt(gram.diagonal() / n_samples)
+    scales[scales < 1e-300] = 1.0
+    size = n_bases + 1
+    full_scales = np.empty(size)
+    full_scales[0] = 1.0
+    full_scales[1:] = scales
+    raw = np.empty((size, size))
+    raw[0, 0] = float(n_samples)
+    raw[0, 1:] = colsums
+    raw[1:, 0] = colsums
+    raw[1:, 1:] = gram
+    raw_rhs = np.empty(size)
+    raw_rhs[0] = float(y.sum())
+    raw_rhs[1:] = ydots
+    scaled_gram = raw / (full_scales[:, None] * full_scales[None, :])
+    rhs = raw_rhs / full_scales
+    diagonal = np.arange(size)
+    ridge_term = ridge * max(1.0, float(scaled_gram[diagonal, diagonal].sum()))
+    scaled_gram[diagonal[1:], diagonal[1:]] += ridge_term
+    try:
+        solution = np.linalg.solve(scaled_gram, rhs)
+    except np.linalg.LinAlgError:
+        solution, *_ = np.linalg.lstsq(design_matrix(basis_matrix / scales),
+                                       y, rcond=None)
+    if not np.all(np.isfinite(solution)):
+        return None
+    return LinearFit(intercept=float(solution[0]),
+                     coefficients=solution[1:] / scales)
+
+
+def predict_linear(fit: LinearFit, basis_matrix: np.ndarray) -> np.ndarray:
+    """``w0 + sum_j wj * basis_matrix[:, j]``, one column at a time."""
+    basis_matrix = np.asarray(basis_matrix, dtype=float)
+    if basis_matrix.ndim != 2 or basis_matrix.shape[1] != fit.n_terms:
+        raise ValueError(f"fit has {fit.n_terms} terms but basis matrix has "
+                         f"shape {basis_matrix.shape}")
+    predictions = np.full(basis_matrix.shape[0], float(fit.intercept))
+    for j in range(basis_matrix.shape[1]):
+        predictions += fit.coefficients[j] * basis_matrix[:, j]
+    return predictions
+
+
+def gram_fit(basis_matrix: np.ndarray, y: np.ndarray,
+             ridge: float = 1e-10) -> Optional[LinearFit]:
+    """The production solver on one finite assembled matrix.
+
+    Feeds :func:`raw_normal_statistics` to
+    ``fit_linear_from_gram_batch`` as a batch of one, the way tests drive
+    the one solver without an evaluator.
+    """
+    basis_matrix = np.asarray(basis_matrix, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    gram, colsums, ydots = raw_normal_statistics(basis_matrix, y)
+    return fit_linear_from_gram_batch(gram[None], colsums[None], ydots[None],
+                                      float(y.sum()), [basis_matrix], y,
+                                      ridge)[0]
+
+
 def evaluate_individual_inplace(individual: Individual, X: np.ndarray,
                                 y: np.ndarray, settings: CaffeineSettings,
                                 basis_matrix: Optional[np.ndarray] = None,
                                 normalization: Optional[float] = None,
                                 complexity: Optional[float] = None) -> None:
-    """Fit one individual with a full ``fit_linear`` and set both objectives.
+    """Fit one individual with :func:`fit_linear` and set both objectives.
 
     ``basis_matrix``/``normalization``/``complexity`` let callers that
     already hold those skip recomputing them.
@@ -105,12 +223,12 @@ def evaluate_individual_inplace(individual: Individual, X: np.ndarray,
         individual.error = float("inf")
         return
     individual.fit = fit
-    individual.error = relative_rmse(y, fit.predict(basis_matrix),
+    individual.error = relative_rmse(y, predict_linear(fit, basis_matrix),
                                      individual.normalization)
 
 
 class DirectFitEvaluator(PopulationEvaluator):
-    """The evaluator with one full ``fit_linear`` per individual.
+    """The evaluator with one :func:`fit_linear` per individual.
 
     Columns, caches and complexities are the production evaluator's; only
     the batched gram-pool gather-and-solve is replaced by
@@ -140,7 +258,7 @@ class ScalarResidualBackend:
         self.normalization = float(normalization)
 
     def error(self, fit: LinearFit, basis_matrix: np.ndarray) -> float:
-        return relative_rmse(self.y, fit.predict(basis_matrix),
+        return relative_rmse(self.y, predict_linear(fit, basis_matrix),
                              self.normalization)
 
     def errors(self, fits: Sequence[LinearFit],

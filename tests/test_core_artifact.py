@@ -11,6 +11,9 @@ mismatch rejects), and the estimator facade saves/loads losslessly.
 
 from __future__ import annotations
 
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,7 @@ from repro.core.settings import CaffeineSettings
 from repro.data.metrics import q_tc
 from repro.estimator import SymbolicRegressor
 from repro.experiments import run_figure3
+from repro.regression.least_squares import LinearFit
 
 
 def _assert_rows_bit_identical(front: FrozenFront, models, X) -> None:
@@ -219,6 +223,33 @@ class TestCompatibility:
             warnings.simplefilter("error")
             front = load_front(artifact_path, dataset=rational_train.X)
         assert front.check_dataset(rational_train.X) is True
+
+    def test_fits_with_retired_fields_still_load(self, result, tmp_path,
+                                                 rational_test):
+        """Artifacts written while ``LinearFit`` also carried
+        ``residual_sum_of_squares``, ``rank`` and ``singular`` pickle those
+        as extra attributes; such files load and serve the same bits."""
+        models = list(result.tradeoff)
+        aged = []
+        for model in models:
+            fit = LinearFit(intercept=model.fit.intercept,
+                            coefficients=model.fit.coefficients)
+            object.__setattr__(fit, "residual_sum_of_squares", 1.0)
+            object.__setattr__(fit, "rank", fit.n_terms + 1)
+            object.__setattr__(fit, "singular", False)
+            aged.append(dataclasses.replace(model, fit=fit))
+        path = tmp_path / "aged.caffeine"
+        save_front(types.SimpleNamespace(
+            tradeoff=aged, target_name=result.target_name,
+            variable_names=result.variable_names), path)
+        front = load_front(path)
+        assert all(model.fit.rank == model.fit.n_terms + 1
+                   for model in front.models)
+        _assert_rows_bit_identical(front, models, rational_test.X)
+        live = rescore_models(models, rational_test.X, rational_test.y)
+        frozen = front.rescore(rational_test.X, rational_test.y)
+        assert np.array_equal(np.asarray(frozen), np.asarray(live),
+                              equal_nan=True)
 
     def test_feature_count_mismatch_rejects(self, artifact_path):
         with pytest.raises(ValueError, match="shape"):

@@ -114,6 +114,32 @@ class TestEngineResume:
                 checkpoint=store, resume=True)
             assert _front(resumed) == _front(reference)
 
+    def test_checkpoint_with_retired_fit_fields_resumes(self, tmp_path):
+        """Checkpoints written while ``LinearFit`` also carried
+        ``residual_sum_of_squares``, ``rank`` and ``singular`` pickle those
+        as extra attributes; resuming from one is still bit-identical."""
+        train, test = _datasets()
+        reference = CaffeineEngine(train, test=test, settings=SETTINGS).run()
+        store = RunCheckpointStore(tmp_path / "run.ckpt")
+        with pytest.raises(KeyboardInterrupt):
+            CaffeineEngine(train, test=test, settings=SETTINGS).run(
+                progress=_InterruptAt(2), checkpoint=store)
+        state = store.load_state("y")
+        fits = [individual.fit for individual in state["population"]
+                if individual.fit is not None]
+        assert fits
+        for fit in fits:
+            object.__setattr__(fit, "residual_sum_of_squares", 1.0)
+            object.__setattr__(fit, "rank", fit.n_terms + 1)
+            object.__setattr__(fit, "singular", False)
+        store.save_state("y", state)
+        reloaded = store.load_state("y")["population"]
+        assert any(getattr(individual.fit, "singular", True) is False
+                   for individual in reloaded)
+        resumed = CaffeineEngine(train, test=test, settings=SETTINGS).run(
+            checkpoint=store, resume=True)
+        assert _front(resumed) == _front(reference)
+
     def test_checkpoint_every_controls_cadence(self, tmp_path):
         train, test = _datasets()
         store = RunCheckpointStore(tmp_path / "run.ckpt")

@@ -232,8 +232,6 @@ class TestSimplification:
             assert together.fit.intercept == alone.fit.intercept
             assert np.array_equal(together.fit.coefficients,
                                   alone.fit.coefficients)
-            assert together.fit.residual_sum_of_squares == \
-                alone.fit.residual_sum_of_squares
 
 
 class TestTradeoffSetAndReport:

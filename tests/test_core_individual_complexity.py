@@ -13,9 +13,12 @@ from repro.core.complexity import (
 from repro.core.evaluation import PopulationEvaluator
 from repro.core.expression import ProductTerm
 from repro.core.generator import ExpressionGenerator
-from repro.core.individual import Individual, evaluate_basis_matrix
+from repro.core.individual import Individual
+from repro.core.model import predict_models
 from repro.core.settings import CaffeineSettings
 from repro.core.variable_combo import VariableCombo
+
+from oracles import evaluate_basis_matrix
 
 
 @pytest.fixture
@@ -122,14 +125,14 @@ class TestIndividualEvaluation:
         evaluate(individual, X, y, settings)
         assert not individual.is_feasible
         assert individual.error == float("inf")
-        with pytest.raises(RuntimeError):
-            individual.predict(X)
+        with pytest.raises(ValueError):
+            predict_models([individual], X)
 
     def test_predict_matches_fit(self, settings, data):
         X, y = data
         individual = Individual(bases=[ratio_term()])
         evaluate(individual, X, y, settings)
-        predictions = individual.predict(X)
+        predictions = predict_models([individual], X)[0]
         assert predictions.shape == y.shape
         assert np.all(np.isfinite(predictions))
 

@@ -31,14 +31,15 @@ from repro.core.individual import Individual
 from repro.core.model import batch_test_errors
 from repro.core.settings import CaffeineSettings
 from repro.data.metrics import relative_rmse, relative_rmse_rows
-from repro.regression.least_squares import (
-    LinearFit,
+from repro.regression.least_squares import LinearFit, predict_linear_batch
+
+from oracles import (
+    ScalarResidualBackend,
+    evaluate_basis_matrix,
     fit_linear,
     predict_linear,
-    predict_linear_batch,
+    reference_layers,
 )
-
-from oracles import ScalarResidualBackend, reference_layers
 
 FAST = hyp_settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -80,6 +81,12 @@ def _bit_equal_modulo_nan_payload(a: np.ndarray, b: np.ndarray) -> bool:
     return masked_a.tobytes() == masked_b.tobytes()
 
 
+def _predict_alone(individual: Individual, X: np.ndarray) -> np.ndarray:
+    """One individual's predictions by the per-column reference."""
+    return predict_linear(individual.fit,
+                          evaluate_basis_matrix(individual.bases, X))
+
+
 class TestPredictLinearBatch:
     """Stacked predictions are bit-for-bit the per-fit accumulation."""
 
@@ -104,9 +111,7 @@ class TestPredictLinearBatch:
             batch = predict_linear_batch(intercepts, coefficients, stacked)
             for i in range(m):
                 fit = LinearFit(intercept=float(intercepts[i]),
-                                coefficients=coefficients[i],
-                                residual_sum_of_squares=0.0, rank=k,
-                                singular=False)
+                                coefficients=coefficients[i])
                 scalar = predict_linear(fit, stacked[i])
                 assert _bit_equal(batch[i], scalar)
 
@@ -132,9 +137,7 @@ class TestPredictLinearBatch:
             batch = predict_linear_batch(intercepts, coefficients, stacked)
             for i in range(m):
                 fit = LinearFit(intercept=float(intercepts[i]),
-                                coefficients=coefficients[i],
-                                residual_sum_of_squares=0.0, rank=k,
-                                singular=False)
+                                coefficients=coefficients[i])
                 scalar = predict_linear(fit, stacked[i])
                 assert _bit_equal_modulo_nan_payload(batch[i], scalar)
 
@@ -142,14 +145,10 @@ class TestPredictLinearBatch:
         stacked = np.array([[[-0.0], [0.0]], [[0.0], [-0.0]]])
         batch = predict_linear_batch(np.array([0.0, -0.0]),
                                      np.array([[1.0], [1.0]]), stacked)
-        fit = LinearFit(intercept=0.0, coefficients=np.array([1.0]),
-                        residual_sum_of_squares=0.0, rank=1, singular=False)
         for i in range(2):
-            assert _bit_equal(batch[i], predict_linear(fit.__class__(
+            assert _bit_equal(batch[i], predict_linear(LinearFit(
                 intercept=float(np.array([0.0, -0.0])[i]),
-                coefficients=np.array([1.0]),
-                residual_sum_of_squares=0.0, rank=1, singular=False),
-                stacked[i]))
+                coefficients=np.array([1.0])), stacked[i]))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -279,8 +278,6 @@ class TestEvaluatorResidualEquivalence:
             if a.fit is not None:
                 assert a.fit.intercept == b.fit.intercept
                 assert np.array_equal(a.fit.coefficients, b.fit.coefficients)
-                assert a.fit.residual_sum_of_squares == \
-                    b.fit.residual_sum_of_squares
 
 
 class TestAdaptiveBudgets:
@@ -379,7 +376,7 @@ class TestEngineResidualEquivalence:
                                     fit=model.fit,
                                     normalization=model.normalization)
             scalar = q_tc(rational_test.y,
-                          individual.predict(rational_test.X),
+                          _predict_alone(individual, rational_test.X),
                           model.normalization)
             assert model.test_error == scalar
 
@@ -420,7 +417,8 @@ class TestEngineResidualEquivalence:
         assert len(fitted) >= 2
         batched = batch_test_errors(fitted, rational_test.X, rational_test.y,
                                     evaluator.normalization)
-        scalar = [q_tc(rational_test.y, individual.predict(rational_test.X),
+        scalar = [q_tc(rational_test.y,
+                       _predict_alone(individual, rational_test.X),
                        evaluator.normalization)
                   for individual in fitted]
         assert batched == scalar

@@ -2,19 +2,34 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.regression import (
-    fit_linear,
+    fit_linear_from_gram_batch,
     forward_select,
     hat_matrix,
     loo_residuals,
     nonnegative_least_squares,
-    predict_linear,
+    predict_linear_batch,
     press_rmse,
     press_statistic,
 )
+
+from oracles import fit_linear, gram_fit, raw_normal_statistics
+
+
+def predict(fit, basis_matrix):
+    """One fit's predictions through the one prediction recipe."""
+    return predict_linear_batch(np.array([fit.intercept]),
+                                fit.coefficients[None, :],
+                                basis_matrix[None])[0]
 
 
 @pytest.fixture
@@ -26,24 +41,23 @@ def linear_data():
 
 
 class TestLeastSquares:
+    """The production solver (through :func:`oracles.gram_fit`) and the
+    reference fit it must match."""
+
     def test_recovers_coefficients(self, linear_data):
         X, y = linear_data
-        fit = fit_linear(X, y)
+        fit = gram_fit(X, y)
         assert fit is not None
         assert fit.intercept == pytest.approx(1.5, abs=0.05)
         np.testing.assert_allclose(fit.coefficients, [2.0, -0.5, 0.0], atol=0.05)
 
     def test_intercept_only(self):
         y = np.array([1.0, 2.0, 3.0])
-        fit = fit_linear(np.zeros((3, 0)), y)
+        fit = gram_fit(np.zeros((3, 0)), y)
         assert fit.intercept == pytest.approx(2.0)
         assert fit.n_terms == 0
-        np.testing.assert_allclose(fit.predict(np.zeros((5, 0))), np.full(5, 2.0))
-
-    def test_without_intercept(self, linear_data):
-        X, y = linear_data
-        fit = fit_linear(X, y, include_intercept=False)
-        assert fit.intercept == 0.0
+        np.testing.assert_allclose(predict(fit, np.zeros((5, 0))),
+                                   np.full(5, 2.0))
 
     def test_nonfinite_inputs_return_none(self):
         X = np.array([[1.0], [np.nan]])
@@ -54,16 +68,54 @@ class TestLeastSquares:
         x = rng.normal(size=50)
         X = np.column_stack([x, 2.0 * x])  # perfectly collinear
         y = 3.0 * x + 1.0
-        fit = fit_linear(X, y)
+        fit = gram_fit(X, y)
         assert fit is not None
-        predictions = fit.predict(X)
+        predictions = predict(fit, X)
         assert np.sqrt(np.mean((predictions - y) ** 2)) < 1e-6
 
     def test_predict_dimension_check(self, linear_data):
         X, y = linear_data
-        fit = fit_linear(X, y)
+        fit = gram_fit(X, y)
         with pytest.raises(ValueError):
-            predict_linear(fit, X[:, :2])
+            predict(fit, X[:, :2])
+
+    def test_singular_fallback_matches_reference(self, monkeypatch):
+        """When the stacked solve raises, every item is solved alone from
+        the scaled, ridged stack, and an item that is still singular goes
+        through lstsq -- each bit for bit the reference fit."""
+        rng = np.random.default_rng(4)
+        y = rng.normal(size=30)
+        matrices = [rng.normal(size=(30, 3)) for _ in range(4)]
+        # A zero column leaves a zero row in the unridged normal equations.
+        matrices[2][:, 1] = 0.0
+        grams, colsums, ydots = (np.stack(blocks) for blocks in zip(
+            *(raw_normal_statistics(matrix, y) for matrix in matrices)))
+        solve, lstsq = np.linalg.solve, np.linalg.lstsq
+        solves, lstsq_calls = [], []
+
+        def stacked_solve_fails(a, b):
+            solves.append(np.ndim(a))
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("forced")
+            return solve(a, b)
+
+        def counted_lstsq(*args, **kwargs):
+            lstsq_calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", stacked_solve_fails)
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        fits = fit_linear_from_gram_batch(grams, colsums, ydots,
+                                          float(y.sum()), matrices, y,
+                                          ridge=0.0)
+        monkeypatch.undo()
+        assert solves == [3, 2, 2, 2, 2]
+        assert len(lstsq_calls) == 1
+        for matrix, fit in zip(matrices, fits):
+            reference = fit_linear(matrix, y, ridge=0.0)
+            assert fit.intercept == reference.intercept
+            assert fit.coefficients.tobytes() == \
+                reference.coefficients.tobytes()
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -88,8 +140,8 @@ class TestPress:
         closed_form = loo_residuals(X, y, ridge=0.0)
         for t in range(25):
             mask = np.arange(25) != t
-            fit = fit_linear(X[mask], y[mask], ridge=0.0)
-            prediction = fit.predict(X[t:t + 1])[0]
+            fit = gram_fit(X[mask], y[mask], ridge=0.0)
+            prediction = predict(fit, X[t:t + 1])[0]
             assert closed_form[t] == pytest.approx(y[t] - prediction, rel=1e-5,
                                                    abs=1e-8)
 
@@ -103,8 +155,9 @@ class TestPress:
         press_true = press_statistic(X, y)
         press_noisy = press_statistic(np.hstack([X, noise]), y)
         assert press_noisy > press_true * 0.9
-        residual_true = fit_linear(X, y).residual_sum_of_squares
-        residual_noisy = fit_linear(np.hstack([X, noise]), y).residual_sum_of_squares
+        noisy = np.hstack([X, noise])
+        residual_true = np.sum((y - predict(gram_fit(X, y), X)) ** 2)
+        residual_noisy = np.sum((y - predict(gram_fit(noisy, y), noisy)) ** 2)
         assert residual_noisy < residual_true
 
     def test_press_rmse_scale(self, linear_data):
@@ -183,6 +236,17 @@ class TestNnls:
                                                             include_intercept=True)
         assert intercept == pytest.approx(-5.0, abs=0.2)
         np.testing.assert_allclose(F @ coefficients + intercept, y, atol=0.2)
+
+    def test_import_repro_does_not_load_scipy(self):
+        """Only NNLS needs SciPy, which is slow to import; every CLI
+        call, worker spawn and server start imports repro."""
+        source_root = Path(repro.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(source_root)))
+        assert result.stdout.strip() == "False"
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -186,6 +187,36 @@ class TestEndpoints:
         assert all(model["test_error"] is None
                    for model in parsed[1]["models"])
         assert parsed[3]["model"]["test_error"] is None
+
+    def test_accepted_socket_disables_nagle(self, server, fitted):
+        """Headers and body leave in two writes, so a keep-alive client's
+        delayed ACK would stall every response body unless the accepted
+        socket sets TCP_NODELAY."""
+        _est, X, _ = fitted
+        seen = []
+        plain = server.RequestHandlerClass
+
+        class Recording(plain):
+            def setup(self):
+                super().setup()
+                seen.append(self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        server.RequestHandlerClass = Recording
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            body = json.dumps({"X": X[:1].tolist()}).encode("utf-8")
+            for _ in range(3):
+                connection.request("POST", "/predict", body=body)
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+        finally:
+            connection.close()
+            server.RequestHandlerClass = plain
+        # one keep-alive connection, one accepted socket, Nagle off
+        assert len(seen) == 1 and seen[0] != 0
 
     def test_stats_accumulate(self, server):
         _post(server, "/predict", {"X": [[1.0, 1.0]]})
