@@ -174,7 +174,7 @@ def _comparable(key) -> Tuple:
     original order within each type.
     """
     if isinstance(key, tuple):
-        return (3, tuple(_comparable(part) for part in key))
+        return (3, tuple(map(_comparable, key)))
     if key is None:
         return (0, 0.0)
     if isinstance(key, str):
@@ -199,11 +199,18 @@ def canonicalize_factors(node) -> None:
     bit-for-bit compiled == interpreted guarantee (both always see the same,
     already-canonical tree).
 
+    This is the full-tree pass, for trees assembled by hand or edited in
+    place (the test suite's clone-and-edit variation reference).  The
+    library itself never needs it: the generator and the operators build
+    trees bottom-up, so each sorts only the product terms it creates with
+    :func:`canonicalize_fresh_product_term` -- the subset of this pass that
+    can reorder anything.
+
     Subtrees whose structural key cannot be computed (exotic node types)
     keep their original order; everything else in the tree is still
     normalized.  Mutating an *evaluated* tree would invalidate cached
-    columns, which is why this runs where trees are born, not where they
-    are scored.
+    columns, which is why canonicalization runs where trees are born, not
+    where they are scored.
 
     The walk is **post-order** -- descendants are canonicalized before
     their parent's factor list is sorted -- because a parent's sort keys
@@ -223,24 +230,23 @@ def canonicalize_factors(node) -> None:
     if children is not None:
         for child in children():
             canonicalize_factors(child)
-    if type(node) is ProductTerm and len(node.ops) > 1:
-        try:
-            node.ops.sort(key=lambda op: _comparable(cached_structural_key(op)))
-        except TypeError:
-            pass
+    if type(node) is ProductTerm:
+        canonicalize_fresh_product_term(node)
 
 
 def canonicalize_fresh_product_term(term: ProductTerm) -> None:
-    """Sort one freshly path-copied product term's factor list, in place.
+    """Sort one fresh product term's factor list, in place.
 
-    The structure-sharing operators rebuild only the spine from an edited
-    slot to its basis root; every subtree hanging off that spine is shared
-    with the parent and therefore already canonical.  Calling this on each
-    fresh spine node in deepest-first creation order is exactly the subset
-    of :func:`canonicalize_factors`'s post-order work that can actually
+    For a term whose nested product terms are all canonical already: the
+    generator's new terms (built bottom-up, each nested term sorted by its
+    own construction) and the structure-sharing operators' path-copied
+    spine nodes (every subtree hanging off the spine is shared with the
+    parent and therefore canonical).  Calling this on each fresh term in
+    deepest-first creation order is exactly the subset of
+    :func:`canonicalize_factors`'s post-order work that can actually
     reorder anything -- sorting an untouched, already-sorted factor list is
-    a stable no-op -- so path-copied children stay bit-identical to
-    clone-and-edit children canonicalized by the full-tree pass.
+    a stable no-op -- so these trees stay bit-identical to the full-tree
+    pass's.
     """
     if len(term.ops) > 1:
         try:

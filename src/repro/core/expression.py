@@ -35,8 +35,10 @@ suite keeps the original clone-the-parent-and-edit-in-place operators as
 the fixed-seed bit-identical reference.  The freshness contract that makes
 on-node memoization
 safe: in-place edits only ever happen on freshly built, memo-free nodes
-*before* :func:`repro.core.compile.canonicalize_factors` finalizes them,
-never on a node that a population tree already references.
+*before* canonicalization finalizes them (the generator and the operators
+sort each fresh product term with
+:func:`repro.core.compile.canonicalize_fresh_product_term`), never on a
+node that a population tree already references.
 
 All nodes provide ``evaluate``, ``clone`` (a full deep copy -- callers that
 want sharing simply reuse the node reference), ``n_nodes``, ``depth`` and
@@ -433,7 +435,7 @@ def cached_structural_key(node: Union[ExpressionNode, Weight, VariableCombo,
     Safe only under the structure-sharing freshness contract (module
     docstring): a node's memo is written the first time its key is asked
     for, so callers must not query a node that will still be edited in
-    place.  The hot paths that use this -- ``canonicalize_factors``'s sort
+    place.  The hot paths that use this -- canonicalization's factor sort
     keys, the evaluation backends' basis keys -- all run at or after
     canonicalization, when the subtree is final.  :func:`structural_key`
     itself stays memo-free for callers that inspect trees mid-edit.

@@ -15,7 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.compile import canonicalize_factors
+from repro.core.compile import canonicalize_fresh_product_term
 from repro.core.expression import (
     BinaryOpTerm,
     ConditionalOpTerm,
@@ -151,11 +151,15 @@ class ExpressionGenerator:
         # Fresh trees are born canonical: commutative factor lists are
         # sorted so order-variants of one product share a structural key
         # and a compiled kernel (see repro.core.compile.canonicalize_factors).
-        # Canonicalization also seeds the on-node structural-key memos that
-        # the shared-genome variation layer and the evaluation cache reuse;
-        # generated trees are never mutated in place afterwards (variation
-        # path-copies), so the memos stay valid for the tree's lifetime.
-        canonicalize_factors(term)
+        # Every product term nested in ``ops`` was already sorted by its own
+        # random_product_term call, so sorting this term's factor list is the
+        # only canonicalization left -- the rest of a full-tree pass would be
+        # a stable no-op.  Sorting also seeds the on-node structural-key
+        # memos that the shared-genome variation layer and the evaluation
+        # cache reuse; generated trees are never mutated in place afterwards
+        # (variation path-copies), so the memos stay valid for the tree's
+        # lifetime.
+        canonicalize_fresh_product_term(term)
         return term
 
     # ------------------------------------------------------------------

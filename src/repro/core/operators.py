@@ -34,6 +34,7 @@ bit-identical children.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -336,12 +337,20 @@ class VariationOperators:
             ("basis_copy", 1.0),
         ]
         # The dispatch table is fixed for the operator set's lifetime, so
-        # the name array and normalized probability vector are built once
-        # here instead of on every vary() call.
+        # the name array, normalized probability vector and its CDF are
+        # built once here instead of on every vary() call.  The CDF is
+        # ``Generator.choice(names, p=...)``'s own (``p.cumsum()`` divided
+        # by its last entry): choice draws one ``random()`` double and
+        # searches it with ``side="right"``, which ``bisect_right`` does
+        # on the same floats, so the draw stream and every pick are
+        # unchanged at a fraction of choice's per-call cost.
         self._operator_names = [name for name, _ in self._operators]
         weights = np.array([weight for _, weight in self._operators],
                            dtype=float)
         self._operator_probabilities = weights / weights.sum()
+        cdf = self._operator_probabilities.cumsum()
+        cdf /= cdf[-1]
+        self._operator_cdf = cdf.tolist()
 
     # ------------------------------------------------------------------
     # top-level entry point
@@ -352,8 +361,8 @@ class VariationOperators:
         If the chosen operator cannot apply (e.g. deleting from a one-basis
         individual) it falls back to parameter mutation, which always applies.
         """
-        operator_name = str(self.rng.choice(self._operator_names,
-                                            p=self._operator_probabilities))
+        operator_name = self._operator_names[
+            bisect_right(self._operator_cdf, self.rng.random())]
         child = self._dispatch(operator_name, parent_a, parent_b)
         if child is None:
             child = self.parameter_mutation(parent_a)

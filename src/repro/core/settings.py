@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from typing import Optional
 
 from repro.core.functions import FunctionSet, default_function_set
@@ -115,16 +116,15 @@ class CaffeineSettings:
         if self.max_initial_basis_functions > self.max_basis_functions:
             raise ValueError(
                 "max_initial_basis_functions cannot exceed max_basis_functions")
-        if self.weight_exponent_bound <= 0:
-            raise ValueError("weight_exponent_bound must be positive")
-        if self.weight_mutation_scale <= 0:
-            raise ValueError("weight_mutation_scale must be positive")
-        if self.parameter_mutation_bias <= 0:
-            raise ValueError("parameter_mutation_bias must be positive")
-        if self.basis_function_cost < 0 or self.vc_exponent_cost < 0:
-            raise ValueError("complexity constants must be non-negative")
-        if self.sag_min_relative_improvement < 0:
-            raise ValueError("sag_min_relative_improvement must be non-negative")
+        # The chained comparisons also reject NaN, which compares false.
+        for name in ("weight_exponent_bound", "weight_mutation_scale",
+                     "parameter_mutation_bias"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("expected_vc_variables", "basis_function_cost",
+                     "vc_exponent_cost", "sag_min_relative_improvement"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
 
     # ------------------------------------------------------------------
     def fingerprint(self) -> str:

@@ -44,9 +44,21 @@ def simplify_population(individuals: Sequence[Individual],
     settings, the basis matrices (from its column cache) and both batched
     evaluations -- the simplified candidates, then clones of the originals
     whose candidate was rejected.
+
+    Forward selection runs once per distinct ordered basis-key tuple (the
+    evaluator's fit key): equal keys mean equal cached columns and so the
+    same selection, and a final front is mostly clones.  Each candidate is
+    still built from its own individual's bases.
     """
-    candidates = [_forward_selected(individual, evaluator)
-                  for individual in individuals]
+    selections = {}
+    candidates = []
+    for individual in individuals:
+        fit_key = tuple(evaluator.basis_key(b) for b in individual.bases)
+        selected = selections.get(fit_key)
+        if selected is None:
+            selected = selections[fit_key] = _forward_selected(individual,
+                                                               evaluator)
+        candidates.append(_candidate(individual, selected))
     evaluator.evaluate_population(candidates)
     rejected = [position for position, (individual, kept)
                 in enumerate(zip(individuals, candidates, strict=True))
@@ -59,19 +71,24 @@ def simplify_population(individuals: Sequence[Individual],
     return simplified
 
 
-def _forward_selected(individual: Individual, evaluator) -> Individual:
-    """An unevaluated individual holding the bases forward regression keeps."""
+def _forward_selected(individual: Individual, evaluator) -> List[int]:
+    """The indices of the bases forward regression keeps, sorted."""
     if not individual.bases:
-        return individual.clone()
+        return []
     settings = evaluator.settings
     selection = forward_select(
         evaluator.basis_matrix(individual.bases), evaluator.y,
         max_terms=settings.max_basis_functions,
         min_relative_improvement=settings.sag_min_relative_improvement,
     )
-    if len(selection.selected_indices) == len(individual.bases):
+    return sorted(selection.selected_indices)
+
+
+def _candidate(individual: Individual, selected: List[int]) -> Individual:
+    """An unevaluated individual holding the ``selected`` bases."""
+    if len(selected) == len(individual.bases):
         return individual.clone()
-    if not selection.selected_indices:
+    if not selected:
         # All bases pruned: fall back to the constant model (an Individual
         # must hold at least one tree, so keep the cheapest original one
         # but let the linear fit decide; if even that hurts, the fit's
@@ -79,11 +96,8 @@ def _forward_selected(individual: Individual, evaluator) -> Individual:
         cheapest = min(individual.bases, key=lambda b: b.n_nodes)
         return Individual(bases=[cheapest.clone()],
                           generation_born=individual.generation_born)
-    return Individual(
-        bases=[individual.bases[i].clone()
-               for i in sorted(selection.selected_indices)],
-        generation_born=individual.generation_born,
-    )
+    return Individual(bases=[individual.bases[i].clone() for i in selected],
+                      generation_born=individual.generation_born)
 
 
 def _keeps_fit(individual: Individual, kept: Individual) -> bool:

@@ -86,14 +86,19 @@ class VariableCombo:
             raise ValueError("max_exponent must be >= 1")
         # repro-lint: allow[errstate] -- scalar probability from two ints, no column math
         probability = min(1.0, expected_active / n_variables)
+        random = rng.random
         exps = [0] * n_variables
         for i in range(n_variables):
-            if rng.random() < probability:
+            if random() < probability:
                 exps[i] = cls._random_exponent(rng, max_exponent, allow_negative)
-        if all(e == 0 for e in exps):
+        if not any(exps):
             index = int(rng.integers(n_variables))
             exps[index] = cls._random_exponent(rng, max_exponent, allow_negative)
-        return cls(exponents=tuple(exps))
+        # Every exponent is already a Python int, so skip __post_init__'s
+        # coercion.
+        combo = object.__new__(cls)
+        combo.exponents = tuple(exps)
+        return combo
 
     @staticmethod
     def _random_exponent(rng: np.random.Generator, max_exponent: int,
@@ -156,7 +161,7 @@ class VariableCombo:
         delta = 1 if rng.random() < 0.5 else -1
         new_value = exps[index] + delta
         lower = -max_exponent if allow_negative else 0
-        exps[index] = int(np.clip(new_value, lower, max_exponent))
+        exps[index] = int(min(max(new_value, lower), max_exponent))
         return VariableCombo(exponents=tuple(exps))
 
     def crossover(self, other: "VariableCombo", rng: np.random.Generator

@@ -22,6 +22,23 @@ __all__ = ["Weight", "transform_stored_value", "cauchy_mutated_value"]
 DEFAULT_EXPONENT_BOUND = 10.0
 
 
+def _clip_stored(stored: float, upper: float) -> float:
+    """``float(np.clip(stored, -upper, upper))`` for a float ``stored`` and
+    a positive ``upper``.
+
+    Branch-based rather than ``np.clip`` purely for speed: weights are
+    clipped at every construction, mutation and interpretation, and the
+    NumPy scalar path is ~13x slower.  The branches replicate ``np.clip``
+    bit for bit, NaN passthrough and signed zeros included
+    (property-tested).
+    """
+    if stored > upper:
+        return upper
+    if stored < -upper:
+        return -upper
+    return stored  # NaN lands here, exactly like np.clip
+
+
 def transform_stored_value(stored: float, exponent_bound: float = DEFAULT_EXPONENT_BOUND
                            ) -> float:
     """Map a stored value in ``[-2B, 2B]`` to its interpreted magnitude.
@@ -29,24 +46,11 @@ def transform_stored_value(stored: float, exponent_bound: float = DEFAULT_EXPONE
     * ``stored == 0``      -> ``0.0``
     * ``stored in (0, 2B]`` -> ``+10**(stored - B)``  (magnitudes 1e-B .. 1e+B)
     * ``stored in [-2B, 0)``-> ``-10**(-stored - B)`` (same magnitudes, negative)
-
-    The clip is branch-based rather than ``np.clip`` purely for speed: the
-    transform runs once per weight per tree evaluation (and once per weight
-    in the compiled backend's skeleton walks), and the NumPy scalar path is
-    ~13x slower.  The branches replicate ``np.clip`` bit for bit, NaN
-    passthrough and signed zeros included (property-tested).
     """
     bound = float(exponent_bound)
     if bound <= 0:
         raise ValueError("exponent_bound must be positive")
-    stored = float(stored)
-    upper = 2.0 * bound
-    if stored > upper:
-        clipped = upper
-    elif stored < -upper:
-        clipped = -upper
-    else:
-        clipped = stored  # NaN lands here, exactly like np.clip
+    clipped = _clip_stored(float(stored), 2.0 * bound)
     if clipped == 0.0:
         return 0.0
     if clipped > 0:
@@ -77,7 +81,7 @@ def cauchy_mutated_value(stored: float, scale: float,
     if scale <= 0:
         raise ValueError("mutation scale must be positive")
     perturbed = stored + scale * rng.standard_cauchy()
-    return float(np.clip(perturbed, -2.0 * exponent_bound, 2.0 * exponent_bound))
+    return _clip_stored(float(perturbed), 2.0 * exponent_bound)
 
 
 @dataclasses.dataclass
@@ -92,10 +96,10 @@ class Weight:
     exponent_bound: float = DEFAULT_EXPONENT_BOUND
 
     def __post_init__(self) -> None:
-        if self.exponent_bound <= 0:
+        if not self.exponent_bound > 0:
             raise ValueError("exponent_bound must be positive")
-        self.stored = float(np.clip(self.stored, -2.0 * self.exponent_bound,
-                                    2.0 * self.exponent_bound))
+        self.stored = _clip_stored(float(self.stored),
+                                   2.0 * self.exponent_bound)
 
     # ------------------------------------------------------------------
     @property

@@ -16,8 +16,10 @@ plainer reference here that it must match bit for bit:
   ``predict_linear_batch`` pass per basis width;
 * Pareto -- :func:`nondominated_indices`, :func:`fast_nondominated_sort`
   and :func:`crowding_distances` are Deb's definitions in pure Python;
-* genome -- :class:`DeepcopyVariationOperators` clones the whole parent and
-  edits the clone in place instead of path-copying.
+* genome -- :class:`DeepcopyVariationOperators` draws each operator with
+  ``Generator.choice`` instead of searching a cached CDF, clones the whole
+  parent and edits the clone in place instead of path-copying, and
+  canonicalizes every child with the full-tree pass.
 
 :func:`reference_layers` swaps any of them into the engine for the duration
 of a ``with`` block, so a whole fixed-seed run can be compared against the
@@ -401,7 +403,14 @@ class DeepcopyVariationOperators(VariationOperators):
     """
 
     def vary(self, parent_a: Individual, parent_b: Individual) -> Individual:
-        child = super().vary(parent_a, parent_b)
+        """Picks the operator with ``Generator.choice`` over the normalized
+        probabilities, not production's cached-CDF search."""
+        operator_name = str(self.rng.choice(self._operator_names,
+                                            p=self._operator_probabilities))
+        child = self._dispatch(operator_name, parent_a, parent_b)
+        if child is None:
+            child = self.parameter_mutation(parent_a)
+        child = self._enforce_limits(child)
         for basis in child.bases:
             canonicalize_factors(basis)
         return child

@@ -234,6 +234,60 @@ class TestSimplification:
                                   alone.fit.coefficients)
 
 
+    def test_clones_share_one_forward_selection(self, rational_train,
+                                                fast_settings, monkeypatch):
+        """Forward selection runs once per distinct basis-key tuple; each
+        clone still gets its own simplified individual, equal bit for bit
+        to simplifying it alone."""
+        from repro.core import simplify
+
+        generator = ExpressionGenerator(3, fast_settings,
+                                        rng=np.random.default_rng(5))
+        ratio = ProductTerm(vc=VariableCombo((1, -1, 0)))
+        linear = ProductTerm(vc=VariableCombo((0, 0, 1)))
+        original = Individual(bases=[ratio, ratio.clone(), linear]
+                              + generator.random_basis_functions(2))
+        distinct = Individual(bases=generator.random_basis_functions(2))
+        # Distinct tree objects with equal basis keys.
+        front = [original, original.clone(), distinct, original.clone(),
+                 original.clone()]
+        # Noise makes the repeated and random bases prunable.
+        noisy = rational_train.with_target(
+            rational_train.y
+            + 0.02 * np.std(rational_train.y)
+            * np.random.default_rng(0).normal(size=rational_train.n_samples))
+        evaluator = self._evaluator(noisy, fast_settings)
+        evaluator.evaluate_population(front)
+        assert len({tuple(evaluator.basis_key(b) for b in individual.bases)
+                    for individual in front}) == 2
+        calls = []
+        real_forward_select = simplify.forward_select
+
+        def counting_forward_select(*args, **kwargs):
+            calls.append(1)
+            return real_forward_select(*args, **kwargs)
+
+        monkeypatch.setattr(simplify, "forward_select",
+                            counting_forward_select)
+        together = simplify_population(front, evaluator)
+        assert len(calls) == 2
+        assert [out.n_bases for out in together] == [2, 2, 1, 2, 2]
+        monkeypatch.undo()
+        names = rational_train.variable_names
+        for individual, out in zip(front, together, strict=True):
+            alone, = simplify_population([individual], evaluator)
+            assert out.render(names, precision=17) == \
+                alone.render(names, precision=17)
+            assert out.fit.intercept == alone.fit.intercept
+            assert np.array_equal(out.fit.coefficients,
+                                  alone.fit.coefficients)
+            assert repr(out.error) == repr(alone.error)
+            assert out.complexity == alone.complexity
+        assert len({id(out.bases) for out in together}) == len(together)
+        assert not {id(b) for out in together for b in out.bases} & \
+            {id(b) for individual in front for b in individual.bases}
+
+
 class TestTradeoffSetAndReport:
     @pytest.fixture(scope="class")
     def tradeoff(self, rational_train, rational_test, fast_settings):

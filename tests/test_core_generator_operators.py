@@ -325,3 +325,61 @@ class TestParentIsolationProperty:
             operator(parent_a, parent_b)
         assert _tree_snapshot(parent_a) == before_a
         assert _tree_snapshot(parent_b) == before_b
+
+
+class TestOperatorDraw:
+    @staticmethod
+    def _picks(operators_class, settings, n_calls):
+        """The operator each of ``n_calls`` ``vary`` calls picks, and the
+        final RNG state.  Dispatch is stubbed to a cheap recorder that also
+        draws an integer, so operator draws interleave with other draws."""
+        generator = ExpressionGenerator(n_variables=4, settings=settings,
+                                        rng=np.random.default_rng(0))
+        operators = operators_class(generator, settings,
+                                    rng=np.random.default_rng(11))
+        picks = []
+
+        def dispatch(name, parent_a, parent_b):
+            picks.append(name)
+            operators.rng.integers(len(name))
+            return Individual(bases=[])
+
+        operators._dispatch = dispatch
+        operators._enforce_limits = lambda child: child
+        parent = Individual(bases=[])
+        for _ in range(n_calls):
+            operators.vary(parent, parent)
+        return picks, operators.rng.bit_generator.state
+
+    @pytest.mark.parametrize("bias", [5.0, 0.37])
+    def test_vary_picks_operators_like_rng_choice(self, settings, bias):
+        """Production's cached-CDF search and the reference's
+        ``Generator.choice`` pick the same operator on every call and leave
+        the generator in the same state."""
+        settings = settings.copy(parameter_mutation_bias=bias)
+        production = self._picks(VariationOperators, settings, 50_000)
+        reference = self._picks(DeepcopyVariationOperators, settings, 50_000)
+        assert production[0] == reference[0]
+        assert production[1] == reference[1]
+        assert len(set(production[0])) == len(OPERATOR_ARITY)
+
+
+class TestSettingsValidation:
+    """The operator draw and the generator read these settings unchecked,
+    so validation must reject NaN and infinities up front."""
+
+    @pytest.mark.parametrize("name", [
+        "weight_exponent_bound", "weight_mutation_scale",
+        "parameter_mutation_bias", "expected_vc_variables",
+        "basis_function_cost", "vc_exponent_cost",
+        "sag_min_relative_improvement"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_settings_reject_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            CaffeineSettings(**{name: value})
+
+    def test_expected_vc_variables_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="expected_vc_variables"):
+            CaffeineSettings(expected_vc_variables=-0.5)
+        assert CaffeineSettings(expected_vc_variables=0.0)

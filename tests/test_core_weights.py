@@ -165,3 +165,75 @@ class TestTransformClipBitEquivalence:
                 np.float64(reference).tobytes(), (stored, bound)
 
         run()
+
+
+class TestWeightClipBitEquivalence:
+    """``Weight`` construction and ``cauchy_mutated_value`` clip with the
+    same branches as the transform, bit for bit ``float(np.clip(...))``."""
+
+    @staticmethod
+    def _edge_values():
+        import math
+
+        edges = [0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+                 1e-300, -1e-300]
+        for bound in (10.0, 2.5):
+            for limit in (2.0 * bound, -2.0 * bound):
+                edges += [limit, math.nextafter(limit, math.inf),
+                          math.nextafter(limit, -math.inf)]
+        return edges
+
+    class _StubRng:
+        """Stands in for the generator: ``standard_cauchy`` returns the
+        given draw."""
+
+        def __init__(self, draw):
+            self.draw = draw
+
+        def standard_cauchy(self):
+            return self.draw
+
+    @staticmethod
+    def _same_bits(ours, reference):
+        return type(ours) is float and \
+            np.float64(ours).tobytes() == np.float64(reference).tobytes()
+
+    def test_weight_stored_matches_np_clip(self):
+        from hypothesis import given, settings as hyp_settings
+        from hypothesis import strategies as st
+
+        @hyp_settings(max_examples=400, deadline=None)
+        @given(stored=st.one_of(st.sampled_from(self._edge_values()),
+                                st.floats(width=64)),
+               bound=st.one_of(st.sampled_from([10.0, 2.5]),
+                               st.floats(min_value=1e-3, max_value=1e3)))
+        def run(stored, bound):
+            ours = Weight(stored=stored, exponent_bound=bound).stored
+            reference = float(np.clip(stored, -2.0 * bound, 2.0 * bound))
+            assert self._same_bits(ours, reference), (stored, bound)
+
+        run()
+
+    def test_cauchy_mutated_value_matches_np_clip(self):
+        from hypothesis import given, settings as hyp_settings
+        from hypothesis import strategies as st
+
+        values = st.one_of(st.sampled_from(self._edge_values()),
+                           st.floats(width=64))
+
+        @hyp_settings(max_examples=400, deadline=None)
+        @given(stored=values, draw=values,
+               scale=st.sampled_from([1.0, 0.3, 7.0]),
+               bound=st.sampled_from([10.0, 2.5]))
+        def run(stored, draw, scale, bound):
+            ours = cauchy_mutated_value(stored, scale, self._StubRng(draw),
+                                        bound)
+            reference = float(np.clip(stored + scale * draw,
+                                      -2.0 * bound, 2.0 * bound))
+            assert self._same_bits(ours, reference), (stored, draw, scale)
+
+        run()
+
+    def test_nan_exponent_bound_rejected(self):
+        with pytest.raises(ValueError, match="exponent_bound"):
+            Weight(stored=1.0, exponent_bound=float("nan"))
