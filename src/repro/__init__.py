@@ -97,8 +97,9 @@ checked mechanically by :mod:`repro.analysis`, the project's AST-based
 linter: ``python -m repro lint src/`` walks the tree, ``--list-rules``
 and ``--explain <rule-id>`` document each rule's rationale and PR
 provenance, and intentional exceptions carry inline
-``# repro-lint: allow[<rule-id>] -- reason`` waivers.  CI gates on an
-unwaived-finding-free ``src/``; see the "Project invariants" section of
+``# repro-lint: allow[<rule-id>] -- reason`` waivers.  CI gates on
+``src/``, ``tests/``, ``benchmarks/`` and ``examples/`` being free of
+unwaived findings; see the "Project invariants" section of
 ``benchmarks/README.md``.
 """
 

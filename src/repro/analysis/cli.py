@@ -15,8 +15,8 @@ import textwrap
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.engine import LintConfig, LintEngine, LintReport
-from repro.analysis.rules import all_rules, get_rule, rule_ids
+from repro.analysis.engine import LintEngine, LintReport
+from repro.analysis.rules import RULES, RULES_BY_ID
 
 __all__ = ["main", "build_parser"]
 
@@ -45,11 +45,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _explain(rule_id: str, stream) -> int:
-    try:
-        rule = get_rule(rule_id)
-    except KeyError:
+    rule = RULES_BY_ID.get(rule_id)
+    if rule is None:
         print(f"error: no lint rule named {rule_id!r}; "
-              f"registered rules: {', '.join(rule_ids())}", file=sys.stderr)
+              f"registered rules: {', '.join(sorted(RULES_BY_ID))}",
+              file=sys.stderr)
         return 2
     scope = ("everywhere" if rule.scope is None
              else ", ".join(rule.scope))
@@ -62,7 +62,7 @@ def _explain(rule_id: str, stream) -> int:
 
 
 def _list_rules(stream) -> int:
-    for rule in all_rules():
+    for rule in sorted(RULES, key=lambda r: r.id):
         marker = " (diagnostic)" if not rule.node_types else ""
         print(f"{rule.id:<18} {rule.summary}{marker}", file=stream)
     return 0
@@ -119,8 +119,7 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
         print(f"error: no such path(s): "
               f"{', '.join(str(p) for p in missing)}", file=sys.stderr)
         return 2
-    config = LintConfig.load(paths[0])
-    report = LintEngine(config=config).lint_paths(paths)
+    report = LintEngine().lint_paths(paths)
     if args.format == "json":
         json.dump(report.as_dict(), stream, indent=2, sort_keys=False)
         stream.write("\n")

@@ -1,11 +1,11 @@
 """The lint engine: one AST walk per file, rules dispatched per node.
 
-Rules live in a named registry (:mod:`repro.analysis.rules`), each
-declaring the AST node types it wants to see, the module scope it applies
-to and an ``--explain``-able rationale.
+The rules (:data:`repro.analysis.rules.RULES`) each declare the AST node
+types they want to see, the module scope they apply to and an
+``--explain``-able rationale.
 :class:`LintEngine` parses every file once, builds a parent map and a
 little per-file context (:class:`FileContext`), then dispatches each node
-to the rules registered for its type -- so adding a rule never adds a
+to the rules that asked for its type -- so adding a rule never adds a
 file pass.
 
 Findings carry a rule id, a precise location (1-based line and column),
@@ -13,24 +13,18 @@ a message and a fix hint.  A finding is suppressed only by an explicit
 inline waiver carrying a reason (:mod:`repro.analysis.waivers`); waivers
 that suppress nothing are themselves findings, so the waiver inventory
 can never silently rot.
-
-Configuration comes from the ``[tool.repro-lint]`` block of the nearest
-``pyproject.toml`` (see :class:`LintConfig`): per-rule module scopes can
-be widened or narrowed and path patterns excluded without touching code.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-import fnmatch
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Finding",
     "FileContext",
-    "LintConfig",
     "LintEngine",
     "LintReport",
     "module_name_for",
@@ -94,8 +88,6 @@ class FileContext:
         #: how the spawn-safety rule tells ``module.func`` (fine) from
         #: ``obj.method`` (a bound method, not spawn-picklable)
         self.imported_modules: set = set()
-        #: module-level function name -> ast.FunctionDef / ast.Lambda
-        self.module_functions: Dict[str, ast.AST] = {}
         #: function names defined *nested* inside another function
         self.nested_functions: set = set()
         self._index()
@@ -112,20 +104,15 @@ class FileContext:
                         self.imported_modules.add(
                             alias.asname or alias.name.split(".")[0])
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if self.enclosing_function(node) is None:
-                    self.module_functions.setdefault(node.name, node)
-                else:
+                if self.enclosing_function(node) is not None:
                     self.nested_functions.add(node.name)
             elif isinstance(node, ast.Assign):
                 # ``name = lambda ...`` counts as a function binding too.
                 if (isinstance(node.value, ast.Lambda)
                         and len(node.targets) == 1
-                        and isinstance(node.targets[0], ast.Name)):
-                    name = node.targets[0].id
-                    if self.enclosing_function(node) is None:
-                        self.module_functions.setdefault(name, node.value)
-                    else:
-                        self.nested_functions.add(name)
+                        and isinstance(node.targets[0], ast.Name)
+                        and self.enclosing_function(node) is not None):
+                    self.nested_functions.add(node.targets[0].id)
 
     # ------------------------------------------------------------------
     def parent(self, node: ast.AST) -> Optional[ast.AST]:
@@ -233,150 +220,6 @@ def _scope_matches(module: str, scope: Optional[Tuple[str, ...]]) -> bool:
 
 
 # ----------------------------------------------------------------------
-# configuration
-# ----------------------------------------------------------------------
-@dataclasses.dataclass
-class LintConfig:
-    """The ``[tool.repro-lint]`` block of ``pyproject.toml``.
-
-    ``exclude``
-        posix path glob patterns (matched against the path as given and as
-        repo-relative) whose files are skipped entirely.
-    ``disable``
-        rule ids turned off outright.
-    ``rule_scopes``
-        per-rule module-scope overrides (``[tool.repro-lint.rules.<id>]``
-        with ``scope = ["repro", ...]``); an empty list means "everywhere".
-    """
-
-    exclude: Tuple[str, ...] = ()
-    disable: Tuple[str, ...] = ()
-    rule_scopes: Dict[str, Optional[Tuple[str, ...]]] = dataclasses.field(
-        default_factory=dict)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def load(cls, start: Optional[Path] = None) -> "LintConfig":
-        """Config from the nearest ``pyproject.toml`` at/above ``start``."""
-        base = Path(start) if start is not None else Path.cwd()
-        if base.is_file():
-            base = base.parent
-        for candidate in [base, *base.parents]:
-            pyproject = candidate / "pyproject.toml"
-            if pyproject.is_file():
-                return cls.from_pyproject(pyproject)
-        return cls()
-
-    @classmethod
-    def from_pyproject(cls, path: Path) -> "LintConfig":
-        data = _load_toml(Path(path))
-        section = data.get("tool", {}).get("repro-lint", {})
-        if not isinstance(section, dict):
-            return cls()
-        rule_scopes: Dict[str, Optional[Tuple[str, ...]]] = {}
-        rules = section.get("rules", {})
-        if isinstance(rules, dict):
-            for rule_id, options in rules.items():
-                if not isinstance(options, dict):
-                    continue
-                scope = options.get("scope")
-                if isinstance(scope, list):
-                    rule_scopes[str(rule_id)] = (
-                        tuple(str(s) for s in scope) if scope else None)
-        return cls(
-            exclude=tuple(str(p) for p in section.get("exclude", []) or ()),
-            disable=tuple(str(r) for r in section.get("disable", []) or ()),
-            rule_scopes=rule_scopes,
-        )
-
-    def excludes(self, path: Path) -> bool:
-        text = Path(path).as_posix()
-        return any(fnmatch.fnmatch(text, pattern)
-                   or fnmatch.fnmatch(Path(path).name, pattern)
-                   for pattern in self.exclude)
-
-
-def _load_toml(path: Path) -> dict:
-    try:
-        import tomllib
-    except ImportError:  # pragma: no cover - python 3.10
-        tomllib = None
-    if tomllib is not None:
-        try:
-            with open(path, "rb") as handle:
-                return tomllib.load(handle)
-        except (OSError, ValueError):
-            return {}
-    return _parse_toml_subset(path)  # pragma: no cover - python 3.10
-
-
-def _parse_toml_subset(path: Path) -> dict:  # pragma: no cover - py3.10 only
-    """A minimal TOML reader for the config subset this tool documents.
-
-    Python 3.10 (the oldest supported interpreter) has no ``tomllib`` and
-    the repo vendors no TOML parser, so on that interpreter the config is
-    read by this fallback: ``[table]`` headers plus ``key = "string"`` /
-    ``key = ["array", "of", "strings"]`` / ``key = true|false`` pairs --
-    exactly the grammar the ``[tool.repro-lint]`` docs promise.  Anything
-    fancier is ignored rather than misread.
-    """
-    import re
-
-    try:
-        text = path.read_text()
-    except OSError:
-        return {}
-    root: dict = {}
-    current = root
-    pending_key: Optional[str] = None
-    pending_chunks: List[str] = []
-
-    def assign(table: dict, key: str, raw: str) -> None:
-        raw = raw.strip()
-        value: object
-        if raw.startswith("["):
-            value = re.findall(r'"((?:[^"\\]|\\.)*)"', raw)
-        elif raw.startswith('"'):
-            match = re.match(r'"((?:[^"\\]|\\.)*)"', raw)
-            value = match.group(1) if match else raw
-        elif raw in ("true", "false"):
-            value = raw == "true"
-        else:
-            return  # numbers/dates: not part of the documented subset
-        table[key] = value
-
-    for line in text.splitlines():
-        stripped = line.strip()
-        if pending_key is not None:
-            pending_chunks.append(stripped)
-            if "]" in stripped:
-                assign(current, pending_key, " ".join(pending_chunks))
-                pending_key, pending_chunks = None, []
-            continue
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped.startswith("[") and stripped.endswith("]"):
-            names = stripped.strip("[]").strip()
-            current = root
-            for part in names.split("."):
-                part = part.strip().strip('"')
-                current = current.setdefault(part, {})
-                if not isinstance(current, dict):
-                    current = {}
-            continue
-        if "=" in stripped:
-            key, _, raw = stripped.partition("=")
-            key = key.strip().strip('"')
-            raw = raw.split("#")[0].strip() if not raw.strip().startswith(
-                '"') else raw.strip()
-            if raw.startswith("[") and "]" not in raw:
-                pending_key, pending_chunks = key, [raw]
-                continue
-            assign(current, key, raw)
-    return root
-
-
-# ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
@@ -412,27 +255,16 @@ class LintReport:
 
 
 class LintEngine:
-    """Walk files once; dispatch each AST node to the registered rules."""
+    """Walk files once; dispatch each AST node to the rules."""
 
-    def __init__(self, rules: Optional[Sequence] = None,
-                 config: Optional[LintConfig] = None) -> None:
-        if rules is None:
-            from repro.analysis.rules import active_rules
+    def __init__(self) -> None:
+        from repro.analysis.rules import RULES
 
-            rules = active_rules()
-        self.config = config if config is not None else LintConfig()
-        self.rules = [rule for rule in rules
-                      if rule.id not in self.config.disable]
+        self.rules = RULES
         self._by_type: Dict[type, List] = {}
         for rule in self.rules:
             for node_type in rule.node_types:
                 self._by_type.setdefault(node_type, []).append(rule)
-
-    # ------------------------------------------------------------------
-    def effective_scope(self, rule) -> Optional[Tuple[str, ...]]:
-        if rule.id in self.config.rule_scopes:
-            return self.config.rule_scopes[rule.id]
-        return rule.scope
 
     # ------------------------------------------------------------------
     def lint_file(self, path) -> List[Finding]:
@@ -453,8 +285,7 @@ class LintEngine:
                             message=f"syntax error: {error.msg}")]
         context = FileContext(path, module_name_for(path), tree, source)
         findings: List[Finding] = []
-        scoped = {rule.id: _scope_matches(context.module,
-                                          self.effective_scope(rule))
+        scoped = {rule.id: _scope_matches(context.module, rule.scope)
                   for rule in self.rules}
         for node in ast.walk(tree):
             for rule in self._by_type.get(type(node), ()):
@@ -477,19 +308,13 @@ class LintEngine:
                 files.extend(sorted(
                     p for p in entry.rglob("*.py")
                     if "__pycache__" not in p.parts))
-            elif entry.suffix == ".py" or entry.is_file():
-                files.append(entry)
             else:
-                files.append(entry)  # surfaces as unreadable-file finding
+                files.append(entry)  # a non-file surfaces as unreadable
         active: List[Finding] = []
         waived: List[Finding] = []
-        n_files = 0
         for path in files:
-            if self.config.excludes(path):
-                continue
-            n_files += 1
             for finding in self.lint_file(path):
                 (waived if finding.waived else active).append(finding)
         active.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         waived.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        return LintReport(findings=active, waived=waived, n_files=n_files)
+        return LintReport(findings=active, waived=waived, n_files=len(files))

@@ -1,18 +1,16 @@
-"""The project-invariant rules, in a named registry (PR-provenanced).
+"""The project-invariant rules, as one tuple (PR-provenanced).
 
 Eight PRs of reproduction hardening established invariants that used to
 live only in docstrings and regression tests.  Each rule here makes one of
-them mechanical.  Rules are registered by id, introspectable
-(``python -m repro lint --list-rules``), and third-party checks can be
-added with :func:`register_rule` without touching the engine.
+them mechanical.  :data:`RULES` holds every rule in documentation order;
+``python -m repro lint --list-rules`` lists them by id.
 
 Every rule carries:
 
 * ``id`` -- the stable kebab-case name used in output, waivers
   (``# repro-lint: allow[<id>] -- reason``) and ``--explain <id>``;
-* ``scope`` -- the dotted-module prefixes it applies to by default
-  (None = every linted file); override per rule under
-  ``[tool.repro-lint.rules.<id>]`` in ``pyproject.toml``;
+* ``scope`` -- the dotted-module prefixes it applies to (None = every
+  linted file);
 * ``node_types`` -- the AST node classes it wants to see (the engine walks
   each file once and dispatches per node);
 * ``explain`` -- the invariant's rationale and provenance (which PR/docstring
@@ -26,19 +24,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis.engine import Finding, FileContext, dotted_name
 
-__all__ = [
-    "Rule",
-    "register_rule",
-    "unregister_rule",
-    "get_rule",
-    "rule_ids",
-    "active_rules",
-    "all_rules",
-]
+__all__ = ["Rule", "RULES", "RULES_BY_ID"]
 
 
 class Rule:
-    """One registered invariant check (see the module docstring)."""
+    """One invariant check (see the module docstring)."""
 
     id: str = ""
     summary: str = ""
@@ -62,56 +52,6 @@ class Rule:
             end_line=getattr(node, "end_lineno", None)
             or getattr(node, "lineno", 1),
             message=message, hint=self.hint if hint is None else hint)
-
-
-# ----------------------------------------------------------------------
-# the registry
-# ----------------------------------------------------------------------
-_RULES: Dict[str, Rule] = {}
-
-
-def register_rule(rule: Rule, *, replace: bool = False) -> None:
-    """Register ``rule`` under ``rule.id`` (replace=False guards shadowing)."""
-    if not isinstance(rule, Rule):
-        raise TypeError("rule must be a repro.analysis.rules.Rule instance")
-    if not rule.id:
-        raise ValueError("rule.id must be a non-empty string")
-    if rule.id in _RULES and not replace:
-        raise ValueError(
-            f"lint rule {rule.id!r} is already registered "
-            f"(pass replace=True to shadow it deliberately)")
-    _RULES[rule.id] = rule
-
-
-def unregister_rule(rule_id: str) -> Rule:
-    """Remove and return a registered rule."""
-    try:
-        return _RULES.pop(rule_id)
-    except KeyError:
-        raise KeyError(f"no lint rule named {rule_id!r} "
-                       f"(registered: {rule_ids()})") from None
-
-
-def get_rule(rule_id: str) -> Rule:
-    try:
-        return _RULES[rule_id]
-    except KeyError:
-        raise KeyError(f"no lint rule named {rule_id!r} "
-                       f"(registered: {rule_ids()})") from None
-
-
-def rule_ids() -> Tuple[str, ...]:
-    return tuple(sorted(_RULES))
-
-
-def all_rules() -> Tuple[Rule, ...]:
-    """Every registered rule, including diagnostic pseudo-rules."""
-    return tuple(_RULES[rule_id] for rule_id in sorted(_RULES))
-
-
-def active_rules() -> Tuple[Rule, ...]:
-    """The rules the engine dispatches (insertion order = doc order)."""
-    return tuple(_RULES.values())
 
 
 # ----------------------------------------------------------------------
@@ -269,9 +209,8 @@ seedless `np.random.default_rng()` re-introduce hidden state; `time.time()`
 / `datetime.now()` feeding results make runs unreproducible.  Result-
 neutral uses (retry-backoff jitter, provenance timestamps explicitly
 excluded from fingerprints, lock staleness ages) are waived where they
-occur, with the reason inline.  Scoped to `repro` by default -- scripts in
-benchmarks/ and examples/ may legitimately read wall-clocks; widen or
-narrow under [tool.repro-lint.rules.determinism] in pyproject.toml."""
+occur, with the reason inline.  Scoped to `repro` -- scripts in
+benchmarks/ and examples/ may legitimately read wall-clocks."""
     scope = ("repro",)
     node_types = (ast.Call, ast.Import, ast.ImportFrom)
 
@@ -648,8 +587,8 @@ slip back into the library unnoticed."""
 
 
 # ----------------------------------------------------------------------
-# diagnostic pseudo-rules: never dispatched, registered so --explain,
-# --list-rules and the JSON rule counts know them
+# diagnostic pseudo-rules: never dispatched, listed in RULES so --explain,
+# --list-rules and the waiver parser know them
 # ----------------------------------------------------------------------
 class _PseudoRule(Rule):
     node_types = ()
@@ -692,10 +631,12 @@ a file that does not parse cannot carry trustworthy waiver comments."""
 
 
 # ----------------------------------------------------------------------
-# registration (insertion order is the documented rule order)
+# the rules, in documentation order
 # ----------------------------------------------------------------------
-for _rule in (BitIdentityRule(), ErrstateRule(), DeterminismRule(),
-              SpawnSafetyRule(), CrashSafetyRule(), FaultSpecRule(),
-              UnorderedIterRule(), OnePathRule(),
-              WaiverSyntaxRule(), WaiverUnusedRule(), ParseErrorRule()):
-    register_rule(_rule)
+RULES: Tuple[Rule, ...] = (
+    BitIdentityRule(), ErrstateRule(), DeterminismRule(), SpawnSafetyRule(),
+    CrashSafetyRule(), FaultSpecRule(), UnorderedIterRule(), OnePathRule(),
+    WaiverSyntaxRule(), WaiverUnusedRule(), ParseErrorRule())
+
+#: ``--explain`` looks rules up by id
+RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in RULES}

@@ -50,10 +50,6 @@ class ExpressionGenerator:
     # ------------------------------------------------------------------
     # terminals
     # ------------------------------------------------------------------
-    def random_weight(self) -> Weight:
-        """A random ``W`` terminal within the configured exponent bound."""
-        return Weight.random(self.rng, self.settings.weight_exponent_bound)
-
     def small_weight(self) -> Weight:
         """A weight whose interpreted value is of order one.
 

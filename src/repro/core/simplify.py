@@ -37,12 +37,14 @@ def simplify_population(individuals: Sequence[Individual],
     Returns one new, evaluated individual per input, in order: either the
     basis functions forward regression selected (possibly all of them) or,
     when that simplification would destroy the training fit, a re-evaluated
-    clone of the original.  The inputs are not modified.
+    copy of the original.  The inputs are not modified, and the outputs
+    share the inputs' trees (population trees are never edited in place),
+    so the evaluator reuses their memoized basis keys.
 
     ``evaluator`` is the :class:`~repro.core.evaluation.PopulationEvaluator`
     the individuals were evolved with: it supplies the training data, the
     settings, the basis matrices (from its column cache) and both batched
-    evaluations -- the simplified candidates, then clones of the originals
+    evaluations -- the simplified candidates, then copies of the originals
     whose candidate was rejected.
 
     Forward selection runs once per distinct ordered basis-key tuple (the
@@ -64,7 +66,7 @@ def simplify_population(individuals: Sequence[Individual],
                 in enumerate(zip(individuals, candidates, strict=True))
                 if not _keeps_fit(individual, kept)]
     originals = evaluator.evaluate_population(
-        [individuals[position].clone() for position in rejected])
+        [individuals[position].shared_clone() for position in rejected])
     simplified = list(candidates)
     for position, original in zip(rejected, originals, strict=True):
         simplified[position] = original
@@ -87,17 +89,15 @@ def _forward_selected(individual: Individual, evaluator) -> List[int]:
 def _candidate(individual: Individual, selected: List[int]) -> Individual:
     """An unevaluated individual holding the ``selected`` bases."""
     if len(selected) == len(individual.bases):
-        return individual.clone()
+        return individual.shared_clone()
     if not selected:
         # All bases pruned: fall back to the constant model (an Individual
         # must hold at least one tree, so keep the cheapest original one
         # but let the linear fit decide; if even that hurts, the fit's
         # coefficient will be ~0).
         cheapest = min(individual.bases, key=lambda b: b.n_nodes)
-        return Individual(bases=[cheapest.clone()],
-                          generation_born=individual.generation_born)
-    return Individual(bases=[individual.bases[i].clone() for i in selected],
-                      generation_born=individual.generation_born)
+        return individual.shared_clone([cheapest])
+    return individual.shared_clone([individual.bases[i] for i in selected])
 
 
 def _keeps_fit(individual: Individual, kept: Individual) -> bool:

@@ -1,4 +1,4 @@
-"""The invariant linter: every rule, the waiver layer, config, CLI, self-check.
+"""The invariant linter: every rule, the waiver layer, the CLI, self-check.
 
 Each rule gets a paired trigger / non-trigger fixture (written into a
 ``src/repro/...``-shaped tmp tree so module scoping resolves exactly like
@@ -18,31 +18,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    Finding,
-    LintConfig,
-    LintEngine,
-    Rule,
-    active_rules,
-    get_rule,
-    module_name_for,
-    register_rule,
-    rule_ids,
-    unregister_rule,
-)
+from repro.analysis import RULES, LintEngine, module_name_for
 from repro.analysis.cli import main as lint_main
+from repro.analysis.rules import RULES_BY_ID
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPO_SRC = REPO_ROOT / "src"
 
 
-def lint_source(tmp_path, relative, source, config=None):
+def lint_source(tmp_path, relative, source):
     """Lint ``source`` placed at ``tmp_path/relative``; return all findings."""
     path = tmp_path / relative
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(source)
-    engine = LintEngine(config=config if config is not None else LintConfig())
-    return engine.lint_file(path)
+    return LintEngine().lint_file(path)
 
 
 def rules_hit(findings, *, include_waived=False):
@@ -50,42 +39,31 @@ def rules_hit(findings, *, include_waived=False):
 
 
 # ----------------------------------------------------------------------
-# registry
+# the rule tuple
 # ----------------------------------------------------------------------
+DISPATCHED = ("bit-identity", "errstate", "determinism", "spawn-safety",
+              "crash-safety", "fault-spec", "unordered-iter", "one-path")
+DIAGNOSTIC = ("waiver-syntax", "waiver-unused", "parse-error")
+
+
 class TestRuleRegistry:
     def test_at_least_eight_active_rules(self):
-        dispatched = [r for r in active_rules() if r.node_types]
+        dispatched = [r for r in RULES if r.node_types]
         assert len(dispatched) >= 8
 
     def test_ids_and_metadata_present(self):
-        expected = {"bit-identity", "errstate", "determinism",
-                    "spawn-safety", "crash-safety", "fault-spec",
-                    "unordered-iter", "one-path"}
-        assert expected <= set(rule_ids())
-        for rule_id in sorted(expected):
-            rule = get_rule(rule_id)
+        for rule_id in DISPATCHED:
+            rule = RULES_BY_ID[rule_id]
             assert rule.summary and rule.hint and rule.explain
 
-    def test_register_round_trip_and_shadow_guard(self):
-        class Custom(Rule):
-            id = "x-custom"
-            summary = "test rule"
-            node_types = ()
-
-            def visit(self, node, ctx):
-                return ()
-
-        register_rule(Custom())
-        try:
-            assert "x-custom" in rule_ids()
-            with pytest.raises(ValueError):
-                register_rule(Custom())
-            register_rule(Custom(), replace=True)
-        finally:
-            unregister_rule("x-custom")
-        assert "x-custom" not in rule_ids()
-        with pytest.raises(KeyError):
-            get_rule("x-custom")
+    def test_ids_unique_and_list_rules_lists_exactly_them(self):
+        ids = [rule.id for rule in RULES]
+        assert all(ids) and len(set(ids)) == len(ids)
+        assert [r.id for r in RULES if r.node_types] == list(DISPATCHED)
+        stream = io.StringIO()
+        assert lint_main(["--list-rules"], stream=stream) == 0
+        listed = [line.split()[0] for line in stream.getvalue().splitlines()]
+        assert listed == sorted(DISPATCHED + DIAGNOSTIC)
 
 
 # ----------------------------------------------------------------------
@@ -535,45 +513,6 @@ class TestWaivers:
 
 
 # ----------------------------------------------------------------------
-# configuration
-# ----------------------------------------------------------------------
-class TestLintConfig:
-    def test_pyproject_round_trip(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            '[tool.repro-lint]\n'
-            'exclude = ["*/generated/*"]\n'
-            'disable = ["unordered-iter"]\n'
-            '[tool.repro-lint.rules.determinism]\n'
-            'scope = ["repro.core"]\n')
-        config = LintConfig.load(tmp_path)
-        assert config.exclude == ("*/generated/*",)
-        assert config.disable == ("unordered-iter",)
-        assert config.rule_scopes["determinism"] == ("repro.core",)
-
-    def test_disable_turns_rule_off(self, tmp_path):
-        source = ("def f(acc):\n"
-                  "    for x in {1, 2}:\n"
-                  "        acc.append(x)\n")
-        config = LintConfig(disable=("unordered-iter",))
-        findings = lint_source(tmp_path, "src/repro/ext.py", source,
-                               config=config)
-        assert "unordered-iter" not in rules_hit(findings)
-
-    def test_scope_override_widens_rule(self, tmp_path):
-        source = ("import time\n"
-                  "def f():\n"
-                  "    return time.time()\n")
-        config = LintConfig(rule_scopes={"determinism": None})
-        findings = lint_source(tmp_path, "scripts_dir/tool.py", source,
-                               config=config)
-        assert "determinism" in rules_hit(findings)
-
-    def test_repo_pyproject_parses(self):
-        config = LintConfig.from_pyproject(REPO_ROOT / "pyproject.toml")
-        assert config.rule_scopes.get("determinism") == ("repro",)
-
-
-# ----------------------------------------------------------------------
 # the CLI and the JSON schema
 # ----------------------------------------------------------------------
 class TestCli:
@@ -655,8 +594,7 @@ class TestCli:
 # ----------------------------------------------------------------------
 class TestSelfCheck:
     def test_repo_src_is_clean(self):
-        config = LintConfig.from_pyproject(REPO_ROOT / "pyproject.toml")
-        report = LintEngine(config=config).lint_paths([REPO_SRC])
+        report = LintEngine().lint_paths([REPO_SRC])
         assert report.findings == [], [f.location() for f in report.findings]
         assert report.n_files > 50
         assert len(report.waived) > 0
@@ -674,9 +612,8 @@ class TestSelfCheck:
     def test_deleting_any_waiver_resurfaces_a_finding(self, tmp_path):
         from repro.analysis.waivers import collect_waivers
 
-        config = LintConfig.from_pyproject(REPO_ROOT / "pyproject.toml")
-        engine = LintEngine(config=config)
-        known = set(rule_ids())
+        engine = LintEngine()
+        known = set(RULES_BY_ID)
         waiver_sites = []
         for path in sorted(REPO_SRC.rglob("*.py")):
             waivers, _ = collect_waivers(path.read_text(), str(path), known)

@@ -284,8 +284,42 @@ class TestSimplification:
             assert repr(out.error) == repr(alone.error)
             assert out.complexity == alone.complexity
         assert len({id(out.bases) for out in together}) == len(together)
-        assert not {id(b) for out in together for b in out.bases} & \
-            {id(b) for individual in front for b in individual.bases}
+        assert not {id(out.bases) for out in together} & \
+            {id(individual.bases) for individual in front}
+
+    def test_outputs_share_the_inputs_trees(self, rational_train,
+                                            fast_settings):
+        """Simplified candidates and re-evaluated originals hold the inputs'
+        own tree objects (which keep their memoized basis keys) in fresh
+        lists; the inputs' evaluation results are untouched."""
+        ratio = ProductTerm(vc=VariableCombo((1, -1, 0)))
+        linear = ProductTerm(vc=VariableCombo((0, 0, 1)))
+        noisy = rational_train.with_target(
+            rational_train.y
+            + 0.02 * np.std(rational_train.y)
+            * np.random.default_rng(0).normal(size=rational_train.n_samples))
+        pruned = Individual(bases=[ratio, ratio.clone(), ratio.clone(),
+                                   linear])
+        doctored = Individual(bases=[ratio.clone(), linear.clone()])
+        evaluator = self._evaluator(noisy, fast_settings)
+        evaluator.evaluate_population([pruned, doctored])
+        # An error no refit can reach: the original is re-evaluated.
+        doctored.error *= 0.5
+        before = [(individual.fit, individual.error)
+                  for individual in (pruned, doctored)]
+        out_pruned, out_doctored = simplify_population([pruned, doctored],
+                                                       evaluator)
+        assert out_pruned.n_bases < pruned.n_bases
+        assert all(any(tree is base for base in pruned.bases)
+                   for tree in out_pruned.bases)
+        assert out_doctored is not doctored
+        assert out_doctored.bases is not doctored.bases
+        assert all(tree is base for tree, base
+                   in zip(out_doctored.bases, doctored.bases, strict=True))
+        for individual, (fit, error) in zip((pruned, doctored), before,
+                                            strict=True):
+            assert individual.fit is fit
+            assert individual.error == error
 
 
 class TestTradeoffSetAndReport:

@@ -103,12 +103,14 @@ class TestSpecGrammar:
 
 class TestFireSemantics:
     def test_fire_consumes_times_budget(self):
+        # repro-lint: allow[fault-spec] -- synthetic point: exercises the fire/times budget itself, not a production point
         faults.install("p.x", times=2)
         assert faults.fire("p.x") is not None
         assert faults.fire("p.x") is not None
         assert faults.fire("p.x") is None  # budget spent
 
     def test_conditions_are_string_compared(self):
+        # repro-lint: allow[fault-spec] -- synthetic point: exercises condition matching itself, not a production point
         faults.install("p.x", problem="PM", attempt=0)
         assert faults.fire("p.x", problem="PM", attempt=1) is None
         assert faults.fire("p.x", problem="SRp", attempt=0) is None
@@ -116,11 +118,14 @@ class TestFireSemantics:
         assert faults.fire("p.x", problem="PM", attempt=0) is not None
 
     def test_install_from_string_is_idempotent(self):
+        # repro-lint: allow[fault-spec] -- synthetic point: exercises spec-string parsing itself, not a production point
         faults.install_from_string("p.x:times=inf")
+        # repro-lint: allow[fault-spec] -- synthetic point: exercises spec-string parsing itself, not a production point
         faults.install_from_string("p.x:times=inf")
         assert len(faults.active_specs()) == 1
 
     def test_clear_disarms(self):
+        # repro-lint: allow[fault-spec] -- synthetic point: exercises clear() itself, not a production point
         faults.install("p.x")
         faults.clear()
         assert faults.active_specs() == ()
@@ -133,6 +138,7 @@ class TestFireSemantics:
         assert faults.fire("p.env") is None
 
     def test_raise_point_raises_injected_fault(self):
+        # repro-lint: allow[fault-spec] -- synthetic point: exercises raise_point itself, not a production point
         faults.install("p.x")
         with pytest.raises(InjectedFault, match="p.x"):
             faults.raise_point("p.x")
@@ -141,6 +147,7 @@ class TestFireSemantics:
     def test_corrupt_file_point_truncates(self, tmp_path):
         path = tmp_path / "f.bin"
         path.write_bytes(b"x" * 100)
+        # repro-lint: allow[fault-spec] -- synthetic point: exercises corrupt_file_point itself, not a production point
         faults.install("p.corrupt")
         assert faults.corrupt_file_point("p.corrupt", path)
         assert path.stat().st_size == 50
