@@ -10,10 +10,11 @@ the *same* dataset.  This module removes that redundancy:
 
 * :class:`BasisColumnCache` -- an LRU cache mapping a basis function's
   structural key to its evaluated column on one dataset;
-* :class:`PopulationEvaluator` -- evaluates whole populations: it collects
-  the unique uncached basis functions across all individuals, computes their
-  columns once, then assembles each individual's basis matrix from cached
-  columns and runs the linear fits; a second,
+* :class:`PopulationEvaluator` -- evaluates whole populations: it interns
+  the batch's unique basis functions once into one ``(u, n_samples)`` row
+  matrix (computing only the uncached columns), describes every
+  same-width group of individuals as an ``(m, k)`` array of row indices
+  into it, and fits and scores each group in stacked calls; a second,
   individual-level LRU (keyed by the ordered tuple of basis keys) short-cuts
   the fit itself for structurally identical individuals;
 * :class:`GramPool` -- a cross-generation pool of normal-equation scalars
@@ -22,7 +23,11 @@ the *same* dataset.  This module removes that redundancy:
   ``(k+1) x (k+1)`` gather-and-solve with no per-fit pass over
   ``n_samples`` beyond the final residual step; offspring that differ from a
   parent by one basis function cost ``k`` fresh pair dots instead of a full
-  ``k^2`` gram (the incremental, "rank-1" regime).
+  ``k^2`` gram (the incremental, "rank-1" regime).  The pool resolves a
+  whole batch at once: one deduplicated set of pair lookups, one
+  :func:`~repro.regression.least_squares.pair_dots` call for the missing
+  ones and one scatter into each group's gram stack, with no Python loop
+  over pair requests.
 
 :meth:`PopulationEvaluator.evaluate_population` is the only way an
 individual gets fitted: the engine calls it once per generation and
@@ -52,6 +57,7 @@ multi-target sweep roughly six times cheaper (a serial
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 from collections import OrderedDict
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -212,18 +218,26 @@ class BasisColumnCache:
         self._columns.clear()
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_triangle(k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(k)``, built once per width (callers never write
+    into it)."""
+    return np.triu_indices(k)
+
+
 class GramPool:
     """Cross-generation pool of canonical normal-equation scalars.
 
     Per basis column (identified by structural key) the pool caches the
     column sum, the column--target dot and a finiteness flag; per unordered
     *pair* of columns it caches the dot product (diagonal pairs double as
-    the squared norms the fit's column scaling needs).  Every scalar is
-    computed through :func:`repro.regression.least_squares.pair_dots` --
-    whose batched results are bit-for-bit independent of batch composition
-    -- so a gram gathered here is exactly the gram the same recipe would
-    compute from the assembled basis matrix, no matter when or in which
-    batch each entry was first produced.
+    the squared norms the fit's column scaling needs).  Every scalar is a
+    reduction along the contiguous rows of a column stack (for pairs,
+    :func:`repro.regression.least_squares.pair_dots`), whose batched
+    results are bit-for-bit independent of batch composition, so a gram
+    gathered here is exactly the gram the same recipe would compute from
+    the assembled basis matrix, no matter when or in which batch each
+    entry was first produced.
 
     Crossover and mutation mostly reshuffle existing basis functions, so
     after warm-up the pool serves nearly all pair lookups from cache; an
@@ -232,10 +246,19 @@ class GramPool:
     ``k^2`` gram -- the incremental "rank-1 update" regime, realized as
     cache hits instead of explicit factor updates.
 
-    Column identities are interned to integer ids so pair keys stay small;
-    evicting a column orphans its pairs, which then age out of the pair LRU
-    naturally.
+    The pool works a batch at a time: :meth:`prepare` resolves the batch's
+    unique columns and :meth:`gather_into` all of its pairs, each with one
+    vectorized pass for the missing scalars.  Values always come from those
+    per-batch vectors, never re-read from the pool, so eviction (a pool
+    smaller than one batch) costs recomputation in later batches but never
+    a wrong or recomputed value within one.  Column identities are interned
+    to integer ids below ``2**31`` and a pair is keyed by its two ids
+    packed into one integer; evicting a column orphans its pairs, which
+    then age out of the pair LRU naturally.
     """
+
+    #: exclusive bound on column ids, so ``lo << 32 | hi`` fits an int64
+    MAX_IDS = 2 ** 31
 
     def __init__(self, y: np.ndarray, max_pairs: int = 200000) -> None:
         if max_pairs < 0:
@@ -246,9 +269,10 @@ class GramPool:
         #: columns are cheap (four scalars each) -- cap them at the pair
         #: budget so the two LRUs age out together
         self.max_columns = max(1, int(max_pairs))
-        #: structural key -> [id, colsum, ydot, finite]
-        self._columns: "OrderedDict[Tuple, list]" = OrderedDict()
-        self._pairs: "OrderedDict[Tuple[int, int], float]" = OrderedDict()
+        #: structural key -> (id, colsum, ydot, finite)
+        self._columns: "OrderedDict[Tuple, tuple]" = OrderedDict()
+        #: ``lo << 32 | hi`` of the two column ids -> dot product
+        self._pairs: "OrderedDict[int, float]" = OrderedDict()
         self._next_id = 0
         self.n_pairs_computed = 0
         self.n_pair_requests = 0
@@ -265,145 +289,111 @@ class GramPool:
         return 1.0 - self.n_pairs_computed / self.n_pair_requests
 
     # ------------------------------------------------------------------
-    def prepare(self, individuals_columns: Sequence[Sequence[Tuple[Tuple, np.ndarray]]]
-                ) -> None:
-        """Batch-compute every scalar the given individuals will need.
+    def prepare(self, keys: Sequence[Tuple], rows: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Pool ids and column statistics of a batch's unique columns.
 
-        ``individuals_columns`` holds, per individual, its ``(structural
-        key, evaluated column)`` sequence.  Missing column stats and missing
-        pair dots across the whole batch are each computed in a single
-        vectorized :func:`pair_dots`-recipe call -- the generation-level
-        GEMM-like step that replaces per-fit passes over ``n_samples``.
+        ``rows`` is the C-contiguous ``(u, n_samples)`` stack of the
+        columns whose structural keys are ``keys`` (each key once).
+        Returns the ``ids``, ``colsums``, ``ydots`` and ``finite`` vectors
+        aligned with ``rows``; statistics the pool lacks are computed in one
+        vectorized row reduction and pooled under fresh ids.
         """
-        missing: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
-        for columns in individuals_columns:
-            for key, column in columns:
-                if key not in self._columns and key not in missing:
-                    missing[key] = column
+        if self._next_id + len(keys) > self.MAX_IDS:
+            # Renumber from zero so packed pair keys stay collision-free;
+            # pooled scalars never change a result.
+            self._columns.clear()
+            self._pairs.clear()
+            self._next_id = 0
+        columns = self._columns
+        entries = [columns.get(key) for key in keys]
+        if len(columns) > self.max_columns // 2:
+            # Recency refreshes are LRU hygiene: they only matter once the
+            # pool could evict, so skip them in the (default) steady state.
+            for key, entry in zip(keys, entries, strict=True):
+                if entry is not None:
+                    columns.move_to_end(key)
+        missing = [position for position, entry in enumerate(entries)
+                   if entry is None]
+        stats = np.array([(0, 0.0, 0.0, False) if entry is None else entry
+                          for entry in entries], dtype=float).reshape(-1, 4)
+        ids = stats[:, 0].astype(np.int64)
+        colsums = stats[:, 1]
+        ydots = stats[:, 2]
+        finite = stats[:, 3] != 0.0
         if missing:
-            self._compute_singles(missing)
+            fresh = rows[missing]
+            ids[missing] = np.arange(self._next_id,
+                                     self._next_id + len(missing))
+            self._next_id += len(missing)
+            colsums[missing] = fresh.sum(axis=1)
+            ydots[missing] = (fresh * self._y_row).sum(axis=1)
+            finite[missing] = np.isfinite(fresh).all(axis=1)
+            for position in missing:
+                columns[keys[position]] = (
+                    int(ids[position]), float(colsums[position]),
+                    float(ydots[position]), bool(finite[position]))
+            while len(columns) > self.max_columns:
+                columns.popitem(last=False)
+        return ids, colsums, ydots, finite
 
-        pair_keys: List[Tuple[int, int]] = []
-        rows_a: List[np.ndarray] = []
-        rows_b: List[np.ndarray] = []
-        queued = set()
-        # Recency refreshes are LRU hygiene: they only matter once the pool
-        # could actually evict.  Below half capacity (the steady state for
-        # default sizes) they are tens of thousands of pure-overhead
-        # OrderedDict moves per generation, so skip them.
-        refresh_columns = len(self._columns) > self.max_columns // 2
-        refresh_pairs = len(self._pairs) > self.max_pairs // 2
-        for columns in individuals_columns:
-            ids = []
-            for key, column in columns:
-                entry = self._columns.get(key)
-                if entry is None:
-                    # Evicted within this very batch (pool smaller than the
-                    # batch's unique columns): recompute and re-register so
-                    # the pairs queued below stay reachable at gather time
-                    # (an anonymous id would orphan them in the pair LRU).
-                    entry = self._single_statistics(column)
-                    self._columns[key] = entry
-                    while len(self._columns) > self.max_columns:
-                        self._columns.popitem(last=False)
-                elif refresh_columns:
-                    self._columns.move_to_end(key)
-                ids.append((entry[0], column))
-            for a, (id_a, col_a) in enumerate(ids):
-                for id_b, col_b in ids[a:]:
-                    pair = (id_a, id_b) if id_a <= id_b else (id_b, id_a)
-                    if pair in self._pairs:
-                        if refresh_pairs:
-                            # Refresh recency so a nearly-full pool never
-                            # evicts the batch's own working set while
-                            # inserting its fresh pairs.
-                            self._pairs.move_to_end(pair)
-                        continue
-                    if pair in queued:
-                        continue
-                    queued.add(pair)
-                    pair_keys.append(pair)
-                    rows_a.append(col_a)
-                    rows_b.append(col_b)
-        if pair_keys:
-            dots = pair_dots(np.stack(rows_a), np.stack(rows_b))
-            self.n_pairs_computed += len(pair_keys)
-            for pair, value in zip(pair_keys, dots, strict=True):
-                self._pairs[pair] = float(value)
-            while len(self._pairs) > self.max_pairs:
-                self._pairs.popitem(last=False)
+    def gather_into(self, rows: np.ndarray, ids: np.ndarray,
+                    index_groups: Sequence[np.ndarray],
+                    grams_out: Sequence[np.ndarray]) -> None:
+        """Gather every gram of a batch into its group's stack.
 
-    def gather_into(self, columns: Sequence[Tuple[Tuple, np.ndarray]],
-                    gram_out: np.ndarray, colsums_out: np.ndarray,
-                    ydots_out: np.ndarray) -> bool:
-        """Gather one individual's statistics into preallocated arrays.
-
-        Returns whether every column is finite.  ``gram_out`` may be one
-        slice of a same-width group's ``(m, k, k)`` stack, which is how the
-        batched fit path avoids a copy per individual.  Scalars evicted
-        since :meth:`prepare` (a pool smaller than the batch) are recomputed
-        (and cached) inline with the canonical recipe, so the gather is
-        correct whatever the pool size.  LRU recency is deliberately *not*
-        refreshed here: :meth:`prepare` just touched every entry this
-        gather reads.
+        ``rows`` and ``ids`` are :meth:`prepare`'s input and output;
+        ``index_groups[g]`` is an ``(m, k)`` array holding, per individual
+        of one same-width group, the row of each of its bases, and
+        ``grams_out[g]`` the ``(m, k, k)`` stack to fill.  The batch's pair
+        requests are deduplicated in one :func:`numpy.unique`, each unique
+        pair is looked up once, and the missing dots are computed in one
+        :func:`pair_dots` call.
         """
-        k = len(columns)
-        ids = []
-        finite = True
-        for position, (key, column) in enumerate(columns):
-            entry = self._columns.get(key)
-            if entry is None:
-                # Column evicted since prepare: compute with the same
-                # canonical recipe -- the value is identical either
-                # way -- and cache it for the next lookup.
-                entry = self._single_statistics(column)
-                self._columns[key] = entry
-                while len(self._columns) > self.max_columns:
-                    self._columns.popitem(last=False)
-            ids.append(entry[0])
-            colsums_out[position] = entry[1]
-            ydots_out[position] = entry[2]
-            finite = finite and entry[3]
+        groups = []
+        for index in index_groups:
+            upper_a, upper_b = _upper_triangle(index.shape[1])
+            groups.append((upper_a, upper_b, index[:, upper_a].ravel(),
+                           index[:, upper_b].ravel()))
+        rows_a = np.concatenate([group[2] for group in groups])
+        rows_b = np.concatenate([group[3] for group in groups])
+        self.n_pair_requests += rows_a.size
+        if rows_a.size == 0:
+            return
+        ids_a = ids[rows_a]
+        ids_b = ids[rows_b]
+        packed = (np.minimum(ids_a, ids_b) << 32) | np.maximum(ids_a, ids_b)
+        unique, first, inverse = np.unique(packed, return_index=True,
+                                           return_inverse=True)
         pairs = self._pairs
-        self.n_pair_requests += k * (k + 1) // 2
-        for a in range(k):
-            id_a = ids[a]
-            for b in range(a, k):
-                id_b = ids[b]
-                pair = (id_a, id_b) if id_a <= id_b else (id_b, id_a)
-                value = pairs.get(pair)
-                if value is None:
-                    value = float(pair_dots(columns[a][1][None, :],
-                                            columns[b][1][None, :])[0])
-                    self.n_pairs_computed += 1
-                    pairs[pair] = value
-                    while len(pairs) > self.max_pairs:
-                        pairs.popitem(last=False)
-                gram_out[a, b] = value
-                gram_out[b, a] = value
-        return finite
-
-    # ------------------------------------------------------------------
-    def _single_statistics(self, column: np.ndarray) -> list:
-        """Uncached per-column stats (canonical recipe, fresh id)."""
-        row = column[None, :]
-        entry = [self._next_id, float(row.sum(axis=1)[0]),
-                 float((row * self._y_row).sum(axis=1)[0]),
-                 bool(np.isfinite(row).all(axis=1)[0])]
-        self._next_id += 1
-        return entry
-
-    def _compute_singles(self, missing: "OrderedDict[Tuple, np.ndarray]") -> None:
-        rows = np.stack(list(missing.values()))
-        colsums = rows.sum(axis=1)
-        ydots = (rows * self._y_row).sum(axis=1)
-        finite = np.isfinite(rows).all(axis=1)
-        for position, key in enumerate(missing):
-            self._columns[key] = [self._next_id, float(colsums[position]),
-                                  float(ydots[position]), bool(finite[position])]
-            self._next_id += 1
-        while len(self._columns) > self.max_columns:
-            self._columns.popitem(last=False)
+        unique_keys = unique.tolist()
+        found = [pairs.get(key) for key in unique_keys]
+        if len(pairs) > self.max_pairs // 2:
+            for key, value in zip(unique_keys, found, strict=True):
+                if value is not None:
+                    pairs.move_to_end(key)
+        missing = [position for position, value in enumerate(found)
+                   if value is None]
+        values = np.array([0.0 if value is None else value
+                           for value in found])
+        if missing:
+            source = first[missing]
+            values[missing] = pair_dots(rows[rows_a[source]],
+                                        rows[rows_b[source]])
+            self.n_pairs_computed += len(missing)
+            for position in missing:
+                pairs[unique_keys[position]] = float(values[position])
+            while len(pairs) > self.max_pairs:
+                pairs.popitem(last=False)
+        gathered = values[inverse]
+        offset = 0
+        for (upper_a, upper_b, group_rows, _), grams in zip(groups, grams_out,
+                                                            strict=True):
+            block = gathered[offset:offset + group_rows.size].reshape(
+                grams.shape[0], upper_a.size)
+            offset += group_rows.size
+            grams[:, upper_a, upper_b] = block
+            grams[:, upper_b, upper_a] = block
 
 
 class CompiledColumnBackend:
@@ -456,14 +446,16 @@ class BatchedResidualBackend:
         self.n_batched_fits = 0
 
     def errors(self, fits: Sequence[LinearFit],
-               basis_matrices: Sequence[np.ndarray]) -> List[float]:
-        """One stacked prediction/residual pass over a same-width group."""
+               stacked: np.ndarray) -> List[float]:
+        """One stacked prediction/residual pass over a same-width group.
+
+        ``stacked`` is the group's ``(m, n_samples, k)`` basis stack (any
+        memory layout), one matrix per fit.
+        """
         if not fits:
             return []
         intercepts = np.array([fit.intercept for fit in fits])
         coefficient_rows = np.stack([fit.coefficients for fit in fits])
-        stacked = np.stack([np.asarray(m, dtype=float)
-                            for m in basis_matrices])
         predictions = predict_linear_batch(intercepts, coefficient_rows,
                                            stacked)
         self.n_batched_passes += 1
@@ -526,13 +518,6 @@ class PopulationEvaluator:
         self.n_fit_requests = 0
         self.n_fits_computed = 0
         self._fit_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
-        #: keys prefilled by the current batch; their first assembly lookup is
-        #: accounted as a computation, not a cache hit (see _column_for)
-        self._fresh_keys: set = set()
-        #: batch-local overlay of prefilled columns, consulted before the LRU
-        #: so that a cache smaller than one batch never forces recomputation
-        #: within the batch that just computed a column
-        self._batch_columns: Dict[Tuple, np.ndarray] = {}
         #: per-basis complexity by structural key (complexity is additive
         #: over bases and fully determined by the key + settings, so the sum
         #: over cached terms is bit-identical to model_complexity)
@@ -561,7 +546,11 @@ class PopulationEvaluator:
 
     def basis_matrix(self, bases: Sequence[ProductTerm]) -> np.ndarray:
         """Assemble an ``(n_samples, n_bases)`` matrix from cached columns."""
-        return self._matrix_from_keys([self.basis_key(b) for b in bases], bases)
+        self.n_column_requests += len(bases)
+        if not bases:
+            return np.zeros((self.X.shape[0], 0))
+        return np.column_stack([self._column(self.basis_key(basis), basis)
+                                for basis in bases])
 
     # ------------------------------------------------------------------
     def evaluate_population(self, individuals: Sequence[Individual]
@@ -604,14 +593,7 @@ class PopulationEvaluator:
             else:
                 self._fit_cache.move_to_end(fit_key)
             results[fit_key] = cached
-        try:
-            self._prefill_columns(pending)
-            fresh = self._prepare_fits(pending)
-        finally:
-            # Clear even on a mid-batch exception: leftover fresh keys would
-            # corrupt the hit-rate accounting of the next batch.
-            self._fresh_keys.clear()
-            self._batch_columns.clear()
+        fresh = self._prepare_fits(pending)
         for (individual, keys), (fit, error) in zip(pending, fresh,
                                                     strict=True):
             entry = (fit, error,
@@ -633,30 +615,15 @@ class PopulationEvaluator:
         return individuals
 
     # ------------------------------------------------------------------
-    def _column_for(self, key: Tuple, basis: ProductTerm) -> np.ndarray:
-        self.n_column_requests += 1
-        column = self._batch_columns.get(key)
-        if column is not None:
-            if key in self._fresh_keys:
-                # First assembly lookup of a column the batch prefill just
-                # computed: real work happened this batch, so it counts as a
-                # computation, not as cache reuse.
-                self._fresh_keys.discard(key)
-                self.n_columns_computed += 1
-            return column
+    def _column(self, key: Tuple, basis: ProductTerm) -> np.ndarray:
+        """The column of ``basis`` (basis key ``key``): cached, or computed,
+        counted and cached."""
         column = self.cache.get((self.dataset_key, key))
         if column is None:
             column = self.column_backend.evaluate(basis, key)
             self.n_columns_computed += 1
             self.cache.put((self.dataset_key, key), column)
         return column
-
-    def _matrix_from_keys(self, keys: List[Tuple],
-                          bases: Sequence[ProductTerm]) -> np.ndarray:
-        if not bases:
-            return np.zeros((self.X.shape[0], 0))
-        return np.column_stack([self._column_for(key, basis)
-                                for key, basis in zip(keys, bases, strict=True)])
 
     def _complexity_from_keys(self, keys: List[Tuple],
                               bases: Sequence[ProductTerm]) -> float:
@@ -676,30 +643,6 @@ class PopulationEvaluator:
         return float(sum(total))
 
     # ------------------------------------------------------------------
-    def _prefill_columns(self, keyed: Sequence[Tuple[Individual, List[Tuple]]]
-                         ) -> None:
-        """Compute every column the given individuals will need, once.
-
-        Results land in the batch-local overlay and the LRU, so assembly
-        never recomputes a column this batch produced -- even when the LRU
-        is smaller than the batch.
-        """
-        missing: "OrderedDict[Tuple, ProductTerm]" = OrderedDict()
-        for individual, keys in keyed:
-            for key, basis in zip(keys, individual.bases, strict=True):
-                if key not in missing and key not in self._batch_columns \
-                        and (self.dataset_key, key) not in self.cache:
-                    missing[key] = basis
-        # No counter bumps here: the assembly pass accounts each of these
-        # keys as a computation on its first lookup (via _fresh_keys), so a
-        # basis occurrence is counted exactly once per evaluation.
-        for key, basis in missing.items():
-            column = self.column_backend.evaluate(basis, key)
-            self._fresh_keys.add(key)
-            self._batch_columns[key] = column
-            self.cache.put((self.dataset_key, key), column)
-
-    # ------------------------------------------------------------------
     # linear fits: gram-pool gather-and-solve
     #
     # Fits gather canonical normal-equation scalars from the cross-generation
@@ -714,66 +657,69 @@ class PopulationEvaluator:
                       ) -> List[Tuple[Optional[LinearFit], float]]:
         """``(fit, error)`` for each of the batch's fresh individuals, in order.
 
-        ``pending`` holds each structurally distinct individual once.  Their
-        ``(key, column)`` sequences are built once -- shared by the pool's
-        batched :meth:`GramPool.prepare` and the per-group gathers below.
-        Each same-basis-count group's normal equations are then solved by
-        one :func:`~repro.regression.least_squares.fit_linear_from_gram_batch`
-        call and scored in one stacked residual pass.  Infeasible
-        individuals get ``(None, inf)``.
+        ``pending`` holds each structurally distinct individual once.  The
+        batch's unique basis columns are interned once into one
+        ``(u, n_samples)`` row matrix (computing the uncached ones), and
+        each same-basis-count group becomes an ``(m, k)`` array of row
+        indices into it.  One :meth:`GramPool.prepare` and one
+        :meth:`GramPool.gather_into` then produce every group's normal
+        equations, which one
+        :func:`~repro.regression.least_squares.fit_linear_from_gram_batch`
+        call per group solves and one stacked residual pass scores.
+        Infeasible individuals get ``(None, inf)``.
         """
         if not pending:
             return []
+        interned: Dict[Tuple, int] = {}
+        columns: List[np.ndarray] = []
+        groups: Dict[int, Tuple[List[int], List[List[int]]]] = {}
+        for position, (individual, keys) in enumerate(pending):
+            indices = []
+            for key, basis in zip(keys, individual.bases, strict=True):
+                index = interned.get(key)
+                if index is None:
+                    index = interned[key] = len(columns)
+                    columns.append(self._column(key, basis))
+                indices.append(index)
+            self.n_column_requests += len(keys)
+            positions, row_lists = groups.setdefault(len(keys), ([], []))
+            positions.append(position)
+            row_lists.append(indices)
+        rows = np.stack(columns) if columns else np.empty((0, self.X.shape[0]))
+        ids, colsums, ydots, finite = self.gram_pool.prepare(list(interned),
+                                                             rows)
+        index_groups = [np.array(row_lists, dtype=np.intp).reshape(
+            len(positions), n_bases)
+            for n_bases, (positions, row_lists) in groups.items()]
+        grams = [np.empty((index.shape[0], index.shape[1], index.shape[1]))
+                 for index in index_groups]
+        self.gram_pool.gather_into(rows, ids, index_groups, grams)
+
         results: List[Tuple[Optional[LinearFit], float]] = \
             [(None, float("inf"))] * len(pending)
-        groups: Dict[int, List[Tuple[int, list]]] = {}
-        prepared_columns = []
-        for position, (individual, keys) in enumerate(pending):
-            keyed_columns = [(key, self._column_for(key, basis))
-                             for key, basis in zip(keys, individual.bases,
-                                                   strict=True)]
-            prepared_columns.append(keyed_columns)
-            groups.setdefault(len(keys), []).append((position, keyed_columns))
-        self.gram_pool.prepare(prepared_columns)
-        n_samples = self.X.shape[0]
-        for n_bases, items in groups.items():
-            n_items = len(items)
-            grams = np.empty((n_items, n_bases, n_bases))
-            colsums = np.empty((n_items, n_bases))
-            ydots = np.empty((n_items, n_bases))
-            basis_matrices = []
-            finite_rows = np.empty(n_items, dtype=bool)
-            for row, (_position, keyed_columns) in enumerate(items):
-                finite_rows[row] = self.gram_pool.gather_into(
-                    keyed_columns, grams[row], colsums[row], ydots[row])
-                basis_matrices.append(
-                    np.column_stack([column for _key, column in keyed_columns])
-                    if n_bases else np.zeros((n_samples, 0)))
-            if not self._y_finite:
-                finite_rows[:] = False
-            solvable = np.flatnonzero(finite_rows)
+        for (positions, _), index, group_grams in zip(
+                groups.values(), index_groups, grams, strict=True):
+            # A fit with a non-finite column or target is infeasible, and
+            # non-finite items would poison the stacked LAPACK calls.
+            solvable = np.flatnonzero(finite[index].all(axis=1)
+                                      & self._y_finite)
             if solvable.size == 0:
                 continue
-            if solvable.size < n_items:
-                # Non-finite items would poison the stacked LAPACK calls;
-                # a fit with a non-finite column or target is infeasible.
-                grams = grams[solvable]
-                colsums = colsums[solvable]
-                ydots = ydots[solvable]
-            solvable_matrices = [basis_matrices[row] for row in solvable]
-            fits = fit_linear_from_gram_batch(grams, colsums, ydots,
-                                              self._y_sum, solvable_matrices,
-                                              self.y)
-            scored = [(items[row][0], fit, basis_matrix)
-                      for row, fit, basis_matrix in zip(
-                          solvable, fits, solvable_matrices, strict=True)
-                      if fit is not None]
+            if solvable.size < len(positions):
+                index = index[solvable]
+                group_grams = group_grams[solvable]
+            # (m, k, n) row gathers, read as the (m, n, k) basis stack
+            stacked = rows[index].transpose(0, 2, 1)
+            fits = fit_linear_from_gram_batch(group_grams, colsums[index],
+                                              ydots[index], self._y_sum,
+                                              stacked, self.y)
+            scored = [row for row, fit in enumerate(fits) if fit is not None]
             if not scored:
                 continue
+            if len(scored) < len(fits):
+                stacked = stacked[scored]
             errors = self.residual_backend.errors(
-                [fit for _position, fit, _matrix in scored],
-                [basis_matrix for _position, _fit, basis_matrix in scored])
-            for (position, fit, _matrix), error in zip(scored, errors,
-                                                       strict=True):
-                results[position] = (fit, error)
+                [fits[row] for row in scored], stacked)
+            for row, error in zip(scored, errors, strict=True):
+                results[positions[solvable[row]]] = (fits[row], error)
         return results

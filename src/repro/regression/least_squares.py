@@ -109,7 +109,8 @@ def fit_linear_from_gram_batch(grams: np.ndarray, colsums: np.ndarray,
     y_sum:
         ``float(y.sum())`` -- cached once per dataset by the pool.
     basis_matrices, y:
-        The ``m`` assembled matrices and the shared target, read only by
+        The ``m`` assembled ``(n_samples, k)`` matrices (a sequence or an
+        ``(m, n_samples, k)`` stack) and the shared target, read only by
         the singular fallback.  The caller must have established
         finiteness of both (the evaluator keeps per-column finite flags).
     ridge:

@@ -242,7 +242,7 @@ class DirectFitEvaluator(PopulationEvaluator):
         for individual, keys in pending:
             evaluate_individual_inplace(
                 individual, self.X, self.y, self.settings,
-                basis_matrix=self._matrix_from_keys(keys, individual.bases),
+                basis_matrix=self.basis_matrix(individual.bases),
                 normalization=self.normalization,
                 complexity=self._complexity_from_keys(keys, individual.bases))
             results.append((individual.fit, individual.error))

@@ -348,6 +348,82 @@ class TestGramPoolEquivalence:
         for a, b in zip(population, reference):
             self._assert_same_evaluation(a, b)
 
+    def test_pool_renumbers_before_ids_reach_2_31(self, generator,
+                                                  rational_train,
+                                                  fast_settings):
+        """Pair keys pack two column ids below ``2**31`` into one int64: a
+        pool about to run out of ids renumbers from zero, and the fits
+        before, across and after the renumbering stay bit for bit the
+        reference fits."""
+        population = _random_population(generator, 12)
+        reference = [ind.clone() for ind in population]
+        evaluator = PopulationEvaluator(rational_train.X, rational_train.y,
+                                        fast_settings,
+                                        cache=BasisColumnCache(1))
+        pool = evaluator.gram_pool
+        pool._next_id = GramPool.MAX_IDS - 3
+        assert GramPool.MAX_IDS == 2 ** 31
+        ids_seen = []
+        for individual in population:
+            evaluator.evaluate_population([individual])
+            assert pool._next_id <= GramPool.MAX_IDS
+            ids_seen.extend(entry[0] for entry in pool._columns.values())
+            assert all(0 <= key < 2 ** 63 for key in pool._pairs)
+        assert max(ids_seen) >= GramPool.MAX_IDS - 3
+        assert pool._next_id < GramPool.MAX_IDS - 3  # it renumbered
+        # A second pass through the renumbered pool (the one-entry fit
+        # cache misses) reuses pooled pairs and still matches.
+        again = [ind.clone() for ind in population]
+        evaluator.evaluate_population(again)
+        direct = DirectFitEvaluator(rational_train.X, rational_train.y,
+                                    fast_settings)
+        direct.evaluate_population(reference)
+        for a, b, c in zip(population, again, reference):
+            self._assert_same_evaluation(a, c)
+            self._assert_same_evaluation(b, c)
+
+    def test_pair_accounting_on_a_mixed_batch(self, generator, rational_train,
+                                              fast_settings):
+        """Pair requests are k(k+1)/2 per freshly fitted individual, and
+        pair computations are the batch's distinct column pairs the pool
+        did not hold -- over widths, within-batch duplicates, an
+        intercept-only and an infeasible individual."""
+        X = rational_train.X.copy()
+        X[0, 0] = 0.0
+        evaluator = PopulationEvaluator(X, rational_train.y, fast_settings)
+        population = _random_population(generator, 10)
+        evaluator.evaluate_population(population[:6])
+        infeasible = Individual(bases=[ProductTerm(vc=VariableCombo((-4, 0, 0)))])
+        batch = population[4:] + [
+            Individual(bases=[]), infeasible, population[7].clone(),
+            Individual(bases=population[0].bases[:1]
+                       + population[8].bases + infeasible.bases)]
+
+        pool = evaluator.gram_pool
+        live = {entry[0]: key for key, entry in pool._columns.items()}
+        pooled = {frozenset((live[packed >> 32], live[packed & (2 ** 32 - 1)]))
+                  for packed in pool._pairs
+                  if packed >> 32 in live and packed & (2 ** 32 - 1) in live}
+        fresh = {}
+        for individual in batch:
+            keys = tuple(evaluator.basis_key(b) for b in individual.bases)
+            if keys not in evaluator._fit_cache:
+                fresh[keys] = len(keys)
+        wanted = {frozenset((keys[a], keys[b]))
+                  for keys in fresh for a in range(len(keys))
+                  for b in range(a, len(keys))}
+        requests_before = pool.n_pair_requests
+        computed_before = pool.n_pairs_computed
+        evaluator.evaluate_population(batch)
+
+        assert len(fresh) < len(batch)
+        assert pool.n_pair_requests - requests_before == \
+            sum(k * (k + 1) // 2 for k in fresh.values())
+        assert pool.n_pairs_computed - computed_before == \
+            len(wanted - pooled) > 0
+        assert not batch[7].is_feasible and not batch[9].is_feasible
+        assert batch[6].is_feasible
+
     def test_settings_validate_fit_backend(self):
         # Fits and Pareto ranking have one production path each; their
         # former backend knobs are rejected outright.
