@@ -1,13 +1,15 @@
 """Pareto-kernel benchmark: vectorized vs. pure-Python NSGA-II ranking.
 
 ``fast_nondominated_sort`` was the engine's hottest remaining pure-Python
-path (O(N^2) ``dominates`` calls per generation); the vectorized kernels in
-:mod:`repro.core.pareto` replace it.  The pure-Python reference they are
-checked against lives in ``tests/oracles.py``.  This benchmark measures full NSGA-II ranking (sort +
-per-front crowding, i.e. ``rank_population``) at population scales 100, 500
-and 2000 on objective vectors shaped like the engine's (a 2-D
+path (O(N^2) ``dominates`` calls per generation); the two-objective
+lexicographic sweep in :mod:`repro.core.pareto` replaces it.  The
+pure-Python reference it is checked against lives in ``tests/oracles.py``.
+This benchmark measures full NSGA-II ranking (sort + per-front crowding,
+i.e. the engine's ``rank_population_arrays``) at population scales 100,
+500 and 2000 on objective vectors shaped like the engine's (a 2-D
 error/complexity cloud including duplicate points and ``inf`` markers for
-infeasible individuals).
+infeasible individuals), once on the production kernels and once inside
+``oracles.reference_layers("pareto")``.
 
 Both are verified to produce identical fronts and crowding values before
 any number is reported.  Emits ``benchmarks/output/bench_pareto.json``
@@ -24,7 +26,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.nsga2 import rank_population
+from repro.core.nsga2 import rank_population_arrays
 from repro.core.pareto import crowding_distances, fast_nondominated_sort
 
 import oracles
@@ -90,9 +92,9 @@ def test_pareto_sort_throughput(benchmark):
         repeats = max(1, 2000 // n)
         with oracles.reference_layers("pareto"):
             python_seconds = _time_callable(
-                lambda: rank_population(population), repeats)
+                lambda: rank_population_arrays(population), repeats)
         numpy_seconds = _time_callable(
-            lambda: rank_population(population), repeats)
+            lambda: rank_population_arrays(population), repeats)
         entry = {
             "population_size": n,
             "n_fronts": len(python_fronts),
@@ -120,6 +122,6 @@ def test_pareto_sort_throughput(benchmark):
                for v in _engine_like_vectors(POPULATION_SIZES[-1], rng)]
 
     def rank_largest():
-        rank_population(largest)
+        rank_population_arrays(largest)
 
     benchmark(rank_largest)

@@ -24,9 +24,10 @@ The public surface of the core package:
   (:func:`~repro.core.artifact.load_front`), served over HTTP by
   :mod:`repro.serve`;
 * grammar machinery (:mod:`repro.core.grammar`), expression trees
-  (:mod:`repro.core.expression`), operators (:mod:`repro.core.operators`) and
-  the NSGA-II layer (:mod:`repro.core.nsga2`) for users who want to extend
-  the search.
+  (:mod:`repro.core.expression`) and operators (:mod:`repro.core.operators`)
+  for users who want to extend the search; the NSGA-II layer
+  (:mod:`repro.core.nsga2`) is the engine's one two-objective selection
+  path over rank/crowding arrays.
 """
 
 from repro.core.artifact import (

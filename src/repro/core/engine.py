@@ -167,36 +167,29 @@ class CaffeineEngine:
         call that reproduces the sequential draw stream exactly; after
         evaluation, :func:`~repro.core.nsga2.select_and_rerank` performs
         survivor selection and derives the survivors' arrays from one
-        nondominated sort of the combined population.
+        nondominated sort of the combined population.  The population
+        always holds ``population_size >= 4`` members (settings validation
+        enforces the bound and ``select_and_rerank`` returns exactly that
+        many survivors), so every tournament has two distinct competitors;
+        a population assigned from outside needs at least two members.
         """
         ranked = self._ranked_population()
         population = self.population
         n = len(population)
         offspring: List[Individual] = []
-        if n > 1:
-            bounds = self._tournament_bounds
-            if bounds is None or bounds[0] != n:
-                bounds = np.array([n, n - 1, n, n - 1], dtype=np.int64)
-                self._tournament_bounds = bounds
-            for _ in range(self.settings.population_size):
-                draws = self.rng.integers(0, bounds)
-                parent_a = population[tournament_winner(ranked, draws[0],
-                                                        draws[1])]
-                parent_b = population[tournament_winner(ranked, draws[2],
-                                                        draws[3])]
-                child = self.operators.vary(parent_a, parent_b)
-                child.generation_born = generation
-                offspring.append(child)
-        else:
-            # Degenerate single-member population (never produced by the
-            # engine itself, but external drivers may assign one): keep the
-            # reference draw sequence of one integers(1) per tournament.
-            for _ in range(self.settings.population_size):
-                parent_a = population[int(self.rng.integers(n))]
-                parent_b = population[int(self.rng.integers(n))]
-                child = self.operators.vary(parent_a, parent_b)
-                child.generation_born = generation
-                offspring.append(child)
+        bounds = self._tournament_bounds
+        if bounds is None or bounds[0] != n:
+            bounds = np.array([n, n - 1, n, n - 1], dtype=np.int64)
+            self._tournament_bounds = bounds
+        for _ in range(self.settings.population_size):
+            draws = self.rng.integers(0, bounds)
+            parent_a = population[tournament_winner(ranked, draws[0],
+                                                    draws[1])]
+            parent_b = population[tournament_winner(ranked, draws[2],
+                                                    draws[3])]
+            child = self.operators.vary(parent_a, parent_b)
+            child.generation_born = generation
+            offspring.append(child)
         # Variation (RNG-driven) is kept strictly separate from evaluation
         # (RNG-free), so batching the evaluation preserves the random stream.
         self.evaluator.evaluate_population(offspring)

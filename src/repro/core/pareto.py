@@ -5,22 +5,24 @@ that filter models down to the trade-off of training error vs. complexity and
 later of *testing* error vs. complexity (the rightmost column of the paper's
 Figure 3).
 
-The kernels are vectorized: broadcasting implementations build the
-pairwise domination matrix in chunks, and the two-objective (error,
-complexity) case -- the engine's -- runs O(n log n) sweeps.  This is what
-lets the engine scale ``population_size`` without the ranking step going
-quadratic-in-pure-Python.  Results are canonical: fronts are ascending
-index lists (a front is a set; ascending order is the deterministic
-choice), and ``inf`` objectives (the engine's marker for infeasible
-individuals) follow IEEE comparison semantics.  NaN objectives are not
-supported -- the engine never produces them (errors are finite or exactly
-``inf``).  The test suite checks every kernel against a pure-Python
-reference of Deb's definitions.
+CAFFEINE has exactly two objectives, so the sorting kernels take exactly
+two: :func:`fast_nondominated_sort` is one O(n log n) lexicographic sweep,
+:func:`nondominated_indices` is its front 0, and any other objective count
+raises ``ValueError``.  This is what lets the engine scale
+``population_size`` without the ranking step going quadratic.
+:func:`dominates` and :func:`crowding_distances` are defined for any
+number of objectives.  Results are canonical: fronts are ascending index
+lists (a front is a set; ascending order is the deterministic choice), and
+``inf`` objectives (the engine's marker for infeasible individuals) follow
+IEEE comparison semantics.  NaN objectives are not supported -- the engine
+never produces them (errors are finite or exactly ``inf``).  The pure-Python
+references of Deb's definitions that every kernel must match live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple, TypeVar
+from typing import Callable, List, Sequence, TypeVar
 
 import numpy as np
 
@@ -28,7 +30,6 @@ __all__ = ["dominates", "nondominated_indices", "nondominated_filter",
            "fast_nondominated_sort", "crowding_distances"]
 
 T = TypeVar("T")
-Objectives = Tuple[float, ...]
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -42,89 +43,20 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
 
 def _objective_array(objective_vectors: Sequence[Sequence[float]]) -> np.ndarray:
     """The vectors as a float ``(n, m)`` array (raises on ragged input)."""
-    array = np.asarray([tuple(v) for v in objective_vectors], dtype=float)
-    if array.ndim == 1:
-        # Zero-length objective vectors: asarray of empty tuples collapses.
-        array = array.reshape(len(objective_vectors), 0)
-    return array
-
-
-def _domination_matrix(vectors: np.ndarray) -> np.ndarray:
-    """Boolean ``D`` with ``D[i, j]`` true when ``i`` dominates ``j``.
-
-    Built in row chunks so the broadcast temporaries stay bounded (a few MB)
-    for the multi-thousand-point populations the benchmarks exercise.
-    """
-    n, n_objectives = vectors.shape
-    matrix = np.empty((n, n), dtype=bool)
-    chunk = max(1, 4_000_000 // max(1, n * max(1, n_objectives)))
-    for start in range(0, n, chunk):
-        block = vectors[start:start + chunk, None, :]
-        not_worse = (block <= vectors[None, :, :]).all(axis=-1)
-        strictly_better = (block < vectors[None, :, :]).any(axis=-1)
-        matrix[start:start + chunk] = not_worse & strictly_better
-    return matrix
-
-
-# ----------------------------------------------------------------------
-# nondominated indices / filter
-# ----------------------------------------------------------------------
-def nondominated_indices(objective_vectors: Sequence[Sequence[float]]
-                         ) -> List[int]:
-    """Indices of the nondominated vectors (the Pareto front), ascending."""
-    if len(objective_vectors) == 0:
-        return []
-    vectors = _objective_array(objective_vectors)
-    if vectors.shape[1] == 2:
-        return _nondominated_indices_two_objective(vectors)
-    matrix = _domination_matrix(vectors)
-    return [int(i) for i in np.flatnonzero(matrix.sum(axis=0) == 0)]
-
-
-def _nondominated_indices_two_objective(vectors: np.ndarray) -> List[int]:
-    """O(n log n) sweep for the two-objective (error, complexity) case.
-
-    After a lexicographic sort by ``(o1, o2)``, every possible dominator of
-    a point precedes it, so one pass tracking the running minimum of ``o2``
-    (and, among points attaining it, the minimum ``o1`` -- needed to tell a
-    duplicate point, which does not dominate, from a strictly better one)
-    decides domination for each point in O(1).
-    """
-    o1 = vectors[:, 0]
-    o2 = vectors[:, 1]
-    order = np.lexsort((o2, o1))
-    min_o2 = np.inf
-    min_o2_o1 = np.inf
-    keep: List[int] = []
-    for idx in order:
-        x = float(o1[idx])
-        y = float(o2[idx])
-        dominated = min_o2 < y or (min_o2 == y and min_o2_o1 < x)
-        if not dominated:
-            keep.append(int(idx))
-        if y < min_o2:
-            min_o2 = y
-            min_o2_o1 = x
-        elif y == min_o2 and x < min_o2_o1:
-            min_o2_o1 = x
-    keep.sort()
-    return keep
-
-
-def nondominated_filter(items: Sequence[T],
-                        key: Callable[[T], Sequence[float]]) -> List[T]:
-    """Return the items whose ``key(item)`` objective vectors are nondominated."""
-    vectors = [tuple(key(item)) for item in items]
-    keep = set(nondominated_indices(vectors))
-    return [item for index, item in enumerate(items) if index in keep]
+    return np.asarray([tuple(v) for v in objective_vectors], dtype=float)
 
 
 # ----------------------------------------------------------------------
 # fast nondominated sort
 # ----------------------------------------------------------------------
-def _fast_nondominated_sort_two_objective(
-        vectors: np.ndarray) -> List[List[int]]:
-    """O(n log n) full front assignment for the two-objective case.
+def fast_nondominated_sort(objective_vectors: Sequence[Sequence[float]]
+                           ) -> List[List[int]]:
+    """Deb's fast nondominated sort of (error, complexity) vectors: list of
+    fronts (ascending index lists).
+
+    Front 0 is the Pareto front; each subsequent front is nondominated once
+    all previous fronts are removed.  Raises ``ValueError`` unless every
+    vector has exactly two objectives.
 
     Points are processed in lexicographic ``(o1, o2)`` order, so every
     dominator of a point is already assigned when the point is reached.  A
@@ -132,10 +64,15 @@ def _fast_nondominated_sort_two_objective(
     the point's (or ties it with a strictly smaller ``o1`` -- the duplicate
     vs. strictly-better distinction); because every front-``f+1`` member is
     dominated by a front-``f`` member, the predicate is monotone in the
-    front index and the point's front is found by binary search.  Matches
-    Deb's peeling definition exactly: same membership, and fronts are
-    emitted as ascending index lists.
+    front index and the point's front is found by binary search: O(n log n)
+    overall, with the same membership as Deb's peeling definition.
     """
+    if len(objective_vectors) == 0:
+        return []
+    vectors = _objective_array(objective_vectors)
+    if vectors.shape[1] != 2:
+        raise ValueError("Pareto sorting takes exactly two objectives "
+                         "(error, complexity) per vector")
     o1 = vectors[:, 0]
     o2 = vectors[:, 1]
     order = np.lexsort((o2, o1))
@@ -168,31 +105,22 @@ def _fast_nondominated_sort_two_objective(
     return fronts
 
 
-def fast_nondominated_sort(objective_vectors: Sequence[Sequence[float]]
-                           ) -> List[List[int]]:
-    """Deb's fast nondominated sort: list of fronts (ascending index lists).
+# ----------------------------------------------------------------------
+# nondominated indices / filter
+# ----------------------------------------------------------------------
+def nondominated_indices(objective_vectors: Sequence[Sequence[float]]
+                         ) -> List[int]:
+    """Indices of the nondominated vectors (the Pareto front), ascending."""
+    fronts = fast_nondominated_sort(objective_vectors)
+    return fronts[0] if fronts else []
 
-    Front 0 is the Pareto front; each subsequent front is nondominated once
-    all previous fronts are removed.
-    """
-    if len(objective_vectors) == 0:
-        return []
-    vectors = _objective_array(objective_vectors)
-    n = vectors.shape[0]
-    if vectors.shape[1] == 2:
-        return _fast_nondominated_sort_two_objective(vectors)
-    matrix = _domination_matrix(vectors)
-    counts = matrix.sum(axis=0).astype(np.int64)
-    unassigned = np.ones(n, dtype=bool)
-    fronts: List[List[int]] = []
-    while True:
-        front = np.flatnonzero(unassigned & (counts == 0))
-        if front.size == 0:
-            break
-        fronts.append([int(i) for i in front])
-        unassigned[front] = False
-        counts -= matrix[front].sum(axis=0)
-    return fronts
+
+def nondominated_filter(items: Sequence[T],
+                        key: Callable[[T], Sequence[float]]) -> List[T]:
+    """Return the items whose ``key(item)`` objective vectors are nondominated."""
+    vectors = [tuple(key(item)) for item in items]
+    keep = set(nondominated_indices(vectors))
+    return [item for index, item in enumerate(items) if index in keep]
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,11 @@ plainer reference here that it must match bit for bit:
   time with :func:`predict_linear` instead of one stacked
   ``predict_linear_batch`` pass per basis width;
 * Pareto -- :func:`nondominated_indices`, :func:`fast_nondominated_sort`
-  and :func:`crowding_distances` are Deb's definitions in pure Python;
+  and :func:`crowding_distances` are Deb's definitions in pure Python for
+  any number of objectives (production sorts exactly two, with one
+  lexicographic sweep), and :func:`environmental_selection` is the plain
+  fill-by-fronts survivor selection that ``nsga2.select_and_rerank``
+  must reproduce from its single sort;
 * genome -- :class:`DeepcopyVariationOperators` draws each operator with
   ``Generator.choice`` instead of searching a cached CDF, clones the whole
   parent and edits the clone in place instead of path-copying, and
@@ -329,6 +333,24 @@ def crowding_distances(objective_vectors) -> List[float]:
             next_value = objective_vectors[order[position + 1]][m]
             distances[order[position]] += (next_value - previous_value) / span
     return distances
+
+
+def environmental_selection(population, target_size: int) -> list:
+    """Deb's survivor selection: fill by fronts, truncate the one partial
+    front by descending crowding, ties kept in front order."""
+    vectors = [tuple(ind.objectives) for ind in population]
+    survivors: list = []
+    for front in fast_nondominated_sort(vectors):
+        if len(survivors) + len(front) <= target_size:
+            survivors.extend(population[i] for i in front)
+            continue
+        crowding = crowding_distances([vectors[i] for i in front])
+        order = sorted(range(len(front)), key=crowding.__getitem__,
+                       reverse=True)
+        remaining = target_size - len(survivors)
+        survivors.extend(population[front[k]] for k in order[:remaining])
+        break
+    return survivors
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,6 @@ import numpy as np
 import pytest
 
 from repro.core.nsga2 import (
-    binary_tournament,
-    environmental_selection,
-    rank_population,
     rank_population_arrays,
     select_and_rerank,
     tournament_winner,
@@ -147,47 +144,48 @@ class TestNsga2Selection:
         return [Point((1.0, 5.0)), Point((2.0, 3.0)), Point((3.0, 2.0)),
                 Point((5.0, 1.0)), Point((4.0, 4.0)), Point((6.0, 6.0))]
 
+    @staticmethod
+    def _tournaments(ranked, rng, count):
+        """``count`` engine-style tournaments: a first index from ``[0, n)``
+        and a second draw from ``[0, n - 1)``."""
+        n = len(ranked)
+        return [ranked.individuals[tournament_winner(
+                    ranked, int(rng.integers(n)), int(rng.integers(n - 1)))]
+                for _ in range(count)]
+
     def test_rank_population_assigns_ranks(self):
-        ranked = rank_population(self._population())
-        ranks = [r.rank for r in ranked]
+        population = self._population()
+        ranked = rank_population_arrays(population)
+        assert ranked.individuals is population
+        ranks = list(ranked.ranks)
         assert ranks[:4] == [0, 0, 0, 0]
         assert ranks[4] == 1 and ranks[5] > 0
 
     def test_environmental_selection_prefers_first_front(self):
         population = self._population()
-        survivors = environmental_selection(population, 4)
+        survivors = select_and_rerank(population, 4)[0]
         assert len(survivors) == 4
         assert all(p.objectives != (6.0, 6.0) for p in survivors)
 
     def test_environmental_selection_truncates_by_crowding(self):
         population = [Point((float(i), float(10 - i))) for i in range(11)]
         population.append(Point((5.0, 5.0001)))  # crowded duplicate-ish point
-        survivors = environmental_selection(population, 5)
+        survivors = select_and_rerank(population, 5)[0]
         objectives = {p.objectives for p in survivors}
         # The extreme points always survive truncation.
         assert (0.0, 10.0) in objectives
         assert (10.0, 0.0) in objectives
 
     def test_environmental_selection_invalid_size(self):
-        with pytest.raises(ValueError):
-            environmental_selection(self._population(), 0)
+        for target_size in (0, -1):
+            with pytest.raises(ValueError):
+                select_and_rerank(self._population(), target_size)
 
     def test_binary_tournament_prefers_better_rank(self):
-        population = self._population()
-        ranked = rank_population(population)
-        rng = np.random.default_rng(0)
-        winners = [binary_tournament(ranked, rng) for _ in range(100)]
+        ranked = rank_population_arrays(self._population())
+        winners = self._tournaments(ranked, np.random.default_rng(0), 100)
         dominated_wins = sum(1 for w in winners if w.objectives == (6.0, 6.0))
         assert dominated_wins < 30
-
-    def test_binary_tournament_empty(self):
-        with pytest.raises(ValueError):
-            binary_tournament([], np.random.default_rng(0))
-
-    def test_binary_tournament_singleton_population(self):
-        only = Point((1.0, 1.0))
-        ranked = rank_population([only])
-        assert binary_tournament(ranked, np.random.default_rng(0)) is only
 
     def test_binary_tournament_never_self_competes(self):
         """With two members where one dominates, the tournament always draws
@@ -195,16 +193,15 @@ class TestNsga2Selection:
         same-index bug let it win ~25% of the time)."""
         better = Point((1.0, 1.0))
         worse = Point((2.0, 2.0))
-        ranked = rank_population([better, worse])
-        rng = np.random.default_rng(0)
-        winners = [binary_tournament(ranked, rng) for _ in range(200)]
+        ranked = rank_population_arrays([better, worse])
+        winners = self._tournaments(ranked, np.random.default_rng(0), 200)
         assert all(w is better for w in winners)
 
     def test_environmental_selection_partial_front_tied_crowding(self):
         """Truncating inside a front of equally spaced (tied-crowding) points
         keeps exactly target_size survivors including both boundary points."""
         front = [Point((float(i), float(6 - i))) for i in range(7)]
-        survivors = environmental_selection(front, 4)
+        survivors = select_and_rerank(front, 4)[0]
         assert len(survivors) == 4
         objectives = {p.objectives for p in survivors}
         # Boundary points carry infinite crowding and always survive; the
@@ -216,8 +213,8 @@ class TestNsga2Selection:
         """A partial front where every interior crowding distance ties must
         still fill deterministically to the requested size."""
         front = [Point((float(i), float(9 - i))) for i in range(10)]
-        first = environmental_selection(front, 5)
-        second = environmental_selection(front, 5)
+        first = select_and_rerank(front, 5)[0]
+        second = select_and_rerank(front, 5)[0]
         assert [p.objectives for p in first] == [p.objectives for p in second]
         assert len(first) == 5
 
@@ -231,12 +228,12 @@ class TestNsga2Selection:
         both infinite-crowding boundary points first, then the two earliest
         interior members -- never the last one."""
         front = [Point((float(i), float(4 - i))) for i in range(5)]
-        survivors = environmental_selection(front, 4)
+        survivors = select_and_rerank(front, 4)[0]
         assert survivors == [front[0], front[4], front[1], front[2]]
 
 
 class TestArrayNativeSelection:
-    """select_and_rerank / rank_population_arrays vs. the object-based API."""
+    """select_and_rerank / tournament_winner vs. the plain references."""
 
     def _random_population(self, rng, n):
         vectors = rng.integers(0, 8, size=(n, 2)).astype(float)
@@ -245,20 +242,9 @@ class TestArrayNativeSelection:
             vectors[i, 0] = np.inf
         return [Point((float(a), float(b))) for a, b in vectors]
 
-    def test_rank_population_arrays_matches_objects(self):
-        rng = np.random.default_rng(11)
-        population = self._random_population(rng, 40)
-        ranked_objects = rank_population(population)
-        ranked_arrays = rank_population_arrays(population)
-        assert ranked_arrays.individuals is population
-        assert [int(r) for r in ranked_arrays.ranks] == \
-            [r.rank for r in ranked_objects]
-        assert [float(c) for c in ranked_arrays.crowding] == \
-            [r.crowding for r in ranked_objects]
-
     def test_select_and_rerank_matches_two_pass_reference(self):
         """One combined-population sort must reproduce, exactly, the
-        reference sequence `environmental_selection` then a fresh
+        reference sequence `oracles.environmental_selection` then a fresh
         `rank_population_arrays` of the survivors -- same survivor list
         (identity and order), bit-equal ranks and crowding."""
         rng = np.random.default_rng(7)
@@ -267,8 +253,9 @@ class TestArrayNativeSelection:
             target = int(rng.integers(1, n))
             population = self._random_population(rng, n)
             survivors, ranked = select_and_rerank(population, target)
-            reference = environmental_selection(population, target)
+            reference = oracles.environmental_selection(population, target)
             assert len(survivors) == target
+            assert len(reference) == target
             assert all(a is b for a, b in zip(survivors, reference))
             rereference = rank_population_arrays(survivors)
             assert list(ranked.ranks) == list(rereference.ranks)
@@ -281,20 +268,25 @@ class TestArrayNativeSelection:
     def test_tournament_winner_matches_crowded_comparison(self):
         """tournament_winner's (first_index, second_draw) encoding maps the
         second draw around the first index (distinct-pair sampling) and
-        applies the same crowded-comparison as RankedIndividual.beats."""
+        applies Deb's crowded comparison: the lower rank wins; on equal
+        rank the larger crowding wins; on equal crowding too, the second
+        competitor wins."""
         rng = np.random.default_rng(3)
         population = self._random_population(rng, 12)
-        ranked_objects = rank_population(population)
-        ranked_arrays = rank_population_arrays(population)
+        ranked = rank_population_arrays(population)
+        ranks = [int(r) for r in ranked.ranks]
+        crowding = [float(c) for c in ranked.crowding]
         n = len(population)
         for first in range(n):
             for draw in range(n - 1):
                 second = draw + (draw >= first)
                 assert second != first
-                winner = tournament_winner(ranked_arrays, first, draw)
-                expected = (first if ranked_objects[first].beats(
-                    ranked_objects[second]) else second)
-                assert winner == expected
+                if ranks[first] != ranks[second]:
+                    first_wins = ranks[first] < ranks[second]
+                else:
+                    first_wins = crowding[first] > crowding[second]
+                expected = first if first_wins else second
+                assert tournament_winner(ranked, first, draw) == expected
 
 
 class TestTwoObjectiveSweep:
@@ -321,15 +313,18 @@ class TestTwoObjectiveSweep:
             assert nondominated_indices(vectors) == \
                 oracles.nondominated_indices(vectors)
 
-    def test_three_objectives_still_agree(self):
-        """>2 objectives take the domination-matrix path -- keep it covered."""
-        rng = np.random.default_rng(44)
-        vectors = [tuple(v) for v in
-                   rng.integers(0, 4, size=(50, 3)).astype(float)]
-        assert fast_nondominated_sort(vectors) == \
-            oracles.fast_nondominated_sort(vectors)
-        assert nondominated_indices(vectors) == \
-            oracles.nondominated_indices(vectors)
+    def test_other_objective_counts_rejected(self):
+        """Only (error, complexity) pairs are sorted; 1 or 3 objectives
+        raise instead of taking a second code path."""
+        for vectors in ([(1.0,), (2.0,)],
+                        [(1.0, 2.0, 3.0), (3.0, 2.0, 1.0)]):
+            with pytest.raises(ValueError, match="two objectives"):
+                fast_nondominated_sort(vectors)
+            with pytest.raises(ValueError, match="two objectives"):
+                nondominated_indices(vectors)
+            with pytest.raises(ValueError, match="two objectives"):
+                nondominated_filter([Point(v) for v in vectors],
+                                    key=lambda p: p.objectives)
 
     def test_all_duplicates_single_front(self):
         vectors = [(2.0, 2.0)] * 6

@@ -7,7 +7,10 @@ mutually nondominated, the best training error never increases, feasible
 individuals have finite objectives and every evaluation cache stays within
 its budget.  The run is repeated with a 50-pair :class:`GramPool`, which
 evicts every generation; cache budgets trade wall-clock time only, so both
-runs must end on bit-identical fronts.
+runs must end on bit-identical fronts.  The default-budget run also saves
+its generation-75 boundary through a :class:`RunCheckpointStore`; a fresh
+engine restored from it steps on to 150 under the same invariants and must
+end on that run's bit-identical front.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.cache_store import RunCheckpointStore
 from repro.core.engine import CaffeineEngine
 from repro.core.evaluation import GramPool
 from repro.core.expression import structural_key
@@ -22,6 +26,9 @@ from repro.core.settings import CaffeineSettings
 
 SETTINGS = CaffeineSettings(population_size=40, n_generations=150,
                             max_basis_functions=15, random_seed=2005)
+
+#: the generation boundary the midpoint checkpoint is taken at
+RESUME_AT = 75
 
 
 @pytest.fixture(scope="module")
@@ -60,24 +67,46 @@ def _assert_invariants(engine: CaffeineEngine, previous_best: float) -> float:
     return best
 
 
-def _run(train, pool_pairs=None):
+def _step_through(engine: CaffeineEngine, generations: range,
+                  best: float) -> float:
+    for generation in generations:
+        engine.step(generation)
+        best = _assert_invariants(engine, best)
+    return best
+
+
+def _front(engine: CaffeineEngine) -> list:
+    return [(repr(ind.error), repr(ind.complexity),
+             tuple(repr(structural_key(basis)) for basis in ind.bases),
+             repr(ind.fit.intercept), ind.fit.coefficients.tobytes())
+            for ind in engine.final_front()]
+
+
+def _run(train, pool_pairs=None, checkpoint=None):
+    """The whole run; with ``checkpoint``, the RESUME_AT boundary is saved."""
     engine = CaffeineEngine(train, settings=SETTINGS)
     if pool_pairs is not None:
         engine.evaluator.gram_pool = GramPool(engine.evaluator.y, pool_pairs)
     engine.initialize_population()
     best = _assert_invariants(engine, float("inf"))
-    for generation in range(SETTINGS.n_generations):
-        engine.step(generation)
-        best = _assert_invariants(engine, best)
-    front = [(repr(ind.error), repr(ind.complexity),
-              tuple(repr(structural_key(basis)) for basis in ind.bases),
-              repr(ind.fit.intercept), ind.fit.coefficients.tobytes())
-             for ind in engine.final_front()]
-    return front, engine.evaluator.gram_pool
+    best = _step_through(engine, range(RESUME_AT), best)
+    if checkpoint is not None:
+        checkpoint.save_state("PM", engine.capture_run_state(RESUME_AT))
+    _step_through(engine, range(RESUME_AT, SETTINGS.n_generations), best)
+    return _front(engine), engine.evaluator.gram_pool
 
 
-def test_long_run_invariants_hold_under_any_pool_budget(pm_train):
-    default_front, default_pool = _run(pm_train)
+@pytest.fixture(scope="module")
+def uninterrupted(pm_train, tmp_path_factory):
+    """The default-budget run, with its midpoint checkpoint store."""
+    store = RunCheckpointStore(tmp_path_factory.mktemp("long_run") / "run.ckpt")
+    front, pool = _run(pm_train, checkpoint=store)
+    return front, pool, store
+
+
+def test_long_run_invariants_hold_under_any_pool_budget(pm_train,
+                                                        uninterrupted):
+    default_front, default_pool, _store = uninterrupted
     tiny_front, tiny_pool = _run(pm_train, pool_pairs=50)
     assert default_front
     assert tiny_front == default_front
@@ -85,3 +114,16 @@ def test_long_run_invariants_hold_under_any_pool_budget(pm_train):
     assert len(tiny_pool) == 50
     assert tiny_pool.n_pairs_computed > default_pool.n_pairs_computed
     assert tiny_pool.n_pair_requests == default_pool.n_pair_requests
+
+
+def test_midpoint_resume_ends_on_the_uninterrupted_front(pm_train,
+                                                         uninterrupted):
+    default_front, _pool, store = uninterrupted
+    engine = CaffeineEngine(pm_train, settings=SETTINGS)
+    assert engine.restore_run_state(store.load_state("PM")) == RESUME_AT
+    assert len(engine.history) == RESUME_AT
+    # The restored history carries the best error the saved run had
+    # reached, so the never-increases rule spans the resume boundary.
+    best = _assert_invariants(engine, engine.history[-1].best_error)
+    _step_through(engine, range(RESUME_AT, SETTINGS.n_generations), best)
+    assert _front(engine) == default_front

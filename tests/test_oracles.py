@@ -9,7 +9,8 @@ and outside it really runs production code -- and that the settings
 fingerprint checkpoints carry did not change when the backend, cache-budget
 and fault-injection knobs went.  :class:`Session` is the one way to run
 CAFFEINE: the one-call shims, the pre-Session cache helpers and the
-Session options only they or the tests set are gone for good.
+Session options only they or the tests set are gone for good, as is the
+object-based NSGA-II selection API beside the array path.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ REMOVED_KNOBS = ("evaluation_backend", "evaluation_workers", "column_backend",
                  "kernel_cache_size", "adaptive_cache_budgets",
                  "fault_injection")
 
-#: the retired second way to run: (module, name) pairs that must not exist
+#: retired second paths: (module, name) pairs that must not exist
 REMOVED_NAMES = (
     ("repro", "run_caffeine"),
     ("repro.core", "run_caffeine"),
@@ -55,6 +56,12 @@ REMOVED_NAMES = (
     ("repro.experiments.setup", "run_caffeine_for_target"),
     ("repro.experiments.setup", "shared_column_cache"),
     ("repro.experiments.setup", "persistent_shared_cache"),
+    # the object-based second selection path (the array path is the one;
+    # the plain survivor selection is oracles.environmental_selection)
+    ("repro.core.nsga2", "RankedIndividual"),
+    ("repro.core.nsga2", "rank_population"),
+    ("repro.core.nsga2", "environmental_selection"),
+    ("repro.core.nsga2", "binary_tournament"),
 )
 
 #: Session options that only the retired shims or the tests set

@@ -176,8 +176,11 @@ _adversarial_value = st.one_of(
 
 
 @st.composite
-def _equal_length_vectors(draw):
-    n_objectives = draw(st.integers(min_value=1, max_value=3))
+def _equal_length_vectors(draw, min_objectives=2, max_objectives=2):
+    """Objective vectors of one length: (error, complexity) pairs for the
+    sorting kernels by default; crowding takes any length."""
+    n_objectives = draw(st.integers(min_value=min_objectives,
+                                    max_value=max_objectives))
     vectors = draw(st.lists(
         st.tuples(*[_adversarial_value] * n_objectives),
         min_size=0, max_size=25))
@@ -203,7 +206,7 @@ def test_nondominated_indices_backends_identical(vectors):
 
 
 @FAST
-@given(vectors=_equal_length_vectors())
+@given(vectors=_equal_length_vectors(1, 3))
 def test_crowding_backends_identical(vectors):
     python_distances = oracles.crowding_distances(vectors)
     numpy_distances = crowding_distances(vectors)
@@ -219,7 +222,7 @@ def test_crowding_backends_identical(vectors):
 def test_rank_and_selection_backends_identical(vectors, seed, target_fraction):
     import dataclasses as dataclasses_module
 
-    from repro.core.nsga2 import environmental_selection, rank_population
+    from repro.core.nsga2 import rank_population_arrays, select_and_rerank
 
     if not vectors:
         return
@@ -229,17 +232,20 @@ def test_rank_and_selection_backends_identical(vectors, seed, target_fraction):
         objectives: tuple
 
     population = [Point(v) for v in vectors]
-    ranked_numpy = rank_population(population)
     target = max(1, int(len(population) * target_fraction))
-    survivors_numpy = environmental_selection(population, target)
+    ranked_numpy = rank_population_arrays(population)
+    survivors_numpy, reranked_numpy = select_and_rerank(population, target)
     with oracles.reference_layers("pareto"):
-        ranked_python = rank_population(population)
-        survivors_python = environmental_selection(population, target)
-    assert [r.rank for r in ranked_python] == [r.rank for r in ranked_numpy]
-    assert [r.crowding for r in ranked_python] == \
-        [r.crowding for r in ranked_numpy]
+        ranked_python = rank_population_arrays(population)
+        survivors_python, reranked_python = select_and_rerank(population,
+                                                              target)
+    for python, numpy in ((ranked_python, ranked_numpy),
+                          (reranked_python, reranked_numpy)):
+        assert list(python.ranks) == list(numpy.ranks)
+        assert list(python.crowding) == list(numpy.crowding)
     assert [id(p) for p in survivors_python] == \
-        [id(p) for p in survivors_numpy]
+        [id(p) for p in survivors_numpy] == \
+        [id(p) for p in oracles.environmental_selection(population, target)]
 
 
 # ----------------------------------------------------------------------
