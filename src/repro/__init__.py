@@ -7,8 +7,8 @@ Functions and Genetic Programming* (DATE 2005), as a complete Python library:
 * :mod:`repro.core` -- the CAFFEINE algorithm: canonical-form grammar,
   grammar-respecting genetic operators, NSGA-II error/complexity search,
   PRESS-based simplification;
-* :mod:`repro.circuits` -- the data-generation substrate: square-law MOSFETs,
-  MNA-based DC/AC analysis, and the symmetrical CMOS OTA whose six
+* :mod:`repro.circuits` -- the data-generation substrate: square-law MOSFETs
+  and the operating-point model of the symmetrical CMOS OTA whose six
   performances the paper models;
 * :mod:`repro.doe` -- orthogonal-hypercube design-of-experiments sampling;
 * :mod:`repro.data` -- datasets and the error metrics (qwc/qtc);

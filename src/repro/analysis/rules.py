@@ -97,8 +97,8 @@ makes (gram-pooled == direct fits, batched == scalar residuals, artifact
 round trips).  Established in PR 2 (`pair_dots`, the module docstring of
 repro/regression/least_squares.py) and extended to the prediction side in
 PR 5 (`predict_linear_batch`).  Sites genuinely outside the contract (the
-posynomial baseline, PRESS/NNLS baselines, MNA circuit solves) carry
-explicit waivers saying so."""
+posynomial baseline and the PRESS/NNLS baselines) carry explicit waivers
+saying so."""
     scope = ("repro.core.evaluation", "repro.core.compile",
              "repro.core.engine", "repro.core.model", "repro.core.simplify",
              "repro.regression", "repro.posynomial", "repro.data.metrics")

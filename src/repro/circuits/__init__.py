@@ -1,4 +1,4 @@
-"""Analog-circuit simulation substrate.
+"""Analog-circuit performance substrate.
 
 The paper trains CAFFEINE on SPICE simulation data of a high-speed CMOS OTA
 in a 0.7 um technology.  SPICE and the authors' proprietary deck are not
@@ -8,41 +8,19 @@ exercises the same code paths:
 * a **device level**: square-law (SPICE level-1 style) MOSFET model with
   channel-length modulation, small-signal parameters and capacitances
   (:mod:`repro.circuits.mosfet`);
-* a **network level**: netlists, modified nodal analysis, Newton-Raphson DC
-  operating-point solving and complex-valued AC small-signal analysis
-  (:mod:`repro.circuits.netlist`, :mod:`repro.circuits.mna`,
-  :mod:`repro.circuits.dc`, :mod:`repro.circuits.ac`);
 * a **circuit level**: the operating-point-driven formulation of the OTA and
-  extraction of the six performances modeled in the paper -- low-frequency
-  gain ``ALF``, unity-gain frequency ``fu``, phase margin ``PM``,
-  input-referred offset ``voffset`` and the slew rates ``SRp`` / ``SRn``
-  (:mod:`repro.circuits.ota`, :mod:`repro.circuits.performance`,
-  :mod:`repro.circuits.opformulation`).
+  the analytic expressions of the six performances modeled in the paper --
+  low-frequency gain ``ALF``, unity-gain frequency ``fu``, phase margin
+  ``PM``, input-referred offset ``voffset`` and the slew rates ``SRp`` /
+  ``SRn`` (:mod:`repro.circuits.ota`, :mod:`repro.circuits.opformulation`).
 
-The experiments use the fast analytic operating-point model of the OTA to
-generate the 243-sample training and testing tables; the netlist/MNA engine
-is cross-validated against it in the test suite and is available for users
-who want to model other circuits.
+The experiments use this analytic operating-point model of the OTA to
+generate the 243-sample training and testing tables.  The test suite
+cross-checks its ``ALF``, ``fu`` and ``PM`` against a linear AC solve of
+the OTA's small-signal netlist.
 """
 
 from repro.circuits.mosfet import MosfetModel, MosfetOperatingPoint, Technology
-from repro.circuits.netlist import (
-    Capacitor,
-    Circuit,
-    CurrentSource,
-    Mosfet,
-    Resistor,
-    VoltageControlledCurrentSource,
-    VoltageSource,
-)
-from repro.circuits.dc import DCSolution, solve_dc
-from repro.circuits.ac import ACSweep, ac_analysis, transfer_function
-from repro.circuits.performance import (
-    FrequencyResponse,
-    gain_db,
-    phase_margin,
-    unity_gain_frequency,
-)
 from repro.circuits.ota import (
     OTA_NOMINAL_POINT,
     OTA_VARIABLE_NAMES,
@@ -56,22 +34,6 @@ __all__ = [
     "MosfetModel",
     "MosfetOperatingPoint",
     "Technology",
-    "Circuit",
-    "Resistor",
-    "Capacitor",
-    "VoltageSource",
-    "CurrentSource",
-    "VoltageControlledCurrentSource",
-    "Mosfet",
-    "DCSolution",
-    "solve_dc",
-    "ACSweep",
-    "ac_analysis",
-    "transfer_function",
-    "FrequencyResponse",
-    "gain_db",
-    "unity_gain_frequency",
-    "phase_margin",
     "OTA_VARIABLE_NAMES",
     "OTA_NOMINAL_POINT",
     "OtaPerformances",

@@ -2,17 +2,17 @@
 
 The paper's data comes from SPICE simulations of a 0.7 um CMOS OTA with a 5 V
 supply and nominal threshold voltages of 0.76 V (NMOS) and -0.75 V (PMOS).
-This module provides the device model used by the reproduction's simulator:
-a long-channel square-law model with channel-length modulation, which is the
-standard hand-analysis model for this technology node and captures exactly
-the structural dependencies (gm, gds, capacitances vs. bias) that make the
-OTA performances nonlinear functions of the operating-point variables.
+This module provides the device model behind the reproduction's OTA
+performance model: a long-channel square-law model with channel-length
+modulation, which is the standard hand-analysis model for this technology
+node and captures exactly the structural dependencies (gm, gds,
+capacitances vs. bias) that make the OTA performances nonlinear functions
+of the operating-point variables.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Literal
 
 __all__ = ["Technology", "MosfetModel", "MosfetOperatingPoint"]
@@ -103,9 +103,9 @@ class MosfetModel:
 
     Two usage modes are provided:
 
-    * **Forward** (:meth:`evaluate`): given geometry ``(W, L)`` and terminal
-      voltages, compute the drain current and small-signal parameters --
-      used by the MNA/Newton DC solver.
+    * **Forward** (:meth:`drain_current`): given geometry ``(W, L)`` and
+      terminal voltages, compute the drain current -- the forward model the
+      operating-point inversion is checked against.
     * **Operating-point driven** (:meth:`from_operating_point`): given the
       design variables of the paper's formulation (drain current and gate
       drive voltage, plus drain-source voltage), compute the implied device
@@ -171,44 +171,6 @@ class MosfetModel:
             return beta * (veff * vds - 0.5 * vds * vds) * (1.0 + self.lam * vds)
         return 0.5 * beta * veff * veff * (1.0 + self.lam * vds)
 
-    def conductances(self, width_um: float, vgs: float, vds: float
-                     ) -> tuple[float, float]:
-        """Small-signal ``(gm, gds)`` for the given geometry and bias magnitudes."""
-        veff = vgs - self.vth_magnitude
-        if veff <= 0.0:
-            # Sub-threshold devices are treated as off with a tiny leakage
-            # conductance for numerical robustness of the Newton solver.
-            return 0.0, 1e-12
-        beta = self.kp * width_um / self.length_um
-        vds = max(vds, 0.0)
-        if vds < veff:  # triode
-            gm = beta * vds * (1.0 + self.lam * vds)
-            gds = beta * (veff - vds) * (1.0 + self.lam * vds) \
-                + beta * (veff * vds - 0.5 * vds * vds) * self.lam
-        else:  # saturation
-            gm = beta * veff * (1.0 + self.lam * vds)
-            gds = 0.5 * beta * veff * veff * self.lam
-        return gm, max(gds, 1e-12)
-
-    def evaluate(self, width_um: float, vgs: float, vds: float
-                 ) -> MosfetOperatingPoint:
-        """Full operating point from geometry and bias magnitudes."""
-        veff = vgs - self.vth_magnitude
-        current = self.drain_current(width_um, vgs, vds)
-        gm, gds = self.conductances(width_um, vgs, vds)
-        if veff <= 0:
-            region = "cutoff"
-        elif vds < veff:
-            region = "triode"
-        else:
-            region = "saturation"
-        cgs, cgd, cdb = self._capacitances(width_um)
-        return MosfetOperatingPoint(
-            polarity=self.polarity, id=current, vgs=vgs, vds=vds, veff=veff,
-            region=region, gm=gm, gds=gds, width_um=width_um,
-            length_um=self.length_um, cgs=cgs, cgd=cgd, cdb=cdb,
-        )
-
     # ------------------------------------------------------------------
     # operating-point-driven model: (id, vgs, vds) -> geometry + small signal
     # ------------------------------------------------------------------
@@ -262,24 +224,3 @@ class MosfetModel:
             f"MosfetModel({self.polarity}, L={self.length_um:.2f}um, "
             f"KP={self.kp:.3g}, |Vth|={self.vth_magnitude:.2f}V)"
         )
-
-
-def thermal_voltage(temperature_kelvin: float = 300.0) -> float:
-    """kT/q at the given temperature; used for mismatch/offset modeling."""
-    boltzmann = 1.380649e-23
-    electron_charge = 1.602176634e-19
-    return boltzmann * temperature_kelvin / electron_charge
-
-
-def gm_over_id_saturation(veff: float) -> float:
-    """Square-law transconductance efficiency ``2 / veff`` in saturation."""
-    if veff <= 0:
-        raise ValueError("effective gate drive must be positive in saturation")
-    return 2.0 / veff
-
-
-def required_veff(id: float, beta: float) -> float:
-    """Effective gate drive needed for current ``id`` with gain factor ``beta``."""
-    if id < 0 or beta <= 0:
-        raise ValueError("id must be >= 0 and beta > 0")
-    return math.sqrt(2.0 * id / beta)

@@ -20,8 +20,7 @@ evaluated on square-law device models, so the performances have the same
 structural dependencies the paper's models discover: gains proportional to
 ``gm1/gds``, mirror ratios ``id2/id1``, slew rates set by currents over the
 load capacitance, drive-voltage ratios of matched devices, and a nearly
-constant offset.  A small-signal netlist builder is provided so the analytic
-expressions can be cross-validated against the MNA-based AC analysis.
+constant offset.
 
 Circuit topology (one half shown; the circuit is symmetrical):
 
@@ -42,15 +41,14 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.circuits.mosfet import MosfetOperatingPoint, Technology
-from repro.circuits.netlist import Circuit
 from repro.circuits.opformulation import OperatingPointFormulation
-from repro.circuits.performance import phase_margin_from_poles
 
 __all__ = [
     "OTA_VARIABLE_NAMES",
     "OTA_NOMINAL_POINT",
     "OTA_PERFORMANCE_NAMES",
     "OtaPerformances",
+    "phase_margin_from_poles",
     "SymmetricalOta",
     "simulate_ota_performances",
 ]
@@ -91,6 +89,30 @@ OTA_NOMINAL_POINT: Dict[str, float] = {
 
 #: Names of the six modeled performances, in the paper's order.
 OTA_PERFORMANCE_NAMES: Tuple[str, ...] = ("ALF", "fu", "PM", "voffset", "SRp", "SRn")
+
+
+def phase_margin_from_poles(unity_gain_hz: float,
+                            nondominant_poles_hz: Sequence[float],
+                            zeros_hz: Sequence[float] = ()) -> float:
+    """Phase margin of a dominant-pole amplifier with extra poles and zeros.
+
+    ``PM = 90 - sum(atan(fu/p_i)) + sum(atan(fu/z_i))`` in degrees.  Positive
+    (left-half-plane) zeros add phase; this matches the standard hand
+    analysis of current-mirror OTAs where the mirror pole/zero pair limits
+    the phase margin.
+    """
+    if unity_gain_hz <= 0:
+        raise ValueError("unity_gain_hz must be positive")
+    margin = 90.0
+    for pole in nondominant_poles_hz:
+        if pole <= 0:
+            raise ValueError("non-dominant poles must be positive frequencies")
+        margin -= math.degrees(math.atan(unity_gain_hz / pole))
+    for zero in zeros_hz:
+        if zero <= 0:
+            raise ValueError("zeros must be positive frequencies")
+        margin += math.degrees(math.atan(unity_gain_hz / zero))
+    return margin
 
 
 @dataclasses.dataclass(frozen=True)
@@ -247,60 +269,6 @@ class SymmetricalOta:
             srp_v_per_s=srp,
             srn_v_per_s=srn,
         )
-
-    # ------------------------------------------------------------------
-    def small_signal_circuit(self, point: Mapping[str, float]) -> Circuit:
-        """Small-signal netlist of the OTA at a design point.
-
-        The circuit contains the input voltage source (``vin``, AC magnitude
-        1), the gm/gds/C small-signal elements of the signal path and the
-        10 pF load; running :func:`repro.circuits.ac.ac_analysis` on it and
-        extracting gain / fu / PM from the output node ``out`` reproduces the
-        analytic values of :meth:`performances` (cross-validated in the test
-        suite).
-        """
-        resolved = self.validate_point(point)
-        devices = self._formulation.operating_points(resolved)
-        m1 = devices["M1"]
-        m2 = devices["M2"]
-        m3 = devices["M3"]
-        m4 = devices["M4"]
-        m6 = devices["M6"]
-        mirror_ratio = resolved["id2"] / resolved["id1"]
-
-        c_node_nmos = m2.cgs + m6.cgs + m2.cdb + m1.cdb + m1.cgd
-        c_node_pmos = m3.cgs + m4.cgs + m3.cdb + m3.cgd
-
-        circuit = Circuit(name="ota_small_signal")
-        # Differential input drive (full differential voltage on one source).
-        circuit.voltage_source("vin", "inp", "0", dc=0.0, ac=1.0)
-
-        # Path A: half the pair current into the NMOS diode at node "n1",
-        # mirrored with ratio B straight to the output (sinking).
-        circuit.vccs("gm1a", "0", "n1", "inp", "0", 0.5 * m1.gm)
-        circuit.vccs("gm2", "n1", "0", "n1", "0", m2.gm)
-        circuit.resistor("ro_n1", "n1", "0", 1.0 / (m1.gds + m2.gds))
-        circuit.capacitor("c_n1", "n1", "0", c_node_nmos)
-        circuit.vccs("gm6", "out", "0", "n1", "0", mirror_ratio * m2.gm)
-
-        # Path B: the other half of the pair current into the NMOS diode at
-        # node "n0", mirrored with ratio B into the PMOS diode at node "n2",
-        # whose output device M4 sources the current to the output.
-        circuit.vccs("gm1b", "n0", "0", "inp", "0", 0.5 * m1.gm)
-        circuit.vccs("gm2b", "n0", "0", "n0", "0", m2.gm)
-        circuit.resistor("ro_n0", "n0", "0", 1.0 / (m1.gds + m2.gds))
-        circuit.capacitor("c_n0", "n0", "0", c_node_nmos)
-        circuit.vccs("gm6b", "n2", "0", "n0", "0", mirror_ratio * m2.gm)
-        circuit.vccs("gm3", "n2", "0", "n2", "0", m3.gm)
-        circuit.resistor("ro_n2", "n2", "0", 1.0 / (m3.gds + m6.gds))
-        circuit.capacitor("c_n2", "n2", "0", c_node_pmos)
-        circuit.vccs("gm4", "out", "0", "n2", "0", m4.gm)
-
-        # Output node: output conductance and total load capacitance.
-        circuit.resistor("rout", "out", "0", 1.0 / (m4.gds + m6.gds))
-        circuit.capacitor("cout", "out", "0",
-                          self.load_capacitance + m4.cdb + m6.cdb + m4.cgd + m6.cgd)
-        return circuit
 
 
 def simulate_ota_performances(

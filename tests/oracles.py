@@ -30,17 +30,25 @@ of a ``with`` block, so a whole fixed-seed run can be compared against the
 production run.  ``test_equivalence_keys.py`` runs the required
 equivalence keys through it, and ``benchmarks/bench_pareto.py`` times the
 Pareto kernels against it.
+
+The OTA's analytic performance model has a reference too:
+:func:`ota_small_signal_netlist` is the OTA's small-signal circuit,
+:func:`ac_solve` solves it one frequency at a time, and
+:func:`dc_gain_db`, :func:`unity_gain_frequency` and :func:`phase_margin`
+read ``ALF``, ``fu`` and ``PM`` off the response.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+import math
+from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
 
+from repro.circuits.ota import SymmetricalOta
 from repro.core import engine, evaluation, nsga2, pareto
 from repro.core.compile import canonicalize_factors
 from repro.core.complexity import model_complexity
@@ -565,6 +573,144 @@ class DeepcopyVariationOperators(VariationOperators):
         slot = donor_slots[int(self.rng.integers(len(donor_slots)))]
         child.bases.append(slot.get().clone())
         return child
+
+
+# ----------------------------------------------------------------------
+# OTA small signal: a linear AC solve of the OTA's own netlist
+# ----------------------------------------------------------------------
+#: a netlist element: ``(kind, nodes, value)``, see :func:`ac_solve`
+Element = Tuple[str, Tuple[str, ...], float]
+
+#: 10 Hz to 1 GHz, 30 points per decade
+OTA_SWEEP_HZ = np.logspace(1.0, 9.0, 241)
+
+
+def ota_small_signal_netlist(ota: SymmetricalOta,
+                             point: Mapping[str, float]) -> Tuple[Element, ...]:
+    """The OTA's small-signal circuit at ``point``, driven by 1 V AC at ``inp``.
+
+    Each device becomes its ``gm`` (a VCCS), its ``gds`` (folded into one
+    resistor per node) and its capacitances, from the same operating points
+    and load capacitance as :meth:`SymmetricalOta.performances`.  The
+    cross-check asserts that ``V(out)`` reproduces that model's ``ALF``,
+    ``fu`` and ``PM`` at ``OTA_NOMINAL_POINT`` only; the hand-analysis
+    formulas drift from this circuit elsewhere in the design space.
+    """
+    resolved = ota.validate_point(point)
+    devices = ota.formulation.operating_points(resolved)
+    m1, m2, m3, m4, m6 = (devices[name]
+                          for name in ("M1", "M2", "M3", "M4", "M6"))
+    mirror_ratio = resolved["id2"] / resolved["id1"]
+    c_node_nmos = m2.cgs + m6.cgs + m2.cdb + m1.cdb + m1.cgd
+    c_node_pmos = m3.cgs + m4.cgs + m3.cdb + m3.cgd
+    return (
+        # Full differential input on one source.
+        ("V", ("inp", "0"), 1.0),
+        # Path A: half the pair current into the NMOS diode at n1, mirrored
+        # with ratio B straight to the output (sinking).
+        ("G", ("0", "n1", "inp", "0"), 0.5 * m1.gm),
+        ("G", ("n1", "0", "n1", "0"), m2.gm),
+        ("R", ("n1", "0"), 1.0 / (m1.gds + m2.gds)),
+        ("C", ("n1", "0"), c_node_nmos),
+        ("G", ("out", "0", "n1", "0"), mirror_ratio * m2.gm),
+        # Path B: the other half into the NMOS diode at n0, mirrored into
+        # the PMOS diode at n2, whose output device M4 sources the output.
+        ("G", ("n0", "0", "inp", "0"), 0.5 * m1.gm),
+        ("G", ("n0", "0", "n0", "0"), m2.gm),
+        ("R", ("n0", "0"), 1.0 / (m1.gds + m2.gds)),
+        ("C", ("n0", "0"), c_node_nmos),
+        ("G", ("n2", "0", "n0", "0"), mirror_ratio * m2.gm),
+        ("G", ("n2", "0", "n2", "0"), m3.gm),
+        ("R", ("n2", "0"), 1.0 / (m3.gds + m6.gds)),
+        ("C", ("n2", "0"), c_node_pmos),
+        ("G", ("out", "0", "n2", "0"), m4.gm),
+        # Output conductance and total load capacitance.
+        ("R", ("out", "0"), 1.0 / (m4.gds + m6.gds)),
+        ("C", ("out", "0"), ota.load_capacitance + m4.cdb + m6.cdb
+         + m4.cgd + m6.cgd),
+    )
+
+
+def ac_solve(netlist: Sequence[Element], output: str,
+             frequencies_hz: Sequence[float]) -> np.ndarray:
+    """``V(output)`` over ``frequencies_hz``: one complex MNA solve each.
+
+    ``netlist`` holds ``("V", (p, n), ac)`` -- exactly one source, whose
+    branch current is the last unknown -- plus any number of
+    ``("G", (p, n, cp, cn), gm)`` (``gm * (v(cp) - v(cn))`` leaves ``p``
+    and enters ``n``), ``("R", (a, b), ohms)`` and ``("C", (a, b), farads)``.
+    Node ``"0"`` is ground.
+    """
+    nodes: dict[str, int] = {}
+    for _kind, terminals, _value in netlist:
+        for node in terminals:
+            if node != "0":
+                nodes.setdefault(node, len(nodes))
+    size = len(nodes) + 1
+    response = np.empty(len(frequencies_hz), dtype=complex)
+    for k, frequency in enumerate(frequencies_hz):
+        omega = 2.0 * np.pi * frequency
+        matrix = np.zeros((size, size), dtype=complex)
+        rhs = np.zeros(size, dtype=complex)
+        for kind, terminals, value in netlist:
+            if kind == "V":
+                rhs[-1] += value
+                for node, sign in zip(terminals, (1.0, -1.0), strict=True):
+                    if node != "0":
+                        matrix[nodes[node], -1] += sign
+                        matrix[-1, nodes[node]] += sign
+                continue
+            if kind == "G":
+                gain = value
+            else:
+                # A two-terminal admittance is a VCCS controlled by its own
+                # terminals.
+                gain = 1.0 / value if kind == "R" else 1j * omega * value
+                terminals = terminals * 2
+            out_pos, out_neg, ctrl_pos, ctrl_neg = terminals
+            for out, out_sign in ((out_pos, 1.0), (out_neg, -1.0)):
+                for ctrl, ctrl_sign in ((ctrl_pos, 1.0), (ctrl_neg, -1.0)):
+                    if out != "0" and ctrl != "0":
+                        matrix[nodes[out], nodes[ctrl]] += (
+                            out_sign * ctrl_sign * gain)
+        response[k] = np.linalg.solve(matrix, rhs)[nodes[output]]
+    return response
+
+
+def dc_gain_db(response: np.ndarray) -> float:
+    """Gain at the sweep's first frequency in dB -- the paper's ``ALF``."""
+    return 20.0 * math.log10(abs(response[0]))
+
+
+def unity_gain_frequency(frequencies_hz: np.ndarray,
+                         response: np.ndarray) -> float:
+    """First crossing of ``|H| = 1``, log-log interpolated -- ``fu``.
+
+    NaN when the gain starts at or below 1 or never crosses it in the sweep.
+    """
+    magnitude = np.abs(response)
+    below = np.flatnonzero(magnitude <= 1.0)
+    if magnitude[0] <= 1.0 or below.size == 0:
+        return float("nan")
+    hi = int(below[0])
+    log_m = math.log10(magnitude[hi - 1]), math.log10(magnitude[hi])
+    log_f = (math.log10(frequencies_hz[hi - 1]),
+             math.log10(frequencies_hz[hi]))
+    t = -log_m[0] / (log_m[1] - log_m[0])
+    return float(10 ** (log_f[0] + t * (log_f[1] - log_f[0])))
+
+
+def phase_margin(frequencies_hz: np.ndarray, response: np.ndarray) -> float:
+    """``180`` plus the phase lost from DC to ``fu``, in degrees -- ``PM``.
+
+    NaN when there is no unity-gain crossing in the sweep.
+    """
+    fu = unity_gain_frequency(frequencies_hz, response)
+    if math.isnan(fu):
+        return float("nan")
+    phase = np.degrees(np.unwrap(np.angle(response)))
+    phase_fu = np.interp(math.log10(fu), np.log10(frequencies_hz), phase)
+    return float(180.0 + (phase_fu - phase[0]))
 
 
 # ----------------------------------------------------------------------

@@ -1,203 +1,67 @@
-"""Tests for netlists, MNA assembly, DC and AC analysis."""
+"""Tests for the small-signal AC reference and the phase-margin formula.
+
+The reference in ``tests/oracles.py`` (:func:`oracles.ac_solve` and its
+``ALF``/``fu``/``PM`` readouts) is what the OTA cross-check compares the
+analytic model against, so it is checked here on circuits and responses
+with known answers.  :func:`phase_margin_from_poles` is the production
+formula behind the analytic ``PM``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.circuits.ac import ac_analysis, logspace_frequencies, transfer_function
-from repro.circuits.dc import ConvergenceError, solve_dc
-from repro.circuits.mna import MnaIndex, build_linear_system
-from repro.circuits.mosfet import MosfetModel
-from repro.circuits.netlist import Capacitor, Circuit, Resistor
-from repro.circuits.performance import (
-    FrequencyResponse,
-    gain_db,
-    phase_margin_from_poles,
-    unity_gain_frequency_from_poles,
-)
+from repro.circuits.ota import phase_margin_from_poles
 
-
-class TestNetlist:
-    def test_duplicate_names_rejected(self):
-        circuit = Circuit()
-        circuit.resistor("r1", "a", "0", 1e3)
-        with pytest.raises(ValueError):
-            circuit.resistor("r1", "b", "0", 1e3)
-
-    def test_node_names_exclude_ground(self):
-        circuit = Circuit()
-        circuit.resistor("r1", "a", "0", 1e3)
-        circuit.resistor("r2", "a", "b", 1e3)
-        assert circuit.node_names() == ("a", "b")
-
-    def test_element_lookup_and_contains(self):
-        circuit = Circuit()
-        circuit.capacitor("c1", "a", "0", 1e-12)
-        assert "c1" in circuit
-        assert isinstance(circuit["c1"], Capacitor)
-        assert len(circuit) == 1
-
-    def test_invalid_resistor_and_capacitor(self):
-        with pytest.raises(ValueError):
-            Resistor("r", "a", "0", resistance=0.0)
-        with pytest.raises(ValueError):
-            Capacitor("c", "a", "0", capacitance=-1.0)
-
-    def test_summary_lists_elements(self):
-        circuit = Circuit("demo")
-        circuit.resistor("r1", "a", "0", 1e3)
-        assert "r1" in circuit.summary()
+from oracles import ac_solve, dc_gain_db, phase_margin, unity_gain_frequency
 
 
 class TestMna:
-    def test_index_counts_nodes_and_sources(self):
-        circuit = Circuit()
-        circuit.voltage_source("v1", "a", "0", dc=1.0)
-        circuit.resistor("r1", "a", "b", 1e3)
-        circuit.resistor("r2", "b", "0", 1e3)
-        index = MnaIndex.from_circuit(circuit)
-        assert index.n_nodes == 2
-        assert index.n_sources == 1
-        assert index.size == 3
-        assert index.node("0") == -1
-
     def test_voltage_divider(self):
-        circuit = Circuit()
-        circuit.voltage_source("v1", "a", "0", dc=2.0)
-        circuit.resistor("r1", "a", "b", 1e3)
-        circuit.resistor("r2", "b", "0", 3e3)
-        index = MnaIndex.from_circuit(circuit)
-        matrix, rhs = build_linear_system(circuit, index)
-        solution = np.linalg.solve(matrix, rhs)
-        assert solution[index.node("b")] == pytest.approx(1.5)
-
-    def test_current_source_into_resistor(self):
-        circuit = Circuit()
-        circuit.current_source("i1", "0", "a", dc=1e-3)
-        circuit.resistor("r1", "a", "0", 2e3)
-        index = MnaIndex.from_circuit(circuit)
-        matrix, rhs = build_linear_system(circuit, index)
-        solution = np.linalg.solve(matrix, rhs)
-        assert solution[index.node("a")] == pytest.approx(2.0)
-
-
-class TestDcAnalysis:
-    def test_resistive_divider_via_solver(self):
-        circuit = Circuit()
-        circuit.voltage_source("vs", "in", "0", dc=5.0)
-        circuit.resistor("ra", "in", "mid", 10e3)
-        circuit.resistor("rb", "mid", "0", 10e3)
-        solution = solve_dc(circuit)
-        assert solution.voltage("mid") == pytest.approx(2.5)
-        assert solution.voltage("0") == 0.0
-
-    def test_source_current_sign(self):
-        circuit = Circuit()
-        circuit.voltage_source("vs", "a", "0", dc=1.0)
-        circuit.resistor("r", "a", "0", 1e3)
-        solution = solve_dc(circuit)
-        # 1 mA flows out of the source's positive terminal through the resistor.
-        assert abs(solution.source_currents["vs"]) == pytest.approx(1e-3)
-
-    def test_diode_connected_nmos_settles_in_saturation(self):
-        nmos = MosfetModel("nmos")
-        circuit = Circuit()
-        circuit.voltage_source("vdd", "vdd", "0", dc=5.0)
-        circuit.resistor("rbias", "vdd", "d", 100e3)
-        circuit.mosfet("m1", "d", "d", "0", nmos, width_um=10.0)
-        solution = solve_dc(circuit)
-        device = solution.device("m1")
-        assert device.region == "saturation"
-        # The gate-drain connection forces vgs = vds above threshold.
-        assert device.vgs > nmos.vth_magnitude
-        # Current consistency: resistor current equals device current.
-        resistor_current = (5.0 - solution.voltage("d")) / 100e3
-        assert device.id == pytest.approx(resistor_current, rel=1e-3)
-
-    def test_common_source_amplifier_gain(self):
-        nmos = MosfetModel("nmos")
-        circuit = Circuit()
-        circuit.voltage_source("vdd", "vdd", "0", dc=5.0)
-        circuit.voltage_source("vin", "g", "0", dc=1.2, ac=1.0)
-        circuit.resistor("rl", "vdd", "d", 20e3)
-        circuit.mosfet("m1", "d", "g", "0", nmos, width_um=5.0)
-        solution = solve_dc(circuit)
-        device = solution.device("m1")
-        assert device.region == "saturation"
-        frequencies = [10.0, 100.0]
-        response = transfer_function(circuit, "vin", "d", frequencies,
-                                     dc_solution=solution)
-        hand_gain = device.gm / (1.0 / 20e3 + device.gds)
-        assert abs(response[0]) == pytest.approx(hand_gain, rel=0.05)
-
-    def test_singular_circuit_raises(self):
-        # A floating node with no DC path cannot be solved.
-        circuit = Circuit()
-        circuit.capacitor("c1", "a", "0", 1e-12)
-        circuit.current_source("i1", "0", "a", dc=1e-3)
-        with pytest.raises(ConvergenceError):
-            solve_dc(circuit)
+        divider = (("V", ("a", "0"), 2.0),
+                   ("R", ("a", "b"), 1e3),
+                   ("R", ("b", "0"), 3e3))
+        response = ac_solve(divider, "b", [0.0, 1.0, 1e6])
+        np.testing.assert_allclose(response, 1.5, rtol=1e-12)
 
 
 class TestAcAnalysis:
     def test_rc_lowpass_corner(self):
         resistance, capacitance = 1e3, 1e-9  # corner at ~159 kHz
-        circuit = Circuit()
-        circuit.voltage_source("vin", "in", "0", dc=0.0, ac=1.0)
-        circuit.resistor("r1", "in", "out", resistance)
-        circuit.capacitor("c1", "out", "0", capacitance)
+        lowpass = (("V", ("in", "0"), 1.0),
+                   ("R", ("in", "out"), resistance),
+                   ("C", ("out", "0"), capacitance))
         corner = 1.0 / (2 * np.pi * resistance * capacitance)
-        response = transfer_function(circuit, "vin", "out", [corner / 100, corner])
+        response = ac_solve(lowpass, "out", [corner / 100, corner])
         assert abs(response[0]) == pytest.approx(1.0, abs=1e-3)
         assert abs(response[1]) == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-3)
-
-    def test_requires_nonzero_ac_magnitude(self):
-        circuit = Circuit()
-        circuit.voltage_source("vin", "in", "0", dc=1.0, ac=0.0)
-        circuit.resistor("r1", "in", "0", 1e3)
-        with pytest.raises(ValueError):
-            transfer_function(circuit, "vin", "in", [1.0, 10.0])
-
-    def test_logspace_frequencies(self):
-        freqs = logspace_frequencies(1.0, 1e3, points_per_decade=10)
-        assert freqs[0] == pytest.approx(1.0)
-        assert freqs[-1] == pytest.approx(1e3)
-        assert np.all(np.diff(np.log10(freqs)) > 0)
-
-    def test_ac_sweep_returns_all_nodes(self):
-        circuit = Circuit()
-        circuit.voltage_source("vin", "a", "0", dc=0.0, ac=1.0)
-        circuit.resistor("r1", "a", "b", 1e3)
-        circuit.resistor("r2", "b", "0", 1e3)
-        sweep = ac_analysis(circuit, [1.0, 10.0, 100.0])
-        assert sweep.n_points == 3
-        assert np.allclose(np.abs(sweep.voltage("b")), 0.5)
+        assert np.angle(response[1], deg=True) == pytest.approx(-45.0)
 
 
 class TestPerformanceExtraction:
     def test_gain_db(self):
-        assert gain_db(10.0) == pytest.approx(20.0)
-        assert gain_db(0.0) == float("-inf")
+        assert dc_gain_db(np.array([10.0 + 0j, 1.0])) == pytest.approx(20.0)
+        assert dc_gain_db(np.array([-10j, 1.0])) == pytest.approx(20.0)
 
     def test_single_pole_response_metrics(self):
         gain, pole = 1000.0, 1e3
         freqs = np.logspace(0, 8, 400)
         response = gain / (1.0 + 1j * freqs / pole)
-        fr = FrequencyResponse(freqs, response)
-        assert fr.dc_gain() == pytest.approx(gain, rel=1e-3)
-        assert fr.unity_gain_frequency() == pytest.approx(gain * pole, rel=0.02)
-        assert fr.phase_margin() == pytest.approx(90.0, abs=1.0)
+        assert dc_gain_db(response) == pytest.approx(60.0, abs=1e-3)
+        assert unity_gain_frequency(freqs, response) == pytest.approx(
+            gain * pole, rel=0.02)
+        assert phase_margin(freqs, response) == pytest.approx(90.0, abs=1.0)
 
     def test_no_unity_crossing_gives_nan(self):
         freqs = np.logspace(0, 3, 50)
-        fr = FrequencyResponse(freqs, 0.5 / (1.0 + 1j * freqs / 1e2))
-        assert np.isnan(fr.unity_gain_frequency())
-        assert np.isnan(fr.phase_margin())
+        response = 0.5 / (1.0 + 1j * freqs / 1e2)
+        assert np.isnan(unity_gain_frequency(freqs, response))
+        assert np.isnan(phase_margin(freqs, response))
+        # Starting above unity but never reaching it inside the sweep.
+        assert np.isnan(unity_gain_frequency(freqs, 100.0 * response))
 
     def test_pole_based_formulas(self):
-        fu = unity_gain_frequency_from_poles(1000.0, 1e3)
-        assert fu == pytest.approx(1e6)
         pm = phase_margin_from_poles(1e6, [1e7])
         assert pm == pytest.approx(90.0 - np.degrees(np.arctan(0.1)), rel=1e-6)
         pm_with_zero = phase_margin_from_poles(1e6, [1e7], zeros_hz=[1e7])
@@ -205,8 +69,8 @@ class TestPerformanceExtraction:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            unity_gain_frequency_from_poles(-1.0, 1e3)
+            phase_margin_from_poles(0.0, [1e7])
         with pytest.raises(ValueError):
             phase_margin_from_poles(1e6, [-1.0])
         with pytest.raises(ValueError):
-            FrequencyResponse(np.array([1.0]), np.array([1.0 + 0j]))
+            phase_margin_from_poles(1e6, [1e7], zeros_hz=[0.0])

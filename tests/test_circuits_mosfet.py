@@ -5,13 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.circuits.mosfet import (
-    MosfetModel,
-    Technology,
-    gm_over_id_saturation,
-    required_veff,
-    thermal_voltage,
-)
+from repro.circuits.mosfet import MosfetModel, Technology
 
 
 class TestTechnology:
@@ -63,19 +57,6 @@ class TestForwardModel:
         saturation = model.drain_current(10.0, vgs=1.76, vds=2.0)
         assert 0.0 < triode < saturation
 
-    def test_evaluate_reports_region(self):
-        model = MosfetModel("nmos")
-        assert model.evaluate(10.0, 0.3, 1.0).region == "cutoff"
-        assert model.evaluate(10.0, 1.76, 0.2).region == "triode"
-        assert model.evaluate(10.0, 1.26, 2.0).region == "saturation"
-
-    def test_conductances_positive_in_saturation(self):
-        model = MosfetModel("nmos")
-        gm, gds = model.conductances(10.0, 1.26, 2.0)
-        assert gm > 0.0
-        assert gds > 0.0
-        assert gm > gds
-
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             MosfetModel("nmos").drain_current(-1.0, 1.0, 1.0)
@@ -124,20 +105,3 @@ class TestOperatingPointModel:
     def test_intrinsic_gain_reasonable(self):
         op = MosfetModel("nmos").from_operating_point(20e-6, 1.0, 2.0)
         assert 10.0 < op.intrinsic_gain < 1000.0
-
-
-class TestHelpers:
-    def test_thermal_voltage_room_temperature(self):
-        assert thermal_voltage(300.0) == pytest.approx(0.02585, rel=1e-3)
-
-    def test_gm_over_id(self):
-        assert gm_over_id_saturation(0.2) == pytest.approx(10.0)
-        with pytest.raises(ValueError):
-            gm_over_id_saturation(0.0)
-
-    def test_required_veff(self):
-        beta = 1e-3
-        id = 0.5 * beta * 0.04  # veff = 0.2
-        assert required_veff(id, beta) == pytest.approx(0.2)
-        with pytest.raises(ValueError):
-            required_veff(1e-6, 0.0)

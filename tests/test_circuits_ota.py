@@ -1,11 +1,10 @@
-"""Tests for the OTA performance model and its cross-validation against MNA."""
+"""Tests for the OTA performance model and its small-signal cross-check."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.circuits.ac import ac_analysis, logspace_frequencies
 from repro.circuits.opformulation import OperatingPointFormulation
 from repro.circuits.ota import (
     OTA_NOMINAL_POINT,
@@ -14,7 +13,8 @@ from repro.circuits.ota import (
     SymmetricalOta,
     simulate_ota_performances,
 )
-from repro.circuits.performance import FrequencyResponse
+
+import oracles
 
 
 class TestOperatingPointFormulation:
@@ -164,28 +164,37 @@ class TestBatchSimulation:
 
 
 class TestCrossValidationAgainstMna:
-    """The analytic performances must agree with the MNA small-signal netlist."""
+    """The analytic performances must agree with the OTA's small-signal
+    circuit, solved by the linear AC reference in ``tests/oracles.py``."""
+
+    #: the reference's readouts at OTA_NOMINAL_POINT (ALF dB, fu Hz, PM deg)
+    NOMINAL_READOUTS = (33.731455551598565, 4921215.664687857,
+                        90.59834172911079)
 
     @pytest.fixture(scope="class")
     def responses(self):
         ota = SymmetricalOta()
         analytic = ota.performances(OTA_NOMINAL_POINT)
-        circuit = ota.small_signal_circuit(OTA_NOMINAL_POINT)
-        freqs = logspace_frequencies(10.0, 1e9, 30)
-        sweep = ac_analysis(circuit, freqs)
-        numeric = FrequencyResponse(freqs, sweep.voltage("out"))
+        netlist = oracles.ota_small_signal_netlist(ota, OTA_NOMINAL_POINT)
+        freqs = oracles.OTA_SWEEP_HZ
+        response = oracles.ac_solve(netlist, "out", freqs)
+        numeric = (oracles.dc_gain_db(response),
+                   oracles.unity_gain_frequency(freqs, response),
+                   oracles.phase_margin(freqs, response))
         return analytic, numeric
 
+    def test_reference_readouts_are_pinned(self, responses):
+        _analytic, numeric = responses
+        np.testing.assert_allclose(numeric, self.NOMINAL_READOUTS, rtol=1e-12)
+
     def test_low_frequency_gain_matches(self, responses):
-        analytic, numeric = responses
-        assert numeric.dc_gain_db() == pytest.approx(analytic.alf_db, abs=1.0)
+        analytic, (alf_db, _fu, _pm) = responses
+        assert alf_db == pytest.approx(analytic.alf_db, abs=1.0)
 
     def test_unity_gain_frequency_matches(self, responses):
-        analytic, numeric = responses
-        assert numeric.unity_gain_frequency() == pytest.approx(
-            analytic.fu_hz, rel=0.10)
+        analytic, (_alf, fu_hz, _pm) = responses
+        assert fu_hz == pytest.approx(analytic.fu_hz, rel=0.10)
 
     def test_phase_margin_matches(self, responses):
-        analytic, numeric = responses
-        assert numeric.phase_margin() == pytest.approx(
-            analytic.pm_degrees, abs=5.0)
+        analytic, (_alf, _fu, pm_degrees) = responses
+        assert pm_degrees == pytest.approx(analytic.pm_degrees, abs=5.0)

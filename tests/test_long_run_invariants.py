@@ -4,13 +4,15 @@ A population 40 x 150 run on the PM training set drives
 :meth:`CaffeineEngine.step` directly and checks, each generation, what any
 long run must keep: the population size is exact, the rank-0 set is
 mutually nondominated, the best training error never increases, feasible
-individuals have finite objectives and every evaluation cache stays within
-its budget.  The run is repeated with a 50-pair :class:`GramPool`, which
-evicts every generation; cache budgets trade wall-clock time only, so both
-runs must end on bit-identical fronts.  The default-budget run also saves
-its generation-75 boundary through a :class:`RunCheckpointStore`; a fresh
-engine restored from it steps on to 150 under the same invariants and must
-end on that run's bit-identical front.
+individuals have finite objectives, every individual stays within the
+basis-count and tree-depth limits and inside the canonical-form grammar,
+and every evaluation cache stays within its budget.  The run is repeated
+with a 50-pair :class:`GramPool`, which evicts every generation; cache
+budgets trade wall-clock time only, so both runs must end on bit-identical
+fronts.  The default-budget run also saves its generation-75 boundary
+through a :class:`RunCheckpointStore`; a fresh engine restored from it
+steps on to 150 under the same invariants and must end on that run's
+bit-identical front.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.core.cache_store import RunCheckpointStore
 from repro.core.engine import CaffeineEngine
 from repro.core.evaluation import GramPool
 from repro.core.expression import structural_key
+from repro.core.grammar import default_grammar, validate_expression
 from repro.core.settings import CaffeineSettings
 
 SETTINGS = CaffeineSettings(population_size=40, n_generations=150,
@@ -29,6 +32,8 @@ SETTINGS = CaffeineSettings(population_size=40, n_generations=150,
 
 #: the generation boundary the midpoint checkpoint is taken at
 RESUME_AT = 75
+
+GRAMMAR = default_grammar()
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +61,12 @@ def _assert_invariants(engine: CaffeineEngine, previous_best: float) -> float:
         if individual.is_feasible:
             assert np.isfinite(individual.error)
             assert np.isfinite(individual.complexity)
+        # Variation never grows a model past the size limits or out of
+        # the canonical-form grammar.
+        assert len(individual.bases) <= SETTINGS.max_basis_functions
+        for basis in individual.bases:
+            assert basis.depth <= SETTINGS.max_tree_depth
+            validate_expression(basis, GRAMMAR)
     best = min(individual.error for individual in population)
     assert best <= previous_best
     evaluator = engine.evaluator

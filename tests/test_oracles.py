@@ -9,8 +9,9 @@ and outside it really runs production code -- and that the settings
 fingerprint checkpoints carry did not change when the backend, cache-budget
 and fault-injection knobs went.  :class:`Session` is the one way to run
 CAFFEINE: the one-call shims, the pre-Session cache helpers and the
-Session options only they or the tests set are gone for good, as is the
-object-based NSGA-II selection API beside the array path.
+Session options only they or the tests set are gone for good, as are the
+object-based NSGA-II selection API beside the array path and the
+netlist/MNA circuit simulator, which produced none of the OTA data.
 """
 
 from __future__ import annotations
@@ -62,7 +63,22 @@ REMOVED_NAMES = (
     ("repro.core.nsga2", "rank_population"),
     ("repro.core.nsga2", "environmental_selection"),
     ("repro.core.nsga2", "binary_tournament"),
+    # the netlist/MNA circuit simulator (the OTA cross-check's linear AC
+    # solve is oracles.ac_solve)
+    *(("repro.circuits", name) for name in (
+        "Circuit", "Resistor", "Capacitor", "VoltageSource", "CurrentSource",
+        "VoltageControlledCurrentSource", "Mosfet", "DCSolution", "solve_dc",
+        "ACSweep", "ac_analysis", "transfer_function", "FrequencyResponse",
+        "gain_db", "unity_gain_frequency", "phase_margin")),
+    ("repro.circuits.mosfet", "thermal_voltage"),
+    ("repro.circuits.mosfet", "gm_over_id_saturation"),
+    ("repro.circuits.mosfet", "required_veff"),
 )
+
+#: the simulator's modules
+REMOVED_MODULES = ("repro.circuits.mna", "repro.circuits.dc",
+                   "repro.circuits.ac", "repro.circuits.netlist",
+                   "repro.circuits.performance")
 
 #: Session options that only the retired shims or the tests set
 REMOVED_SESSION_OPTIONS = ("failure_policy", "column_cache", "retry_backoff",
@@ -144,6 +160,12 @@ def test_removed_entry_points_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
     with pytest.raises(ImportError, match=name):
         exec(f"from {module} import {name}", {})
+
+
+@pytest.mark.parametrize("module", REMOVED_MODULES)
+def test_removed_modules_are_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
 
 
 def test_session_add_callback_removed():
