@@ -12,7 +12,7 @@ truth and models it two ways:
    :func:`repro.save_front`, loaded back as a prediction-only
    :class:`~repro.core.artifact.FrozenFront` (bit-identical predictions),
    and served over HTTP with :mod:`repro.serve` -- the same loop as
-   ``python -m repro freeze`` + ``python -m repro serve``.
+   ``python -m repro run ... --save-front`` + ``python -m repro serve``.
 
 CAFFEINE is expected to recover an expression very close to the generating
 formula at the accurate end of the trade-off while also offering simpler,

@@ -53,9 +53,11 @@ Deployment -- freeze a fitted trade-off as a small versioned artifact
 it back as a prediction-only :class:`~repro.core.artifact.FrozenFront`:
 predictions are **bit-identical** to the originating run's models, but
 loading reconstitutes only compiled prediction kernels -- no engine,
-population or caches.  ``python -m repro serve artifact.caffeine`` answers
-the same queries as a batched, stateless HTTP service (see the artifact
-spec and serving guide in ``benchmarks/README.md``):
+population or caches.  On the command line, ``python -m repro run
+data.csv --target y --save-front artifact.caffeine`` freezes a CSV run, and
+``python -m repro serve artifact.caffeine`` answers the same queries as a
+batched, stateless HTTP service (see the artifact spec and serving guide in
+``benchmarks/README.md``):
 
     >>> import os, tempfile
     >>> from repro import load_front

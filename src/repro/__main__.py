@@ -21,15 +21,15 @@ across invocations (both wall-clock knobs; results are identical).
 (:meth:`~repro.core.problem.Problem.from_csv`) and prints the resulting
 Pareto trade-off -- the paper's workflow on any numeric dataset.
 
-Deployment subcommands close the loop from run to service::
+Deployment closes the loop from run to service::
 
-    python -m repro freeze data.csv --target y --out front.caffeine
+    python -m repro run data.csv --target y --save-front front.caffeine
     python -m repro serve front.caffeine --port 8000
 
-``freeze`` runs a CSV problem and saves its trade-off as a frozen artifact
-(:func:`~repro.core.artifact.save_front`); the sweep subcommands take
-``--save-front DIR`` to freeze every target's front after the sweep; and
-``serve`` answers batched HTTP prediction requests from an artifact without
+``run --save-front PATH`` saves the CSV problem's trade-off as a frozen
+artifact (:func:`~repro.core.artifact.save_front`); the sweep subcommands
+take ``--save-front DIR`` to freeze every target's front after the sweep;
+and ``serve`` answers batched HTTP prediction requests from an artifact without
 any evolution machinery (see :mod:`repro.serve` and the serving guide in
 ``benchmarks/README.md``).
 """
@@ -58,11 +58,11 @@ from repro.experiments import (
 from repro.experiments.ablation import ablation_problems
 from repro.experiments.setup import normalize_targets, problems_for_targets
 
-#: All subcommands: experiment regenerators, the generic ``run``, the
-#: deployment pair (``freeze`` a front artifact, ``serve`` it over HTTP)
-#: and the invariant linter (``lint``, see :mod:`repro.analysis`).
+#: All subcommands: experiment regenerators, the generic ``run`` (whose
+#: ``--save-front`` freezes a front artifact), ``serve`` (an artifact over
+#: HTTP) and the invariant linter (``lint``, see :mod:`repro.analysis`).
 COMMANDS = ("datasets", "figure3", "table1", "table2", "figure4", "ablation",
-            "run", "freeze", "serve", "lint")
+            "run", "serve", "lint")
 
 
 def _budget_parser() -> argparse.ArgumentParser:
@@ -203,30 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "artifact at PATH (serve it with "
                           "'python -m repro serve PATH')")
 
-    freeze = subparsers.add_parser(
-        "freeze", parents=[budget, cache, checkpoint],
-        help="model a CSV dataset and freeze the trade-off as an artifact")
-    freeze.add_argument("csv", help="training data: a header-row CSV file")
-    freeze.add_argument("--target", required=True,
-                        help="name of the modeled column")
-    freeze.add_argument("--out", required=True, metavar="PATH",
-                        help="artifact file to write")
-    freeze.add_argument("--test", default=None, metavar="CSV",
-                        help="optional testing CSV with the same columns")
-    freeze.add_argument("--features", nargs="*", default=None,
-                        help="design-variable columns (default: every "
-                             "non-target column)")
-    freeze.add_argument("--log10-target", action="store_true",
-                        help="model log10 of the target (the paper's fu "
-                             "convention)")
-    freeze.add_argument("--progress", action="store_true",
-                        help="print per-generation progress lines")
-
     serve = subparsers.add_parser(
         "serve",
         help="serve a frozen artifact's predictions over HTTP (stdlib only)")
     serve.add_argument("artifact", help="a front artifact written by "
-                                        "'freeze' or --save-front")
+                                        "--save-front")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default: 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8000,
@@ -337,11 +318,9 @@ def _run_csv_command(args: argparse.Namespace,
                   f"({len(result.test_tradeoff)} models)"))
     best = result.best_model()
     print(f"\nBest model: {best.expression()}")
-    save_front_path = (args.out if args.command == "freeze"
-                       else args.save_front)
-    if save_front_path:
+    if args.save_front:
         print()
-        _save_front_file(result, save_front_path)
+        _save_front_file(result, args.save_front)
     return 0
 
 
@@ -367,7 +346,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         settings = _checked_settings(args)
     except ValueError as error:
         parser.error(str(error))
-    if args.command in ("run", "freeze"):
+    if args.command == "run":
         return _run_csv_command(args, settings)
     if args.command == "serve":
         return _serve_command(args)

@@ -87,16 +87,6 @@ class MosfetOperatingPoint:
     cgd: float
     cdb: float
 
-    @property
-    def gm_over_id(self) -> float:
-        """Transconductance efficiency gm/Id (1/V)."""
-        return self.gm / self.id if self.id > 0 else 0.0
-
-    @property
-    def intrinsic_gain(self) -> float:
-        """Intrinsic voltage gain gm/gds."""
-        return self.gm / self.gds if self.gds > 0 else float("inf")
-
 
 class MosfetModel:
     """Square-law MOSFET with channel-length modulation.

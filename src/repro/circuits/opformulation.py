@@ -91,10 +91,6 @@ class OperatingPointFormulation:
         self._specs[name] = spec
         return spec
 
-    @property
-    def device_names(self) -> Tuple[str, ...]:
-        return tuple(self._specs.keys())
-
     def spec(self, name: str) -> DeviceSpec:
         return self._specs[name]
 
@@ -114,16 +110,3 @@ class OperatingPointFormulation:
                                 length_um=spec.length_um)
             result[name] = model.from_operating_point(id_value, vgs_value, vds_value)
         return result
-
-    def total_current(self, point: Mapping[str, float]) -> float:
-        """Total supply current implied by a design point (sums multiplicities)."""
-        total = 0.0
-        for spec in self._specs.values():
-            id_value, _, _ = spec.resolve(point)
-            total += spec.multiplicity * id_value
-        return total
-
-    def widths_um(self, point: Mapping[str, float]) -> Dict[str, float]:
-        """Device widths (um) implied by a design point -- the sizing view."""
-        return {name: op.width_um
-                for name, op in self.operating_points(point).items()}

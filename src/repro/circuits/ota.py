@@ -40,7 +40,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuits.mosfet import MosfetOperatingPoint, Technology
+from repro.circuits.mosfet import Technology
 from repro.circuits.opformulation import OperatingPointFormulation
 
 __all__ = [
@@ -204,11 +204,6 @@ class SymmetricalOta:
                 raise ValueError(f"variable {name!r} must be positive, got {value}")
             resolved[name] = value
         return resolved
-
-    def device_operating_points(self, point: Mapping[str, float]
-                                ) -> Dict[str, MosfetOperatingPoint]:
-        """Square-law operating points of all OTA devices at ``point``."""
-        return self._formulation.operating_points(self.validate_point(point))
 
     # ------------------------------------------------------------------
     def performances(self, point: Mapping[str, float]) -> OtaPerformances:

@@ -42,6 +42,7 @@ interchange format: load only from paths you (or your CI job) wrote.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import os
 import pickle
@@ -56,22 +57,15 @@ import numpy as np
 from repro.core import faults
 from repro.core.evaluation import BasisColumnCache
 
-try:  # POSIX (Linux/macOS): kernel-released advisory locks
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
-
 __all__ = ["FileLock", "ColumnCacheStore", "RunCheckpointStore"]
 
 
 class FileLock:
     """Reentrant advisory lock on one filesystem path.
 
-    On POSIX the lock is ``flock``-based: it is released automatically when
-    the holding process dies, so a crashed writer can never deadlock the
-    next one.  Where ``fcntl`` is unavailable the lock degrades to an
-    exclusive-create spin lock with stale-lock breaking (a leftover lock
-    file older than ``stale_after`` seconds is reclaimed with a warning).
+    The lock is ``flock``-based (POSIX only): it is released automatically
+    when the holding process dies, so a crashed writer can never deadlock
+    the next one.
 
     The lock is *advisory*: it only excludes other :class:`FileLock` users
     (which is exactly what the cache-store protocol needs).  One instance
@@ -84,12 +78,10 @@ class FileLock:
 
     def __init__(self, path: Union[str, os.PathLike],
                  timeout: Optional[float] = 60.0,
-                 poll_interval: float = 0.05,
-                 stale_after: float = 120.0) -> None:
+                 poll_interval: float = 0.05) -> None:
         self.path = Path(path)
         self.timeout = timeout
         self.poll_interval = poll_interval
-        self.stale_after = stale_after
         self._handle: Optional[int] = None
         self._depth = 0
         import threading
@@ -123,10 +115,7 @@ class FileLock:
                              max(0.0, self.timeout
                                  - (time.monotonic() - start)))
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                if fcntl is not None:
-                    self._acquire_flock(remaining)
-                else:  # pragma: no cover - exercised on non-POSIX hosts
-                    self._acquire_exclusive_create(remaining)
+                self._acquire_flock(remaining)
             self._depth += 1
         except BaseException:
             self._thread_lock.release()
@@ -141,16 +130,10 @@ class FileLock:
             if self._depth > 0:
                 return
             handle, self._handle = self._handle, None
-            if fcntl is not None:
-                try:
-                    fcntl.flock(handle, fcntl.LOCK_UN)
-                finally:
-                    os.close(handle)
-            else:  # pragma: no cover - non-POSIX fallback
-                try:
-                    os.unlink(self.path)
-                except OSError:
-                    pass
+            try:
+                fcntl.flock(handle, fcntl.LOCK_UN)
+            finally:
+                os.close(handle)
         finally:
             self._thread_lock.release()
 
@@ -195,40 +178,6 @@ class FileLock:
             os.close(handle)
             raise
         self._handle = handle
-
-    def _acquire_exclusive_create(self,
-                                  timeout: Optional[float]
-                                  ) -> None:  # pragma: no cover
-        deadline = (time.monotonic() + timeout
-                    if timeout is not None else None)
-        while True:
-            try:
-                handle = os.open(self.path,
-                                 os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-                os.close(handle)
-                self._handle = -1
-                return
-            except FileExistsError:
-                try:
-                    # repro-lint: allow[determinism] -- stale-lock age is wall-clock bookkeeping, never reaches results
-                    age = time.time() - self.path.stat().st_mtime
-                except OSError:
-                    age = 0.0
-                if age > self.stale_after:
-                    warnings.warn(
-                        f"breaking stale lock file {self.path} "
-                        f"(age {age:.0f} s)", RuntimeWarning, stacklevel=3)
-                    try:
-                        os.unlink(self.path)
-                    except OSError:
-                        pass
-                    continue
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise TimeoutError(
-                        f"could not lock {self.path} within "
-                        f"{timeout:.3g} s (of a {self.timeout} s "
-                        f"budget)") from None
-                time.sleep(self.poll_interval)
 
 
 class _VersionedFileStore:

@@ -127,10 +127,6 @@ class CompiledKernel:
         self.compiled_params: Tuple[float, ...] = tuple(params)
         self.n_params = len(self.compiled_params)
 
-    @property
-    def n_steps(self) -> int:
-        return len(self._steps)
-
     def evaluate_raw(self, params: Sequence[float]) -> np.ndarray:
         """The unclipped column (the tree's ``evaluate`` value), bit for bit.
 

@@ -254,14 +254,6 @@ class FunctionSet:
             binary=[op.name for op in self._binary if op.name not in remove],
         )
 
-    def restricted_to(self, *names: str) -> "FunctionSet":
-        """A copy with only the given operators kept."""
-        keep = set(names)
-        return FunctionSet(
-            unary=[op.name for op in self._unary if op.name in keep],
-            binary=[op.name for op in self._binary if op.name in keep],
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"FunctionSet(unary={[o.name for o in self._unary]}, "
                 f"binary={[o.name for o in self._binary]})")

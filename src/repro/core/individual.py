@@ -64,10 +64,6 @@ class Individual:
         return len(self.bases)
 
     @property
-    def is_evaluated(self) -> bool:
-        return np.isfinite(self.complexity)
-
-    @property
     def is_feasible(self) -> bool:
         """True when the linear fit succeeded and the error is finite."""
         return self.fit is not None and np.isfinite(self.error)

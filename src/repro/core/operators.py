@@ -373,9 +373,6 @@ class VariationOperators:
         # kernels.
         return self._enforce_limits(child)
 
-    def operator_names(self) -> Tuple[str, ...]:
-        return tuple(self._operator_names)
-
     def _dispatch(self, name: str, parent_a: Individual,
                   parent_b: Individual) -> Optional[Individual]:
         if name == "parameter_mutation":

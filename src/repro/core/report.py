@@ -6,9 +6,10 @@ These helpers produce plain-text renderings:
   error and number of bases vs. complexity);
 * :func:`models_table` -- Table II style: one row per model with errors and
   the expression, ordered by decreasing error / increasing complexity;
-* :func:`target_summary_row` -- Table I style: the expression of the chosen
-  model for a performance goal;
 * :func:`comparison_table` -- Figure 4 style: CAFFEINE vs posynomial errors.
+
+:func:`rescore_models` batch-scores frozen models on a fresh dataset (the
+scoring behind ``FrozenFront.rescore`` and the server's ``/rescore``).
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ from repro.data.metrics import relative_rmse_rows
 __all__ = [
     "tradeoff_table",
     "models_table",
-    "target_summary_row",
     "comparison_table",
     "rescore_models",
-    "rescore_table",
     "format_percent",
 ]
 
@@ -72,16 +71,6 @@ def models_table(tradeoff: TradeoffSet, title: str = "",
     return "\n".join(lines)
 
 
-def target_summary_row(model: SymbolicModel,
-                       max_expression_length: Optional[int] = None) -> str:
-    """Table I style row: performance name, errors, expression."""
-    expression = model.expression()
-    if max_expression_length is not None and len(expression) > max_expression_length:
-        expression = expression[: max_expression_length - 3] + "..."
-    return (f"{model.target_name:>8}  train {format_percent(model.train_error):>6}%  "
-            f"test {format_percent(model.test_error):>6}%  {expression}")
-
-
 def rescore_models(models: Sequence[SymbolicModel], X: np.ndarray,
                    y: np.ndarray) -> List[float]:
     """Relative RMS errors of frozen models on a fresh dataset, batch-scored.
@@ -104,30 +93,6 @@ def rescore_models(models: Sequence[SymbolicModel], X: np.ndarray,
         for i, value in zip(indices, scored, strict=True):
             errors[i] = float(value)
     return errors
-
-
-def rescore_table(tradeoff: TradeoffSet, X: np.ndarray, y: np.ndarray,
-                  title: str = "") -> str:
-    """Scenario table: every trade-off model re-scored on a new dataset.
-
-    Answers "how do the models I already have do on this fresh data?"
-    without rerunning anything: one batched scoring pass
-    (:func:`rescore_models`) per call, rendered next to the stored training
-    and testing errors.
-    """
-    models = list(tradeoff)
-    fresh = rescore_models(models, X, y)
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(f"{'complexity':>12} {'train err %':>12} {'test err %':>12} "
-                 f"{'fresh err %':>12}")
-    for model, error in zip(models, fresh, strict=True):
-        lines.append(
-            f"{model.complexity:12.2f} {format_percent(model.train_error):>12} "
-            f"{format_percent(model.test_error):>12} "
-            f"{format_percent(error):>12}")
-    return "\n".join(lines)
 
 
 def comparison_table(rows: Sequence[Mapping[str, float]],

@@ -78,12 +78,11 @@ def _forward_selected(individual: Individual, evaluator) -> List[int]:
     if not individual.bases:
         return []
     settings = evaluator.settings
-    selection = forward_select(
+    return sorted(forward_select(
         evaluator.basis_matrix(individual.bases), evaluator.y,
         max_terms=settings.max_basis_functions,
         min_relative_improvement=settings.sag_min_relative_improvement,
-    )
-    return sorted(selection.selected_indices)
+    ))
 
 
 def _candidate(individual: Individual, selected: List[int]) -> Individual:

@@ -6,32 +6,27 @@ provides:
 
 * :class:`~repro.data.dataset.Dataset` -- an immutable container for a matrix
   of design points, a vector of performance values and variable names, with
-  helpers for splitting, scaling and filtering non-finite samples.
-* :mod:`~repro.data.metrics` -- normalized mean-squared error and the paper's
-  quality-of-fit measures ``qwc`` (training error) and ``qtc`` (testing error).
+  helpers for row/variable selection, log-scaling the target and filtering
+  non-finite samples; :func:`~repro.data.dataset.train_test_from_doe`
+  validates and cleans a train/test pair.
+* :mod:`~repro.data.metrics` -- the paper's quality-of-fit measures ``qwc``
+  (training error) and ``qtc`` (testing error): :func:`relative_rmse`, the
+  RMS error over the training-data range :func:`error_normalization`.
 """
 
 from repro.data.dataset import Dataset, train_test_from_doe
 from repro.data.metrics import (
     error_normalization,
-    mean_squared_error,
-    normalized_mse,
-    normalized_rmse,
     q_tc,
     q_wc,
-    r_squared,
     relative_rmse,
 )
 
 __all__ = [
     "Dataset",
     "train_test_from_doe",
-    "mean_squared_error",
-    "normalized_mse",
-    "normalized_rmse",
     "error_normalization",
     "relative_rmse",
     "q_tc",
     "q_wc",
-    "r_squared",
 ]

@@ -167,26 +167,6 @@ class Dataset:
             return self
         return self.select_rows(np.flatnonzero(finite))
 
-    def shuffled(self, rng: Optional[np.random.Generator] = None) -> "Dataset":
-        """Return a row-shuffled copy (useful for cross-validation splits)."""
-        # repro-lint: allow[determinism] -- interactive convenience default; engine paths always pass a seeded Generator
-        rng = np.random.default_rng() if rng is None else rng
-        order = rng.permutation(self.n_samples)
-        return self.select_rows(order)
-
-    def split(self, fraction: float,
-              rng: Optional[np.random.Generator] = None
-              ) -> Tuple["Dataset", "Dataset"]:
-        """Random split into ``(first, second)`` with ``fraction`` in the first."""
-        if not 0.0 < fraction < 1.0:
-            raise ValueError("fraction must be in (0, 1)")
-        # repro-lint: allow[determinism] -- interactive convenience default; engine paths always pass a seeded Generator
-        rng = np.random.default_rng() if rng is None else rng
-        order = rng.permutation(self.n_samples)
-        n_first = max(1, int(round(fraction * self.n_samples)))
-        n_first = min(n_first, self.n_samples - 1)
-        return self.select_rows(order[:n_first]), self.select_rows(order[n_first:])
-
     # ------------------------------------------------------------------
     # summaries
     # ------------------------------------------------------------------

@@ -1,23 +1,18 @@
 """Error metrics used by the paper.
 
-The paper reports *normalized mean-squared error* on training and separate
-testing data, identical to two of the three posynomial "quality of fit"
-measures of Daems et al.: ``qwc`` is the training error and ``qtc`` the
-testing error (with the constant ``c`` in the denominator set to zero).
+The paper reports errors on training and separate testing data, identical
+to two of the three posynomial "quality of fit" measures of Daems et al.:
+``qwc`` is the training error and ``qtc`` the testing error (with the
+constant ``c`` in the denominator set to zero).
 
-Two normalizations are provided:
-
-* :func:`normalized_mse` / :func:`normalized_rmse` -- the textbook variant,
-  normalized by the variance of the evaluated data.  Under this metric a
-  constant model always scores 100 %, which contradicts the paper's reported
-  10-25 % training error for zero-complexity (constant) models, so it cannot
-  be what the paper used for its headline numbers.
-* :func:`relative_rmse` with :func:`error_normalization` -- RMS error divided
-  by the *training-data range* of the performance.  This matches the paper's
-  behaviour: constant models land in the 10-25 % band, and interpolative
-  testing error naturally comes out lower than training error.  ``qwc``/
-  ``qtc`` below use this normalization; it is the one used throughout the
-  reproduction's objectives and reports.
+Both are :func:`relative_rmse` with :func:`error_normalization`: the RMS
+error divided by the *training-data range* of the performance.  This
+matches the paper's behaviour: constant models land in the 10-25 % band,
+and interpolative testing error naturally comes out lower than training
+error.  (Normalizing by the variance of the evaluated data instead would
+score every constant model 100 %, so it cannot be what the paper used.)
+:func:`relative_rmse_rows` is its row-stacked form, one error per
+prediction row, used by the batched residual and test-scoring paths.
 
 All metrics are fractions; multiply by 100 for the percentages printed in
 the paper's tables.
@@ -28,15 +23,11 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "mean_squared_error",
-    "normalized_mse",
-    "normalized_rmse",
     "error_normalization",
     "relative_rmse",
     "relative_rmse_rows",
     "q_wc",
     "q_tc",
-    "r_squared",
 ]
 
 
@@ -45,53 +36,6 @@ def _as_1d(a: np.ndarray, name: str) -> np.ndarray:
     if arr.size == 0:
         raise ValueError(f"{name} must not be empty")
     return arr
-
-
-def mean_squared_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Plain mean-squared error ``mean((y_true - y_pred)^2)``."""
-    y_true = _as_1d(y_true, "y_true")
-    y_pred = _as_1d(y_pred, "y_pred")
-    if y_true.shape != y_pred.shape:
-        raise ValueError("y_true and y_pred must have the same length")
-    if not np.all(np.isfinite(y_pred)):
-        return float("inf")
-    with np.errstate(all="ignore"):
-        return float(np.mean((y_true - y_pred) ** 2))
-
-
-def normalized_mse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Normalized mean-squared error.
-
-    Defined as ``mean((y - yhat)^2) / mean((y - mean(y))^2)`` -- i.e. the MSE
-    normalized by the variance of the data, so a trivial constant model scores
-    1.0.  Returns ``inf`` when predictions are non-finite.  When the target is
-    (numerically) constant the denominator degenerates; in that case the error
-    is 0.0 for a perfect fit and ``inf`` otherwise, which keeps the metric
-    meaningful for targets such as ``voffset`` that are nearly constant.
-    """
-    y_true = _as_1d(y_true, "y_true")
-    y_pred = _as_1d(y_pred, "y_pred")
-    if y_true.shape != y_pred.shape:
-        raise ValueError("y_true and y_pred must have the same length")
-    if not np.all(np.isfinite(y_pred)):
-        return float("inf")
-    with np.errstate(all="ignore"):
-        residual = float(np.mean((y_true - y_pred) ** 2))
-        variance = float(np.mean((y_true - np.mean(y_true)) ** 2))
-        if variance <= 1e-300:
-            return 0.0 if residual <= 1e-300 else float("inf")
-        return residual / variance
-
-
-def normalized_rmse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Square root of :func:`normalized_mse`.
-
-    This is the quantity the paper quotes as a percentage ("training error of
-    10-25%", "<10% error"): the root of the variance-normalized MSE.
-    """
-    nmse = normalized_mse(y_true, y_pred)
-    with np.errstate(all="ignore"):
-        return float(np.sqrt(nmse)) if np.isfinite(nmse) else float("inf")
 
 
 def error_normalization(y_train: np.ndarray) -> float:
@@ -180,12 +124,3 @@ def q_tc(y_test: np.ndarray, y_test_pred: np.ndarray,
     samples).
     """
     return relative_rmse(y_test, y_test_pred, normalization)
-
-
-def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Coefficient of determination, ``1 - NMSE``.
-
-    Provided as a convenience for users used to R^2; not used by the paper.
-    """
-    nmse = normalized_mse(y_true, y_pred)
-    return float("-inf") if not np.isfinite(nmse) else 1.0 - nmse

@@ -1,4 +1,4 @@
-"""Orthogonal-array and factorial designs.
+"""Orthogonal-array designs.
 
 The training data of the paper comes from a "full orthogonal-hypercube DOE"
 with 243 samples over 13 three-level variables.  243 = 3^5 runs cannot be a
@@ -22,12 +22,7 @@ from typing import List
 
 import numpy as np
 
-__all__ = [
-    "full_factorial",
-    "orthogonal_array",
-    "orthogonal_hypercube",
-    "is_orthogonal_array",
-]
+__all__ = ["orthogonal_array", "orthogonal_hypercube"]
 
 
 def _is_prime(n: int) -> bool:
@@ -41,20 +36,6 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def full_factorial(levels: int, n_factors: int) -> np.ndarray:
-    """Return the full factorial design with ``levels ** n_factors`` runs.
-
-    The result is an integer array of shape ``(levels**n_factors, n_factors)``
-    with entries in ``0 .. levels-1``, one row per run.
-    """
-    if levels < 2:
-        raise ValueError("levels must be >= 2")
-    if n_factors < 1:
-        raise ValueError("n_factors must be >= 1")
-    grids = np.meshgrid(*([np.arange(levels)] * n_factors), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1).astype(int)
 
 
 def _subspace_representatives(q: int, k: int) -> List[np.ndarray]:
@@ -121,7 +102,9 @@ def orthogonal_array(n_factors: int, levels: int = 3,
         )
 
     generators = _subspace_representatives(levels, k)[:n_factors]
-    runs = full_factorial(levels, k)  # all of GF(q)^k, shape (q^k, k)
+    # All of GF(q)^k, shape (q^k, k), in lexicographic order.
+    runs = np.array(list(itertools.product(range(levels), repeat=k)),
+                    dtype=int)
     columns = [(runs @ g) % levels for g in generators]
     return np.stack(columns, axis=1).astype(int)
 
@@ -152,30 +135,3 @@ def orthogonal_hypercube(n_factors: int, levels: int = 3,
             f"n_runs must be a power of levels={levels}, got {n_runs}"
         )
     return orthogonal_array(n_factors, levels=levels, strength_exponent=k)
-
-
-def is_orthogonal_array(design: np.ndarray, levels: int, strength: int = 2) -> bool:
-    """Check the orthogonal-array property of ``design``.
-
-    Every ``strength``-tuple of columns must contain each combination of
-    levels equally often.  Used by the test suite to verify the construction.
-    """
-    design = np.asarray(design, dtype=int)
-    if design.ndim != 2:
-        raise ValueError("design must be a 2-D array")
-    n_runs, n_factors = design.shape
-    if strength > n_factors:
-        raise ValueError("strength cannot exceed the number of columns")
-    expected = n_runs / (levels ** strength)
-    if expected != int(expected):
-        return False
-    for cols in itertools.combinations(range(n_factors), strength):
-        sub = design[:, cols]
-        # Encode each row of the sub-design as a single base-`levels` integer.
-        codes = np.zeros(n_runs, dtype=int)
-        for c in range(strength):
-            codes = codes * levels + sub[:, c]
-        counts = np.bincount(codes, minlength=levels ** strength)
-        if not np.all(counts == int(expected)):
-            return False
-    return True

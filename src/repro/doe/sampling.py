@@ -10,13 +10,13 @@ sample matrices, and bundles the result in a small plan object.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.doe.orthogonal import orthogonal_hypercube
 
-__all__ = ["centered_levels", "scale_design", "latin_hypercube", "DoePlan"]
+__all__ = ["centered_levels", "scale_design", "DoePlan"]
 
 
 def centered_levels(design: np.ndarray, levels: int) -> np.ndarray:
@@ -33,7 +33,7 @@ def centered_levels(design: np.ndarray, levels: int) -> np.ndarray:
 
 
 def scale_design(design: np.ndarray, nominal: Sequence[float], dx: float,
-                 levels: int = 3, relative: bool = True) -> np.ndarray:
+                 levels: int = 3) -> np.ndarray:
     """Map a level-index design onto physical values around a nominal point.
 
     Parameters
@@ -44,12 +44,9 @@ def scale_design(design: np.ndarray, nominal: Sequence[float], dx: float,
     nominal:
         Nominal value per factor, length ``n_factors``.
     dx:
-        Relative (default) or absolute step per level.  With ``relative=True``
-        and three levels, a factor takes the values
-        ``nominal * (1 - dx), nominal, nominal * (1 + dx)`` -- exactly the
-        paper's "scaled dx" sampling.
-    relative:
-        When False, ``dx`` is an absolute step added per centered level.
+        Relative step per level.  With three levels, a factor takes the
+        values ``nominal * (1 - dx), nominal, nominal * (1 + dx)`` --
+        exactly the paper's "scaled dx" sampling.
     """
     design = np.asarray(design)
     nominal_arr = np.asarray(list(nominal), dtype=float)
@@ -62,27 +59,7 @@ def scale_design(design: np.ndarray, nominal: Sequence[float], dx: float,
     if dx < 0:
         raise ValueError("dx must be non-negative")
     centered = centered_levels(design, levels)
-    if relative:
-        return nominal_arr[None, :] * (1.0 + dx * centered)
-    return nominal_arr[None, :] + dx * centered
-
-
-def latin_hypercube(n_samples: int, n_factors: int,
-                    rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Latin-hypercube sample in the unit cube ``[0, 1]^n_factors``.
-
-    Not used by the paper's experiments (which use orthogonal arrays) but
-    provided as an alternative sampling plan for broader design spaces.
-    """
-    if n_samples < 1 or n_factors < 1:
-        raise ValueError("n_samples and n_factors must be >= 1")
-    # repro-lint: allow[determinism] -- interactive convenience default; paper experiments pass a seeded Generator
-    rng = np.random.default_rng() if rng is None else rng
-    result = np.empty((n_samples, n_factors), dtype=float)
-    for j in range(n_factors):
-        perm = rng.permutation(n_samples)
-        result[:, j] = (perm + rng.random(n_samples)) / n_samples
-    return result
+    return nominal_arr[None, :] * (1.0 + dx * centered)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,12 +104,6 @@ class DoePlan:
     @property
     def n_factors(self) -> int:
         return int(self.points.shape[1])
-
-    def as_dicts(self) -> Tuple[Dict[str, float], ...]:
-        """Return the plan as a tuple of ``{variable: value}`` dictionaries."""
-        return tuple(
-            dict(zip(self.variable_names, row, strict=True)) for row in self.points
-        )
 
     @classmethod
     def orthogonal(cls, nominal: Mapping[str, float], dx: float,

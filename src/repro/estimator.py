@@ -35,7 +35,6 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.model import SymbolicModel, TradeoffSet
 from repro.core.problem import Problem
 from repro.core.session import Session, SessionCallback
 from repro.core.settings import CaffeineSettings
@@ -189,11 +188,6 @@ class SymbolicRegressor:
                 f"got {X.shape}")
         return self.best_model_.predict(X)
 
-    def predict_with(self, model: SymbolicModel, X: np.ndarray) -> np.ndarray:
-        """Evaluate any member of ``pareto_front_`` on new points."""
-        self._check_fitted()
-        return model.predict(np.asarray(X, dtype=float))
-
     def score(self, X: np.ndarray, y: np.ndarray) -> float:
         """Coefficient of determination R^2 (the sklearn regressor score)."""
         self._check_fitted()
@@ -253,12 +247,6 @@ class SymbolicRegressor:
         estimator.n_features_in_ = front.n_variables
         estimator.feature_names_in_ = front.variable_names
         return estimator
-
-    @property
-    def pareto_models_(self) -> TradeoffSet:
-        """Alias of ``pareto_front_`` (kept close to the paper's wording)."""
-        self._check_fitted()
-        return self.pareto_front_
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         fitted = hasattr(self, "result_")

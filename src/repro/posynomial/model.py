@@ -101,8 +101,7 @@ class PosynomialModel:
 def _fit_signomial(features: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, float]:
     """Coefficients of either sign via a double NNLS on [F, -F]."""
     stacked = np.hstack([features, -features])
-    coefficients, intercept = nonnegative_least_squares(stacked, y,
-                                                        include_intercept=True)
+    coefficients, intercept = nonnegative_least_squares(stacked, y)
     n = features.shape[1]
     return coefficients[:n] - coefficients[n:], intercept
 
@@ -136,8 +135,8 @@ def fit_posynomial(train: Dataset, test: Optional[Dataset] = None,
     if signomial:
         coefficients, intercept = _fit_signomial(features, train.y)
     else:
-        coefficients, intercept = nonnegative_least_squares(
-            features, train.y, include_intercept=True)
+        coefficients, intercept = nonnegative_least_squares(features,
+                                                            train.y)
 
     # Errors use the same normalization as CAFFEINE: RMS / training-data range.
     normalization = error_normalization(train.y)

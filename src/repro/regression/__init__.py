@@ -2,12 +2,15 @@
 
 CAFFEINE's individuals are linear combinations of evolved basis functions;
 the linear coefficients are learned with least squares
-(:mod:`~repro.regression.least_squares`).  The post-processing step of the
-paper ("simplification after generation") relies on the PRESS statistic --
-a closed-form leave-one-out cross-validation of linear models
+(:mod:`~repro.regression.least_squares`: the batched gram solver
+:func:`fit_linear_from_gram_batch`, its canonical :func:`pair_dots` and the
+prediction recipe :func:`predict_linear_batch`).  The post-processing step
+of the paper ("simplification after generation") relies on the PRESS
+statistic -- a closed-form leave-one-out cross-validation of linear models
 (:mod:`~repro.regression.press`) -- combined with forward regression
-(:mod:`~repro.regression.forward_regression`).  The posynomial baseline uses
-non-negative least squares (:mod:`~repro.regression.nnls`).
+(:func:`~repro.regression.forward_regression.forward_select`).  The
+posynomial baseline uses non-negative least squares with a free intercept
+(:mod:`~repro.regression.nnls`).
 """
 
 from repro.regression.least_squares import (
@@ -17,16 +20,8 @@ from repro.regression.least_squares import (
     pair_dots,
     predict_linear_batch,
 )
-from repro.regression.press import (
-    hat_matrix,
-    loo_residuals,
-    press_statistic,
-    press_rmse,
-)
-from repro.regression.forward_regression import (
-    ForwardSelectionResult,
-    forward_select,
-)
+from repro.regression.press import loo_residuals, press_statistic
+from repro.regression.forward_regression import forward_select
 from repro.regression.nnls import nonnegative_least_squares
 
 __all__ = [
@@ -35,11 +30,8 @@ __all__ = [
     "fit_linear_from_gram_batch",
     "pair_dots",
     "predict_linear_batch",
-    "hat_matrix",
     "loo_residuals",
     "press_statistic",
-    "press_rmse",
-    "ForwardSelectionResult",
     "forward_select",
     "nonnegative_least_squares",
 ]

@@ -11,41 +11,19 @@ prediction are pruned.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.regression.press import press_statistic
 
-__all__ = ["ForwardSelectionResult", "forward_select"]
-
-
-@dataclasses.dataclass(frozen=True)
-class ForwardSelectionResult:
-    """Outcome of a PRESS-driven forward-selection run."""
-
-    selected_indices: Tuple[int, ...]
-    press_values: Tuple[float, ...]
-    baseline_press: float
-
-    @property
-    def n_selected(self) -> int:
-        return len(self.selected_indices)
-
-    @property
-    def final_press(self) -> float:
-        """PRESS of the selected subset (the intercept-only value if empty)."""
-        if not self.press_values:
-            return self.baseline_press
-        return self.press_values[-1]
+__all__ = ["forward_select"]
 
 
 def forward_select(basis_matrix: np.ndarray, y: np.ndarray,
                    max_terms: Optional[int] = None,
                    min_relative_improvement: float = 0.0,
-                   candidate_indices: Optional[Sequence[int]] = None,
-                   ridge: float = 1e-10) -> ForwardSelectionResult:
+                   ridge: float = 1e-10) -> Tuple[int, ...]:
     """Greedy forward selection of basis-function columns by PRESS.
 
     Parameters
@@ -60,14 +38,11 @@ def forward_select(basis_matrix: np.ndarray, y: np.ndarray,
     min_relative_improvement:
         A candidate is only accepted when it reduces PRESS by at least this
         fraction of the current value (0.0 accepts any strict improvement).
-    candidate_indices:
-        Restrict the candidate pool to these column indices.
 
     Returns
     -------
-    ForwardSelectionResult
-        Selected column indices in selection order, the PRESS value after
-        each acceptance, and the intercept-only baseline PRESS.
+    tuple of int
+        The selected column indices, in selection order.
     """
     basis_matrix = np.asarray(basis_matrix, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -83,20 +58,13 @@ def forward_select(basis_matrix: np.ndarray, y: np.ndarray,
     if min_relative_improvement < 0:
         raise ValueError("min_relative_improvement must be >= 0")
 
-    pool: List[int] = (list(range(n_candidates)) if candidate_indices is None
-                       else [int(i) for i in candidate_indices])
-    for index in pool:
-        if index < 0 or index >= n_candidates:
-            raise IndexError(f"candidate index {index} out of range")
     # Drop candidates with non-finite values up front; they can never help.
-    pool = [i for i in pool if np.all(np.isfinite(basis_matrix[:, i]))]
-
-    empty = np.zeros((y.shape[0], 0))
-    baseline = press_statistic(empty, y, ridge=ridge)
+    pool = [i for i in range(n_candidates)
+            if np.all(np.isfinite(basis_matrix[:, i]))]
 
     selected: List[int] = []
-    press_trace: List[float] = []
-    current_press = baseline
+    current_press = press_statistic(np.zeros((y.shape[0], 0)), y,
+                                    ridge=ridge)
 
     while pool and len(selected) < max_terms:
         best_index = None
@@ -114,11 +82,6 @@ def forward_select(basis_matrix: np.ndarray, y: np.ndarray,
             break
         selected.append(best_index)
         pool.remove(best_index)
-        press_trace.append(best_press)
         current_press = best_press
 
-    return ForwardSelectionResult(
-        selected_indices=tuple(selected),
-        press_values=tuple(press_trace),
-        baseline_press=baseline,
-    )
+    return tuple(selected)

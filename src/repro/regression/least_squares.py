@@ -63,14 +63,11 @@ class LinearFit:
         return int(self.coefficients.shape[0])
 
 
-def design_matrix(basis_matrix: np.ndarray, include_intercept: bool = True
-                  ) -> np.ndarray:
+def design_matrix(basis_matrix: np.ndarray) -> np.ndarray:
     """Prepend an intercept column of ones to a basis matrix."""
     basis_matrix = np.asarray(basis_matrix, dtype=float)
     if basis_matrix.ndim != 2:
         raise ValueError("basis_matrix must be 2-D (n_samples, n_bases)")
-    if not include_intercept:
-        return basis_matrix
     ones = np.ones((basis_matrix.shape[0], 1))
     return np.hstack([ones, basis_matrix])
 

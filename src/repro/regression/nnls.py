@@ -3,7 +3,7 @@
 A posynomial is a sum of monomials with *non-negative* coefficients.  Fitting
 the coefficients of a fixed monomial template to data is therefore a
 non-negative least-squares (NNLS) problem.  SciPy provides a reliable active
-set solver; this wrapper adds the intercept handling and the column scaling
+set solver; this wrapper adds the free intercept and the column scaling
 used elsewhere in the package.
 """
 
@@ -16,10 +16,15 @@ import numpy as np
 __all__ = ["nonnegative_least_squares"]
 
 
-def nonnegative_least_squares(features: np.ndarray, y: np.ndarray,
-                              include_intercept: bool = False
+def nonnegative_least_squares(features: np.ndarray, y: np.ndarray
                               ) -> Tuple[np.ndarray, float]:
-    """Solve ``min ||features @ c - y||`` subject to ``c >= 0``.
+    """Solve ``min ||intercept + features @ c - y||`` subject to ``c >= 0``.
+
+    The intercept is unconstrained and handled by centering: it is
+    ``mean(y - features @ c)`` after solving the constrained problem on
+    centered data.  (A posynomial proper has a non-negative constant; the
+    baseline of Daems et al. allows a free constant term, which this
+    reproduces.)
 
     Parameters
     ----------
@@ -27,12 +32,6 @@ def nonnegative_least_squares(features: np.ndarray, y: np.ndarray,
         Monomial feature matrix of shape ``(n_samples, n_features)``.
     y:
         Target vector.
-    include_intercept:
-        When True, an unconstrained intercept is handled by centering: the
-        intercept is ``mean(y - features @ c)`` after solving the constrained
-        problem on centered data.  (A posynomial proper has a non-negative
-        constant; the baseline of Daems et al. allows a free constant term,
-        which this option reproduces.)
 
     Returns
     -------
@@ -55,21 +54,17 @@ def nonnegative_least_squares(features: np.ndarray, y: np.ndarray,
     scales[scales < 1e-300] = 1.0
     scaled = features / scales
 
-    if include_intercept:
-        # Alternate between the unconstrained intercept and the NNLS solve a
-        # few times; this converges very quickly in practice.
-        intercept = float(np.mean(y))
-        coefficients = np.zeros(features.shape[1])
-        for _ in range(20):
-            solution, _ = scipy_nnls(scaled, y - intercept)
-            # repro-lint: allow[bit-identity] -- NNLS baseline rides on scipy's solver; outside the bit-identity contract
-            new_intercept = float(np.mean(y - scaled @ solution))
-            converged = abs(new_intercept - intercept) <= 1e-12 * max(1.0, abs(intercept))
-            intercept = new_intercept
-            coefficients = solution
-            if converged:
-                break
-        return coefficients / scales, intercept
-
-    solution, _ = scipy_nnls(scaled, y)
-    return solution / scales, 0.0
+    # Alternate between the unconstrained intercept and the NNLS solve a
+    # few times; this converges very quickly in practice.
+    intercept = float(np.mean(y))
+    coefficients = np.zeros(features.shape[1])
+    for _ in range(20):
+        solution, _ = scipy_nnls(scaled, y - intercept)
+        # repro-lint: allow[bit-identity] -- NNLS baseline rides on scipy's solver; outside the bit-identity contract
+        new_intercept = float(np.mean(y - scaled @ solution))
+        converged = abs(new_intercept - intercept) <= 1e-12 * max(1.0, abs(intercept))
+        intercept = new_intercept
+        coefficients = solution
+        if converged:
+            break
+    return coefficients / scales, intercept

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.regression.least_squares import design_matrix
 
-__all__ = ["hat_matrix", "loo_residuals", "press_statistic", "press_rmse"]
+__all__ = ["loo_residuals", "press_statistic"]
 
 
 def _solve_gram(design: np.ndarray, ridge: float) -> np.ndarray:
@@ -30,19 +30,10 @@ def _solve_gram(design: np.ndarray, ridge: float) -> np.ndarray:
         return np.linalg.pinv(design)
 
 
-def hat_matrix(basis_matrix: np.ndarray, include_intercept: bool = True,
-               ridge: float = 1e-10) -> np.ndarray:
-    """The hat (projection) matrix ``H = X (X'X)^-1 X'`` of a linear fit."""
-    design = design_matrix(np.asarray(basis_matrix, dtype=float),
-                           include_intercept)
-    # repro-lint: allow[bit-identity] -- PRESS diagnostic, outside the bit-identity contract
-    return design @ _solve_gram(design, ridge)
-
-
 def loo_residuals(basis_matrix: np.ndarray, y: np.ndarray,
-                  include_intercept: bool = True,
                   ridge: float = 1e-10) -> np.ndarray:
-    """Leave-one-out residuals ``y_t - yhat_t^(-t)`` of the linear fit.
+    """Leave-one-out residuals ``y_t - yhat_t^(-t)`` of the linear fit
+    ``y ~ intercept + basis_matrix @ coefficients``.
 
     Computed in closed form from the hat-matrix diagonal.  Diagonal entries
     numerically equal to 1 (a sample fitted exactly by its own basis column)
@@ -54,7 +45,7 @@ def loo_residuals(basis_matrix: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=float).ravel()
     if basis_matrix.shape[0] != y.shape[0]:
         raise ValueError("basis_matrix and y disagree on the number of samples")
-    design = design_matrix(basis_matrix, include_intercept)
+    design = design_matrix(basis_matrix)
     projector = _solve_gram(design, ridge)
     # repro-lint: allow[bit-identity] -- PRESS diagnostic, outside the bit-identity contract
     predictions = design @ (projector @ y)
@@ -66,21 +57,10 @@ def loo_residuals(basis_matrix: np.ndarray, y: np.ndarray,
 
 
 def press_statistic(basis_matrix: np.ndarray, y: np.ndarray,
-                    include_intercept: bool = True,
                     ridge: float = 1e-10) -> float:
     """The PRESS statistic: sum of squared leave-one-out residuals."""
-    loo = loo_residuals(basis_matrix, y, include_intercept, ridge)
+    loo = loo_residuals(basis_matrix, y, ridge)
     if not np.all(np.isfinite(loo)):
         return float("inf")
     # repro-lint: allow[bit-identity] -- PRESS diagnostic, outside the bit-identity contract
     return float(loo @ loo)
-
-
-def press_rmse(basis_matrix: np.ndarray, y: np.ndarray,
-               include_intercept: bool = True,
-               ridge: float = 1e-10) -> float:
-    """Root-mean PRESS, comparable in scale to an RMS prediction error."""
-    press = press_statistic(basis_matrix, y, include_intercept, ridge)
-    if not np.isfinite(press):
-        return float("inf")
-    return float(np.sqrt(press / np.asarray(y).size))

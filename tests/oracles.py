@@ -36,12 +36,16 @@ The OTA's analytic performance model has a reference too:
 :func:`ac_solve` solves it one frequency at a time, and
 :func:`dc_gain_db`, :func:`unity_gain_frequency` and :func:`phase_margin`
 read ``ALF``, ``fu`` and ``PM`` off the response.
+
+The DOE tests check the orthogonal-array construction with
+:func:`is_orthogonal_array`, which counts level combinations directly.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import math
 from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -711,6 +715,37 @@ def phase_margin(frequencies_hz: np.ndarray, response: np.ndarray) -> float:
     phase = np.degrees(np.unwrap(np.angle(response)))
     phase_fu = np.interp(math.log10(fu), np.log10(frequencies_hz), phase)
     return float(180.0 + (phase_fu - phase[0]))
+
+
+# ----------------------------------------------------------------------
+# DOE: the orthogonal-array property, checked by counting
+# ----------------------------------------------------------------------
+def is_orthogonal_array(design: np.ndarray, levels: int,
+                        strength: int = 2) -> bool:
+    """Check the orthogonal-array property of ``design``.
+
+    Every ``strength``-tuple of columns must contain each combination of
+    levels equally often.
+    """
+    design = np.asarray(design, dtype=int)
+    if design.ndim != 2:
+        raise ValueError("design must be a 2-D array")
+    n_runs, n_factors = design.shape
+    if strength > n_factors:
+        raise ValueError("strength cannot exceed the number of columns")
+    expected = n_runs / (levels ** strength)
+    if expected != int(expected):
+        return False
+    for cols in itertools.combinations(range(n_factors), strength):
+        sub = design[:, cols]
+        # Encode each row of the sub-design as a single base-`levels` integer.
+        codes = np.zeros(n_runs, dtype=int)
+        for c in range(strength):
+            codes = codes * levels + sub[:, c]
+        counts = np.bincount(codes, minlength=levels ** strength)
+        if not np.all(counts == int(expected)):
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------

@@ -78,7 +78,6 @@ class TestOperatingPointModel:
         model = MosfetModel("pmos")
         op = model.from_operating_point(id=40e-6, vgs=1.0, vds=1.2)
         assert op.gm == pytest.approx(2.0 * 40e-6 / op.veff)
-        assert op.gm_over_id == pytest.approx(2.0 / op.veff)
 
     def test_larger_current_needs_wider_device(self):
         model = MosfetModel("nmos")
@@ -104,4 +103,4 @@ class TestOperatingPointModel:
 
     def test_intrinsic_gain_reasonable(self):
         op = MosfetModel("nmos").from_operating_point(20e-6, 1.0, 2.0)
-        assert 10.0 < op.intrinsic_gain < 1000.0
+        assert 10.0 < op.gm / op.gds < 1000.0

@@ -27,7 +27,6 @@ class TestOperatingPointFormulation:
         ops = formulation.operating_points(point)
         assert ops["M1"].id == pytest.approx(20e-6)
         assert ops["M2"].id == pytest.approx(40e-6)
-        assert formulation.total_current(point) == pytest.approx(60e-6)
 
     def test_missing_variable_raises(self):
         formulation = OperatingPointFormulation()
@@ -43,7 +42,8 @@ class TestOperatingPointFormulation:
 
     def test_widths_positive(self):
         ota = SymmetricalOta()
-        widths = ota.formulation.widths_um(OTA_NOMINAL_POINT)
+        widths = {name: op.width_um for name, op in
+                  ota.formulation.operating_points(OTA_NOMINAL_POINT).items()}
         assert set(widths) == {"M1", "M2", "M3", "M4", "M5", "M6"}
         assert all(w > 0 for w in widths.values())
 

@@ -49,6 +49,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure5"])
 
+    def test_freeze_is_gone(self, capsys):
+        """``run --save-front`` is the one way to freeze a CSV run."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["freeze", "x.csv", "--target", "y", "--out", "f.caffeine"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'freeze'" in capsys.readouterr().err
+
     def test_settings_from_args(self):
         args = build_parser().parse_args(
             ["table1", "--population", "33", "--generations", "7", "--seed", "5"])
@@ -167,7 +175,7 @@ class TestCrashSafetyFlags:
 
     @pytest.mark.parametrize("command", [
         ["run", "x.csv", "--target", "y"],
-        ["freeze", "x.csv", "--target", "y", "--out", "f.caffeine"],
+        ["run", "x.csv", "--target", "y", "--save-front", "f.caffeine"],
         ["figure3"], ["table1"], ["figure4"], ["ablation"]])
     def test_resume_without_checkpoint_is_a_usage_error(self, command,
                                                         capsys):
@@ -185,7 +193,7 @@ class TestInvalidBudgets:
          "n_generations must be at least 1"),
         (["run", "toy.csv", "--target", "y", "--checkpoint-every", "0"],
          "--checkpoint-every must be at least 1"),
-        (["freeze", "toy.csv", "--target", "y", "--out", "f.caffeine",
+        (["run", "toy.csv", "--target", "y", "--save-front", "f.caffeine",
           "--population", "3"], "population_size must be at least 4"),
         (["figure3", "--targets", "PM", "--population", "3"],
          "population_size must be at least 4"),

@@ -15,7 +15,6 @@ from repro.core.report import (
     comparison_table,
     format_percent,
     models_table,
-    target_summary_row,
     tradeoff_table,
 )
 from repro.core.settings import CaffeineSettings
@@ -363,8 +362,6 @@ class TestTradeoffSetAndReport:
         assert "demo" in text and "complexity" in text
         listing = models_table(tradeoff, title="models")
         assert "expression" in listing
-        row = target_summary_row(tradeoff.simplest())
-        assert "train" in row
 
     def test_comparison_table_and_percent(self):
         rows = [{"target": "PM", "caffeine_train": 0.10, "caffeine_test": 0.04,

@@ -184,7 +184,7 @@ class TestVariationOperators:
             assert child.n_bases == parent.n_bases
 
     def test_operator_names_include_paper_set(self, operators):
-        names = set(operators.operator_names())
+        names = set(operators._operator_names)
         assert {"parameter_mutation", "vc_mutation", "vc_crossover",
                 "subtree_mutation", "subtree_crossover", "basis_crossover",
                 "basis_delete", "basis_add", "basis_copy"} == names

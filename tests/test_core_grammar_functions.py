@@ -70,11 +70,9 @@ class TestFunctionSet:
         assert polynomial_function_set().names() == ()
         assert not polynomial_function_set().has_nonlinear_operators
 
-    def test_without_and_restricted_to(self):
+    def test_without(self):
         fs = default_function_set().without("sin", "cos", "tan")
         assert "sin" not in fs.names()
-        only_div = default_function_set().restricted_to("div")
-        assert only_div.names() == ("div",)
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(KeyError):

@@ -142,7 +142,7 @@ class TestIndividualEvaluation:
         evaluate(individual, X, y, settings)
         clone = individual.clone()
         assert clone.fit is None
-        assert not clone.is_evaluated
+        assert not np.isfinite(clone.complexity)
         assert clone.n_bases == individual.n_bases
 
     def test_render_shows_coefficients_and_bases(self, settings, data):

@@ -382,7 +382,7 @@ class TestEngineResidualEquivalence:
 
     def test_rescore_models_matches_per_model_scoring(self, rational_train,
                                                       rational_test):
-        from repro.core.report import rescore_models, rescore_table
+        from repro.core.report import rescore_models
         from repro.data.metrics import q_tc
 
         base = CaffeineSettings(population_size=20, n_generations=3,
@@ -396,10 +396,6 @@ class TestEngineResidualEquivalence:
                        model.normalization)
                   for model in models]
         assert batched == scalar
-        table = rescore_table(result.tradeoff, rational_test.X,
-                              rational_test.y, title="fresh data")
-        assert "fresh err %" in table and "fresh data" in table
-        assert len(table.splitlines()) == 2 + len(models)
 
     def test_batch_test_errors_groups_mixed_widths(self, rational_train,
                                                    rational_test,

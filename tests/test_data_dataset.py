@@ -105,21 +105,6 @@ class TestTransformations:
         dataset = make_dataset()
         assert dataset.drop_nonfinite() is dataset
 
-    def test_split_fractions(self):
-        dataset = make_dataset(n=20)
-        first, second = dataset.split(0.25, rng=np.random.default_rng(0))
-        assert first.n_samples == 5
-        assert second.n_samples == 15
-
-    def test_split_rejects_bad_fraction(self):
-        with pytest.raises(ValueError):
-            make_dataset().split(1.5)
-
-    def test_shuffled_preserves_rows(self):
-        dataset = make_dataset(n=15)
-        shuffled = dataset.shuffled(rng=np.random.default_rng(3))
-        assert sorted(shuffled.y.tolist()) == sorted(dataset.y.tolist())
-
 
 class TestTrainTestValidation:
     def test_compatible_pair_is_cleaned(self):

@@ -7,65 +7,10 @@ import pytest
 
 from repro.data.metrics import (
     error_normalization,
-    mean_squared_error,
-    normalized_mse,
-    normalized_rmse,
     q_tc,
     q_wc,
-    r_squared,
     relative_rmse,
 )
-
-
-class TestMeanSquaredError:
-    def test_perfect_prediction(self):
-        y = np.array([1.0, 2.0, 3.0])
-        assert mean_squared_error(y, y) == 0.0
-
-    def test_known_value(self):
-        assert mean_squared_error([0.0, 0.0], [1.0, -1.0]) == pytest.approx(1.0)
-
-    def test_nonfinite_prediction_is_inf(self):
-        assert mean_squared_error([1.0, 2.0], [np.nan, 2.0]) == float("inf")
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            mean_squared_error([1.0, 2.0], [1.0])
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            mean_squared_error([], [])
-
-
-class TestNormalizedMse:
-    def test_constant_model_scores_one(self):
-        y = np.array([1.0, 2.0, 3.0, 4.0])
-        prediction = np.full_like(y, y.mean())
-        assert normalized_mse(y, prediction) == pytest.approx(1.0)
-
-    def test_perfect_model_scores_zero(self):
-        y = np.array([1.0, 5.0, -2.0])
-        assert normalized_mse(y, y) == 0.0
-
-    def test_degenerate_target_perfect_fit(self):
-        y = np.full(5, 7.0)
-        assert normalized_mse(y, y) == 0.0
-
-    def test_degenerate_target_bad_fit(self):
-        y = np.full(5, 7.0)
-        assert normalized_mse(y, y + 1.0) == float("inf")
-
-    def test_rmse_is_sqrt_of_mse(self):
-        y = np.array([0.0, 1.0, 2.0, 3.0])
-        prediction = y + 0.5
-        assert normalized_rmse(y, prediction) == pytest.approx(
-            np.sqrt(normalized_mse(y, prediction)))
-
-    def test_r_squared_complements_nmse(self):
-        y = np.array([0.0, 1.0, 2.0, 5.0])
-        prediction = y * 0.9
-        assert r_squared(y, prediction) == pytest.approx(
-            1.0 - normalized_mse(y, prediction))
 
 
 class TestErrorNormalization:
@@ -94,6 +39,14 @@ class TestRelativeRmse:
 
     def test_nonfinite_prediction(self):
         assert relative_rmse([1.0, 2.0], [np.inf, 2.0], 1.0) == float("inf")
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            relative_rmse([1.0, 2.0], [1.0], 1.0)
+
+    def test_empty_raises(self):
+        with pytest.raises(ValueError):
+            relative_rmse([], [], 1.0)
 
 
 class TestPaperQualityMeasures:

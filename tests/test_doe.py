@@ -8,30 +8,12 @@ import pytest
 from repro.doe import (
     DoePlan,
     centered_levels,
-    full_factorial,
-    is_orthogonal_array,
-    latin_hypercube,
     orthogonal_array,
     orthogonal_hypercube,
     scale_design,
 )
 
-
-class TestFullFactorial:
-    def test_shape_and_levels(self):
-        design = full_factorial(3, 2)
-        assert design.shape == (9, 2)
-        assert set(design.ravel().tolist()) == {0, 1, 2}
-
-    def test_all_combinations_unique(self):
-        design = full_factorial(2, 4)
-        assert len({tuple(row) for row in design}) == 16
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            full_factorial(1, 3)
-        with pytest.raises(ValueError):
-            full_factorial(3, 0)
+from oracles import is_orthogonal_array
 
 
 class TestOrthogonalArray:
@@ -96,11 +78,6 @@ class TestScaling:
         scaled = scale_design(design, nominal=[10.0, 10.0, 10.0], dx=0.1)
         np.testing.assert_allclose(scaled, [[9.0, 10.0, 11.0]])
 
-    def test_scale_design_absolute(self):
-        design = np.array([[0, 2]])
-        scaled = scale_design(design, nominal=[1.0, 1.0], dx=0.5, relative=False)
-        np.testing.assert_allclose(scaled, [[0.5, 1.5]])
-
     def test_scale_rejects_negative_dx(self):
         with pytest.raises(ValueError):
             scale_design(np.zeros((1, 2), dtype=int), [1.0, 1.0], -0.1)
@@ -108,18 +85,6 @@ class TestScaling:
     def test_scale_rejects_wrong_nominal_length(self):
         with pytest.raises(ValueError):
             scale_design(np.zeros((1, 3), dtype=int), [1.0, 1.0], 0.1)
-
-
-class TestLatinHypercube:
-    def test_shape_and_bounds(self):
-        sample = latin_hypercube(20, 4, rng=np.random.default_rng(0))
-        assert sample.shape == (20, 4)
-        assert np.all((sample >= 0.0) & (sample <= 1.0))
-
-    def test_stratification(self):
-        sample = latin_hypercube(10, 1, rng=np.random.default_rng(1))
-        bins = np.floor(sample[:, 0] * 10).astype(int)
-        assert sorted(bins.tolist()) == list(range(10))
 
 
 class TestDoePlan:
@@ -133,13 +98,6 @@ class TestDoePlan:
         for j in range(plan.n_factors):
             values = np.unique(np.round(plan.points[:, j], 12))
             np.testing.assert_allclose(values, [0.9, 1.0, 1.1])
-
-    def test_as_dicts_round_trip(self):
-        nominal = {"a": 2.0, "b": 4.0}
-        plan = DoePlan.orthogonal(nominal, dx=0.5, n_runs=9)
-        rows = plan.as_dicts()
-        assert len(rows) == 9
-        assert set(rows[0].keys()) == {"a", "b"}
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -10,8 +10,9 @@ fingerprint checkpoints carry did not change when the backend, cache-budget
 and fault-injection knobs went.  :class:`Session` is the one way to run
 CAFFEINE: the one-call shims, the pre-Session cache helpers and the
 Session options only they or the tests set are gone for good, as are the
-object-based NSGA-II selection API beside the array path and the
-netlist/MNA circuit simulator, which produced none of the OTA data.
+object-based NSGA-II selection API beside the array path, the
+netlist/MNA circuit simulator, which produced none of the OTA data, and
+the metric, sampling and PRESS helpers nothing in the package reached.
 """
 
 from __future__ import annotations
@@ -73,6 +74,23 @@ REMOVED_NAMES = (
     ("repro.circuits.mosfet", "thermal_voltage"),
     ("repro.circuits.mosfet", "gm_over_id_saturation"),
     ("repro.circuits.mosfet", "required_veff"),
+    # library surface nothing reached: alternative metrics, samplers and
+    # PRESS helpers (is_orthogonal_array is oracles.is_orthogonal_array)
+    *((module, name)
+      for package, defining, names in (
+          ("repro.data", "repro.data.metrics",
+           ("mean_squared_error", "normalized_mse", "normalized_rmse",
+            "r_squared")),
+          ("repro.doe", "repro.doe.sampling", ("latin_hypercube",)),
+          ("repro.doe", "repro.doe.orthogonal",
+           ("full_factorial", "is_orthogonal_array")),
+          ("repro.regression", "repro.regression.press",
+           ("hat_matrix", "press_rmse")),
+          ("repro.regression", "repro.regression.forward_regression",
+           ("ForwardSelectionResult",)))
+      for module in (package, defining) for name in names),
+    ("repro.core.report", "target_summary_row"),
+    ("repro.core.report", "rescore_table"),
 )
 
 #: the simulator's modules

@@ -22,8 +22,8 @@ from repro.core.pareto import (
 from repro.core.settings import CaffeineSettings
 from repro.core.variable_combo import VariableCombo
 from repro.core.weights import Weight, transform_stored_value
-from repro.data.metrics import error_normalization, normalized_mse, relative_rmse
-from repro.doe.orthogonal import is_orthogonal_array, orthogonal_array
+from repro.data.metrics import error_normalization, relative_rmse
+from repro.doe.orthogonal import orthogonal_array
 import oracles
 
 # Shared hypothesis profile: keep examples modest so the suite stays fast.
@@ -345,10 +345,10 @@ def test_linear_fit_never_worse_than_mean_model(n_samples, n_features, seed):
 @FAST
 @given(prediction_noise=st.one_of(
     st.just(0.0), st.floats(min_value=1e-6, max_value=10.0)))
-def test_normalized_mse_zero_iff_exact(prediction_noise):
+def test_relative_rmse_zero_iff_exact(prediction_noise):
     y = np.linspace(0.0, 1.0, 20)
     prediction = y + prediction_noise
-    error = normalized_mse(y, prediction)
+    error = relative_rmse(y, prediction, error_normalization(y))
     if prediction_noise == 0.0:
         assert error == 0.0
     else:
@@ -364,7 +364,7 @@ def test_normalized_mse_zero_iff_exact(prediction_noise):
 def test_orthogonal_arrays_always_strength_two(n_factors, levels):
     design = orthogonal_array(n_factors, levels=levels)
     assert design.shape[1] == n_factors
-    assert is_orthogonal_array(design, levels=levels, strength=2)
+    assert oracles.is_orthogonal_array(design, levels=levels, strength=2)
 
 
 # ----------------------------------------------------------------------
