@@ -17,7 +17,7 @@ The OTA-specific wiring lives in :mod:`repro.circuits.ota`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.circuits.mosfet import MosfetModel, MosfetOperatingPoint, Technology
 
@@ -34,8 +34,6 @@ class DeviceSpec:
 
     Each of ``id``, ``vgs`` and ``vds`` is either the name of a design
     variable or a callable mapping the design-point dictionary to a value.
-    ``multiplicity`` is the number of identical parallel devices (e.g. 2 for
-    a differential pair counted as one spec).
     """
 
     name: str
@@ -43,7 +41,6 @@ class DeviceSpec:
     id: object
     vgs: object
     vds: object
-    multiplicity: int = 1
     length_um: Optional[float] = None
 
     def resolve(self, point: Mapping[str, float]) -> Tuple[float, float, float]:
@@ -73,8 +70,7 @@ class OperatingPointFormulation:
 
     # ------------------------------------------------------------------
     def add_device(self, name: str, polarity: str, id: object, vgs: object,
-                   vds: object, multiplicity: int = 1,
-                   length_um: Optional[float] = None) -> DeviceSpec:
+                   vds: object, length_um: Optional[float] = None) -> DeviceSpec:
         """Register a device; returns its spec.
 
         ``id``, ``vgs`` and ``vds`` may be design-variable names, numeric
@@ -84,10 +80,8 @@ class OperatingPointFormulation:
             raise ValueError(f"duplicate device name {name!r}")
         if polarity not in ("nmos", "pmos"):
             raise ValueError(f"polarity must be 'nmos' or 'pmos', got {polarity!r}")
-        if multiplicity < 1:
-            raise ValueError("multiplicity must be >= 1")
         spec = DeviceSpec(name=name, polarity=polarity, id=id, vgs=vgs, vds=vds,
-                          multiplicity=multiplicity, length_um=length_um)
+                          length_um=length_um)
         self._specs[name] = spec
         return spec
 

@@ -160,10 +160,8 @@ class SymmetricalOta:
     def _build_formulation(self) -> OperatingPointFormulation:
         vdd = self.technology.vdd
         formulation = OperatingPointFormulation(self.technology)
-        formulation.add_device("M1", "pmos", id="id1", vgs="vsg1", vds="vsd1",
-                               multiplicity=2)
-        formulation.add_device("M2", "nmos", id="id1", vgs="vgs2", vds="vds2",
-                               multiplicity=2)
+        formulation.add_device("M1", "pmos", id="id1", vgs="vsg1", vds="vsd1")
+        formulation.add_device("M2", "nmos", id="id1", vgs="vgs2", vds="vds2")
         formulation.add_device("M3", "pmos", id="id2", vgs="vsg3", vds="vsd3")
         formulation.add_device("M4", "pmos", id="id2", vgs="vsg4",
                                vds=lambda p: max(vdd - p["vds6"], 0.2))

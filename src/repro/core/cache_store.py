@@ -13,7 +13,12 @@ on-disk envelope (:class:`_VersionedFileStore`):
   population, rank arrays, history), one named slot per problem, written
   periodically so an interrupted run warm-restarts **bit-identically**
   instead of starting over (see ``CaffeineEngine.run`` and
-  ``Session.resume``).
+  ``Session.resume``).  Each slot is stored as its own pickled bytes
+  (format version 2), so a save pickles only the slot it stores, a load
+  unpickles only the slot it reads, and a store whose own last write is
+  still the file (its header, which carries the payload digest, is
+  unchanged) skips re-reading it.  Version-1 files, which pickled all
+  slots as one document, are warned about and start cold.
 
 The envelope gives both the same durability properties:
 
@@ -26,8 +31,8 @@ The envelope gives both the same durability properties:
   an error, and the damaged file is **quarantined** (renamed to
   ``<path>.corrupt-<n>``) so the next run does not trip over -- or
   silently keep cold-starting over -- the same bad bytes.  Files that are
-  *valid but foreign* (wrong magic: probably a wrong path; a future format
-  version: probably a newer build's good file) are left in place;
+  *valid but foreign* (wrong magic: probably a wrong path; another format
+  version: probably another build's good file) are left in place;
 * **merge-under-lock writers** -- the whole read-merge-write cycle runs
   under an advisory :class:`FileLock` on a sidecar ``<path>.lock``, so two
   processes saving the same path serialize and the second merges over the
@@ -200,14 +205,15 @@ class _VersionedFileStore:
         self.lock = FileLock(str(self.path) + ".lock")
 
     # ------------------------------------------------------------------
-    def _write_document(self, document: dict) -> None:
-        """Atomically replace the file with ``document`` (header + payload).
+    def _write_document(self, document: dict) -> bytes:
+        """Atomically replace the file with ``document``; returns the header.
 
         Callers hold :attr:`lock` around their read-merge-write cycle; the
         write itself is atomic regardless (temp file in the target
         directory, then ``os.replace``), so a crash -- even a ``SIGKILL``
         -- between any two instructions here leaves the previous file
-        version (or no file), never a torn one.
+        version (or no file), never a torn one.  The returned header
+        (magic, version and payload digest lines) identifies this write.
         """
         payload = pickle.dumps(document, protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(payload).hexdigest().encode("ascii")
@@ -227,6 +233,7 @@ class _VersionedFileStore:
                 pass
             raise
         faults.corrupt_file_point("store.corrupt", self.path)
+        return header
 
     # ------------------------------------------------------------------
     def _read_document(self) -> Optional[dict]:
@@ -237,7 +244,7 @@ class _VersionedFileStore:
         quarantines the file (rename to ``<path>.corrupt-<n>``) so later
         runs start genuinely cold instead of re-tripping over it; the
         warning names the quarantine path.  A *foreign* file (wrong magic:
-        likely a mis-pointed path; a future format version: likely a newer
+        likely a mis-pointed path; another format version: likely another
         build's perfectly good file) is warned about but left alone.
         """
         try:
@@ -420,28 +427,67 @@ class RunCheckpointStore(_VersionedFileStore):
     read-merge-write cycle under the sidecar advisory lock so parallel
     workers checkpointing different problems into one file never erase each
     other's slots.
+
+    Saves are incremental.  The document's ``slots`` maps each name to
+    that slot's own pickled bytes, so a save pickles only the state it
+    stores and a load unpickles only the slot it asks for.  The store also
+    keeps the slot bytes and the header of its own last write.  A save
+    then reads only the file's header: if it is still that header, the
+    held slots are the file's slots and are reused as they are; otherwise
+    (first save, another writer in between, a quarantined or replaced file)
+    the save reads, verifies and merges the whole file as usual.  This is
+    safe because every writer holds the lock from that check to its
+    replace, and the header carries the SHA-256 of the whole payload: a
+    file that still bears it was written by this instance (or holds the
+    very same bytes).  If that file's payload was damaged after the write,
+    the save rewrites it whole from the held bytes.  A serial ``Session``
+    shares one store across its problems, so every save after its first
+    takes this path; parallel workers alternate writes and merge.
     """
 
     MAGIC = b"caffeine-run-checkpoint"
-    FORMAT_VERSION = 1
+    #: version 2: each slot is stored as its own pickled bytes
+    FORMAT_VERSION = 2
     KIND = "run-checkpoint"
+
+    def __init__(self, path: Union[str, os.PathLike]) -> None:
+        super().__init__(path)
+        #: header of this instance's last write (None before its first)
+        self._written_header: Optional[bytes] = None
+        #: the slot bytes of that write
+        self._written_slots: Dict[str, bytes] = {}
 
     # ------------------------------------------------------------------
     def save_state(self, slot: str, state: dict) -> None:
         """Store ``state`` under ``slot``, keeping every other slot."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         with self.lock:
-            slots = self._read_slots() or {}
-            slots[str(slot)] = state
-            self._write_document(
+            if self._file_is_last_written():
+                slots = dict(self._written_slots)
+            else:
+                slots = self._read_slots() or {}
+            slots[str(slot)] = blob
+            self._written_header = self._write_document(
                 {"format_version": self.FORMAT_VERSION, "slots": slots})
+            self._written_slots = slots
 
     def load_state(self, slot: str) -> Optional[dict]:
-        """The state stored under ``slot``, or None (missing file or slot)."""
+        """The state stored under ``slot``, or None (missing file or slot).
+
+        Only this slot is unpickled; if its bytes do not unpickle, the slot
+        is warned about and treated as missing, and the other slots stay.
+        """
         slots = self._read_slots()
-        if not slots:
+        blob = slots.get(str(slot)) if slots else None
+        if blob is None:
             return None
-        return slots.get(str(slot))
+        try:
+            return pickle.loads(blob)
+        except Exception as error:  # damaged bytes, a retired class, ...
+            self._warn(f"undecodable slot {str(slot)!r} "
+                       f"({type(error).__name__}: {error})")
+            return None
 
     def slot_names(self) -> Tuple[str, ...]:
         """Names of every stored slot (empty for a missing/damaged file)."""
@@ -449,7 +495,18 @@ class RunCheckpointStore(_VersionedFileStore):
         return tuple(sorted(slots)) if slots else ()
 
     # ------------------------------------------------------------------
-    def _read_slots(self) -> Optional[Dict[str, dict]]:
+    def _file_is_last_written(self) -> bool:
+        """True if the file still starts with this instance's last header."""
+        header = self._written_header
+        if header is None:
+            return False
+        try:
+            with open(self.path, "rb") as handle:
+                return handle.read(len(header)) == header
+        except OSError:
+            return False
+
+    def _read_slots(self) -> Optional[Dict[str, bytes]]:
         document = self._read_document()
         if document is None:
             return None

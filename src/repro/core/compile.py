@@ -76,7 +76,6 @@ from repro.core.expression import (
     UnaryOpTerm,
     WeightedSum,
     cached_structural_key,
-    structural_key,
 )
 from repro.core.individual import _MAGNITUDE_LIMIT, evaluate_basis_column
 from repro.core.weights import Weight
@@ -89,6 +88,7 @@ __all__ = [
     "canonicalize_fresh_product_term",
     "cached_skeleton_and_params",
     "skeleton_and_params",
+    "skeleton_complexity",
 ]
 
 #: A tape operand: a slot index (int, owned temporary), a parameter
@@ -361,6 +361,71 @@ def _skeleton_argument(arg, tokens: List, params: List[float]) -> None:
         params.append(arg.value)
     else:
         _skeleton(arg, tokens, params)
+
+
+#: child subtrees of each operator node's skeleton (weights count as one)
+_OPERATOR_CHILDREN = {"u": 1, "b": 2, "c": 4}
+
+
+def skeleton_complexity(skeleton: Tuple, params: Tuple[float, ...],
+                        basis_function_cost: float,
+                        vc_exponent_cost: float) -> float:
+    """:func:`~repro.core.complexity.basis_function_complexity` of the tree
+    whose :func:`skeleton_and_params` pair this is, without the tree.
+
+    The skeleton holds every node and the pattern of each variable combo;
+    the combos' exponents are its parameters.  Costs are summed in the
+    same order as the tree walk (``basis_function_cost + n_nodes``, then
+    each combo in pre-order), so the result is bit-identical.
+    """
+    orders: List[float] = []
+    _end, _used, n_nodes = _skeleton_nodes(skeleton, params, 0, 0, orders)
+    total = basis_function_cost + n_nodes
+    for order in orders:
+        total += vc_exponent_cost * order
+    return float(total)
+
+
+def _skeleton_nodes(tokens: Tuple, params: Tuple[float, ...], i: int, p: int,
+                    orders: List[float]) -> Tuple[int, int, int]:
+    """Parse the subtree at ``tokens[i]`` (its parameters start at
+    ``params[p]``), appending each combo's total order to ``orders``.
+    Returns ``(next token, next parameter, node count)``; the node counts
+    are those of ``ExpressionNode.n_nodes``."""
+    tag = tokens[i]
+    if tag == "w":
+        return i + 1, p + 1, 1
+    if tag == "pt":
+        if tokens[i + 1] == -1:
+            nodes = 1
+            i += 2
+        else:
+            n_active = tokens[i + 2]
+            orders.append(sum(map(abs, params[p:p + n_active])))
+            p += n_active
+            nodes = 2
+            i += 3 + n_active
+        n_children = tokens[i]
+        i += 1
+    elif tag == "ws":
+        n_terms = tokens[i + 1]
+        i += 2
+        p += 1  # the offset
+        nodes = 2 + n_terms  # itself, its offset and one weight per term
+        for _ in range(n_terms):
+            i, p, n = _skeleton_nodes(tokens, params, i, p, orders)
+            nodes += n
+            p += 1  # the term's weight follows its term
+        return i, p, nodes
+    else:
+        # "u" and "b" are followed by the operator name; "c" is not
+        n_children = _OPERATOR_CHILDREN[tag]
+        i += 1 if tag == "c" else 2
+        nodes = 1
+    for _ in range(n_children):
+        i, p, n = _skeleton_nodes(tokens, params, i, p, orders)
+        nodes += n
+    return i, p, nodes
 
 
 class _Lowering:

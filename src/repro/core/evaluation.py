@@ -65,8 +65,11 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import faults
-from repro.core.compile import TreeCompiler, cached_skeleton_and_params
-from repro.core.complexity import basis_function_complexity
+from repro.core.compile import (
+    TreeCompiler,
+    cached_skeleton_and_params,
+    skeleton_complexity,
+)
 from repro.core.expression import ProductTerm
 from repro.core.individual import Individual
 from repro.core.settings import CaffeineSettings
@@ -628,13 +631,18 @@ class PopulationEvaluator:
     def _complexity_from_keys(self, keys: List[Tuple],
                               bases: Sequence[ProductTerm]) -> float:
         """Model complexity from per-basis cached terms (order-preserving sum,
-        so bit-identical to :func:`~repro.core.complexity.model_complexity`)."""
+        so bit-identical to :func:`~repro.core.complexity.model_complexity`).
+
+        A fresh term is read off the basis's memoized skeleton, which the
+        column key already walked the tree for, instead of walking it again.
+        """
         total = []
         for key, basis in zip(keys, bases, strict=True):
             term = self._complexity_cache.get(key)
             if term is None:
-                term = basis_function_complexity(
-                    basis, self.settings.basis_function_cost,
+                term = skeleton_complexity(
+                    *cached_skeleton_and_params(basis),
+                    self.settings.basis_function_cost,
                     self.settings.vc_exponent_cost)
                 if len(self._complexity_cache) >= self.cache.max_entries:
                     self._complexity_cache.clear()

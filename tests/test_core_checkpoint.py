@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +91,96 @@ class TestRunCheckpointStore:
         store.save_state("a", {"v": 3})
         assert store.load_state("a") == {"v": 3}
         assert store.load_state("b") == {"v": 2}  # merge, not overwrite
+
+    def test_saves_after_its_own_write_read_only_the_header(self, tmp_path,
+                                                            monkeypatch):
+        path = tmp_path / "run.ckpt"
+        RunCheckpointStore(path).save_state("a", {"v": 1})
+        reads = []
+        read_document = RunCheckpointStore._read_document
+
+        def counting_read_document(store):
+            reads.append(store)
+            return read_document(store)
+
+        monkeypatch.setattr(RunCheckpointStore, "_read_document",
+                            counting_read_document)
+        store = RunCheckpointStore(path)
+        store.save_state("b", {"v": 2})  # first save: reads and merges
+        store.save_state("c", {"v": 3})
+        store.save_state("b", {"v": 4})
+        assert reads == [store]
+        assert [store.load_state(name) for name in "abc"] == \
+            [{"v": 1}, {"v": 4}, {"v": 3}]
+
+    def test_two_stores_on_one_path_alternate_without_losing_slots(
+            self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        first, second = RunCheckpointStore(path), RunCheckpointStore(path)
+        first.save_state("a", {"v": 1})
+        second.save_state("b", {"v": 2})
+        first.save_state("a", {"v": 3})  # the file is second's: merge
+        first.save_state("c", {"v": 4})  # the file is first's own
+        second.save_state("b", {"v": 5})  # the file is first's: merge
+        second.save_state("d", {"v": 6})
+        first.save_state("c", {"v": 7})
+        reader = RunCheckpointStore(path)
+        assert reader.slot_names() == ("a", "b", "c", "d")
+        assert [reader.load_state(name) for name in "abcd"] == \
+            [{"v": 3}, {"v": 5}, {"v": 7}, {"v": 6}]
+
+    def test_save_after_a_corrupted_save_writes_every_slot(self, tmp_path):
+        """A save truncated on disk by the ``store.corrupt`` fault keeps
+        its header, so the store's next save takes the header-only path
+        and rewrites the whole file, every slot included."""
+        path = tmp_path / "run.ckpt"
+        store = RunCheckpointStore(path)
+        store.save_state("a", {"v": list(range(200))})
+        corrupt = faults.install("store.corrupt")
+        store.save_state("b", {"v": 2})
+        assert corrupt.fired == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            store.save_state("c", {"v": 3})
+            reader = RunCheckpointStore(path)
+            assert reader.slot_names() == ("a", "b", "c")
+            assert reader.load_state("a") == {"v": list(range(200))}
+            assert reader.load_state("b") == {"v": 2}
+        assert not list(tmp_path.glob("run.ckpt.corrupt-*"))
+
+    def test_version_1_file_cold_starts_and_is_replaced(self, tmp_path):
+        class Version1Store(RunCheckpointStore):
+            FORMAT_VERSION = 1
+
+        path = tmp_path / "run.ckpt"
+        Version1Store(path)._write_document(
+            {"format_version": 1, "slots": {"a": {"v": 1}}})
+        store = RunCheckpointStore(path)
+        with pytest.warns(RuntimeWarning, match="unsupported format version"):
+            assert store.load_state("a") is None
+        with pytest.warns(RuntimeWarning, match="unsupported format version"):
+            store.save_state("b", {"v": 2})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reader = RunCheckpointStore(path)
+            assert reader.slot_names() == ("b",)
+            assert reader.load_state("b") == {"v": 2}
+        assert path.read_bytes().split(b"\n", 2)[1] == b"2"
+        assert not list(tmp_path.glob("run.ckpt.corrupt-*"))
+
+    def test_undecodable_slot_leaves_the_other_slots_readable(self,
+                                                              tmp_path):
+        path = tmp_path / "run.ckpt"
+        store = RunCheckpointStore(path)
+        store._write_document({"format_version": 2, "slots": {
+            "a": pickle.dumps({"v": 1}), "b": b"not a pickle"}})
+        assert store.load_state("a") == {"v": 1}
+        with pytest.warns(RuntimeWarning, match="undecodable slot 'b'"):
+            assert store.load_state("b") is None
+        assert store.slot_names() == ("a", "b")
+        store.save_state("b", {"v": 2})
+        assert store.load_state("b") == {"v": 2}
+        assert store.load_state("a") == {"v": 1}
 
 
 class TestEngineResume:

@@ -19,7 +19,9 @@ from repro.core.compile import (
     CompilationError,
     TreeCompiler,
     skeleton_and_params,
+    skeleton_complexity,
 )
+from repro.core.complexity import basis_function_complexity
 from repro.core.evaluation import PopulationEvaluator
 from repro.core.expression import (
     BinaryOpTerm,
@@ -139,6 +141,25 @@ def test_skeleton_walk_matches_lowering_order(seed):
         assert kernel.compiled_params == params
         _assert_bitwise_equal(kernel(params),
                               evaluate_basis_column(basis, X), "(order)")
+
+
+@FAST
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       n_variables=st.integers(min_value=1, max_value=6),
+       conditionals=st.booleans())
+def test_skeleton_complexity_matches_tree_walk(seed, n_variables,
+                                               conditionals):
+    """The complexity read off a skeleton is the tree walk's, bit for bit,
+    also for costs whose sums round."""
+    settings = CaffeineSettings(population_size=10, n_generations=1,
+                                random_seed=seed,
+                                enable_conditionals=conditionals)
+    rng = np.random.default_rng(seed)
+    generator = ExpressionGenerator(n_variables, settings, rng=rng)
+    for basis in generator.random_basis_functions(5):
+        for costs in ((10.0, 0.25), (0.1, 0.1), (0.0, 1.0 / 3.0)):
+            assert skeleton_complexity(*skeleton_and_params(basis), *costs) \
+                == basis_function_complexity(basis, *costs)
 
 
 @FAST
