@@ -4,10 +4,11 @@
 This example builds a small synthetic dataset with a known rational ground
 truth and models it two ways:
 
-1. through :class:`repro.SymbolicRegressor`, the sklearn-style facade
-   (``fit(X, y)`` / ``predict(X)`` / ``pareto_front_``);
-2. through :class:`repro.Session`, the multi-problem orchestrator, running
-   two related targets over one shared column cache;
+1. one :class:`repro.Problem` (``Problem.from_arrays``) run by a
+   one-problem :class:`repro.Session`: inspect the trade-off, pick a model
+   with ``result.best_model(by=...)`` and predict with it;
+2. one :class:`repro.Session` over two related targets, sharing one
+   column cache;
 3. deployment: the fitted trade-off is frozen to a small artifact with
    :func:`repro.save_front`, loaded back as a prediction-only
    :class:`~repro.core.artifact.FrozenFront` (bit-identical predictions),
@@ -35,8 +36,8 @@ import urllib.request
 
 import numpy as np
 
-from repro import (CaffeineSettings, Problem, Session, SymbolicRegressor,
-                   load_front)
+from repro import (CaffeineSettings, Problem, Session, load_front,
+                   save_front)
 from repro.core.report import tradeoff_table
 from repro.serve import make_server
 
@@ -58,42 +59,35 @@ def main() -> None:
     X, y = make_data(n_samples=150, seed=0)
     X_test, y_test = make_data(n_samples=100, seed=1)
 
-    if args.quick:
-        estimator = SymbolicRegressor(population_size=24, n_generations=5,
-                                      max_basis_functions=6, random_seed=7,
-                                      feature_names=("a", "b", "c"))
-    else:
-        estimator = SymbolicRegressor(population_size=60, n_generations=25,
-                                      max_basis_functions=6, random_seed=7,
-                                      feature_names=("a", "b", "c"))
+    settings = CaffeineSettings(
+        population_size=24 if args.quick else 60,
+        n_generations=5 if args.quick else 25,
+        max_basis_functions=6, random_seed=7)
 
     # ------------------------------------------------------------------
-    # 1. The sklearn-style facade: fit, inspect the trade-off, predict.
+    # 1. One problem: run it, inspect the trade-off, pick a model, predict.
     # ------------------------------------------------------------------
-    estimator.fit(X, y, X_test=X_test, y_test=y_test)
-    result = estimator.result_
+    problem = Problem.from_arrays(X, y, variable_names=("a", "b", "c"),
+                                  X_test=X_test, y_test=y_test)
+    result = Session([problem], settings=settings).run().single()
 
     print("CAFFEINE quickstart: modeling y = 3 + 2*a/b + 0.5*c")
     print(f"  {result.n_models} models on the error/complexity trade-off "
           f"({result.runtime_seconds:.1f} s)\n")
-    print(tradeoff_table(estimator.pareto_front_,
-                         title="Trade-off (errors in %):"))
+    print(tradeoff_table(result.tradeoff, title="Trade-off (errors in %):"))
 
-    best = estimator.best_model_
+    best = result.best_model(by="test")
     print("\nMost accurate model on test data:")
     print(f"  train error {best.train_error_percent:.2f}%  "
           f"test error {best.test_error_percent:.2f}%")
-    print(f"  y ~ {estimator.expression()}")
+    print(f"  y ~ {best.expression()}")
     print(f"  variables used: {', '.join(best.used_variables())}")
-    print(f"  R^2 on held-out data: {estimator.score(X_test, y_test):.4f}")
+    print(f"  prediction at the first test point: "
+          f"{best.predict(X_test[:1])[0]:.4f} (true {y_test[0]:.4f})")
 
     # ------------------------------------------------------------------
     # 2. The Session orchestrator: two targets, one shared column cache.
     # ------------------------------------------------------------------
-    settings = CaffeineSettings(
-        population_size=estimator.population_size,
-        n_generations=estimator.n_generations,
-        max_basis_functions=6, random_seed=7)
     problems = [
         Problem.from_arrays(X, y, variable_names=("a", "b", "c"),
                             target_name="smooth"),
@@ -114,14 +108,13 @@ def main() -> None:
     # ------------------------------------------------------------------
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "quickstart.front")
-        n_frozen = estimator.save(path)   # == save_front(estimator.result_, path)
+        n_frozen = save_front(result, path)
         print(f"\nFroze {n_frozen} models to a "
               f"{os.path.getsize(path)}-byte artifact")
 
         front = load_front(path)          # prediction-only, no engine
-        assert np.array_equal(front.predict(X_test),
-                              estimator.predict(X_test)), \
-            "frozen predictions must be bit-identical to the live estimator"
+        assert np.array_equal(front.predict(X_test), best.predict(X_test)), \
+            "frozen predictions must be bit-identical to the live run"
         print("  load_front round trip: predictions bit-identical")
 
         # `python -m repro serve quickstart.front` runs this same server as

@@ -18,26 +18,27 @@ Functions and Genetic Programming* (DATE 2005), as a complete Python library:
 * :mod:`repro.experiments` -- drivers that regenerate every table and figure
   of the paper's evaluation section.
 
-Quick start -- the sklearn-style facade fits any numeric dataset:
+Quick start -- a :class:`Problem` wraps any numeric dataset and a
+one-problem :class:`Session` evolves its error/complexity trade-off:
 
     >>> import numpy as np
-    >>> from repro import SymbolicRegressor
+    >>> from repro import CaffeineSettings, Problem, Session
     >>> rng = np.random.default_rng(0)
     >>> X = rng.uniform(0.5, 2.0, size=(40, 2))
     >>> y = 1.0 + 2.0 * X[:, 0] / X[:, 1]
-    >>> est = SymbolicRegressor(population_size=20, n_generations=3,
-    ...                         random_seed=0)
-    >>> est = est.fit(X, y)
-    >>> est.predict(X).shape
+    >>> settings = CaffeineSettings(population_size=20, n_generations=3,
+    ...                             random_seed=0)
+    >>> result = Session([Problem.from_arrays(X, y)],
+    ...                  settings=settings).run().single()
+    >>> result.best_model(by="train").predict(X).shape
     (40,)
-    >>> len(est.pareto_front_) >= 1   # the full error/complexity trade-off
+    >>> len(result.tradeoff) >= 1   # the full error/complexity trade-off
     True
 
 Multi-run orchestration -- a :class:`Session` runs a list of
-:class:`Problem`\\ s (serially, or on a process pool with ``jobs=n``) over
-one shared column cache:
+:class:`Problem`\\ s (serially, or with ``jobs=n`` in up to ``n`` worker
+processes, one per problem) over one shared column cache:
 
-    >>> from repro import CaffeineSettings, Problem, Session
     >>> problems = [Problem.from_arrays(X, y, target_name="t1"),
     ...             Problem.from_arrays(X, X[:, 0] ** 2, target_name="t2")]
     >>> settings = CaffeineSettings(population_size=16, n_generations=2,
@@ -60,14 +61,12 @@ batched, stateless HTTP service (see the artifact spec and serving guide in
 ``benchmarks/README.md``):
 
     >>> import os, tempfile
-    >>> from repro import load_front
+    >>> from repro import load_front, save_front
     >>> path = os.path.join(tempfile.mkdtemp(), "front.caffeine")
-    >>> est.save(path) >= 1   # == save_front(est.result_, path)
+    >>> save_front(result, path) == len(result.tradeoff)
     True
     >>> front = load_front(path)
-    >>> bool(np.array_equal(front.predict(X), est.predict(X)))
-    True
-    >>> front.n_models == len(est.pareto_front_)
+    >>> bool(np.array_equal(front.predict(X), result.best_model().predict(X)))
     True
 
 Long sweeps are crash-safe and fault-tolerant: ``Session(...,
@@ -136,13 +135,12 @@ from repro.core import (
     rational_function_set,
 )
 from repro.data import Dataset
-from repro.estimator import SymbolicRegressor
 
 __version__ = "1.1.0"
 
 __all__ = [
     "__version__",
-    # problem/session/facade API (preferred)
+    # problem/session API
     "Problem",
     "Session",
     "SessionCallback",
@@ -150,7 +148,6 @@ __all__ = [
     "ProblemFailure",
     "ProgressPrinter",
     "InjectedFault",
-    "SymbolicRegressor",
     # engine layer
     "CaffeineEngine",
     "CaffeineResult",

@@ -14,8 +14,9 @@ The experiment subcommands sample the OTA datasets (243-run orthogonal
 hypercube, dx=0.10 train / dx=0.03 test), run the requested sweep through a
 :class:`~repro.core.session.Session` at the chosen budget and print the
 paper-style table or series to stdout.  ``--jobs`` runs a sweep's targets
-on a process pool and ``--column-cache`` persists the shared column cache
-across invocations (both wall-clock knobs; results are identical).
+in worker processes, one per target, and ``--column-cache`` persists the
+shared column cache across invocations (both wall-clock knobs; results are
+identical).
 
 ``run`` opens an arbitrary header-row CSV as a modeling problem
 (:meth:`~repro.core.problem.Problem.from_csv`) and prints the resulting
@@ -123,12 +124,13 @@ def _save_front_parser() -> argparse.ArgumentParser:
 
 
 def _jobs_parser() -> argparse.ArgumentParser:
-    """The process-pool option -- only for multi-run sweep subcommands."""
+    """The worker-process option -- only for multi-run sweep subcommands."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--jobs", type=int, default=1,
-        help="run up to N sweep targets concurrently on a process pool "
-             "(default: 1 = serial; results are identical either way)")
+        help="run up to N sweep targets concurrently, each in its own "
+             "worker process (default: 1 = serial; results are identical "
+             "either way)")
     return parent
 
 

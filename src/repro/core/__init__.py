@@ -3,9 +3,9 @@
 The public surface of the core package:
 
 * :class:`~repro.core.problem.Problem` / :class:`~repro.core.session.Session`
-  -- package modeling tasks and orchestrate many of them (serially or on a
-  process pool) over one shared, optionally persistent column cache, with
-  crash-safe checkpoint/resume (``checkpoint_path`` +
+  -- package modeling tasks and orchestrate many of them (serially or one
+  worker process per problem) over one shared, optionally persistent
+  column cache, with crash-safe checkpoint/resume (``checkpoint_path`` +
   ``run(resume=True)``, bit-identical restarts) and
   fault tolerance (per-problem timeouts/retries, worker-crash containment,
   partial results with structured

@@ -7,8 +7,8 @@ complexity), applies simplification-after-generation, and returns a
 :class:`CaffeineResult` holding the trade-off of symbolic models plus
 per-generation statistics.  Engines are driven by the
 :class:`~repro.core.session.Session` orchestrator (the one public way to
-run CAFFEINE, also behind the :class:`repro.SymbolicRegressor` facade);
-building an engine directly is for tests and tools that need its state.
+run CAFFEINE); building an engine directly is for tests and tools that
+need its state.
 
 All fitness evaluation is routed through one
 :class:`~repro.core.evaluation.PopulationEvaluator` bound to the training

@@ -16,7 +16,7 @@ Constructors cover the common sources::
     Problem.from_csv("ota.csv", target="PM")    # a header-row CSV file
 
 Problems are immutable and picklable (both underlying types are), which is
-what lets a Session ship them to a process pool.
+what lets a Session ship them to its worker processes.
 """
 
 from __future__ import annotations

@@ -20,11 +20,11 @@ def nonnegative_least_squares(features: np.ndarray, y: np.ndarray
                               ) -> Tuple[np.ndarray, float]:
     """Solve ``min ||intercept + features @ c - y||`` subject to ``c >= 0``.
 
-    The intercept is unconstrained and handled by centering: it is
-    ``mean(y - features @ c)`` after solving the constrained problem on
-    centered data.  (A posynomial proper has a non-negative constant; the
-    baseline of Daems et al. allows a free constant term, which this
-    reproduces.)
+    The intercept is unconstrained and handled exactly by centering: one
+    NNLS solve on the centered features and target gives ``c``, and the
+    intercept is ``mean(y - features @ c)``.  (A posynomial proper has a
+    non-negative constant; the baseline of Daems et al. allows a free
+    constant term, which this reproduces.)
 
     Parameters
     ----------
@@ -54,17 +54,11 @@ def nonnegative_least_squares(features: np.ndarray, y: np.ndarray
     scales[scales < 1e-300] = 1.0
     scaled = features / scales
 
-    # Alternate between the unconstrained intercept and the NNLS solve a
-    # few times; this converges very quickly in practice.
-    intercept = float(np.mean(y))
-    coefficients = np.zeros(features.shape[1])
-    for _ in range(20):
-        solution, _ = scipy_nnls(scaled, y - intercept)
-        # repro-lint: allow[bit-identity] -- NNLS baseline rides on scipy's solver; outside the bit-identity contract
-        new_intercept = float(np.mean(y - scaled @ solution))
-        converged = abs(new_intercept - intercept) <= 1e-12 * max(1.0, abs(intercept))
-        intercept = new_intercept
-        coefficients = solution
-        if converged:
-            break
-    return coefficients / scales, intercept
+    # For any c the best intercept is mean(y) - mean(scaled) @ c, so the
+    # constrained problem reduces exactly to one NNLS on centered data.
+    feature_means = scaled.mean(axis=0)
+    y_mean = float(np.mean(y))
+    solution, _ = scipy_nnls(scaled - feature_means, y - y_mean)
+    # repro-lint: allow[bit-identity] -- NNLS baseline rides on scipy's solver; outside the bit-identity contract
+    intercept = y_mean - float(feature_means @ solution)
+    return solution / scales, intercept

@@ -6,7 +6,8 @@ The load-bearing guarantee is *bit identity*: a front saved with
 also what the ``artifact_roundtrip`` equivalence key gates in CI).  On top
 of that: corrupt files are quarantined to ``<path>.corrupt-<n>``, a
 dataset-fingerprint mismatch warns and serves (only a feature-count
-mismatch rejects), and the estimator facade saves/loads losslessly.
+mismatch rejects), and a Session run on a CSV problem saves/loads
+losslessly.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.core.report import rescore_models
 from repro.core.session import Session
 from repro.core.settings import CaffeineSettings
 from repro.data.metrics import q_tc
-from repro.estimator import SymbolicRegressor
 from repro.experiments import run_figure3
 from repro.regression.least_squares import LinearFit
 
@@ -161,12 +161,14 @@ class TestRoundTrip:
                                     random_seed=0)
         live = Session([problem], settings=settings).run().single()
         path = tmp_path / "csv.front"
-        save_front(live, path)
+        assert save_front(live, path) == len(live.tradeoff)
         front = load_front(path)
         assert front.variable_names == ("a", "b")
+        assert front.n_variables == 2
         _assert_rows_bit_identical(front, list(live.tradeoff), X)
         np.testing.assert_array_equal(front.predict(X),
                                       live.best_model().predict(X))
+        assert front.select().expression() == live.best_model().expression()
 
 
 class TestSelection:
@@ -200,10 +202,12 @@ class TestSelection:
         with pytest.raises(ValueError, match="must be"):
             front.select(**selection)
 
-    def test_bad_by_rejected(self, artifact_path):
+    def test_bad_by_rejected(self, result, artifact_path):
         front = load_front(artifact_path)
         with pytest.raises(ValueError, match="by must be"):
             front.select(by="validation")
+        with pytest.raises(ValueError, match="by must be"):
+            result.best_model(by="validation")
 
 
 class TestCompatibility:
@@ -301,41 +305,6 @@ class TestDamageAndErrors:
         magics = {FrontArtifactStore.MAGIC, ColumnCacheStore.MAGIC,
                   RunCheckpointStore.MAGIC}
         assert len(magics) == 3
-
-
-class TestEstimatorSaveLoad:
-    @pytest.fixture(scope="class")
-    def fitted(self):
-        rng = np.random.default_rng(0)
-        X = rng.uniform(0.5, 2.0, size=(40, 2))
-        y = 1.0 + 2.0 * X[:, 0] / X[:, 1]
-        est = SymbolicRegressor(population_size=20, n_generations=3,
-                                random_seed=0).fit(X, y)
-        return est, X, y
-
-    def test_save_load_predicts_identically(self, fitted, tmp_path):
-        est, X, y = fitted
-        path = tmp_path / "est.front"
-        assert est.save(path) == len(est.pareto_front_)
-        loaded = SymbolicRegressor.load(path)
-        np.testing.assert_array_equal(loaded.predict(X), est.predict(X))
-        assert loaded.expression() == est.expression()
-        assert loaded.score(X, y) == est.score(X, y)
-        assert loaded.n_features_in_ == est.n_features_in_
-        assert loaded.feature_names_in_ == est.feature_names_in_
-        assert isinstance(loaded.result_, FrozenFront)
-        assert len(loaded.pareto_front_) == len(est.pareto_front_)
-
-    def test_load_validates_model_selection(self, fitted, tmp_path):
-        est, _, _ = fitted
-        path = tmp_path / "est.front"
-        est.save(path)
-        with pytest.raises(ValueError, match="model_selection"):
-            SymbolicRegressor.load(path, model_selection="best")
-
-    def test_unfitted_save_rejected(self, tmp_path):
-        with pytest.raises(RuntimeError, match="not fitted"):
-            SymbolicRegressor().save(tmp_path / "x.front")
 
 
 class TestCli:

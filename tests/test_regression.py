@@ -213,8 +213,21 @@ class TestNnls:
         F = np.abs(rng.normal(size=(60, 3)))
         y = -5.0 + F @ np.array([1.0, 2.0, 0.0])
         coefficients, intercept = nonnegative_least_squares(F, y)
-        assert intercept == pytest.approx(-5.0, abs=0.2)
-        np.testing.assert_allclose(F @ coefficients + intercept, y, atol=0.2)
+        assert intercept == pytest.approx(-5.0, abs=1e-9)
+        np.testing.assert_allclose(F @ coefficients + intercept, y, atol=1e-9)
+
+    def test_exact_fit_with_shared_mean_component(self):
+        """Features of all-positive magnitudes share a large mean
+        component, which an intercept/NNLS alternation converges on slowly;
+        the centered solve recovers the exact generating model."""
+        rng = np.random.default_rng(9)
+        F = np.abs(rng.normal(size=(50, 4)))
+        y = F @ np.array([1.0, 0.0, 2.0, 0.5])
+        coefficients, intercept = nonnegative_least_squares(F, y)
+        np.testing.assert_allclose(F @ coefficients + intercept, y, atol=1e-9)
+        np.testing.assert_allclose(coefficients, [1.0, 0.0, 2.0, 0.5],
+                                   atol=1e-9)
+        assert intercept == pytest.approx(0.0, abs=1e-9)
 
     def test_import_repro_does_not_load_scipy(self):
         """Only NNLS needs SciPy, which is slow to import; every CLI

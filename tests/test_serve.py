@@ -21,8 +21,10 @@ import numpy as np
 import pytest
 
 from repro.core.artifact import load_front, save_front
+from repro.core.problem import Problem
 from repro.core.report import rescore_models
-from repro.estimator import SymbolicRegressor
+from repro.core.session import Session
+from repro.core.settings import CaffeineSettings
 from repro.serve import MAX_BODY_BYTES, RequestProfiler, make_server
 
 
@@ -31,16 +33,18 @@ def fitted():
     rng = np.random.default_rng(7)
     X = rng.uniform(0.5, 2.0, size=(32, 2))
     y = 1.0 + 2.0 * X[:, 0] / X[:, 1]
-    est = SymbolicRegressor(population_size=20, n_generations=3,
-                            random_seed=0).fit(X, y)
-    return est, X, y
+    settings = CaffeineSettings(population_size=20, n_generations=3,
+                                random_seed=0)
+    result = Session([Problem.from_arrays(X, y)],
+                     settings=settings).run().single()
+    return result, X, y
 
 
 @pytest.fixture(scope="module")
 def server(fitted, tmp_path_factory):
-    est, X, y = fitted
+    result, X, y = fitted
     path = tmp_path_factory.mktemp("serve") / "front.caffeine"
-    save_front(est.result_, path)
+    save_front(result, path)
     server = make_server(str(path))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -125,15 +129,16 @@ class TestEndpoints:
             server.front.dataset_fingerprint
 
     def test_predict_equals_selected_model(self, server, fitted):
-        est, X, _ = fitted
+        result, X, _ = fitted
         response = _post(server, "/predict", {"X": X.tolist()})
         assert response["n_rows"] == X.shape[0]
+        best = result.best_model()
         np.testing.assert_array_equal(np.asarray(response["predictions"]),
-                                      est.predict(X))
-        assert response["model"]["expression"] == est.expression()
+                                      best.predict(X))
+        assert response["model"]["expression"] == best.expression()
 
     def test_predict_all_models(self, server, fitted):
-        est, X, _ = fitted
+        _result, X, _ = fitted
         response = _post(server, "/predict",
                          {"X": X.tolist(), "all_models": True})
         predictions = np.asarray(response["predictions"], dtype=float)
@@ -153,10 +158,10 @@ class TestEndpoints:
         assert response["model"]["index"] == 0
 
     def test_rescore_equals_rescore_models(self, server, fitted):
-        est, X, y = fitted
+        result, X, y = fitted
         response = _post(server, "/rescore",
                          {"X": X.tolist(), "y": y.tolist()})
-        offline = rescore_models(list(est.pareto_front_), X, y)
+        offline = rescore_models(list(result.tradeoff), X, y)
         assert len(response["errors"]) == len(offline)
         for served, computed in zip(response["errors"], offline):
             if served is None:
@@ -167,7 +172,7 @@ class TestEndpoints:
     def test_every_body_is_strict_json(self, server, fitted):
         """The front was frozen without test data, so every test error is
         NaN: it must reach the client as null, never as a bare NaN."""
-        _est, X, y = fitted
+        _result, X, y = fitted
         assert all(np.isnan(m.test_error) for m in server.front.models)
         bodies = []
         for path in ("/healthz", "/models", "/stats"):
@@ -192,7 +197,7 @@ class TestEndpoints:
         """Headers and body leave in two writes, so a keep-alive client's
         delayed ACK would stall every response body unless the accepted
         socket sets TCP_NODELAY."""
-        _est, X, _ = fitted
+        _result, X, _ = fitted
         seen = []
         plain = server.RequestHandlerClass
 
@@ -286,7 +291,7 @@ class TestRejections:
         """JSON nested past the parser's recursion limit (far below the
         size cap) answers 400, and the same keep-alive connection then
         serves a valid request."""
-        _est, X, _y = fitted
+        _result, X, _y = fitted
         message = _rejected_then_served(
             server, b"[" * 100000 + b"]" * 100000, {"X": X[:3].tolist()})
         assert "nests too deeply" in message
@@ -294,7 +299,7 @@ class TestRejections:
     def test_integer_too_large_for_a_float_rejected(self, server, fitted):
         """A 400-digit JSON integer cannot become a float: 400, and the
         same keep-alive connection then serves a valid request."""
-        _est, X, y = fitted
+        _result, X, y = fitted
         huge = 10 ** 400
         message = _rejected_then_served(
             server, json.dumps({"X": [[huge, 1.0]]}).encode("utf-8"),
@@ -346,9 +351,9 @@ class TestRequestProfiler:
 
 class TestServerLoading:
     def test_make_server_accepts_front_object(self, fitted, tmp_path):
-        est, X, _ = fitted
+        result, _X, _ = fitted
         path = tmp_path / "front.caffeine"
-        save_front(est.result_, path)
+        save_front(result, path)
         front = load_front(path)
         server = make_server(front, port=0)
         try:
