@@ -6,8 +6,8 @@ The load-bearing guarantee is *bit identity*: a front saved with
 also what the ``artifact_roundtrip`` equivalence key gates in CI).  On top
 of that: corrupt files are quarantined to ``<path>.corrupt-<n>``, a
 dataset-fingerprint mismatch warns and serves (only a feature-count
-mismatch rejects), and a Session run on a CSV problem saves/loads
-losslessly.
+mismatch rejects), and a Session run on plain arrays or a CSV problem
+saves/loads losslessly.
 """
 
 from __future__ import annotations
@@ -161,14 +161,12 @@ class TestRoundTrip:
                                     random_seed=0)
         live = Session([problem], settings=settings).run().single()
         path = tmp_path / "csv.front"
-        assert save_front(live, path) == len(live.tradeoff)
+        save_front(live, path)
         front = load_front(path)
         assert front.variable_names == ("a", "b")
-        assert front.n_variables == 2
         _assert_rows_bit_identical(front, list(live.tradeoff), X)
         np.testing.assert_array_equal(front.predict(X),
                                       live.best_model().predict(X))
-        assert front.select().expression() == live.best_model().expression()
 
 
 class TestSelection:
@@ -202,12 +200,10 @@ class TestSelection:
         with pytest.raises(ValueError, match="must be"):
             front.select(**selection)
 
-    def test_bad_by_rejected(self, result, artifact_path):
+    def test_bad_by_rejected(self, artifact_path):
         front = load_front(artifact_path)
         with pytest.raises(ValueError, match="by must be"):
             front.select(by="validation")
-        with pytest.raises(ValueError, match="by must be"):
-            result.best_model(by="validation")
 
 
 class TestCompatibility:
@@ -305,6 +301,44 @@ class TestDamageAndErrors:
         magics = {FrontArtifactStore.MAGIC, ColumnCacheStore.MAGIC,
                   RunCheckpointStore.MAGIC}
         assert len(magics) == 3
+
+
+class TestEstimatorSaveLoad:
+    """Fit on plain arrays, freeze with save_front, serve with load_front."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        rng = np.random.default_rng(0)
+        X = rng.uniform(0.5, 2.0, size=(40, 2))
+        y = 1.0 + 2.0 * X[:, 0] / X[:, 1]
+        settings = CaffeineSettings(population_size=20, n_generations=3,
+                                    random_seed=0)
+        live = Session([Problem.from_arrays(X, y)],
+                       settings=settings).run().single()
+        return live, X
+
+    def test_save_load_predicts_identically(self, fitted, tmp_path):
+        live, X = fitted
+        path = tmp_path / "est.front"
+        assert save_front(live, path) == len(live.tradeoff)
+        front = load_front(path)
+        assert isinstance(front, FrozenFront)
+        np.testing.assert_array_equal(front.predict(X),
+                                      live.best_model().predict(X))
+        assert front.select().expression() == live.best_model().expression()
+        assert front.n_variables == 2
+        assert front.variable_names == live.variable_names == ("x0", "x1")
+        assert front.n_models == len(live.tradeoff)
+
+    def test_load_validates_model_selection(self, fitted, tmp_path):
+        live, _ = fitted
+        path = tmp_path / "est.front"
+        save_front(live, path)
+        front = load_front(path)
+        with pytest.raises(ValueError, match="by must be"):
+            front.select(by="best")
+        with pytest.raises(ValueError, match="by must be"):
+            front.predict(np.zeros((2, 2)), by="best")
 
 
 class TestCli:

@@ -140,40 +140,6 @@ class TestSerialEquality:
                                    settings=pinned.settings).run()
         assert _front(reference) == _front(outcome["t2"])
 
-    @pytest.mark.parametrize("log10_target", [False, True],
-                             ids=["linear", "log10"])
-    def test_from_arrays_run_equals_engine_run(self, log10_target):
-        """A one-problem Session on plain arrays with validation data is
-        bit for bit an engine run on the same datasets; the variable names
-        reach the expressions and a log10 target predicts in the original
-        domain."""
-        names = ("vgs", "ids", "vds")
-        train, test = _dataset(1), _dataset(2)
-        problem = Problem.from_arrays(train.X, train.y, variable_names=names,
-                                      X_test=test.X, y_test=test.y,
-                                      log10_target=log10_target)
-        result = Session([problem], settings=SETTINGS).run().single()
-
-        train = Dataset(train.X, train.y, variable_names=names)
-        test = Dataset(test.X, test.y, variable_names=names)
-        if log10_target:
-            train, test = train.log10_target(), test.log10_target()
-        direct = CaffeineEngine(train, test, settings=SETTINGS).run()
-        assert _front(direct) == _front(result)
-        assert (direct.best_model().expression()
-                == result.best_model().expression())
-
-        assert len(result.test_tradeoff) >= 1
-        used = set()
-        for model in result.tradeoff:
-            used.update(model.used_variables())
-        assert used and used <= set(names)
-        best = result.best_model()
-        if log10_target:
-            np.testing.assert_array_equal(
-                best.predict(test.X), 10.0 ** best.predict_transformed(test.X))
-            assert (best.predict(test.X) > 0).all()
-
     def test_validation_errors(self):
         problems = _two_problems()
         with pytest.raises(ValueError, match="jobs"):
@@ -269,13 +235,11 @@ class TestCallbacksAndCheckpoints:
 
     def test_persistent_path_warm_start_identical(self, tmp_path):
         path = str(tmp_path / "cols.cache")
-        plain = Session(_two_problems(), settings=SETTINGS).run()
         cold = Session(_two_problems(), settings=SETTINGS,
                        column_cache_path=path).run()
         warm = Session(_two_problems(), settings=SETTINGS,
                        column_cache_path=path).run()
         for name in cold.names:
-            assert _front(plain[name]) == _front(cold[name])
             assert _front(cold[name]) == _front(warm[name])
 
     def test_warm_load_is_namespace_filtered(self, tmp_path, monkeypatch):
