@@ -12,8 +12,9 @@ is one plain-GP run (the baseline's unit of work) on the SRp dataset.
 
 from __future__ import annotations
 
+from repro.core.session import Session
 from repro.core.settings import CaffeineSettings
-from repro.experiments.ablation import run_ablation
+from repro.experiments.ablation import ablation_problems, run_ablation
 from repro.gp.regression import PlainGPSettings, run_plain_gp
 
 from conftest import write_output
@@ -22,8 +23,10 @@ from conftest import write_output
 def test_ablation_grammar_and_baseline(benchmark, bench_datasets):
     settings = CaffeineSettings(population_size=40, n_generations=12,
                                 random_seed=7)
-    ablation = run_ablation(bench_datasets, settings, target="SRp",
-                            include_single_objective=True)
+    problems = ablation_problems(bench_datasets, settings, "SRp")
+    results = Session(problems, settings=settings).run().raise_failures()
+    ablation = run_ablation(bench_datasets, settings, results.results,
+                            target="SRp")
     write_output("ablation.txt", ablation.render())
 
     full = ablation.entry("CAFFEINE (full grammar)")

@@ -20,15 +20,13 @@ from repro.experiments.figure3 import Figure3Result, _series_from_result
 from conftest import ALL_TARGETS, write_output
 
 
-def test_figure3_tradeoffs(benchmark, bench_datasets, bench_results,
-                           bench_settings):
+def test_figure3_tradeoffs(benchmark, bench_datasets, bench_results):
     # ------------------------------------------------------------------
     # Regenerate the Figure 3 series from the shared CAFFEINE runs.
     # ------------------------------------------------------------------
     series = {target: _series_from_result(target, bench_results[target])
               for target in ALL_TARGETS}
-    figure3 = Figure3Result(series=series, results=bench_results,
-                            settings=bench_settings)
+    figure3 = Figure3Result(series=series, results=bench_results)
     write_output("figure3.txt", figure3.render())
 
     # Qualitative shape checks mirroring the paper's discussion.

@@ -6,10 +6,11 @@ budget; each ``bench_*`` module then regenerates its table or figure from
 them, prints it, writes it to ``benchmarks/output/`` and benchmarks a
 representative piece of the computation.
 
-The budgets here are deliberately far below the paper's (population 200 x
-5000 generations, ~12 h per performance); the goal is to reproduce the shape
-of every result in minutes on a laptop.  Pass the full budgets through
-``CaffeineSettings.paper_settings()`` if you want to spend the hours.
+The budgets here are deliberately far below the paper's Section 6.1 budget
+(population 200 x 5000 generations per performance); the goal is to
+reproduce the shape of every result in minutes on a laptop.  Pass the full
+budget through ``CaffeineSettings.paper_settings()`` (or run ``python -m
+repro paper --paper-budget``) to spend it.
 """
 
 from __future__ import annotations

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import sys
 
-from repro.core import CaffeineSettings
+from repro.core import CaffeineSettings, Session
 from repro.experiments import generate_ota_datasets, run_figure4
+from repro.experiments.setup import problems_for_targets
 
 
 def main(targets) -> None:
@@ -26,7 +27,9 @@ def main(targets) -> None:
     settings = CaffeineSettings(population_size=80, n_generations=30, random_seed=1)
 
     print(f"Comparing CAFFEINE and posynomial models on: {', '.join(targets)}\n")
-    comparison = run_figure4(datasets, settings, targets=targets)
+    results = Session(problems_for_targets(datasets, targets),
+                      settings=settings).run().raise_failures().results
+    comparison = run_figure4(datasets, results, targets=targets)
     print(comparison.render())
 
     print("\nModel sizes and expressions:")

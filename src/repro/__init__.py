@@ -76,8 +76,8 @@ boundaries (and final results) to a
 Ctrl-C ``session.run(resume=True)`` skips finished problems and continues
 interrupted ones **bit-identically** from their last snapshot.  With
 ``jobs > 1`` a crashed, hung or raising worker is contained to its
-problem -- retried with backoff, degraded to in-process execution, and
-finally recorded as a structured
+problem -- retried with backoff in a fresh worker (every attempt under
+``timeout``), then recorded as a structured
 :class:`~repro.core.session.ProblemFailure` in
 ``SessionResult.failures`` while every other problem's result is
 returned.  The fault-injection harness behind those guarantees lives in

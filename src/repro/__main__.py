@@ -2,21 +2,21 @@
 
 Usage::
 
-    python -m repro figure3 --targets PM SRp --population 60 --generations 20
-    python -m repro table1 --jobs 3 --column-cache columns.cache
-    python -m repro table2
-    python -m repro figure4
+    python -m repro paper --targets PM SRp --population 60 --generations 20
+    python -m repro paper --jobs 3 --column-cache columns.cache
     python -m repro ablation --target SRp
     python -m repro datasets            # print the dataset summary only
     python -m repro run data.csv --target y --test holdout.csv
 
-The experiment subcommands sample the OTA datasets (243-run orthogonal
-hypercube, dx=0.10 train / dx=0.03 test), run the requested sweep through a
-:class:`~repro.core.session.Session` at the chosen budget and print the
-paper-style table or series to stdout.  ``--jobs`` runs a sweep's targets
-in worker processes, one per target, and ``--column-cache`` persists the
-shared column cache across invocations (both wall-clock knobs; results are
-identical).
+``paper`` samples the OTA datasets (243-run orthogonal hypercube, dx=0.10
+train / dx=0.03 test), evolves each requested performance once through one
+:class:`~repro.core.session.Session` at the chosen budget, and prints
+Figure 3, Table I, Table II (PM's, when PM is among the targets, as in the
+paper) and Figure 4 from those same runs.  ``ablation`` runs the
+grammar/objective variants of one performance the same way.  ``--jobs``
+runs a sweep's problems in worker processes, one per problem, and
+``--column-cache`` persists the shared column cache across invocations
+(both wall-clock knobs; results are identical).
 
 ``run`` opens an arbitrary header-row CSV as a modeling problem
 (:meth:`~repro.core.problem.Problem.from_csv`) and prints the resulting
@@ -28,8 +28,8 @@ Deployment closes the loop from run to service::
     python -m repro serve front.caffeine --port 8000
 
 ``run --save-front PATH`` saves the CSV problem's trade-off as a frozen
-artifact (:func:`~repro.core.artifact.save_front`); the sweep subcommands
-take ``--save-front DIR`` to freeze every target's front after the sweep;
+artifact (:func:`~repro.core.artifact.save_front`); ``paper`` takes
+``--save-front DIR`` to freeze every target's front after the sweep;
 and ``serve`` answers batched HTTP prediction requests from an artifact without
 any evolution machinery (see :mod:`repro.serve` and the serving guide in
 ``benchmarks/README.md``).
@@ -59,11 +59,11 @@ from repro.experiments import (
 from repro.experiments.ablation import ablation_problems
 from repro.experiments.setup import normalize_targets, problems_for_targets
 
-#: All subcommands: experiment regenerators, the generic ``run`` (whose
-#: ``--save-front`` freezes a front artifact), ``serve`` (an artifact over
-#: HTTP) and the invariant linter (``lint``, see :mod:`repro.analysis`).
-COMMANDS = ("datasets", "figure3", "table1", "table2", "figure4", "ablation",
-            "run", "serve", "lint")
+#: All subcommands: the paper's evaluation (``paper``) and ablation study,
+#: the generic ``run`` (whose ``--save-front`` freezes a front artifact),
+#: ``serve`` (an artifact over HTTP) and the invariant linter (``lint``, see
+#: :mod:`repro.analysis`).
+COMMANDS = ("datasets", "paper", "ablation", "run", "serve", "lint")
 
 
 def _budget_parser() -> argparse.ArgumentParser:
@@ -77,8 +77,8 @@ def _budget_parser() -> argparse.ArgumentParser:
     group.add_argument("--seed", type=int, default=0,
                        help="random seed (default: 0)")
     group.add_argument("--paper-budget", action="store_true",
-                       help="use the paper's full budget (population 200, "
-                            "5000 generations; hours per performance)")
+                       help="use the paper's Section 6.1 budget "
+                            "(population 200, 5000 generations)")
     return parent
 
 
@@ -113,7 +113,7 @@ def _checkpoint_parser() -> argparse.ArgumentParser:
 
 
 def _save_front_parser() -> argparse.ArgumentParser:
-    """The freeze-after-sweep option (a subparser parent)."""
+    """The freeze-after-sweep option (``paper``'s; ``run`` has its own)."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--save-front", default=None, metavar="DIR",
@@ -124,11 +124,11 @@ def _save_front_parser() -> argparse.ArgumentParser:
 
 
 def _jobs_parser() -> argparse.ArgumentParser:
-    """The worker-process option -- only for multi-run sweep subcommands."""
+    """The worker-process option -- only for multi-problem subcommands."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--jobs", type=int, default=1,
-        help="run up to N sweep targets concurrently, each in its own "
+        help="run up to N sweep problems concurrently, each in its own "
              "worker process (default: 1 = serial; results are identical "
              "either way)")
     return parent
@@ -160,29 +160,18 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser(
         "datasets", parents=[ota],
         help="print the OTA dataset summary only")
-    # Multi-run sweeps take --jobs; single-run subcommands (table2, run)
-    # deliberately do not -- there is nothing to parallelize over.
-    for name, help_text in (
-            ("figure3", "error/complexity trade-offs per performance"),
-            ("table1", "simplest models under 10%% train+test error"),
-            ("figure4", "CAFFEINE vs posynomial comparison"),
-    ):
-        sub = subparsers.add_parser(name,
-                                    parents=[budget, cache, checkpoint,
-                                             jobs, ota, save_front],
-                                    help=help_text)
-        sub.add_argument("--targets", nargs="*", default=None,
-                         help="performance goals (default: all six)")
+    # Multi-problem sweeps take --jobs; ``run`` deliberately does not --
+    # it has one problem, so there is nothing to parallelize over.
+    paper = subparsers.add_parser(
+        "paper", parents=[budget, cache, checkpoint, jobs, ota, save_front],
+        help="Figure 3, Tables I/II and Figure 4 from one run per target")
+    paper.add_argument("--targets", nargs="*", default=None,
+                       help="performance goals (default: all six)")
     ablation = subparsers.add_parser(
         "ablation", parents=[budget, cache, checkpoint, jobs, ota],
         help="grammar/objective ablation study")
     ablation.add_argument("--target", default="PM",
                           help="single performance (default: PM)")
-    table2 = subparsers.add_parser(
-        "table2", parents=[budget, cache, ota],
-        help="the sequence of models of decreasing error")
-    table2.add_argument("--target", default="PM",
-                        help="single performance (default: PM)")
 
     run = subparsers.add_parser(
         "run", parents=[budget, cache, checkpoint],
@@ -239,9 +228,9 @@ def _checked_settings(args: argparse.Namespace
     normalizing the OTA targets and checking every budget flag; raises
     ``ValueError`` before any dataset is read or built."""
     try:
-        if hasattr(args, "targets"):
+        if args.command == "paper":
             args.targets = normalize_targets(args.targets)
-        elif args.command in ("table2", "ablation"):
+        elif args.command == "ablation":
             normalize_targets((args.target,))
     except ValueError as error:
         raise ValueError(f"invalid target: {error}") from None
@@ -277,6 +266,18 @@ def _save_front_directory(results: Mapping, directory) -> None:
     print()
     for target, result in results.items():
         _save_front_file(result, base / f"{target}.front")
+
+
+def _paper_sections(datasets, targets: Sequence[str],
+                    results: Mapping) -> str:
+    """Figure 3, Table I, Table II (PM's, only when PM was run, as in the
+    paper) and Figure 4, all rendered from the same ``results``."""
+    sections = [run_figure3(results, targets).render(),
+                run_table1(results, targets).render()]
+    if "PM" in targets:
+        sections.append(run_table2(results["PM"], target="PM").render())
+    sections.append(run_figure4(datasets, results, targets).render())
+    return "\n\n".join(sections)
 
 
 def _run_session(args: argparse.Namespace, problems: Sequence[Problem],
@@ -358,39 +359,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "datasets":
         return 0
 
-    jobs = getattr(args, "jobs", 1)  # table2 has no --jobs (single run)
     print(f"\nCAFFEINE settings: population {settings.population_size}, "
           f"{settings.n_generations} generations, seed {settings.random_seed}"
-          + (f", {jobs} jobs" if jobs > 1 else "") + "\n")
+          + (f", {args.jobs} jobs" if args.jobs > 1 else "") + "\n")
 
     if args.command == "ablation":
         problems = ablation_problems(datasets, settings, args.target)
-    elif args.command == "table2":
-        problems = problems_for_targets(datasets, (args.target,))
     else:
         problems = problems_for_targets(datasets, args.targets)
     results = _run_session(args, problems, settings).raise_failures().results
-    sweep_result = None
-    if args.command == "figure3":
-        sweep_result = run_figure3(datasets, settings, targets=args.targets,
-                                   results=results)
-        print(sweep_result.render())
-    elif args.command == "table1":
-        sweep_result = run_table1(datasets, settings, targets=args.targets,
-                                  results=results)
-        print(sweep_result.render())
-    elif args.command == "table2":
-        print(run_table2(datasets, settings, target=args.target,
-                         result=results[args.target]).render())
-    elif args.command == "figure4":
-        sweep_result = run_figure4(datasets, settings, targets=args.targets,
-                                   results=results)
-        print(sweep_result.render())
-    elif args.command == "ablation":
-        print(run_ablation(datasets, settings, target=args.target,
-                           results=results).render())
-    if sweep_result is not None and getattr(args, "save_front", None):
-        _save_front_directory(sweep_result.results, args.save_front)
+    if args.command == "ablation":
+        print(run_ablation(datasets, settings, results,
+                           target=args.target).render())
+    else:
+        print(_paper_sections(datasets, args.targets, results))
+        if args.save_front:
+            _save_front_directory(results, args.save_front)
     return 0
 
 

@@ -7,7 +7,7 @@ The public surface of the core package:
   worker process per problem) over one shared, optionally persistent
   column cache, with crash-safe checkpoint/resume (``checkpoint_path`` +
   ``run(resume=True)``, bit-identical restarts) and
-  fault tolerance (per-problem timeouts/retries, worker-crash containment,
+  fault tolerance (per-attempt timeouts/retries, worker-crash containment,
   partial results with structured
   :class:`~repro.core.session.ProblemFailure` records);
 * :class:`~repro.core.engine.CaffeineEngine` -- one run's evolutionary

@@ -74,10 +74,10 @@ import signal
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 __all__ = ["InjectedFault", "FaultSpec", "parse_faults", "install",
-           "install_from_string", "clear", "active_specs", "fire",
+           "install_from_string", "clear", "fire",
            "kill_point", "raise_point", "stall_point", "timeout_point",
            "corrupt_file_point", "ENV_VAR", "KNOWN_FAULT_POINTS"]
 
@@ -213,13 +213,6 @@ def clear() -> None:
         _SPECS.clear()
         _INSTALLED_STRINGS.clear()
         _ENV_LOADED = False
-
-
-def active_specs() -> Tuple[FaultSpec, ...]:
-    """Snapshot of the currently armed specs (env var included)."""
-    with _LOCK:
-        _load_env_locked()
-        return tuple(_SPECS)
 
 
 def _load_env_locked() -> None:

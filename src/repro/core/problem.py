@@ -93,11 +93,6 @@ class Problem:
             return default
         return CaffeineSettings()
 
-    def with_settings(self, settings: CaffeineSettings) -> "Problem":
-        """A copy pinned to ``settings`` (overrides any session default)."""
-        return dataclasses.replace(self, settings=settings,
-                                   metadata=dict(self.metadata))
-
     # ------------------------------------------------------------------
     @classmethod
     def from_arrays(cls, X: np.ndarray, y: np.ndarray,

@@ -36,11 +36,11 @@ Guarantees (same discipline as the engine's other fast paths):
 Fault tolerance (always on -- a long sweep should survive by default):
 
 * **one problem's failure never aborts the sweep**: a worker that crashes
-  (killed pid, segfault), times out (``timeout`` seconds per problem) or
+  (killed pid, segfault), times out (``timeout`` seconds per attempt) or
   raises is retried up to ``retries`` times with exponential backoff +
-  jitter, then run once more in-process; only after all that does the
-  problem land in :attr:`SessionResult.failures` as a
-  structured :class:`ProblemFailure` (and
+  jitter, every attempt in a fresh worker under the same ``timeout``; then
+  the problem lands in :attr:`SessionResult.failures` as a structured
+  :class:`ProblemFailure` carrying its last attempt's phase (and
   :meth:`SessionCallback.on_problem_error` fires) while every other
   problem's result is returned normally;
 * **crash-safe checkpoints** (``checkpoint_path``): each problem's engine
@@ -121,8 +121,8 @@ class SessionCallback:
 
     def on_problem_error(self, problem: Problem,
                          failure: "ProblemFailure") -> None:
-        """After one problem failed *terminally* (every retry and fallback
-        exhausted); the sweep continues with the next problem."""
+        """After one problem failed *terminally* (every retry exhausted);
+        the sweep continues with the next problem."""
 
     def on_session_end(self, result: "SessionResult") -> None:
         """After every problem finished/failed and caches were saved."""
@@ -167,8 +167,8 @@ class ProblemFailure:
     """Structured record of one problem's terminal (or per-attempt) failure.
 
     ``phase`` is one of ``"worker-crash"`` (the worker process died -- a
-    negative exitcode names the signal), ``"timeout"`` (the per-problem
-    ``timeout`` elapsed and the worker was killed), ``"exception"`` (the
+    negative exitcode names the signal), ``"timeout"`` (an attempt ran past
+    ``timeout`` and its worker was killed), ``"exception"`` (the
     run raised; ``error_type``/``message``/``traceback`` carry it) or
     ``"interrupted"`` (a ``KeyboardInterrupt`` stopped the sweep while this
     problem was in flight -- its checkpoint, if any, was saved).
@@ -181,8 +181,6 @@ class ProblemFailure:
     #: how many attempts were made in total (first try counts as 1)
     attempts: int
     traceback: str = ""
-    #: True when the last attempt was the in-process serial fallback
-    fell_back_serial: bool = False
 
     @property
     def name(self) -> str:
@@ -289,7 +287,7 @@ class _Running:
     problem: Problem
     index: int
     attempt: int
-    #: monotonic deadline (None = no per-problem timeout)
+    #: monotonic deadline (None = no timeout)
     deadline: Optional[float]
 
 
@@ -328,19 +326,17 @@ class Session:
         Generation cadence of those snapshots (default 1 -- every
         boundary; raise it to trade crash granularity for less pickling).
     timeout:
-        Optional per-problem wall-clock budget in seconds (``jobs > 1``
-        only -- an in-process run cannot be preempted): a worker past its
-        deadline is killed and the problem retried/failed like a crash.
+        Optional wall-clock budget in seconds for each attempt of each
+        problem (``jobs > 1`` only -- an in-process run cannot be
+        preempted): a worker past its deadline is killed and the problem
+        retried/failed like a crash.
     retries:
         How many times a crashed / timed-out / raising problem is retried
         (fresh worker, exponential backoff with jitter, see
-        :data:`RETRY_BACKOFF`) before terminal failure.  Default 1.  With
-        ``jobs > 1``, after the worker retries a problem gets one more
-        in-process attempt --
-        degraded throughput beats a lost problem when the failure was
-        pool-related.  Terminal failures become structured
-        :class:`ProblemFailure` records in a partial
-        :class:`SessionResult` and the sweep keeps going.
+        :data:`RETRY_BACKOFF`) before terminal failure.  Default 1.
+        Terminal failures become structured :class:`ProblemFailure`
+        records in a partial :class:`SessionResult` and the sweep keeps
+        going.
     """
 
     def __init__(self, problems: Sequence[Problem] = (),
@@ -402,10 +398,7 @@ class Session:
         if self.jobs > 1 and len(self.problems) > 1:
             results, failures, interrupted = self._run_parallel(resume)
         else:
-            results, failures, interrupted = self._run_in_process(
-                [_Attempt(index=index, problem=problem)
-                 for index, problem in enumerate(self.problems)],
-                resume, fell_back=False)
+            results, failures, interrupted = self._run_serial(resume)
         outcome = SessionResult(
             problems=tuple(self.problems),
             results=results,
@@ -425,20 +418,15 @@ class Session:
         return base * (1.0 + 0.25 * random.random())
 
     # ------------------------------------------------------------------
-    def _run_in_process(self, items: List[_Attempt], resume: bool,
-                        fell_back: bool
-                        ) -> Tuple[Dict[str, CaffeineResult],
-                                   Dict[str, ProblemFailure], bool]:
-        """Run ``items`` one after another on this process, sharing one
-        column cache (sized to the largest per-problem budget) and saving
-        the store once.  A serial session passes every problem and gets
-        callbacks and ``retries`` as it goes; the parallel runner passes
-        the problems its workers could not finish (``fell_back=True``) for
-        one attempt each, and fires their callbacks itself."""
+    def _run_serial(self, resume: bool
+                    ) -> Tuple[Dict[str, CaffeineResult],
+                               Dict[str, ProblemFailure], bool]:
+        """Run every problem one after another on this process, sharing
+        one column cache (sized to the largest per-problem budget) and
+        saving the store once."""
         cache = BasisColumnCache(max(
-            cache_budgets(item.problem.effective_settings(self.settings)
-                          ).columns
-            for item in items))
+            cache_budgets(problem.effective_settings(self.settings)).columns
+            for problem in self.problems))
         store = (ColumnCacheStore(self.column_cache_path)
                  if self.column_cache_path is not None else None)
         checkpoints = (RunCheckpointStore(self.checkpoint_path)
@@ -449,14 +437,11 @@ class Session:
         interrupted = False
         loaded_namespaces = set()
         current: Optional[_Attempt] = None
-        fire = (lambda *_args: None) if fell_back else self._fire
         try:
-            for item in items:
-                current = item
-                problem = item.problem
-                fire("on_problem_start", problem, item.index, total)
-                progress = (None if fell_back
-                            else self._generation_progress(problem))
+            for index, problem in enumerate(self.problems):
+                current = _Attempt(index=index, problem=problem)
+                self._fire("on_problem_start", problem, index, total)
+                progress = self._generation_progress(problem)
                 while True:
                     try:
                         # A retry resumes from the failed attempt's own
@@ -464,27 +449,27 @@ class Session:
                         result = _run_problem(
                             problem, problem.effective_settings(self.settings),
                             cache, store, loaded_namespaces, checkpoints,
-                            self.checkpoint_every, resume or item.attempt > 0,
+                            self.checkpoint_every, resume or current.attempt > 0,
                             progress)
                     except Exception as error:
-                        item.attempt += 1
+                        current.attempt += 1
                         failure = ProblemFailure(
                             problem=problem, phase="exception",
                             error_type=type(error).__name__,
-                            message=str(error), attempts=item.attempt,
-                            traceback=traceback_module.format_exc(),
-                            fell_back_serial=fell_back)
-                        if not fell_back and item.attempt <= self.retries:
-                            delay = self._backoff_delay(item.attempt - 1)
+                            message=str(error), attempts=current.attempt,
+                            traceback=traceback_module.format_exc())
+                        if current.attempt <= self.retries:
+                            delay = self._backoff_delay(current.attempt - 1)
                             self._fire("on_problem_retry", problem, failure,
                                        delay)
                             time.sleep(delay)
                             continue
                         failures[problem.name] = failure
-                        fire("on_problem_error", problem, failure)
+                        self._fire("on_problem_error", problem, failure)
                         break
                     results[problem.name] = result
-                    fire("on_problem_end", problem, result, item.index, total)
+                    self._fire("on_problem_end", problem, result, index,
+                               total)
                     break
         except KeyboardInterrupt:
             # The engine already saved the interrupted problem's last
@@ -498,7 +483,7 @@ class Session:
                     message=("interrupted by user"
                              + ("; checkpoint saved"
                                 if checkpoints is not None else "")),
-                    attempts=current.attempt + 1, fell_back_serial=fell_back)
+                    attempts=current.attempt + 1)
         if store is not None:
             store.save(cache)
         return results, failures, interrupted
@@ -513,9 +498,9 @@ class Session:
         the whole pool and fails every outstanding future -- each problem
         gets its own :class:`multiprocessing.Process` and result pipe, so
         a crash, stall or timeout is contained to its problem: the worker
-        is reaped (or killed, for timeouts), the problem retried with
-        backoff, degraded to in-process execution, or recorded as a
-        structured failure, while every other worker keeps running.
+        is reaped (or killed, for timeouts), and the problem retried with
+        backoff in a fresh worker or, once its retries are spent, recorded
+        as a structured failure, while every other worker keeps running.
 
         Determinism: runs are independent (each worker owns its engine and
         RNG), so scheduling cannot change any result; ``on_problem_start``
@@ -531,7 +516,6 @@ class Session:
         max_workers = min(self.jobs, total)
         outcomes: Dict[str, CaffeineResult] = {}
         failures: Dict[str, ProblemFailure] = {}
-        serial_queue: List[_Attempt] = []
         pending: List[_Attempt] = [
             _Attempt(index=index, problem=problem)
             for index, problem in enumerate(self.problems)]
@@ -578,10 +562,7 @@ class Session:
                     attempt=worker.attempt + 1,
                     ready_at=time.monotonic() + delay))
             else:
-                self._fire("on_problem_retry", worker.problem, failure, 0.0)
-                serial_queue.append(_Attempt(
-                    index=worker.index, problem=worker.problem,
-                    attempt=attempts))
+                failures[worker.problem.name] = failure
 
         def reap(conn, worker: _Running) -> None:
             """Collect one finished/broken worker's outcome."""
@@ -644,8 +625,8 @@ class Session:
                             conn.close()
                             attempt_failed(
                                 worker, "timeout", "TimeoutError",
-                                f"problem exceeded the per-problem timeout "
-                                f"of {self.timeout} s and was killed")
+                                f"attempt exceeded the timeout of "
+                                f"{self.timeout} s and was killed")
         except KeyboardInterrupt:
             interrupted = True
             for worker in running.values():
@@ -666,15 +647,6 @@ class Session:
                 except OSError:  # pragma: no cover - already closed
                     pass
             running.clear()
-
-        # Graceful degradation: problems that kept dying in workers get one
-        # in-process attempt (resuming their checkpoints, if any) -- slower,
-        # but immune to pool-level pathologies.
-        if serial_queue and not interrupted:
-            rescued, fallback_failures, interrupted = self._run_in_process(
-                serial_queue, resume, fell_back=True)
-            outcomes.update(rescued)
-            failures.update(fallback_failures)
 
         # Emit completion callbacks and the result mapping in problem
         # order, whatever order the workers actually finished in.

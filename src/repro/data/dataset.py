@@ -11,7 +11,7 @@ paper's setup (log-scaled targets such as ``fu``).
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -100,17 +100,6 @@ class Dataset:
     # ------------------------------------------------------------------
     # transformations
     # ------------------------------------------------------------------
-    def with_target(self, y: np.ndarray, target_name: Optional[str] = None,
-                    log_scaled: Optional[bool] = None) -> "Dataset":
-        """Return a copy with a different target vector."""
-        return Dataset(
-            X=self.X,
-            y=np.asarray(y, dtype=float),
-            variable_names=self.variable_names,
-            target_name=self.target_name if target_name is None else target_name,
-            log_scaled=self.log_scaled if log_scaled is None else log_scaled,
-        )
-
     def log10_target(self) -> "Dataset":
         """Return a copy whose target is ``log10(y)``.
 
@@ -141,17 +130,6 @@ class Dataset:
             X=self.X[idx],
             y=self.y[idx],
             variable_names=self.variable_names,
-            target_name=self.target_name,
-            log_scaled=self.log_scaled,
-        )
-
-    def select_variables(self, names: Sequence[str]) -> "Dataset":
-        """Return a dataset restricted to the given design variables."""
-        indices = [self.variable_index(n) for n in names]
-        return Dataset(
-            X=self.X[:, indices],
-            y=self.y,
-            variable_names=tuple(names),
             target_name=self.target_name,
             log_scaled=self.log_scaled,
         )

@@ -11,12 +11,13 @@ Each module corresponds to one artifact of the paper's evaluation section:
 * :mod:`repro.experiments.ablation` -- extensions: grammar / multi-objective
   ablations against plain GP.
 
-The drivers take finished runs as ``results=`` and run only what is
-missing, as one plain :class:`~repro.core.session.Session`; Session options
-(``jobs``, a column cache, checkpoints) belong to the caller's own Session,
-as in ``python -m repro``.  The benchmark harness under ``benchmarks/``
-calls these drivers with reduced budgets and prints the same rows/series
-the paper reports.
+The drivers run no CAFFEINE evolution: each renders finished runs
+(``results``, or ``result`` for Table II; the ablation study still runs its
+plain-GP baseline), so one :class:`~repro.core.session.Session` -- with
+whatever ``jobs``, column cache or checkpoints its caller chose -- feeds
+every artifact, as ``python -m repro paper`` does.  The benchmark harness under
+``benchmarks/`` calls these drivers on its reduced-budget runs and prints
+the same rows/series the paper reports.
 """
 
 from repro.experiments.setup import (

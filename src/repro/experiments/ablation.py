@@ -17,14 +17,13 @@ ablations quantify both on the OTA data:
 from __future__ import annotations
 
 import dataclasses
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Tuple
 
 from repro.core.engine import CaffeineResult
 from repro.core.functions import polynomial_function_set, rational_function_set
 from repro.core.problem import Problem
 from repro.core.settings import CaffeineSettings
-from repro.experiments.setup import OtaDatasets, complete_results, \
-    generate_ota_datasets, normalize_targets
+from repro.experiments.setup import OtaDatasets, normalize_targets
 from repro.gp.regression import PlainGPResult, PlainGPSettings, run_plain_gp
 
 __all__ = ["AblationEntry", "AblationResult", "ablation_problems",
@@ -128,25 +127,19 @@ def ablation_problems(datasets: OtaDatasets, settings: CaffeineSettings,
     return tuple(variants)
 
 
-def run_ablation(datasets: Optional[OtaDatasets] = None,
-                 settings: Optional[CaffeineSettings] = None,
+def run_ablation(datasets: OtaDatasets, settings: CaffeineSettings,
+                 results: Mapping[str, CaffeineResult],
                  target: str = "PM",
-                 include_single_objective: bool = True,
-                 results: Optional[Mapping[str, CaffeineResult]] = None
-                 ) -> AblationResult:
-    """Run the ablation study for one OTA performance.
+                 include_single_objective: bool = True) -> AblationResult:
+    """The ablation study for one OTA performance.
 
-    ``results`` may carry finished runs of the :func:`ablation_problems`
-    variants keyed by name; the rest run here
-    (:func:`~repro.experiments.setup.complete_results`), then the plain-GP
-    baseline.
+    ``results`` holds the finished runs of the :func:`ablation_problems`
+    variants keyed by name; the plain-GP baseline runs here, at the budget
+    of ``settings``.
     """
-    datasets = datasets if datasets is not None else generate_ota_datasets()
-    settings = settings if settings is not None else CaffeineSettings()
     variants = ablation_problems(datasets, settings, target,
                                  include_single_objective)
-    all_results = complete_results(variants, settings, results)
-    entries = [_entry_from_caffeine(p.name, target, all_results[p.name])
+    entries = [_entry_from_caffeine(p.name, target, results[p.name])
                for p in variants]
     train, test = datasets.for_target(target)
 

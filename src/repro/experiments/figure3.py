@@ -5,9 +5,9 @@ For each performance goal the paper shows (left columns) the training error
 on the training-error-vs-complexity trade-off, and (rightmost column) only
 the models that are also on the testing-error-vs-complexity trade-off.
 
-:func:`run_figure3` runs CAFFEINE once per performance and returns the same
-series; :meth:`Figure3Result.render` prints them as text tables, one per
-performance, which is the benchmark harness' output.
+:func:`run_figure3` reads the same series off one finished CAFFEINE run per
+performance; :meth:`Figure3Result.render` prints them as text tables, one
+per performance, which is the benchmark harness' output.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.engine import CaffeineResult
 from repro.core.report import tradeoff_table
-from repro.core.settings import CaffeineSettings
-from repro.experiments.setup import OtaDatasets, complete_results, \
-    generate_ota_datasets, normalize_targets, problems_for_targets
+from repro.experiments.setup import normalize_targets
 
 __all__ = ["Figure3Series", "Figure3Result", "run_figure3"]
 
@@ -56,7 +54,6 @@ class Figure3Result:
 
     series: Mapping[str, Figure3Series]
     results: Mapping[str, CaffeineResult]
-    settings: CaffeineSettings
 
     @property
     def targets(self) -> Tuple[str, ...]:
@@ -93,26 +90,14 @@ def _series_from_result(target: str, result: CaffeineResult) -> Figure3Series:
     )
 
 
-def run_figure3(datasets: Optional[OtaDatasets] = None,
-                settings: Optional[CaffeineSettings] = None,
-                targets: Optional[Sequence[str]] = None,
-                results: Optional[Mapping[str, CaffeineResult]] = None
-                ) -> Figure3Result:
-    """Regenerate the Figure 3 data (optionally for a subset of performances).
-
-    ``results`` may carry finished CAFFEINE runs keyed by performance name
-    (e.g. from a :class:`~repro.core.session.Session` with ``jobs``, a
-    column cache or checkpoints); the targets it lacks run here, as one
-    Session sweep (:func:`~repro.experiments.setup.complete_results`).
-    """
-    datasets = datasets if datasets is not None else generate_ota_datasets()
-    settings = settings if settings is not None else CaffeineSettings()
-    selected = normalize_targets(targets)
-
-    results = complete_results(problems_for_targets(datasets, selected),
-                               settings, results)
+def run_figure3(results: Mapping[str, CaffeineResult],
+                targets: Optional[Sequence[str]] = None) -> Figure3Result:
+    """The Figure 3 data of ``targets`` (default: all six), read off
+    ``results``: finished CAFFEINE runs keyed by performance name, e.g.
+    from one :class:`~repro.core.session.Session` over
+    :func:`~repro.experiments.setup.problems_for_targets`."""
     series: Dict[str, Figure3Series] = {
         target: _series_from_result(target, results[target])
-        for target in selected
+        for target in normalize_targets(targets)
     }
-    return Figure3Result(series=series, results=results, settings=settings)
+    return Figure3Result(series=series, results=results)

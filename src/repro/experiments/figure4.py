@@ -20,9 +20,7 @@ import numpy as np
 from repro.core.engine import CaffeineResult
 from repro.core.model import SymbolicModel
 from repro.core.report import comparison_table
-from repro.core.settings import CaffeineSettings
-from repro.experiments.setup import OtaDatasets, complete_results, \
-    generate_ota_datasets, normalize_targets, problems_for_targets
+from repro.experiments.setup import OtaDatasets, normalize_targets
 from repro.posynomial.model import PosynomialModel, fit_posynomial
 from repro.posynomial.template import PosynomialTemplate
 
@@ -118,32 +116,24 @@ def select_caffeine_model(result: CaffeineResult,
     return tradeoff.closest_train_error(posynomial.train_error)
 
 
-def run_figure4(datasets: Optional[OtaDatasets] = None,
-                settings: Optional[CaffeineSettings] = None,
+def run_figure4(datasets: OtaDatasets,
+                results: Mapping[str, CaffeineResult],
                 targets: Optional[Sequence[str]] = None,
-                template: Optional[PosynomialTemplate] = None,
-                results: Optional[Mapping[str, CaffeineResult]] = None
+                template: Optional[PosynomialTemplate] = None
                 ) -> Figure4Result:
-    """Regenerate the Figure 4 comparison.
+    """The Figure 4 comparison of ``targets`` (default: all six).
 
-    The CAFFEINE side of the comparison runs as one
-    :class:`~repro.core.session.Session` sweep over the targets missing
-    from ``results`` (:func:`~repro.experiments.setup.complete_results`);
-    the posynomial fits are cheap and run inline.
+    The CAFFEINE side is read off ``results`` (finished runs keyed by
+    performance name); the posynomial fits on ``datasets`` are cheap and
+    run here.
     """
-    datasets = datasets if datasets is not None else generate_ota_datasets()
-    settings = settings if settings is not None else CaffeineSettings()
-    selected = normalize_targets(targets)
-
-    all_results = complete_results(problems_for_targets(datasets, selected),
-                                   settings, results)
     rows = []
-    for target in selected:
+    for target in normalize_targets(targets):
         train, test = datasets.for_target(target)
         posynomial = fit_posynomial(train, test, template=template)
-        caffeine_model = select_caffeine_model(all_results[target],
-                                               posynomial)
-        rows.append(Figure4Row(target=target,
-                               caffeine_model=caffeine_model,
-                               posynomial_model=posynomial))
-    return Figure4Result(rows=tuple(rows), results=all_results)
+        rows.append(Figure4Row(
+            target=target,
+            caffeine_model=select_caffeine_model(results[target],
+                                                 posynomial),
+            posynomial_model=posynomial))
+    return Figure4Result(rows=tuple(rows), results=results)

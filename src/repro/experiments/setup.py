@@ -13,8 +13,7 @@ analytic OTA substrate; :func:`normalize_targets` is the one policy for a
 selection of performances, and :func:`problems_for_targets` packages the
 selected performances (with the paper's scaling conventions) as
 :class:`~repro.core.problem.Problem` objects for a
-:class:`~repro.core.session.Session`.  :func:`complete_results` is how the
-experiment drivers run the problems their caller did not run already.
+:class:`~repro.core.session.Session`.
 """
 
 from __future__ import annotations
@@ -29,15 +28,12 @@ from repro.circuits.ota import (
     SymmetricalOta,
     simulate_ota_performances,
 )
-from repro.core.engine import CaffeineResult
 from repro.core.problem import Problem
-from repro.core.session import Session
-from repro.core.settings import CaffeineSettings
 from repro.data.dataset import Dataset, train_test_from_doe
 from repro.doe.sampling import DoePlan
 
 __all__ = ["OtaDatasets", "generate_ota_datasets",
-           "normalize_targets", "problems_for_targets", "complete_results",
+           "normalize_targets", "problems_for_targets",
            "DEFAULT_TRAIN_DX", "DEFAULT_TEST_DX", "DEFAULT_N_RUNS"]
 
 #: Paper values: training DOE step, testing DOE step, number of DOE runs.
@@ -160,17 +156,3 @@ def problems_for_targets(datasets: OtaDatasets,
         problems.append(Problem(train=train, test=test, name=target))
     return tuple(problems)
 
-
-def complete_results(problems: Sequence[Problem],
-                     settings: CaffeineSettings,
-                     results: Optional[Mapping[str, CaffeineResult]] = None
-                     ) -> Dict[str, CaffeineResult]:
-    """``results`` (finished runs keyed by problem name) plus one plain
-    :class:`~repro.core.session.Session` run of the problems it lacks."""
-    all_results: Dict[str, CaffeineResult] = dict(results or {})
-    missing = [problem for problem in problems
-               if problem.name not in all_results]
-    if missing:
-        outcome = Session(missing, settings=settings).run().raise_failures()
-        all_results.update(outcome.items())
-    return all_results

@@ -3,7 +3,8 @@
 The paper asks "what are all the symbolic models that provide less than 10 %
 error in both training and testing data?" and reports, for each of the six
 performances, the simplest such model (with ``fu`` converted back to its true
-form ``10^(...)``).  :func:`run_table1` reproduces that selection.
+form ``10^(...)``).  :func:`run_table1` makes that selection from finished
+CAFFEINE runs.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 from repro.core.engine import CaffeineResult
 from repro.core.model import SymbolicModel
 from repro.core.report import format_percent
-from repro.core.settings import CaffeineSettings
-from repro.experiments.setup import OtaDatasets, complete_results, \
-    generate_ota_datasets, normalize_targets, problems_for_targets
+from repro.experiments.setup import normalize_targets
 
 __all__ = ["Table1Row", "Table1Result", "run_table1"]
 
@@ -85,29 +84,15 @@ def select_table1_model(result: CaffeineResult,
     return eligible.simplest()
 
 
-def run_table1(datasets: Optional[OtaDatasets] = None,
-               settings: Optional[CaffeineSettings] = None,
+def run_table1(results: Mapping[str, CaffeineResult],
                targets: Optional[Sequence[str]] = None,
-               error_target: float = DEFAULT_ERROR_TARGET,
-               results: Optional[Mapping[str, CaffeineResult]] = None
-               ) -> Table1Result:
-    """Regenerate Table I.
-
-    ``results`` may carry pre-computed CAFFEINE runs (e.g. shared with the
-    Figure 3 driver) keyed by performance name; only the missing targets
-    run here, as one :class:`~repro.core.session.Session` sweep
-    (:func:`~repro.experiments.setup.complete_results`).
-    """
-    datasets = datasets if datasets is not None else generate_ota_datasets()
-    settings = settings if settings is not None else CaffeineSettings()
-    selected = normalize_targets(targets)
-
-    all_results = complete_results(problems_for_targets(datasets, selected),
-                                   settings, results)
-    rows = []
-    for target in selected:
-        model = select_table1_model(all_results[target], error_target)
-        rows.append(Table1Row(target=target, error_target=error_target,
-                              model=model))
-    return Table1Result(rows=tuple(rows), results=all_results,
+               error_target: float = DEFAULT_ERROR_TARGET) -> Table1Result:
+    """Table I of ``targets`` (default: all six), read off ``results``:
+    finished CAFFEINE runs keyed by performance name (the same runs the
+    Figure 3 and Figure 4 drivers read)."""
+    rows = tuple(
+        Table1Row(target=target, error_target=error_target,
+                  model=select_table1_model(results[target], error_target))
+        for target in normalize_targets(targets))
+    return Table1Result(rows=rows, results=results,
                         error_target=error_target)

@@ -10,8 +10,7 @@ from repro.__main__ import build_parser, main, settings_from_args
 class TestParser:
     def test_all_commands_accepted(self):
         parser = build_parser()
-        for command in ("datasets", "figure3", "table1", "table2", "figure4",
-                        "ablation"):
+        for command in ("datasets", "paper", "ablation"):
             args = parser.parse_args([command])
             assert args.command == command
 
@@ -24,25 +23,23 @@ class TestParser:
 
     def test_jobs_and_column_cache_flags(self):
         args = build_parser().parse_args(
-            ["figure3", "--jobs", "3", "--column-cache", "cols.cache"])
+            ["paper", "--jobs", "3", "--column-cache", "cols.cache"])
         assert args.jobs == 3
         assert args.column_cache == "cols.cache"
         # Default: serial, no persistence.
-        args = build_parser().parse_args(["table1"])
+        args = build_parser().parse_args(["paper"])
         assert args.jobs == 1
         assert args.column_cache is None
 
     def test_single_run_commands_reject_jobs(self):
-        # table2 and run execute exactly one CAFFEINE run; accepting
-        # --jobs would silently promise parallelism that never happens.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["table2", "--jobs", "2"])
+        # run executes exactly one CAFFEINE run; accepting --jobs would
+        # silently promise parallelism that never happens.
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["run", "x.csv", "--target", "y", "--jobs", "2"])
-        # Both still take --column-cache (single runs warm-start too).
+        # It still takes --column-cache (single runs warm-start too).
         args = build_parser().parse_args(
-            ["table2", "--column-cache", "cols.cache"])
+            ["run", "x.csv", "--target", "y", "--column-cache", "cols.cache"])
         assert args.column_cache == "cols.cache"
 
     def test_unknown_command_rejected(self):
@@ -57,16 +54,25 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "invalid choice: 'freeze'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command",
+                             ["figure3", "table1", "table2", "figure4"])
+    def test_single_artifact_commands_are_gone(self, command, capsys):
+        """``paper`` renders all four artifacts from one sweep."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
     def test_settings_from_args(self):
         args = build_parser().parse_args(
-            ["table1", "--population", "33", "--generations", "7", "--seed", "5"])
+            ["paper", "--population", "33", "--generations", "7", "--seed", "5"])
         settings = settings_from_args(args)
         assert settings.population_size == 33
         assert settings.n_generations == 7
         assert settings.random_seed == 5
 
     def test_paper_budget_flag(self):
-        args = build_parser().parse_args(["figure3", "--paper-budget"])
+        args = build_parser().parse_args(["paper", "--paper-budget"])
         settings = settings_from_args(args)
         assert settings.population_size == 200
         assert settings.n_generations == 5000
@@ -80,23 +86,46 @@ class TestMain:
         assert "OTA datasets" in output
         assert "PM" in output
 
-    def test_table1_command_small_budget(self, capsys):
-        exit_code = main(["table1", "--runs", "27", "--population", "20",
+    def test_paper_command_small_budget(self, capsys):
+        exit_code = main(["paper", "--runs", "27", "--population", "20",
                           "--generations", "3", "--targets", "SRp"])
         assert exit_code == 0
         output = capsys.readouterr().out
+        assert "Figure 3 [SRp]" in output
         assert "Table I" in output
-        assert "SRp" in output
+        assert "Figure 4" in output
+        # Table II is PM's alone, as in the paper.
+        assert "Table II" not in output
 
-    def test_table2_command_small_budget(self, capsys):
-        exit_code = main(["table2", "--runs", "27", "--population", "20",
-                          "--generations", "3", "--target", "SRn"])
+    def test_paper_prints_table2_for_pm(self, capsys):
+        exit_code = main(["paper", "--runs", "27", "--population", "20",
+                          "--generations", "3", "--targets", "SRn", "PM"])
         assert exit_code == 0
-        assert "Table II" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "Table II: CAFFEINE-generated models of PM" in output
 
-    def test_table1_with_jobs_and_cache(self, capsys, tmp_path):
+    def test_paper_evolves_each_target_once(self, monkeypatch, capsys):
+        from repro.core.engine import CaffeineEngine
+
+        evolved = []
+        engine_run = CaffeineEngine.run
+
+        def recording_run(engine, *args, **kwargs):
+            evolved.append(engine.train.target_name)
+            return engine_run(engine, *args, **kwargs)
+
+        monkeypatch.setattr(CaffeineEngine, "run", recording_run)
+        exit_code = main(["paper", "--runs", "27", "--population", "10",
+                          "--generations", "2", "--targets", "PM", "SRp"])
+        assert exit_code == 0
+        output = capsys.readouterr().out
+        # Figure 3, Tables I/II and Figure 4 all read the same two runs.
+        assert "Table II" in output and "Figure 4" in output
+        assert evolved == ["PM", "SRp"]
+
+    def test_paper_with_jobs_and_cache(self, capsys, tmp_path):
         path = str(tmp_path / "cols.cache")
-        exit_code = main(["table1", "--runs", "27", "--population", "16",
+        exit_code = main(["paper", "--runs", "27", "--population", "16",
                           "--generations", "2", "--targets", "PM", "SRp",
                           "--jobs", "2", "--column-cache", path])
         assert exit_code == 0
@@ -122,11 +151,10 @@ class TestCrashSafetyFlags:
                             recording_save_state)
         return generations
 
-    @pytest.mark.parametrize("command", ["figure3", "table1", "figure4"])
-    def test_sweeps_forward_checkpoint_every(self, command, monkeypatch,
-                                             tmp_path, capsys):
+    def test_paper_forwards_checkpoint_every(self, monkeypatch, tmp_path,
+                                             capsys):
         generations = self._record_snapshots(monkeypatch)
-        exit_code = main([command, "--targets", "PM", "--population", "10",
+        exit_code = main(["paper", "--targets", "PM", "--population", "10",
                           "--generations", "6", "--runs", "27",
                           "--checkpoint", str(tmp_path / "a.ckpt"),
                           "--checkpoint-every", "3"])
@@ -145,9 +173,9 @@ class TestCrashSafetyFlags:
         assert generations == [3] * 4  # one snapshot per CAFFEINE variant
 
     @pytest.mark.parametrize("command", [
-        ["figure3", "--targets", "PM", "SRp"],
-        ["table1", "--targets", "PM", "SRp"],
-        ["figure4", "--targets", "PM", "SRp"],
+        ["paper", "--targets", "PM", "SRp"],
+        ["paper", "--targets", "SRp", "SRn"],
+        ["paper", "--targets", "PM", "SRp", "--save-front", "fronts"],
         ["ablation", "--target", "SRp"]])
     def test_jobs_and_column_cache_reach_the_one_session(self, command,
                                                          monkeypatch,
@@ -162,21 +190,28 @@ class TestCrashSafetyFlags:
             sessions.append(session)
 
         monkeypatch.setattr(Session, "__init__", recording_init)
+        monkeypatch.chdir(tmp_path)  # --save-front writes under it
         path = str(tmp_path / "cols.cache")
         exit_code = main(command + ["--population", "10", "--generations",
                                     "2", "--runs", "27", "--jobs", "2",
                                     "--column-cache", path])
         assert exit_code == 0
-        # The driver reused the CLI's results instead of running again.
+        # Every artifact was rendered from the one Session's results.
         assert len(sessions) == 1
         assert sessions[0].jobs == 2
         assert sessions[0].column_cache_path == path
         assert len(sessions[0].problems) > 1
+        if "--save-front" in command:
+            # Each target's front is frozen from those same results.
+            fronts = sorted((tmp_path / "fronts").glob("*.front"))
+            assert [front.name for front in fronts] == ["PM.front",
+                                                        "SRp.front"]
 
     @pytest.mark.parametrize("command", [
         ["run", "x.csv", "--target", "y"],
         ["run", "x.csv", "--target", "y", "--save-front", "f.caffeine"],
-        ["figure3"], ["table1"], ["figure4"], ["ablation"]])
+        ["paper"], ["paper", "--targets", "PM", "SRp"],
+        ["paper", "--save-front", "fronts"], ["ablation"]])
     def test_resume_without_checkpoint_is_a_usage_error(self, command,
                                                         capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -195,14 +230,14 @@ class TestInvalidBudgets:
          "--checkpoint-every must be at least 1"),
         (["run", "toy.csv", "--target", "y", "--save-front", "f.caffeine",
           "--population", "3"], "population_size must be at least 4"),
-        (["figure3", "--targets", "PM", "--population", "3"],
+        (["paper", "--targets", "PM", "--population", "3"],
          "population_size must be at least 4"),
         (["ablation", "--generations", "0"],
          "n_generations must be at least 1"),
-        (["table1", "--checkpoint-every", "0"],
+        (["paper", "--checkpoint-every", "0"],
          "--checkpoint-every must be at least 1"),
         (["datasets", "--runs", "0"], "--runs 0"),
-        (["table2", "--runs", "9"], "--runs 9"),
+        (["paper", "--runs", "9"], "--runs 9"),
     ])
     def test_is_a_usage_error_before_any_work(self, command, message,
                                               monkeypatch, capsys):
@@ -221,10 +256,10 @@ class TestInvalidBudgets:
         assert f"invalid budget: {message}" in error
 
     @pytest.mark.parametrize("command, message", [
-        (["figure3", "--targets", "PM", "XYZ"], "unknown performance 'XYZ'"),
-        (["table1", "--targets"], "no performance selected"),
-        (["figure4", "--targets", "gain"], "unknown performance 'gain'"),
-        (["table2", "--target", "XYZ"], "unknown performance 'XYZ'"),
+        (["paper", "--targets", "PM", "XYZ"], "unknown performance 'XYZ'"),
+        (["paper", "--targets"], "no performance selected"),
+        (["paper", "--targets", "gain"], "unknown performance 'gain'"),
+        (["paper", "--targets", "XYZ", "PM"], "unknown performance 'XYZ'"),
         (["ablation", "--target", "XYZ"], "unknown performance 'XYZ'"),
     ])
     def test_bad_target_is_a_usage_error_before_any_work(self, command,

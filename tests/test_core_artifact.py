@@ -31,7 +31,7 @@ from repro.core.report import rescore_models
 from repro.core.session import Session
 from repro.core.settings import CaffeineSettings
 from repro.data.metrics import q_tc
-from repro.experiments import run_figure3
+from repro.experiments.setup import problems_for_targets
 from repro.regression.least_squares import LinearFit
 
 
@@ -106,8 +106,8 @@ class TestRoundTrip:
     def test_figure3_front_roundtrip(self, ota_datasets, tmp_path):
         settings = CaffeineSettings(population_size=24, n_generations=4,
                                     max_basis_functions=6, random_seed=0)
-        figure3 = run_figure3(ota_datasets, settings, targets=("PM",))
-        live = figure3.results["PM"]
+        live = Session(problems_for_targets(ota_datasets, ("PM",)),
+                       settings=settings).run().single()
         path = tmp_path / "pm.front"
         save_front(live, path)
         front = load_front(path)
@@ -124,10 +124,11 @@ class TestRoundTrip:
         scalar paths agree bit for bit."""
         settings = CaffeineSettings(population_size=16, n_generations=2,
                                     max_basis_functions=4, random_seed=0)
-        figure3 = run_figure3(ota_datasets, settings)
-        models = [model for live in figure3.results.values()
+        results = Session(problems_for_targets(ota_datasets),
+                          settings=settings).run().raise_failures().results
+        models = [model for live in results.values()
                   for model in live.tradeoff]
-        assert len(figure3.results) == 6
+        assert len(results) == 6
         assert any(model.log_scaled_target for model in models)
         front = FrozenFront(target_name="six",
                             variable_names=models[0].variable_names,

@@ -388,7 +388,8 @@ class TestSessionResume:
         datasets = generate_ota_datasets(n_runs=27)
         settings = CaffeineSettings(population_size=16, n_generations=4,
                                     random_seed=3)
-        reference = run_figure3(datasets, settings, targets=("PM",))
+        problems = problems_for_targets(datasets, ("PM",))
+        reference = Session(problems, settings=settings).run()
 
         class _KI(SessionCallback):
             def on_generation(self, problem, generation, stats):
@@ -396,15 +397,15 @@ class TestSessionResume:
                     raise KeyboardInterrupt
 
         path = str(tmp_path / "figure3.ckpt")
-        problems = problems_for_targets(datasets, ("PM",))
         partial = Session(problems, settings=settings, checkpoint_path=path,
                           callbacks=[_KI()]).run()
         assert partial.interrupted
 
         finished = Session(problems, settings=settings,
                            checkpoint_path=path).run(resume=True)
-        resumed = run_figure3(datasets, settings, targets=("PM",),
-                              results=finished.results)
+        resumed = run_figure3(finished.results, targets=("PM",))
+        assert resumed.render() == \
+            run_figure3(reference.results, targets=("PM",)).render()
         assert _front(resumed.results["PM"]) == \
             _front(reference.results["PM"])
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,7 +81,8 @@ class TestEngineRun:
             [m.expression() for m in second.tradeoff]
 
     def test_engine_rejects_mismatched_datasets(self, rational_train):
-        other = rational_train.select_variables(["a", "b"])
+        other = dataclasses.replace(rational_train, X=rational_train.X[:, :2],
+                                    variable_names=("a", "b"))
         with pytest.raises(ValueError):
             CaffeineEngine(rational_train, test=other)
 
@@ -159,8 +162,8 @@ class TestSimplification:
         linear = ProductTerm(vc=VariableCombo((0, 0, 1)))
         # Add measurement noise so the fit is not exact; duplicated basis
         # functions then bring no predictive benefit and must be pruned.
-        noisy = rational_train.with_target(
-            rational_train.y
+        noisy = dataclasses.replace(
+            rational_train, y=rational_train.y
             + 0.02 * np.std(rational_train.y)
             * np.random.default_rng(0).normal(size=rational_train.n_samples))
         individual = Individual(bases=[ratio.clone(), ratio.clone(),
@@ -251,8 +254,8 @@ class TestSimplification:
         front = [original, original.clone(), distinct, original.clone(),
                  original.clone()]
         # Noise makes the repeated and random bases prunable.
-        noisy = rational_train.with_target(
-            rational_train.y
+        noisy = dataclasses.replace(
+            rational_train, y=rational_train.y
             + 0.02 * np.std(rational_train.y)
             * np.random.default_rng(0).normal(size=rational_train.n_samples))
         evaluator = self._evaluator(noisy, fast_settings)
@@ -293,8 +296,8 @@ class TestSimplification:
         lists; the inputs' evaluation results are untouched."""
         ratio = ProductTerm(vc=VariableCombo((1, -1, 0)))
         linear = ProductTerm(vc=VariableCombo((0, 0, 1)))
-        noisy = rational_train.with_target(
-            rational_train.y
+        noisy = dataclasses.replace(
+            rational_train, y=rational_train.y
             + 0.02 * np.std(rational_train.y)
             * np.random.default_rng(0).normal(size=rational_train.n_samples))
         pruned = Individual(bases=[ratio, ratio.clone(), ratio.clone(),

@@ -4,10 +4,15 @@ Unit tests of :mod:`repro.core.faults` (spec grammar, arming, matching,
 fire budgets, the env-var channel) plus the behaviors it exists to prove:
 injected evaluator exceptions, killed workers, stalled problems past their
 timeout, corrupt cache files -- every problem still ends in a result or a
-structured :class:`~repro.core.session.ProblemFailure`.
+structured :class:`~repro.core.session.ProblemFailure`.  Under ``jobs > 1``
+every attempt runs in a worker under ``timeout``; a problem whose
+``1 + retries`` attempts all fail becomes a failure carrying the last
+attempt's phase.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
@@ -119,16 +124,17 @@ class TestFireSemantics:
 
     def test_install_from_string_is_idempotent(self):
         # repro-lint: allow[fault-spec] -- synthetic point: exercises spec-string parsing itself, not a production point
-        faults.install_from_string("p.x:times=inf")
+        faults.install_from_string("p.x:times=1")
         # repro-lint: allow[fault-spec] -- synthetic point: exercises spec-string parsing itself, not a production point
-        faults.install_from_string("p.x:times=inf")
-        assert len(faults.active_specs()) == 1
+        faults.install_from_string("p.x:times=1")
+        # One spec is armed, not two: the point fires exactly once.
+        assert faults.fire("p.x") is not None
+        assert faults.fire("p.x") is None
 
     def test_clear_disarms(self):
         # repro-lint: allow[fault-spec] -- synthetic point: exercises clear() itself, not a production point
         faults.install("p.x")
         faults.clear()
-        assert faults.active_specs() == ()
         assert faults.fire("p.x") is None
 
     def test_env_var_arms(self, monkeypatch):
@@ -204,43 +210,51 @@ class TestParallelFaultTolerance:
             assert _front(outcome[name]) == _front(clean[name])
 
     def test_worker_exception_reported_with_traceback(self, monkeypatch):
-        # The worker's exception is reported per attempt; the in-process
-        # fallback never passes _worker_main's exception point, so it
-        # finishes the problem.
+        # The worker's exception fires on every attempt, so the problem
+        # ends as a terminal failure that carries the worker's traceback;
+        # the other problem is untouched.
         problems = _problems(("t1", "t2"))
         clean = Session(problems, settings=SETTINGS).run()
-        _arm(monkeypatch, "worker.exception:problem=t2")
+        _arm(monkeypatch, "worker.exception:problem=t2:times=inf")
         recorder = _Recorder()
         outcome = Session(problems, settings=SETTINGS, jobs=2, retries=0,
                           callbacks=[recorder]).run()
-        assert outcome.complete
-        assert recorder.retries == [("t2", "exception", 1)]
-        failure = recorder.failures[0]
+        assert not outcome.complete
+        assert recorder.retries == []
+        assert recorder.errors == [("t2", "exception")]
+        failure = outcome.failures["t2"]
+        assert failure.phase == "exception"
         assert failure.error_type == "InjectedFault"
+        assert failure.attempts == 1
         assert "worker.exception" in failure.traceback
-        assert recorder.errors == []
-        for name in ("t1", "t2"):
-            assert _front(outcome[name]) == _front(clean[name])
+        assert outcome.names == ("t1",)
+        assert _front(outcome["t1"]) == _front(clean["t1"])
 
-    def test_serial_fallback_rescues_flaky_worker(self, monkeypatch):
-        # The kill fires on every worker attempt (times=inf, any attempt),
-        # so only the in-process fallback -- which never passes through
-        # _worker_main's kill point -- can finish the problem.
+    def test_worker_killed_on_every_attempt_fails_terminally(self,
+                                                             monkeypatch):
+        # The kill fires on every worker attempt (times=inf, any attempt):
+        # after 1 + retries attempts the problem is a worker-crash failure.
         problems = _problems(("t1", "t2"))
         clean = Session(problems, settings=SETTINGS).run()
         _arm(monkeypatch, "worker.kill:problem=t1:times=inf")
-        outcome = Session(problems, settings=SETTINGS, jobs=2,
-                          retries=1).run()
-        assert outcome.complete
-        assert _front(outcome["t1"]) == _front(clean["t1"])
+        recorder = _Recorder()
+        outcome = Session(problems, settings=SETTINGS, jobs=2, retries=1,
+                          callbacks=[recorder]).run()
+        assert recorder.retries == [("t1", "worker-crash", 1)]
+        assert recorder.errors == [("t1", "worker-crash")]
+        failure = outcome.failures["t1"]
+        assert failure.attempts == 2
+        assert "killed by signal" in failure.message
+        assert outcome.names == ("t2",)
+        assert _front(outcome["t2"]) == _front(clean["t2"])
 
-    def test_failed_fallback_is_a_structured_terminal_failure(self,
-                                                             monkeypatch):
-        # times=inf fires in every worker and in the in-process fallback.
+    def test_exhausted_retries_are_a_structured_terminal_failure(
+            self, monkeypatch):
+        # times=inf fires in every worker attempt of both problems.
         problems = _problems(("t1", "t2"))
         _arm(monkeypatch, "fit.exception:times=inf")
         recorder = _Recorder()
-        outcome = Session(problems, settings=SETTINGS, jobs=2, retries=0,
+        outcome = Session(problems, settings=SETTINGS, jobs=2, retries=1,
                           callbacks=[recorder]).run()
         assert outcome.results == {}
         assert sorted(recorder.retries) == [("t1", "exception", 1),
@@ -249,16 +263,46 @@ class TestParallelFaultTolerance:
                                            ("t2", "exception")]
         for name in ("t1", "t2"):
             failure = outcome.failures[name]
-            assert failure.fell_back_serial
+            assert failure.phase == "exception"
             assert failure.attempts == 2
             assert failure.error_type == "InjectedFault"
             assert "fit.exception" in failure.traceback
 
+    def test_stall_on_every_attempt_ends_as_a_bounded_timeout(self,
+                                                            monkeypatch):
+        """``timeout`` bounds every attempt: a problem that stalls on each
+        try ends as a timeout failure, in bounded wall-clock time, and the
+        other problems stay bit-identical to an undisturbed run."""
+        problems = _problems(("t1", "t2", "t3"))
+        clean = Session(problems, settings=SETTINGS).run()
+        _arm(monkeypatch, "problem.stall:problem=t2:delay=600:times=inf")
+        recorder = _Recorder()
+        timeout, retries = 1.0, 2
+        start = time.monotonic()
+        outcome = Session(problems, settings=SETTINGS, jobs=3,
+                          timeout=timeout, retries=retries,
+                          callbacks=[recorder]).run()
+        elapsed = time.monotonic() - start
+        backoff = sum(session_module.RETRY_BACKOFF * 2.0 ** k * 1.25
+                      for k in range(retries))
+        assert elapsed < 10 * timeout + backoff
+        assert recorder.retries == [("t2", "timeout", 1),
+                                    ("t2", "timeout", 2)]
+        assert recorder.errors == [("t2", "timeout")]
+        failure = outcome.failures["t2"]
+        assert failure.phase == "timeout"
+        assert failure.attempts == 1 + retries
+        assert "timeout" in failure.message
+        assert outcome.names == ("t1", "t3")
+        for name in ("t1", "t3"):
+            assert _front(outcome[name]) == _front(clean[name])
+
     def test_sweep_survives_kill_timeout_and_corrupt_cache(self, tmp_path,
                                                            monkeypatch):
         """The acceptance sweep: one killed worker, one problem stalled
-        past its timeout, one corrupt shared-cache file -- every problem
-        still returns a result, bit-identical to an undisturbed run."""
+        past its timeout on every attempt, one corrupt shared-cache file --
+        every problem still ends in a result bit-identical to an
+        undisturbed run or in a structured failure."""
         problems = _problems(("t1", "t2", "t3"))
         clean = Session(problems, settings=SETTINGS).run()
 
@@ -276,19 +320,19 @@ class TestParallelFaultTolerance:
                           callbacks=[recorder]).run()
 
         # t1's killed worker was retried; t2 timed out on its first try
-        # and its retry (both stalled), then the in-process fallback --
-        # which never passes the worker's stall point -- finished it.
+        # and on its retry, and ends as a timeout failure.
         assert sorted(recorder.retries) == [("t1", "worker-crash", 1),
-                                            ("t2", "timeout", 1),
-                                            ("t2", "timeout", 2)]
+                                            ("t2", "timeout", 1)]
+        assert recorder.errors == [("t2", "timeout")]
+        assert outcome.failures["t2"].phase == "timeout"
+        assert outcome.failures["t2"].attempts == 2
         assert all("timeout" in failure.message
                    for failure in recorder.failures
                    if failure.phase == "timeout")
-        assert recorder.errors == []
-        assert outcome.complete
+        assert outcome.names == ("t1", "t3")
 
         # Every result is bit-identical to an undisturbed run.
-        for name in ("t1", "t2", "t3"):
+        for name in ("t1", "t3"):
             assert _front(outcome[name]) == _front(clean[name])
 
         # The damaged cache file was quarantined by the first loader and

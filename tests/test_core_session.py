@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -132,8 +133,9 @@ class TestSerialEquality:
 
     def test_per_problem_settings_override(self):
         problems = _two_problems()
-        pinned = problems[1].with_settings(
-            SETTINGS.copy(population_size=20, random_seed=9))
+        pinned = dataclasses.replace(
+            problems[1], settings=SETTINGS.copy(population_size=20,
+                                                random_seed=9))
         outcome = Session([problems[0], pinned], settings=SETTINGS).run()
         assert outcome["t2"].settings.population_size == 20
         reference = CaffeineEngine(pinned.train,
@@ -287,7 +289,7 @@ class TestCallbacksAndCheckpoints:
         problems = _two_problems()
         # 4 x population x max_basis_functions columns: above the floor
         wide = SETTINGS.copy(n_generations=1, max_basis_functions=500)
-        big = problems[1].with_settings(wide)
+        big = dataclasses.replace(problems[1], settings=wide)
         outcome = Session([problems[0], big], settings=SETTINGS).run()
         assert outcome.names == ("t1", "t2")
         assert sizes == [cache_budgets(wide).columns] == [32000]

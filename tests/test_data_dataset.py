@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,15 +67,9 @@ class TestTransformations:
 
     def test_log10_rejects_nonpositive(self):
         dataset = make_dataset()
-        bad = dataset.with_target(dataset.y - dataset.y.max() - 1.0)
+        bad = dataclasses.replace(dataset, y=dataset.y - dataset.y.max() - 1.0)
         with pytest.raises(ValueError):
             bad.log10_target()
-
-    def test_with_target_keeps_x(self):
-        dataset = make_dataset()
-        replaced = dataset.with_target(dataset.y * 2, target_name="double")
-        assert replaced.target_name == "double"
-        np.testing.assert_allclose(replaced.X, dataset.X)
 
     def test_select_rows_mask_and_indices(self):
         dataset = make_dataset(n=10)
@@ -82,12 +78,6 @@ class TestTransformations:
         mask = dataset.y > np.median(dataset.y)
         by_mask = dataset.select_rows(mask)
         assert by_mask.n_samples == int(mask.sum())
-
-    def test_select_variables(self):
-        dataset = make_dataset(d=4)
-        selected = dataset.select_variables(["x3", "x0"])
-        assert selected.variable_names == ("x3", "x0")
-        np.testing.assert_allclose(selected.X[:, 0], dataset.X[:, 3])
 
     def test_drop_nonfinite(self):
         dataset = make_dataset(n=8)

@@ -89,8 +89,8 @@ class TestSetup:
 
 
 class TestFigure3:
-    def test_series_shape(self, ota_datasets, tiny_settings, shared_results):
-        figure3 = run_figure3(ota_datasets, tiny_settings, targets=("PM",))
+    def test_series_shape(self, shared_results):
+        figure3 = run_figure3(shared_results, targets=("PM",))
         series = figure3.series["PM"]
         assert series.n_models == len(figure3.results["PM"].tradeoff)
         assert len(series.train_error) == series.n_models
@@ -100,78 +100,68 @@ class TestFigure3:
         assert list(series.complexity) == sorted(series.complexity)
         assert list(series.train_error) == sorted(series.train_error, reverse=True)
 
-    def test_constant_end_of_tradeoff_has_highest_error(self, ota_datasets,
-                                                        tiny_settings):
-        figure3 = run_figure3(ota_datasets, tiny_settings, targets=("SRp",))
+    def test_constant_end_of_tradeoff_has_highest_error(self,
+                                                        shared_results):
+        figure3 = run_figure3(shared_results, targets=("SRp",))
         series = figure3.series["SRp"]
         assert series.constant_model_train_error >= series.best_train_error
 
-    def test_render_mentions_both_tradeoffs(self, ota_datasets, tiny_settings):
-        figure3 = run_figure3(ota_datasets, tiny_settings, targets=("SRp",))
+    def test_render_mentions_both_tradeoffs(self, shared_results):
+        figure3 = run_figure3(shared_results, targets=("SRp",))
         text = figure3.render()
         assert "training-error trade-off" in text
         assert "testing-error trade-off" in text
 
 
 class TestTable1:
-    def test_duplicate_targets_give_one_row(self, ota_datasets, tiny_settings,
+    def test_duplicate_targets_give_one_row(self, ota_datasets,
                                             shared_results):
-        table1 = run_table1(ota_datasets, tiny_settings,
-                            targets=("SRp", "PM", "SRp"),
-                            results=shared_results)
+        table1 = run_table1(shared_results, targets=("SRp", "PM", "SRp"))
         assert [row.target for row in table1.rows] == ["SRp", "PM"]
-        figure4 = run_figure4(ota_datasets, tiny_settings,
-                              targets=("SRp", "SRp"), results=shared_results)
+        figure4 = run_figure4(ota_datasets, shared_results,
+                              targets=("SRp", "SRp"))
         assert [row.target for row in figure4.rows] == ["SRp"]
-        figure3 = run_figure3(ota_datasets, tiny_settings,
-                              targets=("PM", "PM"), results=shared_results)
+        figure3 = run_figure3(shared_results, targets=("PM", "PM"))
         assert figure3.targets == ("PM",)
 
-    def test_rows_for_all_requested_targets(self, ota_datasets, tiny_settings,
-                                            shared_results):
-        table1 = run_table1(ota_datasets, tiny_settings,
-                            targets=("PM", "SRp"), results=shared_results)
+    def test_rows_for_all_requested_targets(self, shared_results):
+        table1 = run_table1(shared_results, targets=("PM", "SRp"))
         assert {row.target for row in table1.rows} == {"PM", "SRp"}
         row = table1.row("SRp")
         if row.satisfied:
             assert row.model.train_error <= table1.error_target
             assert row.model.test_error <= table1.error_target
 
-    def test_srp_meets_ten_percent_with_small_budget(self, ota_datasets,
-                                                     tiny_settings,
-                                                     shared_results):
+    def test_srp_meets_ten_percent_with_small_budget(self, shared_results):
         """SRp is nearly linear in id2, so even a tiny run finds a <10% model."""
-        table1 = run_table1(ota_datasets, tiny_settings, targets=("SRp",),
-                            results=shared_results)
+        table1 = run_table1(shared_results, targets=("SRp",))
         assert table1.row("SRp").satisfied
 
-    def test_render_contains_expressions(self, ota_datasets, tiny_settings,
-                                         shared_results):
-        table1 = run_table1(ota_datasets, tiny_settings, targets=("SRp",),
-                            results=shared_results)
+    def test_render_contains_expressions(self, shared_results):
+        table1 = run_table1(shared_results, targets=("SRp",))
         assert "Table I" in table1.render()
 
 
 class TestTable2:
     def test_models_ordered_by_complexity(self, shared_results):
-        table2 = run_table2(result=shared_results["PM"], target="PM")
+        table2 = run_table2(shared_results["PM"], target="PM")
         complexities = [m.complexity for m in table2.models]
         assert complexities == sorted(complexities)
         assert table2.n_models >= 1
 
     def test_errors_roughly_decrease(self, shared_results):
-        table2 = run_table2(result=shared_results["PM"], target="PM")
+        table2 = run_table2(shared_results["PM"], target="PM")
         assert table2.errors_decrease_with_complexity()
 
     def test_render(self, shared_results):
-        table2 = run_table2(result=shared_results["PM"], target="PM")
+        table2 = run_table2(shared_results["PM"], target="PM")
         assert "Table II" in table2.render()
 
 
 class TestFigure4:
-    def test_comparison_rows(self, ota_datasets, tiny_settings, shared_results):
-        figure4 = run_figure4(ota_datasets, tiny_settings, targets=("PM", "SRp"),
-                              results=shared_results)
+    def test_comparison_rows(self, ota_datasets, shared_results):
+        figure4 = run_figure4(ota_datasets, shared_results,
+                              targets=("PM", "SRp"))
         assert len(figure4.rows) == 2
         for row in figure4.rows:
             assert np.isfinite(row.caffeine_train)
@@ -179,20 +169,29 @@ class TestFigure4:
             assert row.posynomial_model.n_terms > 0
         assert "Figure 4" in figure4.render()
 
-    def test_caffeine_wins_listed(self, ota_datasets, tiny_settings, shared_results):
-        figure4 = run_figure4(ota_datasets, tiny_settings, targets=("PM", "SRp"),
-                              results=shared_results)
+    def test_caffeine_wins_listed(self, ota_datasets, shared_results):
+        figure4 = run_figure4(ota_datasets, shared_results,
+                              targets=("PM", "SRp"))
         for target in figure4.caffeine_wins():
             row = figure4.row(target)
             assert row.caffeine_test < row.posynomial_test
 
 
 class TestAblation:
-    def test_all_approaches_present(self, ota_datasets):
+    @pytest.fixture(scope="class")
+    def ablation_setup(self, ota_datasets):
+        """The three-variant SRp ablation, run once as one Session."""
         settings = CaffeineSettings(population_size=20, n_generations=4,
                                     random_seed=0)
-        ablation = run_ablation(ota_datasets, settings, target="SRp",
-                                include_single_objective=False)
+        problems = ablation_problems(ota_datasets, settings, "SRp",
+                                     include_single_objective=False)
+        results = Session(problems, settings=settings).run().results
+        return settings, problems, results
+
+    def test_all_approaches_present(self, ota_datasets, ablation_setup):
+        settings, _problems, results = ablation_setup
+        ablation = run_ablation(ota_datasets, settings, results,
+                                target="SRp", include_single_objective=False)
         approaches = {entry.approach for entry in ablation.entries}
         assert "CAFFEINE (full grammar)" in approaches
         assert "CAFFEINE (rationals)" in approaches
@@ -203,26 +202,23 @@ class TestAblation:
             assert np.isfinite(entry.train_error)
 
     def test_finished_variants_are_not_rerun(self, ota_datasets,
-                                             monkeypatch):
-        settings = CaffeineSettings(population_size=20, n_generations=3,
-                                    random_seed=0)
-        problems = ablation_problems(ota_datasets, settings, "SRp",
-                                     include_single_objective=False)
+                                             ablation_setup, monkeypatch):
+        settings, problems, results = ablation_setup
         assert [problem.name for problem in problems] == [
             "CAFFEINE (full grammar)", "CAFFEINE (rationals)",
             "CAFFEINE (polynomials)"]
-        results = Session(problems, settings=settings).run().results
-        reference = run_ablation(ota_datasets, settings, target="SRp",
-                                 include_single_objective=False)
 
-        def no_session(*_args, **_kwargs):
+        def no_run(*_args, **_kwargs):
             raise AssertionError("a finished variant ran again")
 
-        monkeypatch.setattr("repro.experiments.setup.Session", no_session)
-        reused = run_ablation(ota_datasets, settings, target="SRp",
-                              include_single_objective=False,
-                              results=results)
-        assert reused.render() == reference.render()
+        monkeypatch.setattr(Session, "run", no_run)
+        ablation = run_ablation(ota_datasets, settings, results,
+                                target="SRp", include_single_objective=False)
+        for problem in problems:
+            entry = ablation.entry(problem.name)
+            best = results[problem.name].best_model(by="test")
+            assert entry.expression == best.expression()
+            assert entry.test_error == best.test_error
 
     def test_unknown_target_rejected(self, ota_datasets):
         with pytest.raises(ValueError, match="unknown performance 'XYZ'"):

@@ -72,8 +72,11 @@ class TestEndToEndSlewRate:
 class TestCaffeineVsPosynomial:
     def test_figure4_shape_on_two_targets(self, ota_datasets_full, settings,
                                           srp_result):
-        figure4 = run_figure4(ota_datasets_full, settings, targets=("SRp", "ALF"),
-                              results={"SRp": srp_result})
+        alf_result = Session(problems_for_targets(ota_datasets_full, ("ALF",)),
+                             settings=settings).run().single()
+        figure4 = run_figure4(ota_datasets_full,
+                              {"SRp": srp_result, "ALF": alf_result},
+                              targets=("SRp", "ALF"))
         for row in figure4.rows:
             assert row.caffeine_model.n_bases <= 15
             assert row.posynomial_model.n_terms >= row.caffeine_model.n_bases
@@ -89,10 +92,8 @@ class TestCaffeineVsPosynomial:
 
 
 class TestTable1EndToEnd:
-    def test_table1_satisfied_for_easy_targets(self, ota_datasets_full, settings,
-                                               srp_result):
-        table1 = run_table1(ota_datasets_full, settings, targets=("SRp",),
-                            results={"SRp": srp_result})
+    def test_table1_satisfied_for_easy_targets(self, srp_result):
+        table1 = run_table1({"SRp": srp_result}, targets=("SRp",))
         row = table1.row("SRp")
         assert row.satisfied
         assert row.model.train_error < 0.10
