@@ -151,8 +151,13 @@ class TestCrashSafetyFlags:
                             recording_save_state)
         return generations
 
-    def test_paper_forwards_checkpoint_every(self, monkeypatch, tmp_path,
-                                             capsys):
+    # The Figure 3, Table I and Figure 4 sweeps are all rendered by
+    # ``paper``; each must come out of the checkpointed run.
+    @pytest.mark.parametrize("section", [
+        "Figure 3 [PM]", "Table I", "Figure 4"],
+        ids=["figure3", "table1", "figure4"])
+    def test_sweeps_forward_checkpoint_every(self, section, monkeypatch,
+                                             tmp_path, capsys):
         generations = self._record_snapshots(monkeypatch)
         exit_code = main(["paper", "--targets", "PM", "--population", "10",
                           "--generations", "6", "--runs", "27",
@@ -161,6 +166,7 @@ class TestCrashSafetyFlags:
         assert exit_code == 0
         # Generation 6 is the last: its boundary becomes the stored result.
         assert generations == [3]
+        assert section in capsys.readouterr().out
 
     def test_ablation_forwards_checkpoint_every(self, monkeypatch, tmp_path,
                                                 capsys):
