@@ -147,6 +147,7 @@ class CaffeineEngine:
         # assign engine.population invalidate the cache automatically.
         self._ranked: Optional[RankedPopulation] = None
         self._tournament_bounds: Optional[np.ndarray] = None
+        self._checkpoint_fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------
     def initialize_population(self) -> None:
@@ -273,15 +274,19 @@ class CaffeineEngine:
         content (X, y, target name), so a checkpoint can only resume a run
         that would have evolved the exact same models.  Testing data is
         deliberately excluded: it only scores the final front, so resuming
-        with refreshed test data is rescoring, not divergence.
+        with refreshed test data is rescoring, not divergence.  Settings
+        and training data are fixed for the engine's life, so the hash is
+        computed once, on first use.
         """
-        digest = hashlib.sha256()
-        digest.update(self.settings.fingerprint().encode("ascii"))
-        digest.update(dataset_fingerprint(self.train.X).encode("ascii"))
-        digest.update(np.ascontiguousarray(self.train.y,
-                                           dtype=float).tobytes())
-        digest.update(str(self.train.target_name).encode("utf-8"))
-        return digest.hexdigest()
+        if self._checkpoint_fingerprint is None:
+            digest = hashlib.sha256()
+            digest.update(self.settings.fingerprint().encode("ascii"))
+            digest.update(dataset_fingerprint(self.train.X).encode("ascii"))
+            digest.update(np.ascontiguousarray(self.train.y,
+                                               dtype=float).tobytes())
+            digest.update(str(self.train.target_name).encode("utf-8"))
+            self._checkpoint_fingerprint = digest.hexdigest()
+        return self._checkpoint_fingerprint
 
     def capture_run_state(self, next_generation: int) -> dict:
         """Snapshot the boundary state; ``next_generation`` runs next.

@@ -4,12 +4,13 @@ CAFFEINE's runtime is dominated by re-evaluating evolved basis-function
 trees on the training matrix: every generation evaluates ``population_size``
 offspring of up to ``max_basis_functions`` trees each, node by node, in pure
 Python.  Crossover and cloning copy subtrees verbatim, so the *same* basis
-function (by structural key, see
-:func:`repro.core.expression.structural_key`) is evaluated over and over on
-the *same* dataset.  This module removes that redundancy:
+function (by its exact evaluation recipe, the ``(skeleton, params)`` pair
+of :func:`repro.core.compile.cached_skeleton_and_params`) is evaluated over
+and over on the *same* dataset.  This module removes that redundancy:
 
-* :class:`BasisColumnCache` -- an LRU cache mapping a basis function's
-  structural key to its evaluated column on one dataset;
+* :class:`BasisColumnCache` -- an LRU cache mapping
+  ``(dataset_key, (skeleton, params))`` to a basis function's evaluated
+  column;
 * :class:`PopulationEvaluator` -- evaluates whole populations: it interns
   the batch's unique basis functions once into one ``(u, n_samples)`` row
   matrix (computing only the uncached columns), describes every
@@ -19,7 +20,7 @@ the *same* dataset.  This module removes that redundancy:
   the fit itself for structurally identical individuals;
 * :class:`GramPool` -- a cross-generation pool of normal-equation scalars
   (column sums, column--target dots and pairwise column dot products, all by
-  structural key) that turns each linear fit into a small
+  basis key) that turns each linear fit into a small
   ``(k+1) x (k+1)`` gather-and-solve with no per-fit pass over
   ``n_samples`` beyond the final residual step; offspring that differ from a
   parent by one basis function cost ``k`` fresh pair dots instead of a full
@@ -35,12 +36,14 @@ simplification (:mod:`repro.core.simplify`) twice per run, and a batch of
 one individual is simply a small batch.
 
 Correctness invariant: a cache hit returns the exact array a fresh
-evaluation would produce (both go through
-:func:`repro.core.individual.evaluate_basis_column`, and the structural key
-encodes the exact floating-point recipe), and a gram-pool fit returns the
-exact :class:`~repro.regression.least_squares.LinearFit` that normal
-equations built from the assembled basis matrix and solved one individual
-at a time would give (both use the canonical
+evaluation would produce (a miss goes through
+:meth:`~repro.core.compile.TreeCompiler.column_from_key`, which is bit for
+bit :func:`repro.core.individual.evaluate_basis_column`, and the
+``(skeleton, params)`` key encodes the exact floating-point recipe), and a
+gram-pool fit returns the exact
+:class:`~repro.regression.least_squares.LinearFit` that normal equations
+built from the assembled basis matrix and solved one individual at a time
+would give (both use the canonical
 :func:`~repro.regression.least_squares.pair_dots` recipe) -- so the
 evaluator is bit-for-bit identical to that per-individual fit (the test
 suite's reference) whatever the cache budgets and however a population is
@@ -166,9 +169,11 @@ class CacheStats:
 class BasisColumnCache:
     """LRU cache of evaluated basis-function columns for one dataset.
 
-    Keys are structural keys (:func:`~repro.core.expression.structural_key`)
-    of :class:`~repro.core.expression.ProductTerm` trees; values are the
-    evaluated (and magnitude-clipped) columns.  Stored arrays are treated as
+    Keys are ``(dataset_key, (skeleton, params))``: the evaluator's data and
+    function-set prefix plus the basis function's exact evaluation recipe
+    (:func:`~repro.core.compile.cached_skeleton_and_params`); values are
+    the evaluated (and magnitude-clipped) columns, computed on a miss by
+    :meth:`~repro.core.compile.TreeCompiler.column_from_key`.  Stored arrays are treated as
     immutable -- callers must not write into a returned column.
 
     ``max_entries`` (at least 1) also caps the evaluator's per-individual
@@ -231,10 +236,11 @@ def _upper_triangle(k: int) -> Tuple[np.ndarray, np.ndarray]:
 class GramPool:
     """Cross-generation pool of canonical normal-equation scalars.
 
-    Per basis column (identified by structural key) the pool caches the
-    column sum, the column--target dot and a finiteness flag; per unordered
-    *pair* of columns it caches the dot product (diagonal pairs double as
-    the squared norms the fit's column scaling needs).  Every scalar is a
+    Per basis column (identified by its ``(skeleton, params)`` basis key)
+    the pool caches the column sum, the column--target dot and a
+    finiteness flag; per unordered *pair* of columns it caches the dot
+    product (diagonal pairs double as the squared norms the fit's column
+    scaling needs).  Every scalar is a
     reduction along the contiguous rows of a column stack (for pairs,
     :func:`repro.regression.least_squares.pair_dots`), whose batched
     results are bit-for-bit independent of batch composition, so a gram
@@ -272,7 +278,7 @@ class GramPool:
         #: columns are cheap (four scalars each) -- cap them at the pair
         #: budget so the two LRUs age out together
         self.max_columns = max(1, int(max_pairs))
-        #: structural key -> (id, colsum, ydot, finite)
+        #: basis key -> (id, colsum, ydot, finite)
         self._columns: "OrderedDict[Tuple, tuple]" = OrderedDict()
         #: ``lo << 32 | hi`` of the two column ids -> dot product
         self._pairs: "OrderedDict[int, float]" = OrderedDict()
@@ -297,7 +303,7 @@ class GramPool:
         """Pool ids and column statistics of a batch's unique columns.
 
         ``rows`` is the C-contiguous ``(u, n_samples)`` stack of the
-        columns whose structural keys are ``keys`` (each key once).
+        columns whose basis keys are ``keys`` (each key once).
         Returns the ``ids``, ``colsums``, ``ydots`` and ``finite`` vectors
         aligned with ``rows``; statistics the pool lacks are computed in one
         vectorized row reduction and pooled under fresh ids.
@@ -521,7 +527,7 @@ class PopulationEvaluator:
         self.n_fit_requests = 0
         self.n_fits_computed = 0
         self._fit_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
-        #: per-basis complexity by structural key (complexity is additive
+        #: per-basis complexity by basis key (complexity is additive
         #: over bases and fully determined by the key + settings, so the sum
         #: over cached terms is bit-identical to model_complexity)
         self._complexity_cache: Dict[Tuple, float] = {}

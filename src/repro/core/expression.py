@@ -40,9 +40,19 @@ sort each fresh product term with
 :func:`repro.core.compile.canonicalize_fresh_product_term`), never on a
 node that a population tree already references.
 
-All nodes provide ``evaluate``, ``clone`` (a full deep copy -- callers that
-want sharing simply reuse the node reference), ``n_nodes``, ``depth`` and
-``render``.
+Tree shape is declared once per class.  :meth:`ExpressionNode.edges` lists
+a node's ordered ``(edge, occupant)`` pairs, terminals included, in the
+path vocabulary the variation operators address positions with:
+``("vc",)`` and ``("ops", i)`` on a product term; ``("offset",)``,
+``("tweight", i)`` and ``("term", i)`` on a weighted sum; ``("argument",)``,
+``("left",)``/``("right",)`` and ``("test",)``, ``("threshold",)``,
+``("if_true",)``, ``("if_false",)`` on the operator terms.
+:meth:`ExpressionNode.replace` is the matching shallow edit.  Everything
+structural is derived from those two: ``children``, ``clone`` (a full deep
+copy -- callers that want sharing simply reuse the node reference),
+``n_nodes``, ``depth``, :func:`cached_depth`, :func:`iter_weights`,
+:func:`iter_variable_combos` and the operators' site lists.  ``evaluate``
+and ``render`` -- the semantics -- stay per class.
 """
 
 from __future__ import annotations
@@ -74,34 +84,66 @@ __all__ = [
 ]
 
 
+#: a position below a node, e.g. ``("ops", 2)`` or ``("argument",)``
+Edge = Tuple
+#: what an edge leads to: a subtree or a terminal
+Occupant = Union["ExpressionNode", Weight, VariableCombo]
+
+
 class ExpressionNode:
     """Common interface of all canonical-form tree nodes."""
+
+    #: the grammar symbol the node derives from: REPVC, REPOP or REPADD
+    grammar_symbol: str
 
     def evaluate(self, X: np.ndarray) -> np.ndarray:
         """Evaluate the node on a sample matrix ``(n_samples, n_variables)``."""
         raise NotImplementedError
 
-    def clone(self) -> "ExpressionNode":
-        """Deep copy of the subtree."""
+    def render(self, variable_names: Sequence[str]) -> str:
+        """Readable rendering using the given design-variable names."""
+        raise NotImplementedError
+
+    def edges(self) -> List[Tuple[Edge, Occupant]]:
+        """Ordered ``(edge, occupant)`` pairs of everything below this node.
+
+        Every node has at least one edge (the grammar never derives an
+        empty node).
+        """
+        raise NotImplementedError
+
+    def replace(self, edge: Edge, new: Occupant) -> "ExpressionNode":
+        """Shallow copy of this node with the occupant at ``edge`` replaced.
+
+        Containers (ops/terms lists) are copied so the fresh node never
+        aliases a shared node's mutable list; their elements stay shared.
+        """
         raise NotImplementedError
 
     def children(self) -> Tuple["ExpressionNode", ...]:
-        """Direct child nodes (excluding terminals handled separately)."""
-        raise NotImplementedError
+        """Direct child nodes (terminals excluded), in edge order."""
+        return tuple(child for _, child in self.edges()
+                     if isinstance(child, ExpressionNode))
+
+    def clone(self) -> "ExpressionNode":
+        """Deep copy of the subtree."""
+        copy = self
+        for edge, child in self.edges():
+            copy = copy.replace(edge, child.clone()
+                                if isinstance(child, ExpressionNode)
+                                else child.copy())
+        return copy
 
     @property
     def n_nodes(self) -> int:
-        """Number of tree nodes in this subtree (terminals included)."""
-        raise NotImplementedError
+        """Number of tree nodes in this subtree (terminals count one each)."""
+        return 1 + sum(child.n_nodes if isinstance(child, ExpressionNode)
+                       else 1 for _, child in self.edges())
 
     @property
     def depth(self) -> int:
         """Depth of the subtree (a terminal-only node has depth 1)."""
-        raise NotImplementedError
-
-    def render(self, variable_names: Sequence[str]) -> str:
-        """Readable rendering using the given design-variable names."""
-        raise NotImplementedError
+        return 1 + max((child.depth for child in self.children()), default=0)
 
     def variable_combos(self) -> List[VariableCombo]:
         """All variable combos in the subtree (used by the complexity measure)."""
@@ -112,9 +154,16 @@ class ExpressionNode:
 # operator applications (grammar symbol REPOP)
 # ----------------------------------------------------------------------
 class OpTerm(ExpressionNode):
-    """Base class for nonlinear operator applications."""
+    """Base class for nonlinear operator applications.
+
+    Every edge of an operator term is named after the field it reads.
+    """
 
     op: Operator
+    grammar_symbol = "REPOP"
+
+    def replace(self, edge: Edge, new: Occupant) -> "OpTerm":
+        return dataclasses.replace(self, **{edge[0]: new})
 
 
 @dataclasses.dataclass
@@ -131,19 +180,8 @@ class UnaryOpTerm(OpTerm):
     def evaluate(self, X: np.ndarray) -> np.ndarray:
         return self.op(self.argument.evaluate(X))
 
-    def clone(self) -> "UnaryOpTerm":
-        return UnaryOpTerm(op=self.op, argument=self.argument.clone())
-
-    def children(self) -> Tuple[ExpressionNode, ...]:
-        return (self.argument,)
-
-    @property
-    def n_nodes(self) -> int:
-        return 1 + self.argument.n_nodes
-
-    @property
-    def depth(self) -> int:
-        return 1 + self.argument.depth
+    def edges(self) -> List[Tuple[Edge, Occupant]]:
+        return [(("argument",), self.argument)]
 
     def render(self, variable_names: Sequence[str]) -> str:
         return self.op.format(self.argument.render(variable_names))
@@ -181,28 +219,8 @@ class BinaryOpTerm(OpTerm):
         return self.op(self._evaluate_argument(self.left, X),
                        self._evaluate_argument(self.right, X))
 
-    def clone(self) -> "BinaryOpTerm":
-        left = self.left.copy() if isinstance(self.left, Weight) else self.left.clone()
-        right = (self.right.copy() if isinstance(self.right, Weight)
-                 else self.right.clone())
-        return BinaryOpTerm(op=self.op, left=left, right=right)
-
-    def children(self) -> Tuple[ExpressionNode, ...]:
-        return tuple(arg for arg in (self.left, self.right)
-                     if isinstance(arg, WeightedSum))
-
-    @property
-    def n_nodes(self) -> int:
-        total = 1
-        for arg in (self.left, self.right):
-            total += 1 if isinstance(arg, Weight) else arg.n_nodes
-        return total
-
-    @property
-    def depth(self) -> int:
-        depths = [1 if isinstance(arg, Weight) else arg.depth
-                  for arg in (self.left, self.right)]
-        return 1 + max(depths)
+    def edges(self) -> List[Tuple[Edge, Occupant]]:
+        return [(("left",), self.left), (("right",), self.right)]
 
     def render(self, variable_names: Sequence[str]) -> str:
         def render_arg(arg: Union[Weight, WeightedSum]) -> str:
@@ -239,33 +257,9 @@ class ConditionalOpTerm(OpTerm):
         return np.where(test_values <= threshold_values,
                         self.if_true.evaluate(X), self.if_false.evaluate(X))
 
-    def clone(self) -> "ConditionalOpTerm":
-        threshold = (self.threshold.copy() if isinstance(self.threshold, Weight)
-                     else self.threshold.clone())
-        return ConditionalOpTerm(op=self.op, test=self.test.clone(),
-                                 threshold=threshold,
-                                 if_true=self.if_true.clone(),
-                                 if_false=self.if_false.clone())
-
-    def children(self) -> Tuple[ExpressionNode, ...]:
-        parts: List[ExpressionNode] = [self.test]
-        if isinstance(self.threshold, WeightedSum):
-            parts.append(self.threshold)
-        parts.extend([self.if_true, self.if_false])
-        return tuple(parts)
-
-    @property
-    def n_nodes(self) -> int:
-        total = 1 + self.test.n_nodes + self.if_true.n_nodes + self.if_false.n_nodes
-        total += 1 if isinstance(self.threshold, Weight) else self.threshold.n_nodes
-        return total
-
-    @property
-    def depth(self) -> int:
-        child_depths = [self.test.depth, self.if_true.depth, self.if_false.depth]
-        child_depths.append(1 if isinstance(self.threshold, Weight)
-                            else self.threshold.depth)
-        return 1 + max(child_depths)
+    def edges(self) -> List[Tuple[Edge, Occupant]]:
+        return [(("test",), self.test), (("threshold",), self.threshold),
+                (("if_true",), self.if_true), (("if_false",), self.if_false)]
 
     def render(self, variable_names: Sequence[str]) -> str:
         threshold = (self.threshold.render() if isinstance(self.threshold, Weight)
@@ -285,9 +279,6 @@ class WeightedTerm:
     weight: Weight
     term: "ProductTerm"
 
-    def clone(self) -> "WeightedTerm":
-        return WeightedTerm(weight=self.weight.copy(), term=self.term.clone())
-
 
 @dataclasses.dataclass
 class WeightedSum(ExpressionNode):
@@ -295,6 +286,7 @@ class WeightedSum(ExpressionNode):
 
     offset: Weight
     terms: List[WeightedTerm] = dataclasses.field(default_factory=list)
+    grammar_symbol = "REPADD"
 
     def evaluate(self, X: np.ndarray) -> np.ndarray:
         result = np.full(X.shape[0], self.offset.value)
@@ -302,22 +294,22 @@ class WeightedSum(ExpressionNode):
             result = result + weighted.weight.value * weighted.term.evaluate(X)
         return result
 
-    def clone(self) -> "WeightedSum":
-        return WeightedSum(offset=self.offset.copy(),
-                           terms=[t.clone() for t in self.terms])
+    def edges(self) -> List[Tuple[Edge, Occupant]]:
+        edges: List[Tuple[Edge, Occupant]] = [(("offset",), self.offset)]
+        for i, weighted in enumerate(self.terms):
+            edges.append((("tweight", i), weighted.weight))
+            edges.append((("term", i), weighted.term))
+        return edges
 
-    def children(self) -> Tuple[ExpressionNode, ...]:
-        return tuple(t.term for t in self.terms)
-
-    @property
-    def n_nodes(self) -> int:
-        return 1 + 1 + sum(1 + t.term.n_nodes for t in self.terms)
-
-    @property
-    def depth(self) -> int:
-        if not self.terms:
-            return 1
-        return 1 + max(t.term.depth for t in self.terms)
+    def replace(self, edge: Edge, new: Occupant) -> "WeightedSum":
+        terms = list(self.terms)
+        if edge[0] == "offset":
+            return WeightedSum(offset=new, terms=terms)
+        old = terms[edge[1]]
+        terms[edge[1]] = (WeightedTerm(weight=new, term=old.term)
+                          if edge[0] == "tweight"
+                          else WeightedTerm(weight=old.weight, term=new))
+        return WeightedSum(offset=self.offset, terms=terms)
 
     def render(self, variable_names: Sequence[str]) -> str:
         parts = [self.offset.render()]
@@ -340,6 +332,7 @@ class ProductTerm(ExpressionNode):
 
     vc: Optional[VariableCombo] = None
     ops: List[OpTerm] = dataclasses.field(default_factory=list)
+    grammar_symbol = "REPVC"
 
     def __post_init__(self) -> None:
         if self.vc is None and not self.ops:
@@ -354,24 +347,19 @@ class ProductTerm(ExpressionNode):
             result = result * op_term.evaluate(X)
         return result
 
-    def clone(self) -> "ProductTerm":
-        return ProductTerm(vc=self.vc.copy() if self.vc is not None else None,
-                           ops=[op.clone() for op in self.ops])
+    def edges(self) -> List[Tuple[Edge, Occupant]]:
+        edges: List[Tuple[Edge, Occupant]] = \
+            [] if self.vc is None else [(("vc",), self.vc)]
+        for i, op in enumerate(self.ops):
+            edges.append((("ops", i), op))
+        return edges
 
-    def children(self) -> Tuple[ExpressionNode, ...]:
-        return tuple(self.ops)
-
-    @property
-    def n_nodes(self) -> int:
-        total = 1 + (1 if self.vc is not None else 0)
-        total += sum(op.n_nodes for op in self.ops)
-        return total
-
-    @property
-    def depth(self) -> int:
-        if not self.ops:
-            return 1
-        return 1 + max(op.depth for op in self.ops)
+    def replace(self, edge: Edge, new: Occupant) -> "ProductTerm":
+        ops = list(self.ops)
+        if edge[0] == "vc":
+            return ProductTerm(vc=new, ops=ops)
+        ops[edge[1]] = new
+        return ProductTerm(vc=self.vc, ops=ops)
 
     def render(self, variable_names: Sequence[str]) -> str:
         parts: List[str] = []
@@ -479,28 +467,12 @@ def cached_depth(node: ExpressionNode) -> int:
     """``node.depth`` memoized on the nodes (same freshness contract as
     :func:`cached_structural_key`); shared subtrees answer in O(1)."""
     depth = getattr(node, "_depth", None)
-    if depth is not None:
-        return depth
-    if isinstance(node, ProductTerm):
-        depth = 1 if not node.ops else 1 + max(cached_depth(op)
-                                               for op in node.ops)
-    elif isinstance(node, WeightedSum):
-        depth = 1 if not node.terms else 1 + max(cached_depth(t.term)
-                                                 for t in node.terms)
-    elif isinstance(node, UnaryOpTerm):
-        depth = 1 + cached_depth(node.argument)
-    elif isinstance(node, BinaryOpTerm):
-        depth = 1 + max(1 if isinstance(arg, Weight) else cached_depth(arg)
-                        for arg in (node.left, node.right))
-    elif isinstance(node, ConditionalOpTerm):
-        parts = [cached_depth(node.test), cached_depth(node.if_true),
-                 cached_depth(node.if_false),
-                 1 if isinstance(node.threshold, Weight)
-                 else cached_depth(node.threshold)]
-        depth = 1 + max(parts)
-    else:
-        depth = node.depth
-    node._depth = depth
+    if depth is None:
+        depth = 1
+        for _, child in node.edges():
+            if isinstance(child, ExpressionNode):
+                depth = max(depth, 1 + cached_depth(child))
+        node._depth = depth
     return depth
 
 
@@ -519,23 +491,15 @@ def iter_nodes(root: ExpressionNode) -> Iterator[ExpressionNode]:
 def iter_weights(root: ExpressionNode) -> Iterator[Weight]:
     """All :class:`Weight` terminals in a subtree (mutable references)."""
     for node in iter_nodes(root):
-        if isinstance(node, WeightedSum):
-            yield node.offset
-            for weighted in node.terms:
-                yield weighted.weight
-        elif isinstance(node, BinaryOpTerm):
-            if isinstance(node.left, Weight):
-                yield node.left
-            if isinstance(node.right, Weight):
-                yield node.right
-        elif isinstance(node, ConditionalOpTerm):
-            if isinstance(node.threshold, Weight):
-                yield node.threshold
+        for _, child in node.edges():
+            if isinstance(child, Weight):
+                yield child
 
 
 def iter_variable_combos(root: ExpressionNode
                          ) -> Iterator[Tuple[ProductTerm, VariableCombo]]:
     """All variable combos with their owning product term."""
     for node in iter_nodes(root):
-        if isinstance(node, ProductTerm) and node.vc is not None:
-            yield node, node.vc
+        for _, child in node.edges():
+            if isinstance(child, VariableCombo):
+                yield node, child

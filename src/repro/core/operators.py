@@ -22,7 +22,12 @@ individual whose bases *list* is fresh but whose trees are shared by
 reference with the parents.  An edit at some slot rebuilds only the spine of
 shallow node copies from that slot up to the basis root (``O(depth)`` fresh
 nodes for an ``O(n)``-node parent) and shares every untouched subtree; donor
-material from the second parent is likewise shared, never cloned.  Shared
+material from the second parent is likewise shared, never cloned.  Positions
+are paths of the edges each node declares
+(:meth:`~repro.core.expression.ExpressionNode.edges`): one pre-order walk
+lists the slot, weight and variable-combo sites the index draws pick from,
+and each spine copy is the node's own
+:meth:`~repro.core.expression.ExpressionNode.replace`.  Shared
 subtrees keep their memoized structural keys/skeletons
 (:mod:`repro.core.expression`), which is what keeps the evaluation caches
 warm.  Only the fresh spine nodes need re-canonicalization
@@ -35,25 +40,16 @@ bit-identical children.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.expression import (
-    BinaryOpTerm,
-    ConditionalOpTerm,
-    ExpressionNode,
-    ProductTerm,
-    UnaryOpTerm,
-    WeightedSum,
-    WeightedTerm,
-    cached_depth,
-    iter_variable_combos,
-)
+from repro.core.expression import ExpressionNode, ProductTerm, cached_depth
 from repro.core.compile import canonicalize_fresh_product_term
 from repro.core.generator import ExpressionGenerator
 from repro.core.individual import Individual
 from repro.core.settings import CaffeineSettings
+from repro.core.variable_combo import VariableCombo
 from repro.core.weights import Weight, cauchy_mutated_value
 
 __all__ = ["VariationOperators"]
@@ -62,220 +58,41 @@ __all__ = ["VariationOperators"]
 # ----------------------------------------------------------------------
 # path-addressed sites (the operators' editing primitive)
 # ----------------------------------------------------------------------
-# A site is (kind, basis_index, path, occupant): ``path`` is a tuple of
-# edges from the basis root to the occupant, each edge a tuple whose first
-# element names the attribute ("ops", "term", "argument", ...) and whose
-# optional second element is a list index.  Paths address positions, not
-# objects, so they stay unambiguous even when one node object appears at
-# several positions (possible after sharing donor material or when
-# parent_a is parent_b).
+# A site is (basis_index, path, occupant): ``path`` is the tuple of edges
+# (:meth:`~repro.core.expression.ExpressionNode.edges`) from the basis root
+# to the occupant, e.g. (("ops", 0), ("argument",), ("term", 1)).  Paths
+# address positions, not objects, so they stay unambiguous even when one
+# node object appears at several positions (possible after sharing donor
+# material or when parent_a is parent_b).  Slot sites hold subtrees
+# (product terms, operator terms and weighted sums, by their
+# ``grammar_symbol`` REPVC/REPOP/REPADD); weight and variable-combo sites
+# hold the terminals.
 
-def _walk_slot_sites(node: ExpressionNode, basis_index: int,
-                     path: Tuple[Tuple, ...], out: List[Tuple]) -> None:
-    # Pre-order: record this node's slots, then recurse into children in
-    # children() order.
-    if isinstance(node, ProductTerm):
-        for i, op in enumerate(node.ops):
-            out.append(("REPOP", basis_index, path + (("ops", i),), op))
-        for i, op in enumerate(node.ops):
-            _walk_slot_sites(op, basis_index, path + (("ops", i),), out)
-    elif isinstance(node, WeightedSum):
-        for i, weighted in enumerate(node.terms):
-            out.append(("REPVC", basis_index, path + (("term", i),),
-                        weighted.term))
-        for i, weighted in enumerate(node.terms):
-            _walk_slot_sites(weighted.term, basis_index,
-                             path + (("term", i),), out)
-    elif isinstance(node, UnaryOpTerm):
-        out.append(("REPADD", basis_index, path + (("argument",),),
-                    node.argument))
-        _walk_slot_sites(node.argument, basis_index,
-                         path + (("argument",),), out)
-    elif isinstance(node, BinaryOpTerm):
-        if isinstance(node.left, WeightedSum):
-            out.append(("REPADD", basis_index, path + (("left",),), node.left))
-        if isinstance(node.right, WeightedSum):
-            out.append(("REPADD", basis_index, path + (("right",),),
-                        node.right))
-        if isinstance(node.left, WeightedSum):
-            _walk_slot_sites(node.left, basis_index, path + (("left",),), out)
-        if isinstance(node.right, WeightedSum):
-            _walk_slot_sites(node.right, basis_index, path + (("right",),),
-                             out)
-    elif isinstance(node, ConditionalOpTerm):
-        out.append(("REPADD", basis_index, path + (("test",),), node.test))
-        out.append(("REPADD", basis_index, path + (("if_true",),),
-                    node.if_true))
-        out.append(("REPADD", basis_index, path + (("if_false",),),
-                    node.if_false))
-        if isinstance(node.threshold, WeightedSum):
-            out.append(("REPADD", basis_index, path + (("threshold",),),
-                        node.threshold))
-        _walk_slot_sites(node.test, basis_index, path + (("test",),), out)
-        if isinstance(node.threshold, WeightedSum):
-            _walk_slot_sites(node.threshold, basis_index,
-                             path + (("threshold",),), out)
-        _walk_slot_sites(node.if_true, basis_index, path + (("if_true",),),
-                         out)
-        _walk_slot_sites(node.if_false, basis_index, path + (("if_false",),),
-                         out)
+def _sites(individual: Individual, kind: type) -> List[Tuple]:
+    """``(basis_index, path, occupant)`` for every position holding a
+    ``kind``, read-only.
 
-
-def _slot_sites(individual: Individual,
-                include_bases: bool = True) -> List[Tuple]:
-    """Every grammar-legal replacement point in an individual, read-only.
-
-    Top-level basis functions are ``REPVC`` sites; positions inside trees
-    are recorded where product terms (``REPVC``), operator terms
-    (``REPOP``) and weighted sums (``REPADD``) live, as
-    ``(kind, basis_index, path, occupant)``.  The order is the pre-order
-    walk the operators' index draws are defined against.
+    Basis roots that are a ``kind`` come first; then each basis in turn,
+    pre-order: at every node, that node's matching edges in edge order,
+    then each child subtree.  This is the order the operators' index
+    draws are defined against.
     """
-    sites: List[Tuple] = []
-    if include_bases:
-        for index, basis in enumerate(individual.bases):
-            sites.append(("REPVC", index, (), basis))
+    sites = [(index, (), basis) for index, basis in enumerate(individual.bases)
+             if isinstance(basis, kind)]
+
+    def walk(node: ExpressionNode, basis_index: int,
+             path: Tuple[Tuple, ...]) -> None:
+        edges = node.edges()
+        for edge, child in edges:
+            if isinstance(child, kind):
+                sites.append((basis_index, path + (edge,), child))
+        for edge, child in edges:
+            if isinstance(child, ExpressionNode):
+                walk(child, basis_index, path + (edge,))
+
     for index, basis in enumerate(individual.bases):
-        _walk_slot_sites(basis, index, (), sites)
+        walk(basis, index, ())
     return sites
-
-
-def _walk_weight_sites(node: ExpressionNode, basis_index: int,
-                       path: Tuple[Tuple, ...], out: List[Tuple]) -> None:
-    # Pre-order, mirroring iter_weights' enumeration order.
-    if isinstance(node, WeightedSum):
-        out.append((basis_index, path + (("offset",),), node.offset))
-        for i, weighted in enumerate(node.terms):
-            out.append((basis_index, path + (("tweight", i),),
-                        weighted.weight))
-        for i, weighted in enumerate(node.terms):
-            _walk_weight_sites(weighted.term, basis_index,
-                               path + (("term", i),), out)
-    elif isinstance(node, ProductTerm):
-        for i, op in enumerate(node.ops):
-            _walk_weight_sites(op, basis_index, path + (("ops", i),), out)
-    elif isinstance(node, UnaryOpTerm):
-        _walk_weight_sites(node.argument, basis_index,
-                           path + (("argument",),), out)
-    elif isinstance(node, BinaryOpTerm):
-        if isinstance(node.left, Weight):
-            out.append((basis_index, path + (("left",),), node.left))
-        if isinstance(node.right, Weight):
-            out.append((basis_index, path + (("right",),), node.right))
-        if isinstance(node.left, WeightedSum):
-            _walk_weight_sites(node.left, basis_index, path + (("left",),),
-                               out)
-        if isinstance(node.right, WeightedSum):
-            _walk_weight_sites(node.right, basis_index, path + (("right",),),
-                               out)
-    elif isinstance(node, ConditionalOpTerm):
-        if isinstance(node.threshold, Weight):
-            out.append((basis_index, path + (("threshold",),),
-                        node.threshold))
-        _walk_weight_sites(node.test, basis_index, path + (("test",),), out)
-        if isinstance(node.threshold, WeightedSum):
-            _walk_weight_sites(node.threshold, basis_index,
-                               path + (("threshold",),), out)
-        _walk_weight_sites(node.if_true, basis_index, path + (("if_true",),),
-                           out)
-        _walk_weight_sites(node.if_false, basis_index,
-                           path + (("if_false",),), out)
-
-
-def _weight_sites(individual: Individual) -> List[Tuple]:
-    """``(basis_index, path, weight)`` for every ``W`` terminal, read-only,
-    in the same order ``iter_weights`` enumerates them basis by basis."""
-    sites: List[Tuple] = []
-    for index, basis in enumerate(individual.bases):
-        _walk_weight_sites(basis, index, (), sites)
-    return sites
-
-
-def _vc_sites(individual: Individual) -> List[Tuple]:
-    """``(basis_index, path, owner_product_term)`` for every variable
-    combo, read-only, in ``iter_variable_combos`` order."""
-    sites: List[Tuple] = []
-    for index, basis in enumerate(individual.bases):
-        stack: List[Tuple[ExpressionNode, Tuple[Tuple, ...]]] = [(basis, ())]
-        while stack:
-            node, path = stack.pop()
-            if isinstance(node, ProductTerm):
-                if node.vc is not None:
-                    sites.append((index, path, node))
-                stack.extend(reversed([(op, path + (("ops", i),))
-                                       for i, op in enumerate(node.ops)]))
-            elif isinstance(node, WeightedSum):
-                stack.extend(reversed([(w.term, path + (("term", i),))
-                                       for i, w in enumerate(node.terms)]))
-            elif isinstance(node, UnaryOpTerm):
-                stack.append((node.argument, path + (("argument",),)))
-            elif isinstance(node, BinaryOpTerm):
-                children = []
-                if isinstance(node.left, WeightedSum):
-                    children.append((node.left, path + (("left",),)))
-                if isinstance(node.right, WeightedSum):
-                    children.append((node.right, path + (("right",),)))
-                stack.extend(reversed(children))
-            elif isinstance(node, ConditionalOpTerm):
-                children = [(node.test, path + (("test",),))]
-                if isinstance(node.threshold, WeightedSum):
-                    children.append((node.threshold, path + (("threshold",),)))
-                children.append((node.if_true, path + (("if_true",),)))
-                children.append((node.if_false, path + (("if_false",),)))
-                stack.extend(reversed(children))
-    return sites
-
-
-def _child_at(node: ExpressionNode, edge: Tuple):
-    tag = edge[0]
-    if tag == "ops":
-        return node.ops[edge[1]]
-    if tag == "term":
-        return node.terms[edge[1]].term
-    if tag == "argument":
-        return node.argument
-    if tag in ("left", "right", "test", "threshold", "if_true", "if_false"):
-        return getattr(node, tag)
-    raise KeyError(f"cannot descend through edge {edge!r}")
-
-
-def _replace_at(node: ExpressionNode, edge: Tuple, new) -> ExpressionNode:
-    """Shallow copy of ``node`` with the position at ``edge`` replaced.
-
-    Containers (ops/terms lists) are copied so the fresh node never aliases
-    a shared parent's mutable list; the elements themselves stay shared.
-    """
-    tag = edge[0]
-    if tag == "ops":
-        ops = list(node.ops)
-        ops[edge[1]] = new
-        return ProductTerm(vc=node.vc, ops=ops)
-    if tag == "vc":
-        return ProductTerm(vc=new, ops=list(node.ops))
-    if tag == "term":
-        terms = list(node.terms)
-        old = terms[edge[1]]
-        terms[edge[1]] = WeightedTerm(weight=old.weight, term=new)
-        return WeightedSum(offset=node.offset, terms=terms)
-    if tag == "tweight":
-        terms = list(node.terms)
-        old = terms[edge[1]]
-        terms[edge[1]] = WeightedTerm(weight=new, term=old.term)
-        return WeightedSum(offset=node.offset, terms=terms)
-    if tag == "offset":
-        return WeightedSum(offset=new, terms=list(node.terms))
-    if tag == "argument":
-        return UnaryOpTerm(op=node.op, argument=new)
-    if tag == "left":
-        return BinaryOpTerm(op=node.op, left=new, right=node.right)
-    if tag == "right":
-        return BinaryOpTerm(op=node.op, left=node.left, right=new)
-    if tag in ("test", "threshold", "if_true", "if_false"):
-        parts = {"test": node.test, "threshold": node.threshold,
-                 "if_true": node.if_true, "if_false": node.if_false}
-        parts[tag] = new
-        return ConditionalOpTerm(op=node.op, **parts)
-    raise KeyError(f"cannot replace through edge {edge!r}")
 
 
 def _rebuild(root: ExpressionNode, path: Tuple[Tuple, ...], new_value,
@@ -295,8 +112,8 @@ def _rebuild(root: ExpressionNode, path: Tuple[Tuple, ...], new_value,
         if index == len(path) - 1:
             replacement = new_value
         else:
-            replacement = rebuild_from(_child_at(node, edge), index + 1)
-        copy = _replace_at(node, edge, replacement)
+            replacement = rebuild_from(dict(node.edges())[edge], index + 1)
+        copy = node.replace(edge, replacement)
         fresh.append(copy)
         return copy
 
@@ -415,7 +232,7 @@ class VariationOperators:
         The child shares the parent's untouched trees; the parent is never
         modified.
         """
-        sites = _weight_sites(parent)
+        sites = _sites(parent, Weight)
         if not sites:
             return self.basis_add(parent) or parent.shared_clone()
         n_mutations = 1 + int(self.rng.integers(0, 2))
@@ -446,30 +263,26 @@ class VariationOperators:
 
     def vc_mutation(self, parent: Individual) -> Optional[Individual]:
         """Add or subtract 1 to a random exponent of a random variable combo."""
-        sites = _vc_sites(parent)
+        sites = _sites(parent, VariableCombo)
         if not sites:
             return None
-        basis_index, path, owner = sites[int(self.rng.integers(len(sites)))]
-        new_vc = owner.vc.mutated(self.rng, self.settings.max_vc_exponent,
-                                  self.settings.allow_negative_exponents)
-        replacement = ProductTerm(vc=new_vc, ops=list(owner.ops))
-        return self._rebuild_child(parent, basis_index, path, replacement)
+        basis_index, path, vc = sites[int(self.rng.integers(len(sites)))]
+        new_vc = vc.mutated(self.rng, self.settings.max_vc_exponent,
+                            self.settings.allow_negative_exponents)
+        return self._rebuild_child(parent, basis_index, path, new_vc)
 
     def vc_crossover(self, parent_a: Individual,
                      parent_b: Individual) -> Optional[Individual]:
         """One-point crossover between a VC of each parent (child from parent A)."""
-        sites_a = _vc_sites(parent_a)
-        vcs_b = []
-        for basis in parent_b.bases:
-            vcs_b.extend(vc for _, vc in iter_variable_combos(basis))
-        if not sites_a or not vcs_b:
+        sites_a = _sites(parent_a, VariableCombo)
+        sites_b = _sites(parent_b, VariableCombo)
+        if not sites_a or not sites_b:
             return None
-        basis_index, path, owner = \
+        basis_index, path, vc_a = \
             sites_a[int(self.rng.integers(len(sites_a)))]
-        vc_b = vcs_b[int(self.rng.integers(len(vcs_b)))]
-        new_vc, _ = owner.vc.crossover(vc_b, self.rng)
-        replacement = ProductTerm(vc=new_vc, ops=list(owner.ops))
-        return self._rebuild_child(parent_a, basis_index, path, replacement)
+        vc_b = sites_b[int(self.rng.integers(len(sites_b)))][2]
+        new_vc, _ = vc_a.crossover(vc_b, self.rng)
+        return self._rebuild_child(parent_a, basis_index, path, new_vc)
 
     # ------------------------------------------------------------------
     # tree level
@@ -477,13 +290,13 @@ class VariationOperators:
     def subtree_mutation(self, parent: Individual) -> Optional[Individual]:
         """Replace a random subtree with a freshly generated one of the same symbol."""
         depth_budget = max(2, self.settings.max_tree_depth - 2)
-        sites = _slot_sites(parent)
+        sites = _sites(parent, ExpressionNode)
         if not sites:
             return None
-        kind, basis_index, path, _ = sites[int(self.rng.integers(len(sites)))]
-        if kind == "REPVC":
+        basis_index, path, slot = sites[int(self.rng.integers(len(sites)))]
+        if slot.grammar_symbol == "REPVC":
             replacement = self.generator.random_product_term(depth_budget)
-        elif kind == "REPOP":
+        elif slot.grammar_symbol == "REPOP":
             replacement = self.generator.random_op_term(depth_budget)
         else:  # REPADD
             replacement = self.generator.random_weighted_sum(depth_budget)
@@ -495,18 +308,20 @@ class VariationOperators:
 
         The donor subtree is grafted by reference (never cloned).
         """
-        donor_sites = _slot_sites(parent_b)
-        child_sites = _slot_sites(parent_a)
+        donor_sites = _sites(parent_b, ExpressionNode)
+        child_sites = _sites(parent_a, ExpressionNode)
         if not child_sites or not donor_sites:
             return None
+        donors: Dict[str, List[ExpressionNode]] = {}
+        for _, _, donor in donor_sites:
+            donors.setdefault(donor.grammar_symbol, []).append(donor)
         order = self.rng.permutation(len(child_sites))
         for slot_index in order:
-            kind, basis_index, path, _ = child_sites[int(slot_index)]
-            compatible = [d for d in donor_sites if d[0] == kind]
+            basis_index, path, slot = child_sites[int(slot_index)]
+            compatible = donors.get(slot.grammar_symbol)
             if compatible:
                 donor = compatible[int(self.rng.integers(len(compatible)))]
-                return self._rebuild_child(parent_a, basis_index, path,
-                                           donor[3])
+                return self._rebuild_child(parent_a, basis_index, path, donor)
         return None
 
     # ------------------------------------------------------------------
@@ -555,13 +370,12 @@ class VariationOperators:
         """Copy a subtree of parent B to become a new basis function of parent A."""
         if parent_a.n_bases >= self.settings.max_basis_functions:
             return None
-        donor_sites = [site for site in _slot_sites(parent_b)
-                       if site[0] == "REPVC"]
+        donor_sites = _sites(parent_b, ProductTerm)
         if not donor_sites:
             return None
         donor = donor_sites[int(self.rng.integers(len(donor_sites)))]
         bases = list(parent_a.bases)
-        bases.append(donor[3])
+        bases.append(donor[2])
         return parent_a.shared_clone(bases)
 
     # ------------------------------------------------------------------

@@ -302,9 +302,9 @@ class Session:
         Shared :class:`CaffeineSettings` for problems without their own.
     jobs:
         1 (default) runs serially on this process with one shared
-        in-memory column cache; ``n > 1`` runs up to ``n`` problems
-        concurrently, each in its own worker process, sharing columns
-        through ``column_cache_path`` (if given).  Results are identical
+        in-memory column cache; ``n > 1`` runs every problem in its own
+        worker process (a one-problem session too), up to ``n`` at once,
+        sharing columns through ``column_cache_path`` (if given).  Results are identical
         either way -- see the module docstring.  A serial session's cache
         is sized to the largest per-problem column budget
         (:func:`~repro.core.evaluation.cache_budgets`).
@@ -327,7 +327,8 @@ class Session:
         boundary; raise it to trade crash granularity for less pickling).
     timeout:
         Optional wall-clock budget in seconds for each attempt of each
-        problem (``jobs > 1`` only -- an in-process run cannot be
+        problem whenever ``jobs > 1``, however many problems there are
+        (with ``jobs=1`` it is inert -- an in-process run cannot be
         preempted): a worker past its deadline is killed and the problem
         retried/failed like a crash.
     retries:
@@ -395,7 +396,7 @@ class Session:
                 "pass checkpoint_path")
         start = time.perf_counter()
         self._fire("on_session_start", tuple(self.problems))
-        if self.jobs > 1 and len(self.problems) > 1:
+        if self.jobs > 1:
             results, failures, interrupted = self._run_parallel(resume)
         else:
             results, failures, interrupted = self._run_serial(resume)

@@ -394,17 +394,15 @@ def _attr_slot(kind: str, owner: object, attribute: str) -> Slot:
                 set=lambda node: setattr(owner, attribute, node))
 
 
-def collect_slots(individual: Individual,
-                  include_bases: bool = True) -> List[Slot]:
+def collect_slots(individual: Individual) -> List[Slot]:
     """Every grammar-legal replacement point, as in-place setters.
 
-    Same order as the production operators' path-addressed sites, so index
-    draws against either pick the same grammatical position.
+    Same order as the production operators' path-addressed sites (a
+    conditional's in edge order: test, threshold, if_true, if_false), so
+    index draws against either pick the same grammatical position.
     """
-    slots: List[Slot] = []
-    if include_bases:
-        for index in range(len(individual.bases)):
-            slots.append(_list_slot("REPVC", individual.bases, index))
+    slots: List[Slot] = [_list_slot("REPVC", individual.bases, index)
+                         for index in range(len(individual.bases))]
     for basis in individual.bases:
         for node in iter_nodes(basis):
             if isinstance(node, ProductTerm):
@@ -422,10 +420,10 @@ def collect_slots(individual: Individual,
                     slots.append(_attr_slot("REPADD", node, "right"))
             elif isinstance(node, ConditionalOpTerm):
                 slots.append(_attr_slot("REPADD", node, "test"))
-                slots.append(_attr_slot("REPADD", node, "if_true"))
-                slots.append(_attr_slot("REPADD", node, "if_false"))
                 if isinstance(node.threshold, WeightedSum):
                     slots.append(_attr_slot("REPADD", node, "threshold"))
+                slots.append(_attr_slot("REPADD", node, "if_true"))
+                slots.append(_attr_slot("REPADD", node, "if_false"))
     return slots
 
 

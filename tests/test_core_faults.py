@@ -297,6 +297,25 @@ class TestParallelFaultTolerance:
         for name in ("t1", "t3"):
             assert _front(outcome[name]) == _front(clean[name])
 
+    def test_one_problem_session_is_bounded_by_the_timeout(self, monkeypatch):
+        """``jobs > 1`` runs even a one-problem session in a worker, so the
+        problem's ``timeout`` holds there too."""
+        problem = _problems(("t1",))[0]
+        _arm(monkeypatch, "problem.stall:delay=600:times=inf")
+        recorder = _Recorder()
+        timeout = 1.0
+        start = time.monotonic()
+        outcome = Session([problem], settings=SETTINGS, jobs=2,
+                          timeout=timeout, retries=0,
+                          callbacks=[recorder]).run()
+        assert time.monotonic() - start < 10 * timeout
+        assert outcome.results == {}
+        assert recorder.errors == [("t1", "timeout")]
+        failure = outcome.failures["t1"]
+        assert isinstance(failure, ProblemFailure)
+        assert failure.phase == "timeout"
+        assert failure.attempts == 1
+
     def test_sweep_survives_kill_timeout_and_corrupt_cache(self, tmp_path,
                                                            monkeypatch):
         """The acceptance sweep: one killed worker, one problem stalled

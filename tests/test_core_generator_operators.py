@@ -7,13 +7,34 @@ import pytest
 from hypothesis import HealthCheck, given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from repro.core.expression import ProductTerm, iter_weights, structural_key
-from repro.core.functions import polynomial_function_set, rational_function_set
+from repro.core import operators as operators_module
+from repro.core.compile import canonicalize_factors
+from repro.core.expression import (
+    BinaryOpTerm,
+    ConditionalOpTerm,
+    ExpressionNode,
+    ProductTerm,
+    UnaryOpTerm,
+    WeightedSum,
+    WeightedTerm,
+    iter_variable_combos,
+    iter_weights,
+    structural_key,
+)
+from repro.core.functions import (
+    BINARY_OPERATORS,
+    UNARY_OPERATORS,
+    Operator,
+    polynomial_function_set,
+    rational_function_set,
+)
 from repro.core.generator import ExpressionGenerator
 from repro.core.grammar import default_grammar, validate_expression
 from repro.core.individual import Individual
 from repro.core.operators import VariationOperators
 from repro.core.settings import CaffeineSettings
+from repro.core.variable_combo import VariableCombo
+from repro.core.weights import Weight
 
 from oracles import DeepcopyVariationOperators, collect_slots, reference_layers
 
@@ -204,6 +225,111 @@ class TestVariationOperators:
                 validate_expression(basis, grammar)
 
 
+def _every_kind_basis():
+    """A hand-built basis holding every node kind: a unary operator, a
+    binary operator whose right argument is a bare ``W`` and an ``lte``
+    conditional whose threshold is a weighted sum.  Canonical, like every
+    tree a population holds."""
+    def leaf(*exponents):
+        return WeightedTerm(Weight.from_value(2.0),
+                            ProductTerm(vc=VariableCombo(exponents)))
+
+    lte = Operator("lte", 2, lambda a, b: a, "lte({0}, {1})", "LTE")
+    unary = UnaryOpTerm(UNARY_OPERATORS["ln"],
+                        WeightedSum(Weight.from_value(1.0), [leaf(1, 0, 0, 0)]))
+    binary = BinaryOpTerm(BINARY_OPERATORS["div"],
+                          left=WeightedSum(Weight.from_value(0.5),
+                                           [leaf(0, 1, 0, 0)]),
+                          right=Weight.from_value(3.0))
+    conditional = ConditionalOpTerm(
+        lte, test=WeightedSum(Weight.from_value(0.1)),
+        threshold=WeightedSum(Weight.from_value(0.2), [leaf(0, 0, 1, 0)]),
+        if_true=WeightedSum(Weight.from_value(0.3)),
+        if_false=WeightedSum(Weight.from_value(0.4)))
+    basis = ProductTerm(vc=VariableCombo((1, 1, 0, 0)),
+                        ops=[unary, binary, conditional])
+    canonicalize_factors(basis)
+    return basis
+
+
+class TestSiteOrder:
+    """The operators' index draws pick from these lists, so their order is
+    part of every fixed-seed output."""
+
+    def test_sites_are_pinned_for_every_node_kind(self):
+        basis = _every_kind_basis()
+        # canonical factor order sorts by key tag: "lte" < "op1" < "op2"
+        assert [type(op).__name__ for op in basis.ops] == \
+            ["ConditionalOpTerm", "UnaryOpTerm", "BinaryOpTerm"]
+        individual = Individual(bases=[basis])
+        lte, unary, binary = (("ops", 0),), (("ops", 1),), (("ops", 2),)
+
+        def paths(kind):
+            return [(index, path) for index, path, _ in
+                    operators_module._sites(individual, kind)]
+
+        assert paths(ExpressionNode) == [
+            (0, ()),
+            (0, lte), (0, unary), (0, binary),
+            (0, lte + (("test",),)), (0, lte + (("threshold",),)),
+            (0, lte + (("if_true",),)), (0, lte + (("if_false",),)),
+            (0, lte + (("threshold",), ("term", 0))),
+            (0, unary + (("argument",),)),
+            (0, unary + (("argument",), ("term", 0))),
+            (0, binary + (("left",),)),
+            (0, binary + (("left",), ("term", 0))),
+        ]
+        assert paths(Weight) == [
+            (0, lte + (("test",), ("offset",))),
+            (0, lte + (("threshold",), ("offset",))),
+            (0, lte + (("threshold",), ("tweight", 0))),
+            (0, lte + (("if_true",), ("offset",))),
+            (0, lte + (("if_false",), ("offset",))),
+            (0, unary + (("argument",), ("offset",))),
+            (0, unary + (("argument",), ("tweight", 0))),
+            # a node's own sites come before its children's
+            (0, binary + (("right",),)),
+            (0, binary + (("left",), ("offset",))),
+            (0, binary + (("left",), ("tweight", 0))),
+        ]
+        assert paths(VariableCombo) == [
+            (0, (("vc",),)),
+            (0, lte + (("threshold",), ("term", 0), ("vc",))),
+            (0, unary + (("argument",), ("term", 0), ("vc",))),
+            (0, binary + (("left",), ("term", 0), ("vc",))),
+        ]
+        # The terminal sites enumerate exactly what the traversal helpers do.
+        weights = [site[2] for site in operators_module._sites(individual,
+                                                               Weight)]
+        assert weights == list(iter_weights(basis))
+        assert all(a is b for a, b in zip(weights, iter_weights(basis)))
+        combos = [site[2] for site in
+                  operators_module._sites(individual, VariableCombo)]
+        assert combos == [vc for _, vc in iter_variable_combos(basis)]
+
+    def test_reference_slots_follow_the_same_order(self):
+        basis = _every_kind_basis()
+        individual = Individual(bases=[basis])
+        production = [site[2] for site in
+                      operators_module._sites(individual, ExpressionNode)]
+        reference = [slot.get() for slot in collect_slots(individual)]
+        assert len(production) == len(reference)
+        assert all(a is b for a, b in zip(production, reference))
+        assert [node.grammar_symbol for node in production] == \
+            [slot.kind for slot in collect_slots(individual)]
+
+    def test_backends_agree_on_a_weighted_sum_threshold(self):
+        """Generated conditionals always have a ``W`` threshold, so this
+        hand-built parent is what exercises the slot order at ``lte``."""
+        snapshots = {}
+        for backend in ("shared", "deepcopy"):
+            _, operators = _backend_pair(backend, seed=30, conditionals=True)
+            parent = Individual(bases=[_every_kind_basis()])
+            snapshots[backend] = [_tree_snapshot(operators.vary(parent, parent))
+                                  for _ in range(200)]
+        assert snapshots["shared"] == snapshots["deepcopy"]
+
+
 def _tree_snapshot(individual):
     """Bit-level identity of an individual's genome: per-basis structural key
     (recomputed from scratch -- :func:`structural_key` is deliberately
@@ -219,9 +345,10 @@ _GENOME_OPERATORS = {"shared": VariationOperators,
                      "deepcopy": DeepcopyVariationOperators}
 
 
-def _backend_pair(backend, seed):
+def _backend_pair(backend, seed, conditionals=False):
     settings = CaffeineSettings(population_size=20, n_generations=5,
-                                max_basis_functions=6, random_seed=0)
+                                max_basis_functions=6, random_seed=0,
+                                enable_conditionals=conditionals)
     generator = ExpressionGenerator(n_variables=4, settings=settings,
                                     rng=np.random.default_rng(seed))
     operators = _GENOME_OPERATORS[backend](
@@ -239,6 +366,9 @@ OPERATOR_ARITY = {
 
 
 class TestGenomeBackends:
+    #: whether the generator may grow ``lte`` conditionals
+    conditionals = False
+
     def test_settings_reject_unknown_genome_backend(self):
         # Variation has one production genome; the reference lives in the
         # tests, so no genome switch is accepted as a setting.
@@ -252,7 +382,8 @@ class TestGenomeBackends:
         transplanted subtree (<= 1 root clone; a wholesale donor clone would
         count one per donor basis), and the shared path clones nothing."""
         for backend, per_call_limit in (("shared", 0), ("deepcopy", 1)):
-            generator, operators = _backend_pair(backend, seed=10)
+            generator, operators = _backend_pair(backend, seed=10,
+                                                 conditionals=self.conditionals)
             parent_a = make_individual(generator, n_bases=3)
             parent_b = make_individual(generator, n_bases=3)
             counter = [0]
@@ -272,7 +403,8 @@ class TestGenomeBackends:
         including when shared children are recycled as parents."""
         results = {}
         for backend in ("shared", "deepcopy"):
-            generator, operators = _backend_pair(backend, seed=20)
+            generator, operators = _backend_pair(backend, seed=20,
+                                                 conditionals=self.conditionals)
             population = [make_individual(generator, n_bases=3)
                           for _ in range(5)]
             children = []
@@ -291,7 +423,8 @@ class TestGenomeBackends:
         from repro.core.engine import CaffeineEngine
 
         fronts = {}
-        settings = fast_settings.copy(n_generations=4)
+        settings = fast_settings.copy(n_generations=4,
+                                      enable_conditionals=self.conditionals)
         for backend, layers in (("shared", ()), ("deepcopy", ("genome",))):
             with reference_layers(*layers):
                 result = CaffeineEngine(rational_train, settings=settings).run()
@@ -301,19 +434,25 @@ class TestGenomeBackends:
         assert fronts["shared"]  # non-degenerate: the run found models
 
 
+class TestGenomeBackendsWithConditionals(TestGenomeBackends):
+    conditionals = True
+
+
 class TestParentIsolationProperty:
     @given(seed=st.integers(0, 10_000),
            name=st.sampled_from(sorted(OPERATOR_ARITY)),
-           backend=st.sampled_from(["shared", "deepcopy"]))
-    @hyp_settings(max_examples=80, deadline=None,
+           backend=st.sampled_from(["shared", "deepcopy"]),
+           conditionals=st.booleans())
+    @hyp_settings(max_examples=120, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])
-    def test_operator_leaves_parents_bit_identical(self, seed, name, backend):
+    def test_operator_leaves_parents_bit_identical(self, seed, name, backend,
+                                                   conditionals):
         """After any variation operator, in either genome backend, both
         parents' trees are bit-identical to before: same structural keys,
         same stored weight values.  This is the invariant that makes
         structure sharing safe -- a shared subtree is never edited in
         place."""
-        generator, operators = _backend_pair(backend, seed)
+        generator, operators = _backend_pair(backend, seed, conditionals)
         parent_a = make_individual(generator, n_bases=1 + seed % 4)
         parent_b = make_individual(generator, n_bases=1 + (seed // 4) % 4)
         before_a = _tree_snapshot(parent_a)
